@@ -1,13 +1,15 @@
 """Command-line entry point for the verification suites.
 
 Exit codes: 0 all checks passed, 1 at least one counterexample,
-2 usage or configuration error.
+2 usage or configuration error, 3 crash (an exception escaped the run;
+its traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .suites import SUITE_ORDER, ConfigError, SuiteConfig, run_suite
 
@@ -75,7 +77,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     names = SUITE_ORDER if args.command == "all" else (args.command,)
-    report = run_suite(config, names=names)
+    try:
+        report = run_suite(config, names=names)
+    except Exception:  # a crash must not look like a counterexample
+        traceback.print_exc()
+        return 3
     rendered = report.to_json() if config.output_format == "json" else report.to_text()
     if config.output_path:
         with open(config.output_path, "w") as fh:

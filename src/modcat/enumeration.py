@@ -30,16 +30,14 @@ from .complexes import (
     ChainMap,
     Complex,
     ComplexConflation,
-    single_complex,
     zero_complex,
 )
-from .exact import Conflation, conflation_from_mono
+from .exact import Conflation
 from .modules import (
     FiniteModule,
     Morphism,
     RingSpec,
     cokernel,
-    factor_through_epi,
     factor_through_mono,
     kernel,
     solution_set,
@@ -117,19 +115,6 @@ def sample_morphisms(dom: FiniteModule, cod: FiniteModule, count: int, seed: int
 
 def enumerate_monos(dom: FiniteModule, cod: FiniteModule):
     return (f for f in enumerate_morphisms(dom, cod) if f.is_mono())
-
-
-def enumerate_extensions(k: FiniteModule, f: FiniteModule) -> list[Conflation]:
-    """Every conflation k -> Y -> f, one per monomorphism k -> Y."""
-    if k.ring != f.ring:
-        raise ValueError("extension ends live over different rings")
-    n = k.ring.modulus
-    out = []
-    for y in modules_of_order(n, k.order * f.order):
-        for mono in enumerate_monos(k, y):
-            if cokernel(mono)[0] == f:
-                out.append(conflation_from_mono(mono))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,53 +441,3 @@ def _complete_differentials(f: Complex, window, combo, budget: int):
         g = ChainMap(y, f, parts)
         yield complex_conflation_from_chain_epi(g)
         count += 1
-
-
-def enumerate_complex_conflations_bounded(ring: RingSpec, bound: int):
-    """A small, deterministic family of complex conflations with middle
-    order <= bound: trivial ends plus prime spheres inside every
-    enumerated two-term middle."""
-    out = []
-    for y in enumerate_complexes(ring.modulus, 2, bound):
-        total = 1
-        for c in y.components:
-            total *= c.order
-        if y.is_zero or total > bound:
-            continue
-        ident = ChainMap(y, y, tuple(Morphism.identity(c) for c in y.components))
-        zero_target = zero_complex(ring)
-        to_zero = ChainMap(y, zero_target, tuple(Morphism.zero(c, ring.zero_module()) for c in y.components))
-        out.append(ComplexConflation(ChainMap(zero_complex(ring), y, ()), ident))
-        out.append(ComplexConflation(ident, to_zero))
-        for nd in y.degrees():
-            for entry in cyclic_subgroup_catalog(y.component(nd)):
-                if entry.sub.is_zero or entry.sub.order not in (2, 3, 5, 7, 11):
-                    continue
-                if not (y.differential(nd) @ entry.inclusion).is_zero_morphism:
-                    continue
-                x = single_complex(entry.sub, nd)
-                fmap = ChainMap(
-                    x,
-                    y,
-                    (entry.inclusion,),
-                )
-                z_comps = []
-                z_projs = {}
-                for m in y.degrees():
-                    if m == nd:
-                        z_comps.append(entry.quotient)
-                        z_projs[m] = entry.projection
-                    else:
-                        z_comps.append(y.component(m))
-                        z_projs[m] = Morphism.identity(y.component(m))
-                z_diffs = []
-                degs = list(y.degrees())
-                for m in degs[:-1]:
-                    z_diffs.append(
-                        factor_through_epi(z_projs[m + 1] @ y.differential(m), z_projs[m])
-                    )
-                z = Complex(ring, y.lo, tuple(z_comps), tuple(z_diffs))
-                gparts = tuple(z_projs[m] for m in y.degrees())
-                gmap = ChainMap(y, z, gparts)
-                out.append(ComplexConflation(fmap, gmap))
-    return out

@@ -27,7 +27,7 @@ from .modules import (
     factor_through_mono,
     kernel,
     solve,
-    solution_set,
+    solve_blocks,
 )
 
 
@@ -263,25 +263,27 @@ def splits(c: Conflation) -> SplitWitness | None:
     """Search for a splitting of the conflation; None is definitive absence.
 
     A section is assembled one quotient generator at a time: for the t-th
-    generator (of order d_t) the candidate images are the solutions of
-    g(x) = gen_t and d_t * x = 0, solved as one linear system.  Among the
-    candidates the lexicographically smallest is chosen, which makes the
-    witness matrix the lexicographically smallest section overall.  The
+    generator (of order d_t) its image x must satisfy g(x) = gen_t and
+    d_t * x = 0, solved as one block system with g stacked over d_t * id.
+    The image is the system's one deterministic Smith-form solution.  The
     retraction is derived from the section, so a witness always carries
     both or the conflation does not split at all.
     """
     g, f = c.g, c.f
     m = g.codomain
     b = g.domain
-    ds = direct_sum(m, b)
     columns = []
     for t, d_t in enumerate(m.invariant_factors):
-        constraint = ds.injections[0] @ g + ds.injections[1] @ Morphism.multiplication(b, d_t)
         gen = tuple(1 if s == t else 0 for s in range(m.rank()))
-        target = ds.injections[0].apply(gen)
-        if solve(constraint, target) is None:
+        sol = solve_blocks(
+            {(0, 0): g, (1, 0): Morphism.multiplication(b, d_t)},
+            (m, b),
+            (b,),
+            (gen, b.zero_element()),
+        )
+        if sol is None:
             return None
-        columns.append(min(solution_set(constraint, target)))
+        columns.append(sol[0])
     section = Morphism.from_columns(m, b, columns)
     retraction = factor_through_mono(Morphism.identity(b) - section @ g, f)
     if (g @ section).matrix != Morphism.identity(m).matrix:

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-from .snf import (
-    SmithForm,
-    lattice_key,
-    mat_vec,
-    smith_normal_form,
-    snf_diagonal,
-)
+from .snf import mat_vec, smith_normal_form, snf_diagonal
 
 
 @dataclass(frozen=True)
@@ -270,10 +264,6 @@ class Morphism:
             and self.is_mono()
         )
 
-    def lift(self) -> list[list[int]]:
-        """The matrix as plain integers (a chosen lift to Z)."""
-        return [list(row) for row in self.matrix]
-
     def to_dict(self) -> dict:
         return {
             "dom": self.domain.to_dict(),
@@ -374,18 +364,15 @@ def subgroup_from_lattice(ambient: FiniteModule, gens: list[list[int]]):
     return can.module, incl
 
 
-def subgroup_key(ambient: FiniteModule, gens: list[list[int]]) -> tuple:
-    """Canonical key identifying the subgroup generated by ``gens``."""
-    d = ambient.invariant_factors
-    k = len(d)
-    rows = [list(v) for v in gens]
-    rows.extend([d[i] if i == j else 0 for j in range(k)] for i in range(k))
-    return lattice_key(rows, k)
-
-
 # ---------------------------------------------------------------------------
 # kernels, images, cokernels
 # ---------------------------------------------------------------------------
+
+
+def _augmented(a, e: tuple[int, ...]) -> list[list[int]]:
+    """[a | diag(e)]: integer relations of a @ x == 0 (mod e)."""
+    l = len(e)
+    return [list(a[j]) + [e[j] if j == t else 0 for t in range(l)] for j in range(l)]
 
 
 def _kernel_lattice_gens(f: Morphism) -> list[list[int]]:
@@ -394,10 +381,7 @@ def _kernel_lattice_gens(f: Morphism) -> list[list[int]]:
     l = f.codomain.rank()
     if l == 0:
         return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    a = f.lift()
-    e = f.codomain.invariant_factors
-    p = [a[j] + [e[j] if j == t else 0 for t in range(l)] for j in range(l)]
-    form = smith_normal_form(p)
+    form = smith_normal_form(_augmented(f.matrix, f.codomain.invariant_factors))
     r = form.rank
     v = form.right
     gens = []
@@ -436,12 +420,9 @@ def cokernel(f: Morphism):
 
 @lru_cache(maxsize=65536)
 def _cokernel_order(cod_factors: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> int:
-    l = len(cod_factors)
-    if l == 0:
+    if not cod_factors:
         return 1
-    rows = [list(matrix[j]) + [cod_factors[j] if j == t else 0 for t in range(l)] for j in range(l)]
-    diag = snf_diagonal(rows)
-    return prod(diag[:l])
+    return prod(snf_diagonal(_augmented(matrix, cod_factors))[: len(cod_factors)])
 
 
 def cokernel_order(f: Morphism) -> int:
@@ -462,35 +443,70 @@ def kernel_order(f: Morphism) -> int:
 # ---------------------------------------------------------------------------
 
 
-def solve(f: Morphism, target) -> tuple[int, ...] | None:
-    """One solution x of f(x) == target, or None.
+def _solve_mod(a, e: tuple[int, ...], target, k: int) -> list[int] | None:
+    """One integer x of length k with a @ x == target (mod e), or None.
 
-    Deterministic: the solution comes from the Smith form of the augmented
-    system, so identical inputs give identical witnesses.
+    ``e`` is any tuple of moduli, one per row of ``a``; it need not be a
+    divisor chain.  The solution comes from the Smith form of
+    [a | diag(e)], so identical inputs give identical witnesses.
     """
-    k = f.domain.rank()
-    l = f.codomain.rank()
+    l = len(e)
     if l == 0:
-        return f.domain.zero_element()
-    a = f.lift()
-    e = f.codomain.invariant_factors
-    p = [a[j] + [e[j] if j == t else 0 for t in range(l)] for j in range(l)]
-    form = smith_normal_form(p)
+        return [0] * k
+    form = smith_normal_form(_augmented(a, e))
     c = mat_vec(form.left, list(target))
     w = [0] * (k + l)
     for j in range(l):
-        dj = form.diagonal[j] if j < len(form.diagonal) else 0
+        dj = form.diagonal[j]
         if dj:
             if c[j] % dj:
                 return None
             w[j] = c[j] // dj
         elif c[j]:
             return None
-    z = mat_vec(form.right, w)
-    x = f.domain.reduce(z[:k])
-    if f.apply(x) != tuple(t % e[j] for j, t in enumerate(target)):
-        raise AssertionError("solver produced a non-solution")
+    x = mat_vec(form.right, w)[:k]
+    for j in range(l):
+        if (sum(a[j][i] * x[i] for i in range(k)) - target[j]) % e[j]:
+            raise AssertionError("solver produced a non-solution")
     return x
+
+
+def solve(f: Morphism, target) -> tuple[int, ...] | None:
+    """One solution x of f(x) == target, or None.
+
+    Deterministic: the solution comes from the Smith form of the augmented
+    system, so identical inputs give identical witnesses.
+    """
+    x = _solve_mod(f.matrix, f.codomain.invariant_factors, target, f.domain.rank())
+    return None if x is None else f.domain.reduce(x)
+
+
+def solve_blocks(blocks: dict, rows, cols, targets) -> tuple | None:
+    """Solve the block system sum_j blocks[i, j](x_j) == targets[i] for all i.
+
+    ``blocks`` maps (row block, column block) to a morphism
+    cols[j] -> rows[i]; absent blocks are zero.  The blocks are written
+    straight into one integer matrix over the row modules' factors, so no
+    direct sum is canonicalized.  Returns one element of each column
+    module, or None when the system has no solution.
+    """
+    row_off, col_off = [0], [0]
+    for m in rows:
+        row_off.append(row_off[-1] + m.rank())
+    for m in cols:
+        col_off.append(col_off[-1] + m.rank())
+    a = [[0] * col_off[-1] for _ in range(row_off[-1])]
+    for (i, j), mor in blocks.items():
+        if mor.domain != cols[j] or mor.codomain != rows[i]:
+            raise ValueError(f"block ({i}, {j}) has mismatched endpoints")
+        c0 = col_off[j]
+        for r, row in enumerate(mor.matrix, row_off[i]):
+            a[r][c0 : c0 + len(row)] = row
+    e = tuple(d for m in rows for d in m.invariant_factors)
+    x = _solve_mod(a, e, [v for t in targets for v in t], col_off[-1])
+    if x is None:
+        return None
+    return tuple(m.reduce(x[col_off[j] : col_off[j + 1]]) for j, m in enumerate(cols))
 
 
 def solution_set(f: Morphism, target):

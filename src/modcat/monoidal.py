@@ -141,11 +141,6 @@ class HomModule:
                 acc[s] += c * img[s]
         return self.module.reduce(acc)
 
-    def element_morphisms(self):
-        """Iterate (element, morphism) over the whole hom module."""
-        for z in self.module.elements():
-            yield z, self.to_morphism(z)
-
 
 @lru_cache(maxsize=16384)
 def hom_module(m: FiniteModule, n: FiniteModule) -> HomModule:

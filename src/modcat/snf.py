@@ -4,11 +4,12 @@ Everything in this package reduces to integer linear algebra on small dense
 matrices, so the routines here work on lists of rows of Python ints and stay
 exact.  Two normal forms are provided:
 
-* Smith normal form, with or without the unimodular transforms.  The full
-  version returns ``D = left @ A @ right`` together with ``right_inv`` so
-  callers can change coordinates in both directions.
-* Hermite normal form (row-style, upper echelon) for canonical lattice keys
-  and membership tests.
+* Smith normal form, with or without the unimodular transforms; one pivot
+  loop serves both.  The full version returns ``D = left @ A @ right``
+  together with ``right_inv`` so callers can change coordinates in both
+  directions.
+* Hermite normal form (row-style, upper echelon) for canonical subgroup
+  bases and membership tests.
 
 Conventions: matrices are rectangular lists of lists, rows first.  A lattice
 is given by a generating list of row vectors; it need not be a basis.
@@ -23,24 +24,8 @@ def identity_matrix(m: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Product of two integer matrices (rows x cols must be compatible)."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("incompatible shapes for matrix product")
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(arow[t] * b[t][j] for t in range(len(b))) for j in range(cols)]
-        for arow in a
-    ]
-
-
 def mat_vec(a: list[list[int]], x: list[int]) -> list[int]:
     return [sum(row[i] * x[i] for i in range(len(x))) for row in a]
-
-
-def vec_mat(x: list[int], a: list[list[int]]) -> list[int]:
-    cols = len(a[0]) if a else 0
-    return [sum(x[i] * a[i][j] for i in range(len(a))) for j in range(cols)]
 
 
 @dataclass
@@ -82,61 +67,20 @@ def _pivot_position(m: list[list[int]], t: int, rows: int, cols: int):
     return best
 
 
-def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
-    """Full Smith normal form with transform tracking.
+def _smith(matrix: list[list[int]], track: bool):
+    """The one Smith pivot loop; returns (diagonal, left, right, right_inv).
 
     Deterministic: the pivot choice scans for the smallest nonzero absolute
     value (first occurrence wins), so identical inputs give identical
-    transforms.
+    transforms.  Without ``track`` the three transforms are None and only
+    the working copy is reduced.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     m = [list(r) for r in matrix]
-    left = identity_matrix(rows)
-    right = identity_matrix(cols)
-    right_inv = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        left[i], left[j] = left[j], left[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        msrc, mdst = m[src], m[dst]
-        for c in range(cols):
-            mdst[c] += q * msrc[c]
-        lsrc, ldst = left[src], left[dst]
-        for c in range(rows):
-            ldst[c] += q * lsrc[c]
-
-    def negate_row(i):
-        m[i] = [-v for v in m[i]]
-        left[i] = [-v for v in left[i]]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in right:
-            r[i], r[j] = r[j], r[i]
-        right_inv[i], right_inv[j] = right_inv[j], right_inv[i]
-
-    def add_col(src, dst, q):
-        # col dst += q * col src; inverse: row src -= q * row dst
-        for r in m:
-            r[dst] += q * r[src]
-        for r in right:
-            r[dst] += q * r[src]
-        vsrc, vdst = right_inv[src], right_inv[dst]
-        for c in range(cols):
-            vsrc[c] -= q * vdst[c]
-
-    def negate_col(i):
-        for r in m:
-            r[i] = -r[i]
-        for r in right:
-            r[i] = -r[i]
-        right_inv[i] = [-v for v in right_inv[i]]
-
+    left = identity_matrix(rows) if track else None
+    right = identity_matrix(cols) if track else None
+    right_inv = identity_matrix(cols) if track else None
     for t in range(min(rows, cols)):
         while True:
             pos = _pivot_position(m, t, rows, cols)
@@ -144,81 +88,35 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
                 break
             i, j = pos
             if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            if m[t][t] < 0:
-                negate_row(t)
-            # Clear column t, then row t; restart if a remainder survived.
-            dirty = False
-            p = m[t][t]
-            for r in range(t + 1, rows):
-                if m[r][t]:
-                    q = m[r][t] // p
-                    add_row(t, r, -q)
-                    if m[r][t]:
-                        dirty = True
-            for c in range(t + 1, cols):
-                if m[t][c]:
-                    q = m[t][c] // p
-                    add_col(t, c, -q)
-                    if m[t][c]:
-                        dirty = True
-            if dirty:
-                continue
-            # Pivot must divide every remaining entry for the divisor chain.
-            p = m[t][t]
-            offender = None
-            for r in range(t + 1, rows):
-                mr = m[r]
-                for c in range(t + 1, cols):
-                    if mr[c] % p:
-                        offender = r
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if m[t][t] < 0:
-            negate_row(t)
-
-    diagonal = [m[i][i] for i in range(min(rows, cols))]
-    return SmithForm(rows, cols, diagonal, left, right, right_inv)
-
-
-def snf_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Smith diagonal only, no transform bookkeeping (hot path).
-
-    Row/column operations are applied in place on a copy; the result is the
-    same ``diagonal`` list ``smith_normal_form`` would produce.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    m = [list(r) for r in matrix]
-    n_min = min(rows, cols)
-    for t in range(n_min):
-        while True:
-            pos = _pivot_position(m, t, rows, cols)
-            if pos is None:
-                break
-            i, j = pos
-            if i != t:
                 m[i], m[t] = m[t], m[i]
+                if track:
+                    left[i], left[t] = left[t], left[i]
             if j != t:
                 for r in m:
                     r[j], r[t] = r[t], r[j]
+                if track:
+                    for r in right:
+                        r[j], r[t] = r[t], r[j]
+                    right_inv[j], right_inv[t] = right_inv[t], right_inv[j]
             if m[t][t] < 0:
                 m[t] = [-v for v in m[t]]
+                if track:
+                    left[t] = [-v for v in left[t]]
+            # Clear column t, then row t; restart if a remainder survived.
+            # Entries left of column t and above row t are already zero.
             dirty = False
-            p = m[t][t]
             mt = m[t]
+            p = mt[t]
             for r in range(t + 1, rows):
                 mr = m[r]
                 if mr[t]:
                     q = mr[t] // p
                     for c in range(t, cols):
                         mr[c] -= q * mt[c]
+                    if track:
+                        lt, lr = left[t], left[r]
+                        for c in range(rows):
+                            lr[c] -= q * lt[c]
                     if mr[t]:
                         dirty = True
             for c in range(t + 1, cols):
@@ -226,11 +124,18 @@ def snf_diagonal(matrix: list[list[int]]) -> list[int]:
                     q = mt[c] // p
                     for r in range(t, rows):
                         m[r][c] -= q * m[r][t]
+                    if track:
+                        # column c -= q * column t; inverse: row t += q * row c
+                        for r in right:
+                            r[c] -= q * r[t]
+                        vt, vc = right_inv[t], right_inv[c]
+                        for s in range(cols):
+                            vt[s] += q * vc[s]
                     if mt[c]:
                         dirty = True
             if dirty:
                 continue
-            p = m[t][t]
+            # Pivot must divide every remaining entry for the divisor chain.
             offender = None
             for r in range(t + 1, rows):
                 mr = m[r]
@@ -242,11 +147,26 @@ def snf_diagonal(matrix: list[list[int]]) -> list[int]:
                     break
             if offender is None:
                 break
-            mo = m[offender]
-            m[t] = [a + b for a, b in zip(mt, mo)]
+            m[t] = [a + b for a, b in zip(mt, m[offender])]
+            if track:
+                left[t] = [a + b for a, b in zip(left[t], left[offender])]
         if m[t][t] < 0:
             m[t] = [-v for v in m[t]]
-    return [m[i][i] for i in range(n_min)]
+            if track:
+                left[t] = [-v for v in left[t]]
+    return [m[i][i] for i in range(min(rows, cols))], left, right, right_inv
+
+
+def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
+    """Full Smith normal form with transform tracking."""
+    diagonal, left, right, right_inv = _smith(matrix, True)
+    rows = len(matrix)
+    return SmithForm(rows, len(matrix[0]) if rows else 0, diagonal, left, right, right_inv)
+
+
+def snf_diagonal(matrix: list[list[int]]) -> list[int]:
+    """Smith diagonal only, no transform bookkeeping (hot path)."""
+    return _smith(matrix, False)[0]
 
 
 def hermite_normal_form(rows_in: list[list[int]], cols: int) -> list[list[int]]:
@@ -288,11 +208,6 @@ def hermite_normal_form(rows_in: list[list[int]], cols: int) -> list[list[int]]:
                 for c in range(cols):
                     result[j][c] -= q * result[i][c]
     return result
-
-
-def lattice_key(rows_in: list[list[int]], cols: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical hashable key for the lattice spanned by ``rows_in``."""
-    return tuple(tuple(r) for r in hermite_normal_form(rows_in, cols))
 
 
 def lattice_member(hnf_basis: list[list[int]], vec: list[int]) -> bool:

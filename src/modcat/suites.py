@@ -376,17 +376,13 @@ def run_flat_equiv(config: SuiteConfig) -> SuiteResult:
             by_tensor = is_flat_tensor_route(m)
             by_dual = is_flat(m)
             by_structure = flat_structural_oracle(m)
+            # The purity leg quantifies over every ending conflation, in
+            # sample mode too; only section extraction below is sampled.
             entries = list(
                 conflations_ending_in(m, config.max_kernel_order, config.max_module_order)
             )
-            entries = _select(entries, config, f"flat:{n}:{m.invariant_factors}")
-            all_pure = True
-            witness = None
-            for e in entries:
-                if not _entry_pure(e.conflation()):
-                    all_pure = False
-                    witness = e
-                    break
+            witness = next((e for e in entries if not _entry_pure(e.conflation())), None)
+            all_pure = witness is None
             ok = by_tensor == by_dual == by_structure == all_pure
             data = {
                 "module": m.to_dict(),
@@ -413,7 +409,7 @@ def run_flat_equiv(config: SuiteConfig) -> SuiteResult:
                 ),
             )
             if by_dual and ok:
-                for e in entries:
+                for e in _select(entries, config, f"flat:{n}:{m.invariant_factors}"):
                     c = e.conflation()
                     try:
                         extract_section(c)

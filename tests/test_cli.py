@@ -72,6 +72,18 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+def test_crash_exits_three_with_traceback(monkeypatch, capsys):
+    def crashing_run_suite(config, names):
+        raise RuntimeError("boom inside a checker")
+
+    monkeypatch.setattr("modcat.cli.run_suite", crashing_run_suite)
+    assert main(["axioms", *TINY]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "RuntimeError: boom inside a checker" in captured.err
+
+
 def test_console_entry_point_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "modcat.cli", "axioms", *TINY],

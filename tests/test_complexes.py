@@ -2,25 +2,37 @@
 
 The brute cohomology oracle below scans elements (kernel and image as raw
 sets) and never touches the canonical-form machinery used by cohomology().
+The hom-exactness oracle for injective complexes assembles chain-hom
+groups through canonical direct sums, independently of the block solver
+behind is_contractible().
 """
 
 import itertools
 
 import pytest
 
-from modcat.modules import FiniteModule, Morphism, RingSpec, cyclic, direct_sum
+from modcat.modules import (
+    FiniteModule,
+    Morphism,
+    RingSpec,
+    cyclic,
+    direct_sum,
+    direct_sum_many,
+    factor_through_epi,
+    factor_through_mono,
+    kernel,
+)
+from modcat.monoidal import hom_module, postcompose_map, precompose_map
 from modcat.purity import dual, dual_mor, is_flat, is_injective
 from modcat.complexes import (
     ChainMap,
     Complex,
     ComplexConflation,
-    chain_hom_module,
     cohomology,
     double_dual_complex_iso,
     dual_chain_map,
     dual_complex,
     dual_complex_conflation,
-    hom_exactness_oracle,
     identity_chain_map,
     is_acyclic,
     is_contractible,
@@ -35,7 +47,12 @@ from modcat.complexes import (
     two_term_complex,
     zero_complex,
 )
-from modcat.enumeration import enumerate_complexes, enumerate_morphisms, flat_disk_cover
+from modcat.enumeration import (
+    cyclic_subgroup_catalog,
+    enumerate_complexes,
+    enumerate_morphisms,
+    flat_disk_cover,
+)
 
 
 R4 = RingSpec(4)
@@ -300,8 +317,10 @@ def test_injective_complex():
     assert is_injective_complex(two_term_complex(Morphism.identity(Z4)))
     assert not is_injective_complex(two_term_complex(Morphism.identity(Z2)))
     assert not is_injective_complex(single_complex(Z4))
-    # secondary hom-exactness path, activated by a positive bound
-    assert is_injective_complex(two_term_complex(Morphism.identity(Z4)), bound=4)
+    # secondary route: Hom(-, x) is exact on a small family of complex conflations
+    x = two_term_complex(Morphism.identity(Z4))
+    for cc in enumerate_complex_conflations_bounded(R4, 4):
+        assert hom_exactness_oracle(cc, x)
 
 
 def test_dual_complex_conflation_validates():
@@ -314,6 +333,130 @@ def test_dual_complex_conflation_validates():
 # ---------------------------------------------------------------------------
 # chain hom groups
 # ---------------------------------------------------------------------------
+
+
+def _hom_sum(pairs):
+    """Direct sum of hom modules with their per-degree bookkeeping."""
+    homs = [hom_module(a, b) for a, b in pairs]
+    ds = direct_sum_many(tuple(h.module for h in homs))
+    return homs, ds
+
+
+def _chain_hom_with_embedding(w: Complex, target: Complex):
+    """Chain maps w -> target as a kernel submodule of the degreewise hom sum."""
+    if w.is_zero:
+        zero = w.ring.zero_module()
+        return zero, None, None, []
+    window = list(w.degrees())
+    a_homs, a_ds = _hom_sum([(w.component(n), target.component(n)) for n in window])
+    _, c_ds = _hom_sum([(w.component(n), target.component(n + 1)) for n in window])
+    op = None
+    for i, n in enumerate(window):
+        post = postcompose_map(target.differential(n), w.component(n))
+        term = c_ds.injections[i] @ post @ a_ds.projections[i]
+        op = term if op is None else op + term
+        if i + 1 < len(window):
+            pre = precompose_map(w.differential(n), target.component(n + 1))
+            op = op - c_ds.injections[i] @ pre @ a_ds.projections[i + 1]
+    k, incl = kernel(op)
+    return k, incl, a_ds, a_homs
+
+
+def chain_hom_module(w: Complex, target: Complex):
+    """The group of chain maps w -> target as (module, decode callable)."""
+    k, incl, a_ds, a_homs = _chain_hom_with_embedding(w, target)
+    if incl is None:
+        return k, lambda z: ChainMap(w, target, ())
+
+    def decode(zcoord):
+        amb = incl.apply(zcoord)
+        parts = tuple(
+            h.to_morphism(a_ds.projections[i].apply(amb)) for i, h in enumerate(a_homs)
+        )
+        return ChainMap(w, target, parts)
+
+    return k, decode
+
+
+def _induced_precompose(phi: ChainMap, target: Complex, from_data, to_data) -> Morphism:
+    """Hom(phi.target, target) -> Hom(phi.source, target) on chain-hom groups."""
+    k_from, incl_from, ds_from, homs_from = from_data
+    k_to, incl_to, ds_to, homs_to = to_data
+    if k_from.is_zero or incl_from is None:
+        return Morphism.zero(k_from, k_to)
+    if k_to.is_zero or incl_to is None:
+        return Morphism.zero(k_from, k_to)
+    amb = None
+    for i, n in enumerate(phi.source.degrees()):
+        pre = precompose_map(phi.part(n), target.component(n))
+        if n in phi.target.degrees():
+            j = n - phi.target.lo
+            term = ds_to.injections[i] @ pre @ ds_from.projections[j]
+            amb = term if amb is None else amb + term
+    if amb is None:
+        return Morphism.zero(k_from, k_to)
+    return factor_through_mono(amb @ incl_from, incl_to)
+
+
+def hom_exactness_oracle(c: ComplexConflation, target: Complex) -> bool:
+    """Does Hom(-, target) send the complex conflation to a short exact
+    sequence of (finite abelian) groups?"""
+    z_data = _chain_hom_with_embedding(c.quotient, target)
+    y_data = _chain_hom_with_embedding(c.total, target)
+    x_data = _chain_hom_with_embedding(c.sub, target)
+    u = _induced_precompose(c.g, target, z_data, y_data)
+    v = _induced_precompose(c.f, target, y_data, x_data)
+    if not u.is_mono() or not v.is_epi() or not (v @ u).is_zero_morphism:
+        return False
+    return y_data[0].order == z_data[0].order * x_data[0].order
+
+
+def enumerate_complex_conflations_bounded(ring: RingSpec, bound: int):
+    """A small, deterministic family of complex conflations with middle
+    order <= bound: trivial ends plus prime spheres inside every
+    enumerated two-term middle."""
+    out = []
+    for y in enumerate_complexes(ring.modulus, 2, bound):
+        total = 1
+        for c in y.components:
+            total *= c.order
+        if y.is_zero or total > bound:
+            continue
+        ident = identity_chain_map(y)
+        zero = zero_complex(ring)
+        to_zero = ChainMap(y, zero, tuple(Morphism.zero(c, ring.zero_module()) for c in y.components))
+        out.append(ComplexConflation(ChainMap(zero, y, ()), ident))
+        out.append(ComplexConflation(ident, to_zero))
+        for nd in y.degrees():
+            for entry in cyclic_subgroup_catalog(y.component(nd)):
+                if entry.sub.is_zero or entry.sub.order not in (2, 3, 5, 7, 11):
+                    continue
+                if not (y.differential(nd) @ entry.inclusion).is_zero_morphism:
+                    continue
+                fmap = ChainMap(single_complex(entry.sub, nd), y, (entry.inclusion,))
+                z_projs = {
+                    m: entry.projection if m == nd else Morphism.identity(y.component(m))
+                    for m in y.degrees()
+                }
+                z_diffs = tuple(
+                    factor_through_epi(z_projs[m + 1] @ y.differential(m), z_projs[m])
+                    for m in list(y.degrees())[:-1]
+                )
+                z_comps = tuple(z_projs[m].codomain for m in y.degrees())
+                z = Complex(ring, y.lo, z_comps, z_diffs)
+                gmap = ChainMap(y, z, tuple(z_projs[m] for m in y.degrees()))
+                out.append(ComplexConflation(fmap, gmap))
+    return out
+
+
+def test_enumerate_complex_conflations_bounded():
+    items = list(enumerate_complex_conflations_bounded(R4, 4))
+    assert items
+    for cc in items:
+        total = 1
+        for m in cc.total.components:
+            total *= m.order
+        assert total <= 4
 
 
 def brute_chain_map_count(w: Complex, target: Complex) -> int:

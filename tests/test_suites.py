@@ -150,6 +150,28 @@ def test_sample_mode_is_deterministic_and_green():
     assert all(s["failed"] == 0 for s in r1["suites"])
 
 
+def test_sample_mode_flat_equiv_checks_every_ending_conflation():
+    # One sample per module misses most impure ending conflations; the
+    # "every conflation ending in F is pure" leg must still see them all,
+    # so that only section extraction is sampled.
+    cfg = SuiteConfig(
+        moduli=(4,),
+        max_module_order=16,
+        max_kernel_order=4,
+        mode="sample",
+        sample_count=1,
+        seed=0,
+    )
+    sampled = run_suite(cfg, names=("flat-equiv",)).suites[0]
+    assert sampled.failed == 0, sampled.counterexamples
+    exhaustive = run_suite(
+        SuiteConfig(moduli=(4,), max_module_order=16, max_kernel_order=4),
+        names=("flat-equiv",),
+    ).suites[0]
+    assert exhaustive.failed == 0
+    assert sampled.checked < exhaustive.checked
+
+
 def test_single_suite_wrappers():
     ring = RingSpec(4)
     for fn, name in [
