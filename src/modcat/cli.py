@@ -1,8 +1,10 @@
 """Command-line entry point for the verification suites.
 
 Exit codes: 0 all checks passed, 1 at least one counterexample,
-2 usage or configuration error, 3 crash (an exception escaped the run;
-its traceback goes to stderr).
+2 usage or configuration error, 3 crash.  A suite that raises is recorded
+in the report as a ``crash`` failure and the other suites still run; an
+exception that escapes the run itself prints its traceback to stderr and
+writes no report.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import (
@@ -44,7 +43,7 @@ from .modules import (
     subgroup_from_lattice,
 )
 from .monoidal import hom_module, postcompose_map, precompose_map
-from .snf import lattice_member
+from .snf import lattice_member, snf_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +121,59 @@ def enumerate_monos(dom: FiniteModule, cod: FiniteModule):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SubgroupEntry:
-    """A subgroup of a fixed ambient module with its conflation data."""
+    """A subgroup of a fixed ambient module with its conflation data.
 
-    ambient: FiniteModule
-    sub: FiniteModule
-    inclusion: Morphism
-    quotient: FiniteModule
-    projection: Morphism
-    key: tuple
+    ``key`` is the canonical Hermite basis of the subgroup's lattice, the
+    ambient relations included, and ``rows`` generate the subgroup.  The
+    two invariants the filters read, ``quotient`` and ``sub_order``, come
+    from one Smith diagonal of ``key`` up front.  ``sub``, ``inclusion``
+    and ``projection`` are built from ``rows`` on first use and cached,
+    because a run usually checks only a few entries of each catalog it
+    walks; building checks them against the two invariants.
+    """
+
+    __slots__ = (
+        "ambient", "key", "quotient", "sub_order", "_rows", "_sub", "_inclusion", "_projection"
+    )
+
+    def __init__(self, ambient: FiniteModule, key: tuple, rows):
+        factors = tuple(x for x in snf_diagonal([list(r) for r in key]) if x > 1)
+        self.ambient = ambient
+        self.key = key
+        self.quotient = FiniteModule(ambient.ring, factors)
+        self.sub_order = ambient.order // self.quotient.order
+        self._rows = rows
+        self._sub = None
+
+    def _build(self) -> None:
+        sub, incl = subgroup_from_lattice(self.ambient, self._rows)
+        quot, proj = cokernel(incl)
+        if quot != self.quotient or sub.order != self.sub_order:
+            raise AssertionError("built subgroup disagrees with its Smith invariants")
+        self._sub, self._inclusion, self._projection = sub, incl, proj
+        self._rows = None
+
+    @property
+    def sub(self) -> FiniteModule:
+        if self._sub is None:
+            self._build()
+        return self._sub
+
+    @property
+    def inclusion(self) -> Morphism:
+        if self._sub is None:
+            self._build()
+        return self._inclusion
+
+    @property
+    def projection(self) -> Morphism:
+        if self._sub is None:
+            self._build()
+        return self._projection
 
     def conflation(self) -> Conflation:
         return Conflation(self.inclusion, self.projection)
-
-
-def _entry_from_lattice(y: FiniteModule, rows: list[list[int]], key: tuple) -> SubgroupEntry:
-    sub, incl = subgroup_from_lattice(y, rows)
-    quot, proj = cokernel(incl)
-    return SubgroupEntry(y, sub, incl, quot, proj, key)
 
 
 @lru_cache(maxsize=2048)
@@ -158,9 +191,8 @@ def subgroup_catalog(y: FiniteModule) -> tuple[SubgroupEntry, ...]:
 
     def walk(i: int, below: list[list[int]]):
         if i < 0:
-            rows = [list(r) for r in below]
             key = tuple(tuple(r) for r in below)
-            entries.append(_entry_from_lattice(y, rows, key))
+            entries.append(SubgroupEntry(y, key, key))
             return
         pivots = {j: below[j - i - 1][j] for j in range(i + 1, k)}
         for h in range(1, d[i] + 1):
@@ -189,7 +221,7 @@ def cyclic_subgroup_catalog(y: FiniteModule) -> tuple[SubgroupEntry, ...]:
         basis = hermite_normal_form(rows, k)
         key = tuple(tuple(r) for r in basis)
         if key not in seen:
-            seen[key] = _entry_from_lattice(y, [list(x)], key)
+            seen[key] = SubgroupEntry(y, key, (x,))
     return tuple(seen.values())
 
 
@@ -212,14 +244,14 @@ def conflations_ending_in(
         for y in modules_of_order(n, middle_order):
             if middle_order <= middle_bound:
                 for entry in subgroup_catalog(y):
-                    if entry.sub.order == k_ord and entry.quotient == f:
+                    if entry.sub_order == k_ord and entry.quotient == f:
                         tag = (y.invariant_factors, entry.key)
                         if tag not in seen:
                             seen.add(tag)
                             yield entry
             elif n % k_ord == 0:
                 for entry in cyclic_subgroup_catalog(y):
-                    if entry.sub.order == k_ord and entry.quotient == f:
+                    if entry.sub_order == k_ord and entry.quotient == f:
                         tag = (y.invariant_factors, entry.key)
                         if tag not in seen:
                             seen.add(tag)
@@ -233,7 +265,7 @@ def conflations_with_sub(m: FiniteModule, middle_bound: int):
         if y.order % m.order:
             continue
         for entry in subgroup_catalog(y):
-            if entry.sub == m:
+            if entry.sub_order == m.order and entry.sub == m:
                 yield entry.conflation()
 
 
@@ -382,14 +414,14 @@ def enumerate_complex_conflations_ending_in(
         for k_ord in range(1, kernel_cap + 1):
             for y in modules_of_order(n, comp.order * k_ord):
                 for entry in subgroup_catalog(y):
-                    if entry.sub.order == k_ord and entry.quotient == comp:
+                    if entry.sub_order == k_ord and entry.quotient == comp:
                         cands.append(entry)
         per_degree.append(cands)
     produced = 0
     for combo in itertools.product(*per_degree):
         if produced >= max_count:
             return
-        if all(e.sub.is_zero for e in combo):
+        if all(e.sub_order == 1 for e in combo):
             continue
         for cc in _complete_differentials(f, window, combo, max_count - produced):
             yield cc

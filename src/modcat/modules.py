@@ -443,32 +443,36 @@ def kernel_order(f: Morphism) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solve_mod(a, e: tuple[int, ...], target, k: int) -> list[int] | None:
-    """One integer x of length k with a @ x == target (mod e), or None.
+def _solve_mod(a, e: tuple[int, ...], targets, k: int) -> list[list[int]] | None:
+    """One integer x of length k with a @ x == t (mod e) per target t, or None.
 
     ``e`` is any tuple of moduli, one per row of ``a``; it need not be a
-    divisor chain.  The solution comes from the Smith form of
-    [a | diag(e)], so identical inputs give identical witnesses.
+    divisor chain.  Every solution comes from the one Smith form of
+    [a | diag(e)], so identical inputs give identical witnesses.  None
+    means some target has no solution.
     """
     l = len(e)
-    if l == 0:
-        return [0] * k
+    if l == 0 or not targets:
+        return [[0] * k for _ in targets]
     form = smith_normal_form(_augmented(a, e))
-    c = mat_vec(form.left, list(target))
-    w = [0] * (k + l)
-    for j in range(l):
-        dj = form.diagonal[j]
-        if dj:
-            if c[j] % dj:
+    solutions = []
+    for target in targets:
+        c = mat_vec(form.left, list(target))
+        w = [0] * (k + l)
+        for j in range(l):
+            dj = form.diagonal[j]
+            if dj:
+                if c[j] % dj:
+                    return None
+                w[j] = c[j] // dj
+            elif c[j]:
                 return None
-            w[j] = c[j] // dj
-        elif c[j]:
-            return None
-    x = mat_vec(form.right, w)[:k]
-    for j in range(l):
-        if (sum(a[j][i] * x[i] for i in range(k)) - target[j]) % e[j]:
-            raise AssertionError("solver produced a non-solution")
-    return x
+        x = mat_vec(form.right, w)[:k]
+        for j in range(l):
+            if (sum(a[j][i] * x[i] for i in range(k)) - target[j]) % e[j]:
+                raise AssertionError("solver produced a non-solution")
+        solutions.append(x)
+    return solutions
 
 
 def solve(f: Morphism, target) -> tuple[int, ...] | None:
@@ -477,8 +481,8 @@ def solve(f: Morphism, target) -> tuple[int, ...] | None:
     Deterministic: the solution comes from the Smith form of the augmented
     system, so identical inputs give identical witnesses.
     """
-    x = _solve_mod(f.matrix, f.codomain.invariant_factors, target, f.domain.rank())
-    return None if x is None else f.domain.reduce(x)
+    xs = _solve_mod(f.matrix, f.codomain.invariant_factors, [target], f.domain.rank())
+    return None if xs is None else f.domain.reduce(xs[0])
 
 
 def solve_blocks(blocks: dict, rows, cols, targets) -> tuple | None:
@@ -503,9 +507,10 @@ def solve_blocks(blocks: dict, rows, cols, targets) -> tuple | None:
         for r, row in enumerate(mor.matrix, row_off[i]):
             a[r][c0 : c0 + len(row)] = row
     e = tuple(d for m in rows for d in m.invariant_factors)
-    x = _solve_mod(a, e, [v for t in targets for v in t], col_off[-1])
-    if x is None:
+    xs = _solve_mod(a, e, [[v for t in targets for v in t]], col_off[-1])
+    if xs is None:
         return None
+    x = xs[0]
     return tuple(m.reduce(x[col_off[j] : col_off[j + 1]]) for j, m in enumerate(cols))
 
 
@@ -527,13 +532,11 @@ def factor_through_mono(h: Morphism, m: Morphism) -> Morphism:
     """
     if h.codomain != m.codomain:
         raise ValueError("codomain mismatch")
-    columns = []
-    for i in range(h.domain.rank()):
-        target = h.apply(tuple(1 if t == i else 0 for t in range(h.domain.rank())))
-        x = solve(m, target)
-        if x is None:
-            raise ValueError("morphism does not factor through the given mono")
-        columns.append(x)
+    targets = [[row[i] for row in h.matrix] for i in range(h.domain.rank())]
+    xs = _solve_mod(m.matrix, m.codomain.invariant_factors, targets, m.domain.rank())
+    if xs is None:
+        raise ValueError("morphism does not factor through the given mono")
+    columns = [m.domain.reduce(x) for x in xs]
     phi = Morphism.from_columns(h.domain, m.domain, columns)
     if (m @ phi).matrix != h.matrix:
         raise ValueError("factorization through mono failed")
@@ -547,13 +550,12 @@ def factor_through_epi(h: Morphism, e: Morphism) -> Morphism:
     """
     if h.domain != e.domain:
         raise ValueError("domain mismatch")
-    columns = []
-    for t in range(e.codomain.rank()):
-        gen = tuple(1 if s == t else 0 for s in range(e.codomain.rank()))
-        y = solve(e, gen)
-        if y is None:
-            raise ValueError("the would-be epi is not surjective onto its codomain")
-        columns.append(h.apply(y))
+    l = e.codomain.rank()
+    gens = [[1 if s == t else 0 for s in range(l)] for t in range(l)]
+    ys = _solve_mod(e.matrix, e.codomain.invariant_factors, gens, e.domain.rank())
+    if ys is None:
+        raise ValueError("the would-be epi is not surjective onto its codomain")
+    columns = [h.apply(e.domain.reduce(y)) for y in ys]
     try:
         phi = Morphism.from_columns(e.codomain, h.codomain, columns)
     except ValueError as exc:

@@ -19,12 +19,15 @@ Five suites, matching the CLI subcommands:
 
 All walks are deterministic; identical configs yield identical reports
 (modulo the wall-time field).  Each failure is recorded as a dict that
-``replay_counterexample`` can feed back through the original checker.
+``replay_counterexample`` can feed back through the original checker.  An
+exception inside a suite becomes one ``crash`` record for that suite, and
+the remaining suites still run.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -86,6 +89,9 @@ AXIOM_PARTNER_CAP = 8
 # always-included disk cover.
 COMPLEX_KERNEL_CAP = 4
 COMPLEX_FAMILY_CAP = 6
+
+# Version of the JSON report layout; bump it when a field changes meaning.
+REPORT_SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
@@ -167,10 +173,14 @@ class Report:
 
     @property
     def exit_code(self) -> int:
+        """0 all passed, 1 some check failed, 3 some suite crashed."""
+        if any(ce["check"] == "crash" for s in self.suites for ce in s.counterexamples):
+            return 3
         return 1 if any(s.failed for s in self.suites) else 0
 
     def to_dict(self) -> dict:
         return {
+            "schema_version": REPORT_SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "suites": [s.to_dict() for s in self.suites],
             "elapsed_ms": self.elapsed_ms,
@@ -194,13 +204,35 @@ class Report:
             status = "ok" if s.failed == 0 else "FAIL"
             lines.append(f"  {s.name:<11} checked {s.checked:>7}  failed {s.failed:>3}  [{status}]")
             for ce in s.counterexamples:
-                lines.append(f"    counterexample ({ce['check']}, n={ce['modulus']}): {ce['reason']}")
+                if ce["check"] == "crash":
+                    lines.append(f"    crash: {ce['reason']}")
+                else:
+                    lines.append(f"    counterexample ({ce['check']}, n={ce['modulus']}): {ce['reason']}")
         lines.append(f"elapsed {self.elapsed_ms} ms")
         return "\n".join(lines) + "\n"
 
 
-def _ce(check: str, modulus: int, reason: str, data: dict) -> dict:
+def _ce(check: str, modulus: int | None, reason: str, data: dict) -> dict:
     return {"check": check, "modulus": modulus, "reason": reason, "data": data}
+
+
+def _crash_record(suite: str, config: SuiteConfig, exc: Exception) -> dict:
+    import traceback
+
+    # Frames as "file.py:line in function", without directories, so the
+    # record reads the same in every checkout of the same code.
+    frames = [
+        f"{os.path.basename(fr.filename)}:{fr.lineno} in {fr.name}"
+        for fr in traceback.extract_tb(exc.__traceback__)
+    ]
+    data = {
+        "suite": suite,
+        "exception": type(exc).__name__,
+        "message": str(exc),
+        "traceback": frames,
+        "config": config.to_dict(),
+    }
+    return _ce("crash", None, f"{type(exc).__name__}: {exc}", data)
 
 
 def _select(items, config: SuiteConfig, salt: str) -> list:
@@ -338,7 +370,7 @@ def run_prop1(config: SuiteConfig, purity_oracle=is_pure_oracle) -> SuiteResult:
                 (
                     e
                     for e in subgroup_catalog(y)
-                    if e.sub.order <= config.max_kernel_order
+                    if e.sub_order <= config.max_kernel_order
                 ),
                 config,
                 f"prop1:{n}:{y.invariant_factors}",
@@ -599,7 +631,16 @@ def run_suite(
     unknown = [x for x in names if x not in runners]
     if unknown:
         raise ConfigError(f"unknown suite name(s): {', '.join(unknown)}")
-    suites = [runners[x]() for x in SUITE_ORDER if x in names]
+    suites = []
+    for name in SUITE_ORDER:
+        if name not in names:
+            continue
+        try:
+            suites.append(runners[name]())
+        except Exception as exc:  # noqa: BLE001 - becomes a crash record; the other suites still run
+            crashed = SuiteResult(name)
+            crashed.record(False, _crash_record(name, config, exc))
+            suites.append(crashed)
     elapsed = int((time.monotonic() - start) * 1000)
     return Report(config, suites, elapsed)
 
@@ -642,6 +683,15 @@ def replay_counterexample(
     """Re-run the check a counterexample came from; True = failure reproduces."""
     check = ce["check"]
     data = ce["data"]
+    if check == "crash":
+        report = run_suite(
+            SuiteConfig(**data["config"]),
+            names=(data["suite"],),
+            purity_oracle=purity_oracle,
+            pullback_fn=pullback_fn,
+            pushout_fn=pushout_fn,
+        )
+        return report.exit_code == 3
     if check == "identity-inflation-deflation":
         m = FiniteModule.from_dict(data["module"])
         ident = Morphism.identity(m)

@@ -84,6 +84,26 @@ def test_crash_exits_three_with_traceback(monkeypatch, capsys):
     assert "RuntimeError: boom inside a checker" in captured.err
 
 
+def test_recorded_crash_writes_the_report_and_exits_three(monkeypatch, tmp_path, capsys):
+    from modcat.suites import run_suite
+
+    def raising_pullback(g, h):
+        raise RuntimeError("pullback exploded")
+
+    monkeypatch.setattr(
+        "modcat.cli.run_suite",
+        lambda config, names: run_suite(config, names=names, pullback_fn=raising_pullback),
+    )
+    path = tmp_path / "report.json"
+    assert main(["all", *TINY, "--format", "json", "--out", str(path)]) == 3
+    assert capsys.readouterr().out == ""
+    payload = json.loads(path.read_text())
+    suites = {s["name"]: s for s in payload["suites"]}
+    assert [ce["check"] for ce in suites["axioms"]["counterexamples"]] == ["crash"]
+    for name in ("prop1", "flat-equiv", "enough-pi", "complexes"):
+        assert suites[name]["checked"] > 0 and suites[name]["failed"] == 0
+
+
 def test_console_entry_point_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "modcat.cli", "axioms", *TINY],

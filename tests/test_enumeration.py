@@ -9,8 +9,18 @@ import itertools
 
 import pytest
 
+import modcat.enumeration
 from modcat.exact import conflation_from_mono
-from modcat.modules import FiniteModule, Morphism, RingSpec, cokernel, cyclic
+from modcat.modules import (
+    FiniteModule,
+    Morphism,
+    RingSpec,
+    cokernel,
+    cyclic,
+    subgroup_from_lattice,
+)
+from modcat.snf import hermite_normal_form, lattice_member
+from modcat.suites import SuiteConfig, run_suite
 from modcat.monoidal import hom_module
 from modcat.purity import is_flat
 from modcat.complexes import Complex, ComplexConflation, single_complex, two_term_complex
@@ -168,6 +178,97 @@ def test_cyclic_subgroup_catalog():
         brute.add(frozenset(seen))
     got = {frozenset(e.inclusion.apply(v) for v in e.sub.elements()) for e in entries}
     assert got == brute
+
+
+# ---------------------------------------------------------------------------
+# lazy catalog entries vs an eager oracle
+# ---------------------------------------------------------------------------
+
+
+def _eager(y, rows, key):
+    sub, incl = subgroup_from_lattice(y, [list(r) for r in rows])
+    quot, proj = cokernel(incl)
+    return key, sub, incl, quot, proj
+
+
+def eager_subgroup_catalog(y):
+    """The complete Hermite-basis walk, building every entry at once."""
+    d = y.invariant_factors
+    k = len(d)
+    out = []
+
+    def walk(i, below):
+        if i < 0:
+            key = tuple(tuple(r) for r in below)
+            out.append(_eager(y, below, key))
+            return
+        pivots = {j: below[j - i - 1][j] for j in range(i + 1, k)}
+        for h in range(1, d[i] + 1):
+            if d[i] % h:
+                continue
+            for tail in itertools.product(*[range(pivots[j]) for j in range(i + 1, k)]):
+                cand = [[0] * i + [h] + list(tail)] + below
+                if lattice_member(cand, [d[i] if c == i else 0 for c in range(k)]):
+                    walk(i - 1, cand)
+
+    walk(k - 1, [])
+    return out
+
+
+def eager_cyclic_subgroup_catalog(y):
+    d = y.invariant_factors
+    k = len(d)
+    seen = {}
+    for x in y.elements():
+        rows = [list(x)] + [[d[i] if c == i else 0 for c in range(k)] for i in range(k)]
+        key = tuple(tuple(r) for r in hermite_normal_form(rows, k))
+        if key not in seen:
+            seen[key] = _eager(y, [x], key)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12])
+def test_lazy_catalogs_match_the_eager_oracle(n):
+    for y in enumerate_modules(n, 32):
+        for lazy_walk, eager_walk in (
+            (subgroup_catalog, eager_subgroup_catalog),
+            (cyclic_subgroup_catalog, eager_cyclic_subgroup_catalog),
+        ):
+            lazy = lazy_walk(y)
+            eager = eager_walk(y)
+            assert [e.key for e in lazy] == [row[0] for row in eager]
+            for e, (key, sub, incl, quot, proj) in zip(lazy, eager):
+                # the cheap invariants, read before anything is built
+                assert e.sub_order == sub.order
+                assert e.quotient == quot
+                assert e.ambient == y
+                assert e.sub == sub
+                assert e.inclusion == incl
+                assert e.projection == proj
+
+
+def test_sample_mode_builds_at_most_the_sampled_entries(monkeypatch):
+    cfg = SuiteConfig(
+        moduli=(4, 8), max_module_order=32, max_kernel_order=8,
+        mode="sample", sample_count=3, seed=5,
+    )
+    builds = []
+    real = modcat.enumeration.subgroup_from_lattice
+
+    def counting(ambient, gens):
+        builds.append(ambient)
+        return real(ambient, gens)
+
+    monkeypatch.setattr(modcat.enumeration, "subgroup_from_lattice", counting)
+    subgroup_catalog.cache_clear()
+    report = run_suite(cfg, names=("prop1",))
+    subgroup_catalog.cache_clear()
+    assert report.exit_code == 0
+    middles = [y for n in cfg.moduli for y in enumerate_modules(n, cfg.max_module_order)]
+    for y in middles:
+        assert sum(1 for b in builds if b == y) <= cfg.sample_count
+    # the catalogs themselves are far larger than what the run builds
+    assert sum(len(subgroup_catalog(y)) for y in middles) > 4 * len(builds)
 
 
 # ---------------------------------------------------------------------------

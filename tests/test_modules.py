@@ -393,6 +393,38 @@ def test_factor_through_epi_recovers_the_unique_factor():
         factor_through_epi(Morphism.identity(y), e)  # does not kill ker(e)
 
 
+def test_factorizations_take_one_smith_form_per_call(monkeypatch):
+    import modcat.modules as mm
+
+    r = RingSpec(8)
+    y = FiniteModule(r, (2, 8))
+    sub, m = subgroup_from_lattice(y, [[0, 2], [1, 0]])
+    cok, e = cokernel(Morphism.multiplication(y, 2))
+    dom = FiniteModule(r, (2, 8))
+    assert sub.rank() >= 2 and dom.rank() >= 2 and cok.rank() >= 2
+    calls = []
+    real = mm.smith_normal_form
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(mm, "smith_normal_form", counting)
+    for u in sample_morphisms(dom, sub, 4, seed=37):
+        h = m @ u
+        calls.clear()
+        phi = factor_through_mono(h, m)
+        assert len(calls) == 1
+        assert phi == u
+        # the per-column route gives the same columns
+        cols = [solve(m, tuple(row[i] for row in h.matrix)) for i in range(dom.rank())]
+        assert phi == Morphism.from_columns(dom, sub, cols)
+    for u in sample_morphisms(cok, FiniteModule(r, (2, 4)), 4, seed=41):
+        calls.clear()
+        assert factor_through_epi(u @ e, e) == u
+        assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # direct sums
 # ---------------------------------------------------------------------------

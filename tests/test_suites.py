@@ -120,6 +120,7 @@ def test_report_rendering():
     assert text.startswith("verification report")
     assert "axioms" in text and "[ok]" in text
     payload = json.loads(report.to_json())
+    assert payload["schema_version"] == 1
     assert payload["suites"][0]["name"] == "axioms"
     assert payload["config"]["moduli"] == [4]
 
@@ -129,6 +130,7 @@ def test_determinism_modulo_elapsed():
     b = run_suite(TINY, names=("prop1", "flat-equiv")).to_dict()
     a.pop("elapsed_ms")
     b.pop("elapsed_ms")
+    assert a["schema_version"] == 1
     assert a == b
 
 
@@ -218,6 +220,32 @@ def test_wrong_sign_pullback_is_caught_by_the_square_check():
         ce = json.loads(json.dumps(ce))
         assert replay_counterexample(ce, pullback_fn=bad_pullback)
         assert not replay_counterexample(ce)
+
+
+def raising_pullback(g, h):
+    raise RuntimeError("pullback exploded")
+
+
+def test_a_crash_is_recorded_and_the_other_suites_still_run():
+    honest = run_suite(TINY, names=("prop1",)).suites[0]
+    report = run_suite(TINY, names=("axioms", "prop1"), pullback_fn=raising_pullback)
+    assert report.exit_code == 3
+    axioms, prop1 = report.suites
+    assert (axioms.name, axioms.checked, axioms.failed) == ("axioms", 1, 1)
+    (ce,) = axioms.counterexamples
+    assert ce["check"] == "crash"
+    assert ce["reason"] == "RuntimeError: pullback exploded"
+    assert ce["data"]["suite"] == "axioms"
+    assert ce["data"]["exception"] == "RuntimeError"
+    assert ce["data"]["message"] == "pullback exploded"
+    assert ce["data"]["traceback"][-1].startswith("test_suites.py:")
+    assert ce["data"]["traceback"][-1].endswith("in raising_pullback")
+    assert ce["data"]["config"] == TINY.to_dict()
+    assert (prop1.checked, prop1.failed) == (honest.checked, 0)
+    assert "crash: RuntimeError: pullback exploded" in report.to_text()
+    ce = json.loads(json.dumps(ce))
+    assert replay_counterexample(ce, pullback_fn=raising_pullback)
+    assert not replay_counterexample(ce)
 
 
 def test_replay_rejects_unknown_check():
