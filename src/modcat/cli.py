@@ -1,7 +1,9 @@
 """Command-line entry point for the verification suites.
 
 Exit codes: 0 all checks passed, 1 at least one counterexample,
-2 usage or configuration error, 3 crash.  A suite that raises is recorded
+2 usage or configuration error, 3 crash.  An ``--out`` directory that is
+missing or not writable is a usage error, found before any suite runs; a
+report that still cannot be written exits 3.  A suite that raises is recorded
 in the report as a ``crash`` failure and the other suites still run; an
 exception that escapes the run itself prints its traceback to stderr and
 writes no report.
@@ -10,6 +12,7 @@ writes no report.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
@@ -78,6 +81,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if config.output_path:
+        # Checked before the run, which can take minutes at default bounds.
+        out_dir = os.path.dirname(os.path.abspath(config.output_path))
+        if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+            print(f"error: --out directory {out_dir} does not exist or is not writable",
+                  file=sys.stderr)
+            return 2
     names = SUITE_ORDER if args.command == "all" else (args.command,)
     try:
         report = run_suite(config, names=names)
@@ -86,8 +96,12 @@ def main(argv=None) -> int:
         return 3
     rendered = report.to_json() if config.output_format == "json" else report.to_text()
     if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(config.output_path, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 3
     else:
         sys.stdout.write(rendered)
     return report.exit_code

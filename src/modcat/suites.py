@@ -18,10 +18,18 @@ Five suites, matching the CLI subcommands:
                  double-dual spot check.
 
 All walks are deterministic; identical configs yield identical reports
-(modulo the wall-time field).  Each failure is recorded as a dict that
-``replay_counterexample`` can feed back through the original checker.  An
-exception inside a suite becomes one ``crash`` record for that suite, and
-the remaining suites still run.
+(modulo the wall-time field).
+
+Each check kind (``identity-inflation-deflation``, ``deflation-composition``,
+``inflation-composition``, ``pullback-stability``, ``pushout-stability``,
+``purity-agreement``, ``flat-equiv``, ``extract-section``, ``enough-pi``,
+``complex-witness``, ``complex-four-way``, ``lambda-degreewise``) is one
+function that returns None when the check passes and ``(reason, data)``
+when it fails.  The suite runner records the result with
+``SuiteResult.check``; ``replay_counterexample`` decodes a record's
+``data`` and calls the same function.  An exception inside a suite becomes
+one ``crash`` record for that suite, whose replay reruns the suite; the
+remaining suites still run.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .complexes import (
+    ChainMap,
     Complex,
     ComplexConflation,
     double_dual_complex_iso,
@@ -115,7 +124,13 @@ class SuiteConfig:
         for n in self.moduli:
             if not isinstance(n, int) or n < 2:
                 raise ConfigError(f"modulus must be an integer >= 2, got {n!r}")
-        for name in ("max_module_order", "max_kernel_order", "max_complex_span"):
+        bounds = ("max_module_order", "max_kernel_order", "max_complex_span")
+        integers = bounds + ("sample_count",) + (() if self.seed is None else ("seed",))
+        for name in integers:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in bounds:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.mode not in ("exhaustive", "sample"):
@@ -149,12 +164,15 @@ class SuiteResult:
     failed: int = 0
     counterexamples: list = field(default_factory=list)
 
-    def record(self, ok: bool, ce: dict | None = None):
+    def check(self, kind: str, modulus: int | None, failure: tuple[str, dict] | None):
+        """Count one check of ``kind``; ``failure`` is None or its (reason, data)."""
         self.checked += 1
-        if not ok:
+        if failure is not None:
             self.failed += 1
-            if ce is not None:
-                self.counterexamples.append(ce)
+            reason, data = failure
+            self.counterexamples.append(
+                {"check": kind, "modulus": modulus, "reason": reason, "data": data}
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -212,11 +230,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _ce(check: str, modulus: int | None, reason: str, data: dict) -> dict:
-    return {"check": check, "modulus": modulus, "reason": reason, "data": data}
-
-
-def _crash_record(suite: str, config: SuiteConfig, exc: Exception) -> dict:
+def _crash_failure(suite: str, config: SuiteConfig, exc: Exception) -> tuple[str, dict]:
     import traceback
 
     # Frames as "file.py:line in function", without directories, so the
@@ -232,7 +246,7 @@ def _crash_record(suite: str, config: SuiteConfig, exc: Exception) -> dict:
         "traceback": frames,
         "config": config.to_dict(),
     }
-    return _ce("crash", None, f"{type(exc).__name__}: {exc}", data)
+    return f"{type(exc).__name__}: {exc}", data
 
 
 def _select(items, config: SuiteConfig, salt: str) -> list:
@@ -251,263 +265,113 @@ def _entry_pure(conflation: Conflation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# axioms
+# the checks: each returns None when it passes and (reason, data) when it
+# fails; its runner and replay_counterexample both call it
 # ---------------------------------------------------------------------------
 
 
-def run_axioms(config: SuiteConfig, pullback_fn=pullback, pushout_fn=pushout) -> SuiteResult:
-    res = SuiteResult("axioms")
-    for n in config.moduli:
-        mid_cap = min(config.max_module_order, AXIOM_MIDDLE_CAP)
-        part_cap = min(config.max_module_order, AXIOM_PARTNER_CAP)
-        for m in enumerate_modules(n, config.max_module_order):
-            ident = Morphism.identity(m)
-            ok = is_inflation(ident) and is_deflation(ident)
-            res.record(
-                ok,
-                None
-                if ok
-                else _ce(
-                    "identity-inflation-deflation",
-                    n,
-                    f"identity of {m.invariant_factors} is not both an inflation and a deflation",
-                    {"module": m.to_dict()},
-                ),
-            )
-        for y in enumerate_modules(n, mid_cap):
-            for e in subgroup_catalog(y):
-                f, g = e.inclusion, e.projection
-                for e2 in subgroup_catalog(e.quotient):
-                    comp = e2.projection @ g
-                    ok = is_deflation(comp)
-                    if ok:
-                        try:
-                            conflation_from_epi(comp)
-                        except ValueError:
-                            ok = False
-                    res.record(
-                        ok,
-                        None
-                        if ok
-                        else _ce(
-                            "deflation-composition",
-                            n,
-                            "composite of two deflations is not a deflation",
-                            {"first": g.to_dict(), "second": e2.projection.to_dict()},
-                        ),
-                    )
-                for e2 in subgroup_catalog(e.sub):
-                    comp = f @ e2.inclusion
-                    ok = is_inflation(comp)
-                    if ok:
-                        try:
-                            conflation_from_mono(comp)
-                        except ValueError:
-                            ok = False
-                    res.record(
-                        ok,
-                        None
-                        if ok
-                        else _ce(
-                            "inflation-composition",
-                            n,
-                            "composite of two inflations is not an inflation",
-                            {"first": e2.inclusion.to_dict(), "second": f.to_dict()},
-                        ),
-                    )
-                for w in enumerate_modules(n, part_cap):
-                    hs = _select(
-                        enumerate_morphisms(w, e.quotient),
-                        config,
-                        f"ax-pb:{n}:{y.invariant_factors}:{e.key}:{w.invariant_factors}",
-                    )
-                    for h in hs:
-                        pb = pullback_fn(g, h)
-                        ok = is_deflation(pb.to_domh) and (g @ pb.to_domg == h @ pb.to_domh)
-                        res.record(
-                            ok,
-                            None
-                            if ok
-                            else _ce(
-                                "pullback-stability",
-                                n,
-                                "pullback of a deflation is not a commuting deflation square",
-                                {"deflation": g.to_dict(), "along": h.to_dict()},
-                            ),
-                        )
-                    hs = _select(
-                        enumerate_morphisms(e.sub, w),
-                        config,
-                        f"ax-po:{n}:{y.invariant_factors}:{e.key}:{w.invariant_factors}",
-                    )
-                    for h in hs:
-                        po = pushout_fn(f, h)
-                        ok = is_inflation(po.from_codh) and (po.from_codf @ f == po.from_codh @ h)
-                        res.record(
-                            ok,
-                            None
-                            if ok
-                            else _ce(
-                                "pushout-stability",
-                                n,
-                                "pushout of an inflation is not a commuting inflation square",
-                                {"inflation": f.to_dict(), "along": h.to_dict()},
-                            ),
-                        )
-    return res
+def _identity_check(m: FiniteModule):
+    ident = Morphism.identity(m)
+    if is_inflation(ident) and is_deflation(ident):
+        return None
+    reason = f"identity of {m.invariant_factors} is not both an inflation and a deflation"
+    return reason, {"module": m.to_dict()}
 
 
-# ---------------------------------------------------------------------------
-# prop1: dual-splits purity against the tensor oracle
-# ---------------------------------------------------------------------------
+def _composition_check(first: Morphism, second: Morphism, inflations: bool):
+    """``second @ first`` is again an inflation (or deflation) with a conflation."""
+    if inflations:
+        is_kind, complete, kind = is_inflation, conflation_from_mono, "inflation"
+    else:
+        is_kind, complete, kind = is_deflation, conflation_from_epi, "deflation"
+    comp = second @ first
+    if is_kind(comp):
+        try:
+            complete(comp)
+        except ValueError:
+            pass
+        else:
+            return None
+    reason = f"composite of two {kind}s is not {'an' if inflations else 'a'} {kind}"
+    return reason, {"first": first.to_dict(), "second": second.to_dict()}
 
 
-def run_prop1(config: SuiteConfig, purity_oracle=is_pure_oracle) -> SuiteResult:
-    res = SuiteResult("prop1")
-    for n in config.moduli:
-        for y in enumerate_modules(n, config.max_module_order):
-            entries = _select(
-                (
-                    e
-                    for e in subgroup_catalog(y)
-                    if e.sub_order <= config.max_kernel_order
-                ),
-                config,
-                f"prop1:{n}:{y.invariant_factors}",
-            )
-            for e in entries:
-                c = e.conflation()
-                primary = _entry_pure(c)
-                oracle = purity_oracle(c).is_pure
-                ok = primary == oracle
-                res.record(
-                    ok,
-                    None
-                    if ok
-                    else _ce(
-                        "purity-agreement",
-                        n,
-                        f"dual-splits says {primary}, tensor oracle says {oracle}",
-                        {"conflation": c.to_dict()},
-                    ),
-                )
-    return res
+def _pullback_check(g: Morphism, h: Morphism, pullback_fn):
+    pb = pullback_fn(g, h)
+    if is_deflation(pb.to_domh) and (g @ pb.to_domg == h @ pb.to_domh):
+        return None
+    reason = "pullback of a deflation is not a commuting deflation square"
+    return reason, {"deflation": g.to_dict(), "along": h.to_dict()}
 
 
-# ---------------------------------------------------------------------------
-# flat-equiv: four flatness routes + section extraction
-# ---------------------------------------------------------------------------
+def _pushout_check(f: Morphism, h: Morphism, pushout_fn):
+    po = pushout_fn(f, h)
+    if is_inflation(po.from_codh) and (po.from_codf @ f == po.from_codh @ h):
+        return None
+    reason = "pushout of an inflation is not a commuting inflation square"
+    return reason, {"inflation": f.to_dict(), "along": h.to_dict()}
 
 
-def run_flat_equiv(config: SuiteConfig) -> SuiteResult:
+def _purity_check(c: Conflation, purity_oracle):
+    primary = _entry_pure(c)
+    oracle = purity_oracle(c).is_pure
+    if primary == oracle:
+        return None
+    reason = f"dual-splits says {primary}, tensor oracle says {oracle}"
+    return reason, {"conflation": c.to_dict()}
+
+
+def _flat_equiv_check(m: FiniteModule, entries, max_kernel_order: int, max_module_order: int):
+    """Four flatness routes agree.  ``entries`` are the subgroup entries of
+    the conflations ending in m within the two bounds; the purity leg walks
+    them up to the first impure one."""
+    verdicts = {
+        "tensor_route": is_flat_tensor_route(m),
+        "dual_injective": is_flat(m),
+        "structural": flat_structural_oracle(m),
+    }
+    witness = next((e for e in entries if not _entry_pure(e.conflation())), None)
+    verdicts["all_ending_pure"] = witness is None
+    if len(set(verdicts.values())) == 1:
+        return None
+    data = {
+        "module": m.to_dict(),
+        "verdicts": verdicts,
+        "max_kernel_order": max_kernel_order,
+        "max_module_order": max_module_order,
+    }
+    if witness is not None:
+        data["witness_conflation"] = witness.conflation().to_dict()
+    return "flatness routes disagree: " + repr(verdicts), data
+
+
+def _extract_section_check(c: Conflation):
     from .purity import extract_section
 
-    res = SuiteResult("flat-equiv")
-    for n in config.moduli:
-        for m in enumerate_modules(n, config.max_module_order):
-            by_tensor = is_flat_tensor_route(m)
-            by_dual = is_flat(m)
-            by_structure = flat_structural_oracle(m)
-            # The purity leg quantifies over every ending conflation, in
-            # sample mode too; only section extraction below is sampled.
-            entries = list(
-                conflations_ending_in(m, config.max_kernel_order, config.max_module_order)
-            )
-            witness = next((e for e in entries if not _entry_pure(e.conflation())), None)
-            all_pure = witness is None
-            ok = by_tensor == by_dual == by_structure == all_pure
-            data = {
-                "module": m.to_dict(),
-                "verdicts": {
-                    "tensor_route": by_tensor,
-                    "dual_injective": by_dual,
-                    "structural": by_structure,
-                    "all_ending_pure": all_pure,
-                },
-                "max_kernel_order": config.max_kernel_order,
-                "max_module_order": config.max_module_order,
-            }
-            if witness is not None:
-                data["witness_conflation"] = witness.conflation().to_dict()
-            res.record(
-                ok,
-                None
-                if ok
-                else _ce(
-                    "flat-equiv",
-                    n,
-                    "flatness routes disagree: " + repr(data["verdicts"]),
-                    data,
-                ),
-            )
-            if by_dual and ok:
-                for e in _select(entries, config, f"flat:{n}:{m.invariant_factors}"):
-                    c = e.conflation()
-                    try:
-                        extract_section(c)
-                        res.record(True)
-                    except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-                        res.record(
-                            False,
-                            _ce(
-                                "extract-section",
-                                n,
-                                f"section extraction failed on a flat end: {exc}",
-                                {"conflation": c.to_dict()},
-                            ),
-                        )
-    return res
+    try:
+        extract_section(c)
+    except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+        return f"section extraction failed on a flat end: {exc}", {"conflation": c.to_dict()}
+    return None
 
 
-# ---------------------------------------------------------------------------
-# enough-pi: the double-dual embedding package
-# ---------------------------------------------------------------------------
+def _enough_pi_check(m: FiniteModule, bound: int):
+    lam = double_dual_unit(m)
+    legs = {
+        "lambda_mono": lam.is_mono(),
+        "embedding_pure": is_pure(pure_embedding_conflation(m)).is_pure,
+        "double_dual_pure_injective": is_pure_injective(lam.codomain, bound),
+        "triangle": triangle_identity_check(m),
+    }
+    if all(legs.values()):
+        return None
+    reason = "embedding package failed: " + ", ".join(k for k, v in legs.items() if not v)
+    return reason, {"module": m.to_dict(), "legs": legs, "bound": bound}
 
 
-def run_enough_pi(config: SuiteConfig) -> SuiteResult:
-    res = SuiteResult("enough-pi")
-    for n in config.moduli:
-        mods = _select(
-            enumerate_modules(n, config.max_module_order), config, f"epi:{n}"
-        )
-        for m in mods:
-            lam = double_dual_unit(m)
-            legs = {
-                "lambda_mono": lam.is_mono(),
-                "embedding_pure": is_pure(pure_embedding_conflation(m)).is_pure,
-                "double_dual_pure_injective": is_pure_injective(
-                    lam.codomain, config.max_kernel_order
-                ),
-                "triangle": triangle_identity_check(m),
-            }
-            ok = all(legs.values())
-            res.record(
-                ok,
-                None
-                if ok
-                else _ce(
-                    "enough-pi",
-                    n,
-                    "embedding package failed: "
-                    + ", ".join(k for k, v in legs.items() if not v),
-                    {
-                        "module": m.to_dict(),
-                        "legs": legs,
-                        "bound": config.max_kernel_order,
-                    },
-                ),
-            )
-    return res
-
-
-# ---------------------------------------------------------------------------
-# complexes: the four-way equivalence
-# ---------------------------------------------------------------------------
-
-
-def _complex_legs(f: Complex) -> dict:
+def _four_way_check(f: Complex):
     flat_kernels = all(is_flat(k) for k in kernel_objects(f).values())
-    return {
+    legs = {
         "flat_complex": is_flat_complex(f),
         "dual_injective_complex": is_injective_complex(dual_complex(f)),
         "pure_acyclic_flat_kernels": is_pure_acyclic(f) and flat_kernels,
@@ -518,9 +382,18 @@ def _complex_legs(f: Complex) -> dict:
             )
         ),
     }
+    if len(set(legs.values())) == 1:
+        return None
+    data = {
+        "complex": f.to_dict(),
+        "legs": legs,
+        "kernel_cap": COMPLEX_KERNEL_CAP,
+        "family_cap": COMPLEX_FAMILY_CAP,
+    }
+    return "flat-complex conditions disagree: " + repr(legs), data
 
 
-def _witness_case(ring: RingSpec) -> tuple[bool, dict]:
+def _witness_check(ring: RingSpec):
     """The componentwise-split, non-chain-split conflation: sphere at
     degree 1 into the two-term identity disk onto the sphere at degree 0."""
     p = min(q for q in range(2, ring.modulus + 1) if ring.modulus % q == 0)
@@ -528,85 +401,112 @@ def _witness_case(ring: RingSpec) -> tuple[bool, dict]:
     disk = two_term_complex(Morphism.identity(s), degree=0)
     x = single_complex(s, 1)
     z = single_complex(s, 0)
-    from .complexes import ChainMap
-
     cc = ComplexConflation(
         ChainMap(x, disk, (Morphism.identity(s),)),
         ChainMap(disk, z, (Morphism.identity(s), Morphism.zero(s, ring.zero_module()))),
     )
-    degreewise_pure = all(
-        is_pure(cc.degreewise(m)).is_pure for m in disk.degrees()
-    )
-    chain_split = splits_as_complexes(cc) is not None
-    complex_pure = is_pure_complex_conflation(cc).is_pure
-    ok = degreewise_pure and not chain_split and not complex_pure
-    return ok, {
+    data = {
         "prime": p,
-        "degreewise_pure": degreewise_pure,
-        "chain_split": chain_split,
-        "complex_pure": complex_pure,
+        "degreewise_pure": all(is_pure(cc.degreewise(m)).is_pure for m in disk.degrees()),
+        "chain_split": splits_as_complexes(cc) is not None,
+        "complex_pure": is_pure_complex_conflation(cc).is_pure,
     }
+    if data["degreewise_pure"] and not data["chain_split"] and not data["complex_pure"]:
+        return None
+    return "componentwise-split witness misclassified: " + repr(data), data
+
+
+def _lambda_degreewise_check(f: Complex):
+    if all(part.is_iso() for part in double_dual_complex_iso(f).parts) or f.is_zero:
+        return None
+    return "double-dual comparison map is not a degreewise isomorphism", {"complex": f.to_dict()}
+
+
+# ---------------------------------------------------------------------------
+# runners
+# ---------------------------------------------------------------------------
+
+
+def run_axioms(config: SuiteConfig, pullback_fn=pullback, pushout_fn=pushout) -> SuiteResult:
+    res = SuiteResult("axioms")
+    for n in config.moduli:
+        mid_cap = min(config.max_module_order, AXIOM_MIDDLE_CAP)
+        part_cap = min(config.max_module_order, AXIOM_PARTNER_CAP)
+        for m in enumerate_modules(n, config.max_module_order):
+            res.check("identity-inflation-deflation", n, _identity_check(m))
+        for y in enumerate_modules(n, mid_cap):
+            for e in subgroup_catalog(y):
+                f, g = e.inclusion, e.projection
+                for e2 in subgroup_catalog(e.quotient):
+                    failure = _composition_check(g, e2.projection, inflations=False)
+                    res.check("deflation-composition", n, failure)
+                for e2 in subgroup_catalog(e.sub):
+                    failure = _composition_check(e2.inclusion, f, inflations=True)
+                    res.check("inflation-composition", n, failure)
+                for w in enumerate_modules(n, part_cap):
+                    salt = f"{n}:{y.invariant_factors}:{e.key}:{w.invariant_factors}"
+                    for h in _select(enumerate_morphisms(w, e.quotient), config, f"ax-pb:{salt}"):
+                        res.check("pullback-stability", n, _pullback_check(g, h, pullback_fn))
+                    for h in _select(enumerate_morphisms(e.sub, w), config, f"ax-po:{salt}"):
+                        res.check("pushout-stability", n, _pushout_check(f, h, pushout_fn))
+    return res
+
+
+def run_prop1(config: SuiteConfig, purity_oracle=is_pure_oracle) -> SuiteResult:
+    """Dual-splits purity against the tensor oracle."""
+    res = SuiteResult("prop1")
+    for n in config.moduli:
+        for y in enumerate_modules(n, config.max_module_order):
+            entries = _select(
+                (e for e in subgroup_catalog(y) if e.sub_order <= config.max_kernel_order),
+                config,
+                f"prop1:{n}:{y.invariant_factors}",
+            )
+            for e in entries:
+                res.check("purity-agreement", n, _purity_check(e.conflation(), purity_oracle))
+    return res
+
+
+def run_flat_equiv(config: SuiteConfig) -> SuiteResult:
+    """Four flatness routes, then section extraction on every flat end."""
+    res = SuiteResult("flat-equiv")
+    k, o = config.max_kernel_order, config.max_module_order
+    for n in config.moduli:
+        for m in enumerate_modules(n, o):
+            # The purity leg quantifies over every ending conflation, in
+            # sample mode too; only section extraction below is sampled.
+            entries = list(conflations_ending_in(m, k, o))
+            failure = _flat_equiv_check(m, entries, k, o)
+            res.check("flat-equiv", n, failure)
+            if failure is None and is_flat(m):
+                for e in _select(entries, config, f"flat:{n}:{m.invariant_factors}"):
+                    res.check("extract-section", n, _extract_section_check(e.conflation()))
+    return res
+
+
+def run_enough_pi(config: SuiteConfig) -> SuiteResult:
+    """The double-dual embedding package."""
+    res = SuiteResult("enough-pi")
+    for n in config.moduli:
+        for m in _select(enumerate_modules(n, config.max_module_order), config, f"epi:{n}"):
+            res.check("enough-pi", n, _enough_pi_check(m, config.max_kernel_order))
+    return res
 
 
 def run_complexes(config: SuiteConfig) -> SuiteResult:
+    """The witness case, then the four-way equivalence and the degreewise
+    double-dual check on every enumerated complex."""
     res = SuiteResult("complexes")
     for n in config.moduli:
-        ring = RingSpec(n)
-        ok, data = _witness_case(ring)
-        res.record(
-            ok,
-            None
-            if ok
-            else _ce(
-                "complex-witness",
-                n,
-                "componentwise-split witness misclassified: " + repr(data),
-                data,
-            ),
-        )
-        complexes = _select(
-            enumerate_complexes(n, config.max_complex_span, n),
-            config,
-            f"cpx:{n}",
-        )
-        for f in complexes:
-            legs = _complex_legs(f)
-            verdicts = set(legs.values())
-            ok = len(verdicts) == 1
-            res.record(
-                ok,
-                None
-                if ok
-                else _ce(
-                    "complex-four-way",
-                    n,
-                    "flat-complex conditions disagree: " + repr(legs),
-                    {
-                        "complex": f.to_dict(),
-                        "legs": legs,
-                        "kernel_cap": COMPLEX_KERNEL_CAP,
-                        "family_cap": COMPLEX_FAMILY_CAP,
-                    },
-                ),
-            )
-            dd = double_dual_complex_iso(f)
-            ok = all(part.is_iso() for part in dd.parts) or f.is_zero
-            res.record(
-                ok,
-                None
-                if ok
-                else _ce(
-                    "lambda-degreewise",
-                    n,
-                    "double-dual comparison map is not a degreewise isomorphism",
-                    {"complex": f.to_dict()},
-                ),
-            )
+        res.check("complex-witness", n, _witness_check(RingSpec(n)))
+        for f in _select(enumerate_complexes(n, config.max_complex_span, n), config, f"cpx:{n}"):
+            res.check("complex-four-way", n, _four_way_check(f))
+            res.check("lambda-degreewise", n, _lambda_degreewise_check(f))
     return res
 
 
 # ---------------------------------------------------------------------------
-# orchestration
+# orchestration and replay
 # ---------------------------------------------------------------------------
 
 
@@ -639,39 +539,10 @@ def run_suite(
             suites.append(runners[name]())
         except Exception as exc:  # noqa: BLE001 - becomes a crash record; the other suites still run
             crashed = SuiteResult(name)
-            crashed.record(False, _crash_record(name, config, exc))
+            crashed.check("crash", None, _crash_failure(name, config, exc))
             suites.append(crashed)
     elapsed = int((time.monotonic() - start) * 1000)
     return Report(config, suites, elapsed)
-
-
-def axiom_suite(ring: RingSpec, config: SuiteConfig | None = None) -> Report:
-    config = config or SuiteConfig()
-    cfg = SuiteConfig(**{**config.to_dict(), "moduli": (ring.modulus,)})
-    return run_suite(cfg, names=("axioms",))
-
-
-def verify_flat_equiv(ring: RingSpec, config: SuiteConfig | None = None) -> Report:
-    config = config or SuiteConfig()
-    cfg = SuiteConfig(**{**config.to_dict(), "moduli": (ring.modulus,)})
-    return run_suite(cfg, names=("flat-equiv",))
-
-
-def verify_enough_pure_injectives(ring: RingSpec, config: SuiteConfig | None = None) -> Report:
-    config = config or SuiteConfig()
-    cfg = SuiteConfig(**{**config.to_dict(), "moduli": (ring.modulus,)})
-    return run_suite(cfg, names=("enough-pi",))
-
-
-def verify_complex_flat_equiv(ring: RingSpec, config: SuiteConfig | None = None) -> Report:
-    config = config or SuiteConfig()
-    cfg = SuiteConfig(**{**config.to_dict(), "moduli": (ring.modulus,)})
-    return run_suite(cfg, names=("complexes",))
-
-
-# ---------------------------------------------------------------------------
-# replay
-# ---------------------------------------------------------------------------
 
 
 def replay_counterexample(
@@ -680,7 +551,11 @@ def replay_counterexample(
     pullback_fn=pullback,
     pushout_fn=pushout,
 ) -> bool:
-    """Re-run the check a counterexample came from; True = failure reproduces."""
+    """Re-run the check a counterexample came from; True = failure reproduces.
+
+    A ``crash`` record reruns its suite; every other record decodes its
+    data and calls the same check function the suite called.
+    """
     check = ce["check"]
     data = ce["data"]
     if check == "crash":
@@ -692,84 +567,41 @@ def replay_counterexample(
             pushout_fn=pushout_fn,
         )
         return report.exit_code == 3
-    if check == "identity-inflation-deflation":
-        m = FiniteModule.from_dict(data["module"])
-        ident = Morphism.identity(m)
-        return not (is_inflation(ident) and is_deflation(ident))
-    if check == "deflation-composition":
-        comp = Morphism.from_dict(data["second"]) @ Morphism.from_dict(data["first"])
-        if not is_deflation(comp):
-            return True
-        try:
-            conflation_from_epi(comp)
-        except ValueError:
-            return True
-        return False
-    if check == "inflation-composition":
-        comp = Morphism.from_dict(data["second"]) @ Morphism.from_dict(data["first"])
-        if not is_inflation(comp):
-            return True
-        try:
-            conflation_from_mono(comp)
-        except ValueError:
-            return True
-        return False
-    if check == "pullback-stability":
-        g = Morphism.from_dict(data["deflation"])
-        h = Morphism.from_dict(data["along"])
-        pb = pullback_fn(g, h)
-        return not (is_deflation(pb.to_domh) and (g @ pb.to_domg == h @ pb.to_domh))
-    if check == "pushout-stability":
-        f = Morphism.from_dict(data["inflation"])
-        h = Morphism.from_dict(data["along"])
-        po = pushout_fn(f, h)
-        return not (is_inflation(po.from_codh) and (po.from_codf @ f == po.from_codh @ h))
-    if check == "purity-agreement":
-        c = Conflation.from_dict(data["conflation"])
-        return is_pure(c).is_pure != purity_oracle(c).is_pure
-    if check == "flat-equiv":
-        m = FiniteModule.from_dict(data["module"])
-        verdicts = [is_flat_tensor_route(m), is_flat(m), flat_structural_oracle(m)]
-        if "witness_conflation" in data:
-            c = Conflation.from_dict(data["witness_conflation"])
-            verdicts.append(is_pure(c).is_pure)
-        else:
-            verdicts.append(
-                all(
-                    _entry_pure(e.conflation())
-                    for e in conflations_ending_in(
-                        m, data["max_kernel_order"], data["max_module_order"]
-                    )
-                )
-            )
-        return len(set(verdicts)) != 1
-    if check == "extract-section":
-        from .purity import extract_section
 
-        c = Conflation.from_dict(data["conflation"])
-        try:
-            extract_section(c)
-        except Exception:  # noqa: BLE001 - the replay reports, never hides
-            return True
-        return False
-    if check == "enough-pi":
+    def mor(key):
+        return Morphism.from_dict(data[key])
+
+    def flat_equiv():
         m = FiniteModule.from_dict(data["module"])
-        lam = double_dual_unit(m)
-        return not (
-            lam.is_mono()
-            and is_pure(pure_embedding_conflation(m)).is_pure
-            and is_pure_injective(lam.codomain, data["bound"])
-            and triangle_identity_check(m)
-        )
-    if check == "complex-four-way":
-        f = Complex.from_dict(data["complex"])
-        legs = _complex_legs(f)
-        return len(set(legs.values())) != 1
-    if check == "complex-witness":
-        ok, _ = _witness_case(RingSpec(ce["modulus"]))
-        return not ok
-    if check == "lambda-degreewise":
-        f = Complex.from_dict(data["complex"])
-        dd = double_dual_complex_iso(f)
-        return not (all(part.is_iso() for part in dd.parts) or f.is_zero)
-    raise ValueError(f"unknown counterexample kind: {check!r}")
+        k, o = data["max_kernel_order"], data["max_module_order"]
+        return _flat_equiv_check(m, conflations_ending_in(m, k, o), k, o)
+
+    replays = {
+        "identity-inflation-deflation": lambda: _identity_check(
+            FiniteModule.from_dict(data["module"])
+        ),
+        "deflation-composition": lambda: _composition_check(
+            mor("first"), mor("second"), inflations=False
+        ),
+        "inflation-composition": lambda: _composition_check(
+            mor("first"), mor("second"), inflations=True
+        ),
+        "pullback-stability": lambda: _pullback_check(mor("deflation"), mor("along"), pullback_fn),
+        "pushout-stability": lambda: _pushout_check(mor("inflation"), mor("along"), pushout_fn),
+        "purity-agreement": lambda: _purity_check(
+            Conflation.from_dict(data["conflation"]), purity_oracle
+        ),
+        "flat-equiv": flat_equiv,
+        "extract-section": lambda: _extract_section_check(Conflation.from_dict(data["conflation"])),
+        "enough-pi": lambda: _enough_pi_check(
+            FiniteModule.from_dict(data["module"]), data["bound"]
+        ),
+        "complex-four-way": lambda: _four_way_check(Complex.from_dict(data["complex"])),
+        "complex-witness": lambda: _witness_check(RingSpec(ce["modulus"])),
+        "lambda-degreewise": lambda: _lambda_degreewise_check(
+            Complex.from_dict(data["complex"])
+        ),
+    }
+    if check not in replays:
+        raise ValueError(f"unknown counterexample kind: {check!r}")
+    return replays[check]() is not None

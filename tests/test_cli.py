@@ -41,6 +41,20 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text().startswith("verification report")
 
 
+def test_unwritable_out_path(monkeypatch, tmp_path, capsys):
+    def never_run_suite(config, names):
+        raise AssertionError("run_suite ran although --out cannot be written")
+
+    monkeypatch.setattr("modcat.cli.run_suite", never_run_suite)
+    missing = tmp_path / "no-such-dir" / "r.txt"
+    assert main(["prop1", *TINY, "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    monkeypatch.undo()
+    # The directory exists, but the path is itself a directory: open fails.
+    assert main(["prop1", *TINY, "--out", str(tmp_path)]) == 3
+    assert "cannot write the report" in capsys.readouterr().err
+
+
 def test_repeated_modulus_flag(capsys):
     code = main(
         ["enough-pi", "--modulus", "4", "--modulus", "9", "--max-order", "4",

@@ -1,29 +1,27 @@
 """Verification suites: green runs, determinism, and mutation sensitivity.
 
-The two mutants here are the point of the file: a purity oracle that skips
-one divisor, and a pullback built with the wrong sign.  A healthy suite must
-flag both, emit replayable counterexamples, and stay green when the honest
-implementations are restored.
+The mutants here are the point of the file: a purity oracle that skips one
+divisor, a pullback and a pushout built with the wrong sign, and one forced
+failure for every other check kind.  A healthy suite must flag each, emit
+counterexamples that replay, and stay green when the honest implementations
+are restored.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from modcat.modules import FiniteModule, RingSpec, cyclic, direct_sum, kernel
-from modcat.exact import Pullback
+from modcat.modules import Morphism, cokernel, cyclic, direct_sum, kernel
+from modcat.exact import Pullback, Pushout
 from modcat.purity import PurityVerdict, conflation_tensor_failure
 from modcat.suites import (
     ConfigError,
     Report,
     SuiteConfig,
     SUITE_ORDER,
-    axiom_suite,
     replay_counterexample,
     run_suite,
-    verify_complex_flat_equiv,
-    verify_enough_pure_injectives,
-    verify_flat_equiv,
 )
 
 
@@ -59,7 +57,21 @@ def bad_pullback(g, h) -> Pullback:
         to_domg=ds.projections[0] @ incl,
         to_domh=ds.projections[1] @ incl,
         embed=incl,
-        ambient=ds.module,
+        ambient=ds,
+    )
+
+
+def bad_pushout(f, h) -> Pushout:
+    """Pushout taken modulo {(f x, h x)} — the wrong square."""
+    ds = direct_sum(f.codomain, h.codomain)
+    mixed = ds.injections[0] @ f + ds.injections[1] @ h
+    q, proj = cokernel(mixed)
+    return Pushout(
+        module=q,
+        from_codf=proj @ ds.injections[0],
+        from_codh=proj @ ds.injections[1],
+        project=proj,
+        ambient=ds,
     )
 
 
@@ -92,6 +104,16 @@ def test_config_rejects_bad_values():
         SuiteConfig(mode="sample", seed=1, sample_count=0)
     with pytest.raises(ConfigError):
         SuiteConfig(output_format="yaml")
+    for bad in (
+        {"max_module_order": "8"},
+        {"max_kernel_order": 2.5},
+        {"max_complex_span": True},
+        {"mode": "sample", "seed": 1, "sample_count": 2.5},
+        {"mode": "sample", "seed": 1.5},
+        {"mode": "sample", "seed": "1"},
+    ):
+        with pytest.raises(ConfigError):
+            SuiteConfig(**bad)
 
 
 def test_unknown_suite_name():
@@ -174,20 +196,6 @@ def test_sample_mode_flat_equiv_checks_every_ending_conflation():
     assert sampled.checked < exhaustive.checked
 
 
-def test_single_suite_wrappers():
-    ring = RingSpec(4)
-    for fn, name in [
-        (axiom_suite, "axioms"),
-        (verify_flat_equiv, "flat-equiv"),
-        (verify_enough_pure_injectives, "enough-pi"),
-        (verify_complex_flat_equiv, "complexes"),
-    ]:
-        report = fn(ring, TINY)
-        assert [s.name for s in report.suites] == [name]
-        assert report.config.moduli == (4,)
-        assert report.exit_code == 0
-
-
 # ---------------------------------------------------------------------------
 # mutation sensitivity
 # ---------------------------------------------------------------------------
@@ -220,6 +228,99 @@ def test_wrong_sign_pullback_is_caught_by_the_square_check():
         ce = json.loads(json.dumps(ce))
         assert replay_counterexample(ce, pullback_fn=bad_pullback)
         assert not replay_counterexample(ce)
+
+
+def _raise(*args):
+    raise RuntimeError("mutated to raise")
+
+
+def _zero_double_dual(x):
+    return SimpleNamespace(
+        parts=tuple(Morphism.zero(x.component(n), x.component(n)) for n in x.degrees())
+    )
+
+
+# (id, suites, expected kinds, module attributes to patch, run_suite/replay hooks)
+REPLAY_SCENARIOS = [
+    (
+        "no-inflations",
+        ("axioms",),
+        {"identity-inflation-deflation", "inflation-composition", "pushout-stability"},
+        {"modcat.suites.is_inflation": lambda m: False},
+        {},
+    ),
+    (
+        "no-deflations",
+        ("axioms",),
+        {"identity-inflation-deflation", "deflation-composition", "pullback-stability"},
+        {"modcat.suites.is_deflation": lambda m: False},
+        {},
+    ),
+    ("wrong-sign-pullback", ("axioms",), {"pullback-stability"}, {}, {"pullback_fn": bad_pullback}),
+    ("wrong-sign-pushout", ("axioms",), {"pushout-stability"}, {}, {"pushout_fn": bad_pushout}),
+    ("broken-oracle", ("prop1",), {"purity-agreement"}, {}, {"purity_oracle": broken_oracle}),
+    (
+        "structural-always-flat",
+        ("flat-equiv",),
+        {"flat-equiv"},
+        {"modcat.suites.flat_structural_oracle": lambda m: True},
+        {},
+    ),
+    (
+        "extract-section-raises",
+        ("flat-equiv",),
+        {"extract-section"},
+        {"modcat.purity.extract_section": _raise},
+        {},
+    ),
+    (
+        "triangle-fails",
+        ("enough-pi",),
+        {"enough-pi"},
+        {"modcat.suites.triangle_identity_check": lambda m: False},
+        {},
+    ),
+    (
+        "every-complex-flat",
+        ("complexes",),
+        {"complex-four-way"},
+        {"modcat.suites.is_flat_complex": lambda x: True},
+        {},
+    ),
+    (
+        "everything-chain-splits",
+        ("complexes",),
+        {"complex-witness"},
+        {"modcat.suites.splits_as_complexes": lambda c: object()},
+        {},
+    ),
+    (
+        "zero-double-dual",
+        ("complexes",),
+        {"lambda-degreewise"},
+        {"modcat.suites.double_dual_complex_iso": _zero_double_dual},
+        {},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suites, kinds, patches, hooks",
+    [s[1:] for s in REPLAY_SCENARIOS],
+    ids=[s[0] for s in REPLAY_SCENARIOS],
+)
+def test_every_check_kind_replays_its_failures(monkeypatch, suites, kinds, patches, hooks):
+    for target, value in patches.items():
+        monkeypatch.setattr(target, value)
+    report = run_suite(TINY, names=suites, **hooks)
+    ces = [json.loads(json.dumps(ce)) for s in report.suites for ce in s.counterexamples]
+    assert report.exit_code == 1
+    assert {ce["check"] for ce in ces} == kinds
+    for ce in ces:
+        assert replay_counterexample(ce, **hooks), ce["check"]
+    monkeypatch.undo()
+    for ce in ces:
+        assert not replay_counterexample(ce), ce["check"]
 
 
 def raising_pullback(g, h):
