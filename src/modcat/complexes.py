@@ -186,10 +186,6 @@ class ChainMap:
         )
 
 
-def identity_chain_map(x: Complex) -> ChainMap:
-    return ChainMap(x, x, tuple(Morphism.identity(m) for m in x.components))
-
-
 @dataclass(frozen=True)
 class ComplexConflation:
     f: ChainMap

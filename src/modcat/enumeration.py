@@ -22,7 +22,6 @@ kernel, middle = end order times p.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import lru_cache
 
 from .complexes import (
@@ -92,28 +91,6 @@ def enumerate_morphisms(dom: FiniteModule, cod: FiniteModule):
     for combo in itertools.product(*cells):
         matrix = tuple(combo[j * k : (j + 1) * k] for j in range(len(e)))
         yield Morphism(dom, cod, matrix)
-
-
-def sample_morphisms(dom: FiniteModule, cod: FiniteModule, count: int, seed: int):
-    """A reproducible sample of morphisms dom -> cod."""
-    from math import gcd
-
-    rng = random.Random((seed, dom.invariant_factors, cod.invariant_factors, count).__repr__())
-    d = dom.invariant_factors
-    e = cod.invariant_factors
-    for _ in range(count):
-        matrix = tuple(
-            tuple(
-                rng.randrange(gcd(d[i], e[j])) * (e[j] // gcd(d[i], e[j]))
-                for i in range(len(d))
-            )
-            for j in range(len(e))
-        )
-        yield Morphism(dom, cod, matrix)
-
-
-def enumerate_monos(dom: FiniteModule, cod: FiniteModule):
-    return (f for f in enumerate_morphisms(dom, cod) if f.is_mono())
 
 
 # ---------------------------------------------------------------------------
@@ -231,31 +208,26 @@ def conflations_ending_in(
     """Subgroup entries for every enumerated conflation K -> Y -> f with
     |K| <= kernel_bound.
 
-    The full subgroup walk runs while |Y| <= middle_bound; cyclic kernels
-    are walked for every divisor d <= kernel_bound regardless of middle
-    size, which keeps the family discriminating for flatness at every
-    end module.  Deduplicated by (middle, subgroup) so the two walks
-    never hand out the same conflation twice.
+    For each kernel order the full subgroup walk runs while |Y| <=
+    middle_bound; beyond it cyclic kernels are walked for every divisor
+    of n regardless of middle size, which keeps the family discriminating
+    for flatness at every end module.  Each middle belongs to exactly one
+    kernel order and each catalog's keys are distinct, so no conflation
+    is handed out twice.
     """
     n = f.ring.modulus
-    seen = set()
     for k_ord in range(1, kernel_bound + 1):
         middle_order = f.order * k_ord
+        if middle_order <= middle_bound:
+            catalog = subgroup_catalog
+        elif n % k_ord == 0:
+            catalog = cyclic_subgroup_catalog
+        else:
+            continue
         for y in modules_of_order(n, middle_order):
-            if middle_order <= middle_bound:
-                for entry in subgroup_catalog(y):
-                    if entry.sub_order == k_ord and entry.quotient == f:
-                        tag = (y.invariant_factors, entry.key)
-                        if tag not in seen:
-                            seen.add(tag)
-                            yield entry
-            elif n % k_ord == 0:
-                for entry in cyclic_subgroup_catalog(y):
-                    if entry.sub_order == k_ord and entry.quotient == f:
-                        tag = (y.invariant_factors, entry.key)
-                        if tag not in seen:
-                            seen.add(tag)
-                            yield entry
+            for entry in catalog(y):
+                if entry.sub_order == k_ord and entry.quotient == f:
+                    yield entry
 
 
 def conflations_with_sub(m: FiniteModule, middle_bound: int):
@@ -310,90 +282,49 @@ def enumerate_complexes(n: int, span: int, max_component_order: int) -> tuple[Co
 def complex_conflation_from_chain_epi(g: ChainMap) -> ComplexConflation:
     """Complete a degreewise-epi chain map to a conflation of complexes."""
     y = g.source
-    kernels = {}
-    inclusions = {}
-    for n in y.degrees():
-        kmod, incl = kernel(g.part(n))
-        kernels[n] = kmod
-        inclusions[n] = incl
-    diffs = {}
-    for n in y.degrees():
-        if n + 1 in kernels:
-            diffs[n] = factor_through_mono(y.differential(n) @ inclusions[n], inclusions[n + 1])
-    window = [n for n in y.degrees()]
-    comps = tuple(kernels[n] for n in window)
-    dtuple = tuple(diffs[n] for n in window[:-1])
-    x = Complex(y.ring, y.lo, comps, dtuple)
-    parts = tuple(inclusions[n] for n in x.degrees())
-    f = ChainMap(x, y, parts)
-    return ComplexConflation(f, g)
+    incl = {n: kernel(g.part(n))[1] for n in y.degrees()}
+    diffs = tuple(
+        factor_through_mono(y.differential(n) @ incl[n], incl[n + 1]) for n in y.degrees()[:-1]
+    )
+    x = Complex(y.ring, y.lo, tuple(incl[n].domain for n in y.degrees()), diffs)
+    return ComplexConflation(ChainMap(x, y, tuple(incl[n] for n in x.degrees())), g)
 
 
 def flat_disk_cover(f: Complex) -> ComplexConflation:
     """The canonical conflation K -> Q -> f with Q contractible and flat.
 
     Q is a sum of two-term identity complexes on free modules, one disk
-    per degree of f, mapping onto f by (generator cover, boundary of the
-    cover).  Purity of this single conflation already discriminates flat
-    complexes, because a split dual would exhibit dual(f) as a summand
-    of an injective contractible complex.
+    per degree of f, written directly as free blocks.  With r_d the rank
+    of f^d (0 outside the window), Q^d is free of rank r_d + r_(d-1),
+    d_Q sends (a, b) to (0, a), and g^d = [I | f.differential(d-1)] maps
+    onto f by (generator cover, boundary of the cover).  Purity of this
+    single conflation already discriminates flat complexes, because a
+    split dual would exhibit dual(f) as a summand of an injective
+    contractible complex.
     """
     ring = f.ring
     if f.is_zero:
         g = ChainMap(zero_complex(ring), f, ())
         return ComplexConflation(g, ChainMap(f, f, ()))
-    free = {
-        n: FiniteModule(ring, (ring.modulus,) * f.component(n).rank())
-        for n in range(f.lo, f.hi + 1)
-    }
-    free[f.lo - 1] = ring.zero_module()
-    free[f.hi + 1] = ring.zero_module()
-    covers = {
-        n: Morphism(
-            free[n],
-            f.component(n),
-            tuple(
-                tuple(1 if i == j else 0 for i in range(free[n].rank()))
-                for j in range(f.component(n).rank())
-            ),
-        )
-        for n in range(f.lo, f.hi + 1)
-    }
-    comps = []
-    parts = []
-    window = list(range(f.lo, f.hi + 2))
-    from .modules import direct_sum
 
-    q_data = {}
-    for n in window:
-        lower = free.get(n, ring.zero_module())
-        upper = free.get(n - 1, ring.zero_module())
-        ds = direct_sum(lower, upper)
-        q_data[n] = ds
-        comps.append(ds.module)
+    def unit_rows(count: int, width: int) -> tuple:
+        return tuple(tuple(int(c == j) for c in range(width)) for j in range(count))
+
+    window = range(f.lo, f.hi + 2)
+    rank = {d: f.component(d).rank() for d in range(f.lo - 1, f.hi + 2)}
+    comps = [FiniteModule(ring, (ring.modulus,) * (rank[d] + rank[d - 1])) for d in window]
     diffs = []
-    for idx, n in enumerate(window[:-1]):
-        src = q_data[n]
-        dst = q_data[n + 1]
-        lower = free.get(n, ring.zero_module())
-        step = dst.injections[1] @ Morphism.identity(lower) @ src.projections[0]
-        diffs.append(step)
+    for i, d in enumerate(window[:-1]):
+        width = comps[i].rank()
+        rows = ((0,) * width,) * rank[d + 1] + unit_rows(rank[d], width)
+        diffs.append(Morphism(comps[i], comps[i + 1], rows))
+    parts = []
+    for i, d in enumerate(window):
+        boundary = f.differential(d - 1).matrix
+        rows = tuple(a + b for a, b in zip(unit_rows(rank[d], rank[d]), boundary))
+        parts.append(Morphism(comps[i], f.component(d), rows))
     q = Complex(ring, f.lo, tuple(comps), tuple(diffs))
-    for n in q.degrees():
-        ds = q_data[n]
-        lower = covers.get(n)
-        upper = covers.get(n - 1)
-        term = None
-        if lower is not None:
-            term = lower @ ds.projections[0]
-        if upper is not None:
-            boundary = f.differential(n - 1) @ upper @ ds.projections[1]
-            term = boundary if term is None else term + boundary
-        if term is None:
-            term = Morphism.zero(ds.module, f.component(n))
-        parts.append(term)
-    g = ChainMap(q, f, tuple(parts))
-    return complex_conflation_from_chain_epi(g)
+    return complex_conflation_from_chain_epi(ChainMap(q, f, tuple(parts)))
 
 
 def enumerate_complex_conflations_ending_in(
@@ -404,19 +335,11 @@ def enumerate_complex_conflations_ending_in(
     yield flat_disk_cover(f)
     if f.is_zero or max_count <= 0:
         return
-    ring = f.ring
-    n = ring.modulus
     window = list(f.degrees())
-    per_degree = []
-    for nd in window:
-        comp = f.component(nd)
-        cands = []
-        for k_ord in range(1, kernel_cap + 1):
-            for y in modules_of_order(n, comp.order * k_ord):
-                for entry in subgroup_catalog(y):
-                    if entry.sub_order == k_ord and entry.quotient == comp:
-                        cands.append(entry)
-        per_degree.append(cands)
+    per_degree = [
+        list(conflations_ending_in(comp, kernel_cap, comp.order * kernel_cap))
+        for comp in f.components
+    ]
     produced = 0
     for combo in itertools.product(*per_degree):
         if produced >= max_count:

@@ -191,16 +191,6 @@ def pullback(g: Morphism, h: Morphism) -> Pullback:
     return Pullback(q, to_g, to_h, embed, ds)
 
 
-def pullback_mediate(pb: Pullback, u: Morphism, v: Morphism) -> Morphism:
-    """The unique w with to_domg . w = u and to_domh . w = v."""
-    ds = pb.ambient
-    pair = ds.injections[0] @ u + ds.injections[1] @ v
-    w = factor_through_mono(pair, pb.embed)
-    if (pb.to_domg @ w).matrix != u.matrix or (pb.to_domh @ w).matrix != v.matrix:
-        raise AssertionError("mediating morphism does not reproduce the cone")
-    return w
-
-
 @dataclass(frozen=True)
 class Pushout:
     """Cofiber coproduct of f and h with its two coprojections."""
@@ -234,16 +224,6 @@ def pushout(f: Morphism, h: Morphism) -> Pushout:
     if not from_h.is_mono():
         raise AssertionError("pushout of an inflation failed to be an inflation")
     return Pushout(q, from_f, from_h, proj, ds)
-
-
-def pushout_mediate(po: Pushout, u: Morphism, v: Morphism) -> Morphism:
-    """The unique w with w . from_codf = u and w . from_codh = v."""
-    ds = po.ambient
-    copair = u @ ds.projections[0] + v @ ds.projections[1]
-    w = factor_through_epi(copair, po.project)
-    if (w @ po.from_codf).matrix != u.matrix or (w @ po.from_codh).matrix != v.matrix:
-        raise AssertionError("mediating morphism does not reproduce the cocone")
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,11 @@ from .exact import (
     Conflation,
     SplitWitness,
     conflation_from_epi,
+    conflation_from_mono,
     pullback,
     splits,
 )
-from .modules import FiniteModule, Morphism, RingSpec, cokernel, cyclic
+from .modules import FiniteModule, Morphism, RingSpec, cyclic
 from .monoidal import hom_module, precompose_map, tensor_mor
 
 
@@ -278,6 +279,4 @@ def extract_section(c: Conflation) -> Morphism:
 
 def pure_embedding_conflation(m: FiniteModule) -> Conflation:
     """The conflation M -> M++ -> coker built on the evaluation unit."""
-    lam = double_dual_unit(m)
-    _, proj = cokernel(lam)
-    return Conflation(lam, proj)
+    return conflation_from_mono(double_dual_unit(m))

@@ -120,7 +120,12 @@ class SuiteConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(self.moduli))
+        try:
+            object.__setattr__(self, "moduli", tuple(self.moduli))
+        except TypeError:
+            raise ConfigError(f"moduli must be a sequence of integers, got {self.moduli!r}") from None
+        if not self.moduli:
+            raise ConfigError("moduli must name at least one modulus")
         for n in self.moduli:
             if not isinstance(n, int) or n < 2:
                 raise ConfigError(f"modulus must be an integer >= 2, got {n!r}")
@@ -211,7 +216,7 @@ class Report:
         lines = ["verification report"]
         cfg = self.config
         lines.append(
-            f"moduli {', '.join(str(n) for n in cfg.moduli) or '(none)'}"
+            f"moduli {', '.join(str(n) for n in cfg.moduli)}"
             f" | order <= {cfg.max_module_order}"
             f" | kernel <= {cfg.max_kernel_order}"
             f" | span <= {cfg.max_complex_span}"

@@ -32,10 +32,11 @@ from modcat.purity import (
 from modcat.enumeration import (
     conflations_ending_in,
     enumerate_modules,
-    sample_morphisms,
     subgroup_catalog,
 )
 from modcat.suites import SuiteConfig, replay_counterexample, run_suite
+
+from helpers import sample_morphisms
 
 
 MODULI = (4, 8, 9, 12)

@@ -33,7 +33,6 @@ from modcat.complexes import (
     dual_chain_map,
     dual_complex,
     dual_complex_conflation,
-    identity_chain_map,
     is_acyclic,
     is_contractible,
     is_flat_complex,
@@ -53,6 +52,8 @@ from modcat.enumeration import (
     enumerate_morphisms,
     flat_disk_cover,
 )
+
+from helpers import identity_chain_map
 
 
 R4 = RingSpec(4)

@@ -17,13 +17,21 @@ from modcat.modules import (
     RingSpec,
     cokernel,
     cyclic,
+    direct_sum,
     subgroup_from_lattice,
 )
 from modcat.snf import hermite_normal_form, lattice_member
 from modcat.suites import SuiteConfig, run_suite
 from modcat.monoidal import hom_module
 from modcat.purity import is_flat
-from modcat.complexes import Complex, ComplexConflation, single_complex, two_term_complex
+from modcat.complexes import (
+    ChainMap,
+    Complex,
+    ComplexConflation,
+    single_complex,
+    two_term_complex,
+    zero_complex,
+)
 from modcat.enumeration import (
     complex_conflation_from_chain_epi,
     conflations_ending_in,
@@ -32,13 +40,13 @@ from modcat.enumeration import (
     enumerate_complex_conflations_ending_in,
     enumerate_complexes,
     enumerate_modules,
-    enumerate_monos,
     enumerate_morphisms,
     flat_disk_cover,
     modules_of_order,
-    sample_morphisms,
     subgroup_catalog,
 )
+
+from helpers import enumerate_monos, sample_morphisms
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +317,12 @@ def test_conflations_ending_in_frozen_count():
         assert e.quotient == f
         assert e.sub.order <= 16
         e.conflation()  # validates
+    # each middle belongs to one kernel order and each catalog's keys are
+    # distinct, so no (middle, key) tag repeats anywhere in the family
+    for n in (4, 8, 9, 12):
+        for end in enumerate_modules(n, 32):
+            tags = [(e.ambient.invariant_factors, e.key) for e in conflations_ending_in(end, 16, 32)]
+            assert len(set(tags)) == len(tags), end
 
 
 def test_conflations_ending_in_goes_cyclic_beyond_the_middle_bound():
@@ -369,6 +383,72 @@ def test_complex_conflation_from_chain_epi():
     assert rebuilt.total == cover.total
     for n in rebuilt.total.degrees():
         assert rebuilt.sub.component(n).order == cover.sub.component(n).order
+
+
+def direct_sum_disk_cover(f):
+    """The disk cover assembled through canonical direct sums of free modules."""
+    ring = f.ring
+    if f.is_zero:
+        g = ChainMap(zero_complex(ring), f, ())
+        return ComplexConflation(g, ChainMap(f, f, ()))
+    free = {
+        n: FiniteModule(ring, (ring.modulus,) * f.component(n).rank())
+        for n in range(f.lo, f.hi + 1)
+    }
+    free[f.lo - 1] = ring.zero_module()
+    free[f.hi + 1] = ring.zero_module()
+    covers = {
+        n: Morphism(
+            free[n],
+            f.component(n),
+            tuple(
+                tuple(1 if i == j else 0 for i in range(free[n].rank()))
+                for j in range(f.component(n).rank())
+            ),
+        )
+        for n in range(f.lo, f.hi + 1)
+    }
+    comps = []
+    parts = []
+    window = list(range(f.lo, f.hi + 2))
+    q_data = {}
+    for n in window:
+        lower = free.get(n, ring.zero_module())
+        upper = free.get(n - 1, ring.zero_module())
+        ds = direct_sum(lower, upper)
+        q_data[n] = ds
+        comps.append(ds.module)
+    diffs = []
+    for idx, n in enumerate(window[:-1]):
+        src = q_data[n]
+        dst = q_data[n + 1]
+        lower = free.get(n, ring.zero_module())
+        step = dst.injections[1] @ Morphism.identity(lower) @ src.projections[0]
+        diffs.append(step)
+    q = Complex(ring, f.lo, tuple(comps), tuple(diffs))
+    for n in q.degrees():
+        ds = q_data[n]
+        lower = covers.get(n)
+        upper = covers.get(n - 1)
+        term = None
+        if lower is not None:
+            term = lower @ ds.projections[0]
+        if upper is not None:
+            boundary = f.differential(n - 1) @ upper @ ds.projections[1]
+            term = boundary if term is None else term + boundary
+        if term is None:
+            term = Morphism.zero(ds.module, f.component(n))
+        parts.append(term)
+    g = ChainMap(q, f, tuple(parts))
+    return complex_conflation_from_chain_epi(g)
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_flat_disk_cover_matches_direct_sum_oracle(n):
+    complexes = enumerate_complexes(n, 4, n)
+    assert len(complexes) > 100
+    for f in complexes:
+        assert flat_disk_cover(f) == direct_sum_disk_cover(f)
 
 
 def test_flat_disk_cover_shapes():

@@ -20,12 +20,12 @@ from modcat.exact import (
     is_inflation,
     make_conflation,
     pullback,
-    pullback_mediate,
     pushout,
-    pushout_mediate,
     splits,
 )
-from modcat.enumeration import enumerate_morphisms, sample_morphisms, subgroup_catalog
+from modcat.enumeration import enumerate_morphisms, subgroup_catalog
+
+from helpers import pullback_mediate, pushout_mediate, sample_morphisms
 
 
 R4 = RingSpec(4)

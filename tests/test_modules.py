@@ -35,7 +35,9 @@ from modcat.modules import (
     solve,
     subgroup_from_lattice,
 )
-from modcat.enumeration import enumerate_modules, sample_morphisms
+from modcat.enumeration import enumerate_modules
+
+from helpers import sample_morphisms
 
 
 # ---------------------------------------------------------------------------

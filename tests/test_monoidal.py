@@ -27,7 +27,9 @@ from modcat.monoidal import (
     uncurry,
 )
 from modcat.snf import snf_diagonal
-from modcat.enumeration import enumerate_modules, sample_morphisms
+from modcat.enumeration import enumerate_modules
+
+from helpers import sample_morphisms
 
 
 # ---------------------------------------------------------------------------

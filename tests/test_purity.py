@@ -33,9 +33,10 @@ from modcat.purity import (
 from modcat.enumeration import (
     enumerate_modules,
     enumerate_morphisms,
-    sample_morphisms,
     subgroup_catalog,
 )
+
+from helpers import sample_morphisms
 
 
 R4 = RingSpec(4)

@@ -95,6 +95,10 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         SuiteConfig(moduli=(4.0,))
     with pytest.raises(ConfigError):
+        SuiteConfig(moduli=())
+    with pytest.raises(ConfigError):
+        SuiteConfig(moduli=4)
+    with pytest.raises(ConfigError):
         SuiteConfig(max_module_order=-1)
     with pytest.raises(ConfigError):
         SuiteConfig(mode="fuzz")
