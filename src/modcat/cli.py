@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         dest="moduli",
         metavar="N",
-        help="base ring modulus; repeatable (default: 4 8 9 12)",
+        help="base ring modulus; repeatable, each value once (default: 4 8 9 12)",
     )
     parent.add_argument("--max-order", type=int, default=64, metavar="B",
                         help="largest module order enumerated (default 64)")

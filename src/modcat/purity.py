@@ -1,7 +1,12 @@
 """Character duality, purity, flatness, and pure-injective embeddings.
 
-The dualizing object is the ring itself: M+ = Hom(M, Z/n).  Purity of a
-conflation is decided by whether its dual splits; an independent oracle
+The dualizing object is the ring itself: M+ = Hom(M, Z/n).  As
+Hom(Z/d, Z/n) is cyclic of order d, generated by x |-> (n/d) x, M+ = M
+on the same generators and f+ is the transpose of f rescaled by d_i / e_j.
+The unit M -> M++ alone is built through ``hom_module``, so the triangle
+identity keeps testing that closed form against the internal hom.
+
+Purity of a conflation is decided by whether its dual splits; an independent oracle
 re-decides it by tensoring with Z/d for every divisor d of n (cyclic
 test objects suffice, since every finite module is a sum of cyclics and
 tensoring distributes over direct sums).
@@ -30,7 +35,7 @@ from .exact import (
     splits,
 )
 from .modules import FiniteModule, Morphism, RingSpec, cyclic
-from .monoidal import hom_module, precompose_map, tensor_mor
+from .monoidal import hom_module, tensor_mor
 
 
 class NotFlat(ValueError):
@@ -47,13 +52,15 @@ class InternalInconsistency(RuntimeError):
 
 
 def dual(m: FiniteModule) -> FiniteModule:
-    """M+ = Hom(M, Z/n) in canonical form."""
-    return hom_module(m, m.ring.unit_module()).module
+    """M+ = Hom(M, Z/n), identified with M: generator i is x_i |-> n/d_i."""
+    return m
 
 
 def dual_mor(f: Morphism) -> Morphism:
-    """Hom(cod f, Z/n) -> Hom(dom f, Z/n); contravariant."""
-    return precompose_map(f, f.domain.ring.unit_module())
+    """f+ = - . f: N+ -> M+; entry (i, j) is a[j][i] d_i / e_j, exact as f is well defined."""
+    d, e, a = f.domain.invariant_factors, f.codomain.invariant_factors, f.matrix
+    rows = tuple(tuple(a[j][i] * d[i] // e[j] for j in range(len(e))) for i in range(len(d)))
+    return Morphism(f.codomain, f.domain, rows)
 
 
 def dual_conflation(c: Conflation) -> Conflation:

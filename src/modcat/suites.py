@@ -129,6 +129,8 @@ class SuiteConfig:
         for n in self.moduli:
             if not isinstance(n, int) or n < 2:
                 raise ConfigError(f"modulus must be an integer >= 2, got {n!r}")
+        if len(set(self.moduli)) != len(self.moduli):
+            raise ConfigError(f"moduli must be distinct, got {self.moduli!r}")
         bounds = ("max_module_order", "max_kernel_order", "max_complex_span")
         integers = bounds + ("sample_count",) + (() if self.seed is None else ("seed",))
         for name in integers:
@@ -422,7 +424,7 @@ def _witness_check(ring: RingSpec):
 
 
 def _lambda_degreewise_check(f: Complex):
-    if all(part.is_iso() for part in double_dual_complex_iso(f).parts) or f.is_zero:
+    if all(part.is_iso() for part in double_dual_complex_iso(f).parts):
         return None
     return "double-dual comparison map is not a degreewise isomorphism", {"complex": f.to_dict()}
 

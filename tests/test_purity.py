@@ -1,6 +1,8 @@
 """Character duals, purity, flatness, injectivity, pure-injective embeddings.
 
 Independent oracles:
+  * the character dual through the internal hom, Hom(-, Z/n) built by
+    ``hom_module`` and ``precompose_map`` (the package uses the closed form),
   * purity by tensoring against *every* small module (the in-package oracle
     only scans cyclic divisor modules; the scan here is strictly broader),
   * injectivity by brute extension search over a subgroup catalog (the
@@ -11,6 +13,7 @@ import pytest
 
 from modcat.modules import FiniteModule, Morphism, RingSpec, cyclic, direct_sum
 from modcat.exact import Conflation, make_conflation, splits
+from modcat.monoidal import hom_module, precompose_map
 from modcat.purity import (
     NotFlat,
     conflation_tensor_failure,
@@ -105,6 +108,33 @@ def test_double_dual_unit_is_natural():
     b = FiniteModule(R4, (4,))
     for f in sample_morphisms(a, b, 6, seed=17):
         assert double_dual_unit(b) @ f == dual_mor(dual_mor(f)) @ double_dual_unit(a)
+
+
+def hom_route_dual(m: FiniteModule) -> FiniteModule:
+    return hom_module(m, m.ring.unit_module()).module
+
+
+def hom_route_dual_mor(f: Morphism) -> Morphism:
+    return precompose_map(f, f.domain.ring.unit_module())
+
+
+def test_closed_form_dual_matches_the_hom_route():
+    morphisms = legs = 0
+    for n in (4, 8, 9, 12, 30):
+        small = enumerate_modules(n, 8)
+        for a in small:
+            for b in small:
+                for f in enumerate_morphisms(a, b):
+                    assert dual_mor(f) == hom_route_dual_mor(f)
+                    morphisms += 1
+        for y in enumerate_modules(n, 32):
+            for entry in subgroup_catalog(y):
+                for f in (entry.inclusion, entry.projection):
+                    assert dual_mor(f) == hom_route_dual_mor(f)
+                    legs += 1
+        for m in enumerate_modules(n, 256):
+            assert dual(m) == hom_route_dual(m)
+    assert (morphisms, legs) == (3719, 5812)
 
 
 # ---------------------------------------------------------------------------

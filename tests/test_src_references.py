@@ -1,10 +1,13 @@
-"""Every top-level function and class in ``src/modcat`` has a user there.
+"""Every top-level function and class in ``src/modcat`` has a user there,
+and every name a module of the package imports is used by its code.
 
 A definition counts as used when some code in the package outside its
 own body names it (as a name or an attribute), when a docstring or other
 string in the package names it (the public entry points that no package
 code calls are documented that way), or when ``modcat.__all__`` exports
-it.  Code that only the tests use belongs under ``tests/``.
+it.  Code that only the tests use belongs under ``tests/``.  An import
+counts as used only when the module's code names it; ``__init__.py``,
+which imports to re-export, is exempt.
 """
 
 import ast
@@ -63,3 +66,37 @@ def test_the_scan_sees_a_definition_nothing_uses(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import Helper\n")
     assert unreferenced_definitions(tmp_path, ["exported"]) == ["a.recursive", "a.Helper"]
+
+
+def unused_imports(src=SRC):
+    """``module.py: name`` of each imported name its module never uses."""
+    unused = []
+    for path in sorted(pathlib.Path(src).glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    return unused
+
+
+def test_src_imports_no_unused_name():
+    assert unused_imports() == []
+
+
+def test_the_scan_sees_an_import_nothing_uses(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import unused_here\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "from math import gcd, lcm as least\n"
+        "from .b import helper, unused_here\n\n\n"
+        "def f(x: int) -> int:\n    return gcd(x, helper(os.sep))\n"
+    )
+    assert unused_imports(tmp_path) == ["a.py: least", "a.py: unused_here"]

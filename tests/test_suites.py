@@ -12,9 +12,10 @@ from types import SimpleNamespace
 
 import pytest
 
+import modcat
 from modcat.modules import Morphism, cokernel, cyclic, direct_sum, kernel
 from modcat.exact import Pullback, Pushout
-from modcat.purity import PurityVerdict, conflation_tensor_failure
+from modcat.purity import PurityVerdict, conflation_tensor_failure, dual_mor
 from modcat.suites import (
     ConfigError,
     Report,
@@ -98,6 +99,8 @@ def test_config_rejects_bad_values():
         SuiteConfig(moduli=())
     with pytest.raises(ConfigError):
         SuiteConfig(moduli=4)
+    with pytest.raises(ConfigError):
+        SuiteConfig(moduli=(4, 4))
     with pytest.raises(ConfigError):
         SuiteConfig(max_module_order=-1)
     with pytest.raises(ConfigError):
@@ -285,6 +288,13 @@ REPLAY_SCENARIOS = [
         {},
     ),
     (
+        "negated-dual",
+        ("enough-pi",),
+        {"enough-pi"},
+        {"modcat.purity.dual_mor": lambda f: -dual_mor(f)},
+        {},
+    ),
+    (
         "every-complex-flat",
         ("complexes",),
         {"complex-four-way"},
@@ -351,6 +361,13 @@ def test_a_crash_is_recorded_and_the_other_suites_still_run():
     ce = json.loads(json.dumps(ce))
     assert replay_counterexample(ce, pullback_fn=raising_pullback)
     assert not replay_counterexample(ce)
+
+
+def test_replay_is_exported_from_the_package():
+    from modcat import replay_counterexample as exported
+
+    assert exported is replay_counterexample
+    assert "replay_counterexample" in modcat.__all__
 
 
 def test_replay_rejects_unknown_check():
