@@ -8,9 +8,9 @@ special cases.  Windows are normalized (no zero components at either
 edge), which makes structural equality meaningful.
 
 Chain-level questions (does a conflation of complexes split? is a
-complex contractible?) are answered by writing one block system over
-the relevant hom modules and solving it exactly (``solve_blocks``), so
-every "no" is a definitive absence, not a search failure.
+complex contractible?) are one exact block system whose unknowns are the
+degreewise morphisms themselves (``solve_blocks``), so every "no" is a
+definitive absence, not a search failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .modules import (
     kernel_order,
     solve_blocks,
 )
-from .monoidal import hom_module, postcompose_map, precompose_map, tensor, tensor_mor
+from .monoidal import tensor, tensor_mor
 from .purity import (
     PurityVerdict,
     dual,
@@ -118,6 +118,8 @@ class Complex:
         comps = tuple(FiniteModule.from_dict(m) for m in data["components"])
         diffs = tuple(Morphism.from_dict(d) for d in data["differentials"])
         lo = degrees[0] if degrees else 0
+        if degrees != list(range(lo, lo + len(comps))):
+            raise ValueError(f"degrees {degrees} do not number the {len(comps)} components")
         return cls(ring, lo, comps, diffs)
 
 
@@ -335,40 +337,28 @@ class ChainSplitWitness:
 def splits_as_complexes(c: ComplexConflation) -> ChainSplitWitness | None:
     """Chain-level section search: one block system for all degrees at once.
 
-    Unknowns are the degreewise candidate sections s^n in Hom(Z^n, Y^n);
-    constraints are g^n s^n = id and d_Y s^n = s^(n+1) d_Z.  A solution is
-    decoded back into a chain map and the retraction is derived from it
+    Unknowns are the degreewise candidate sections s^n: Z^n -> Y^n;
+    constraints are g^n . s^n = id and d_Y . s^n - s^(n+1) . d_Z = 0.  A
+    solution is a chain map, and the retraction is derived from it
     degreewise (it then commutes with the differentials automatically).
     """
     z = c.quotient
     y = c.total
-    if z.is_zero:
-        section = ChainMap(z, y, ())
-        retraction = _derive_chain_retraction(c, section)
-        return ChainSplitWitness(section, retraction)
     window = list(z.degrees())
     k = len(window)
-    s_homs = [hom_module(z.component(n), y.component(n)) for n in window]
-    id_homs = [hom_module(z.component(n), z.component(n)) for n in window]
-    comm_rows = [hom_module(z.component(n), y.component(n + 1)).module for n in window]
     blocks = {}
     for i, n in enumerate(window):
-        blocks[i, i] = postcompose_map(c.g.part(n), z.component(n))
-        blocks[k + i, i] = postcompose_map(y.differential(n), z.component(n))
+        blocks[i, i] = (c.g.part(n), None)
+        blocks[k + i, i] = (y.differential(n), None)
         if i + 1 < k:
-            blocks[k + i, i + 1] = -precompose_map(z.differential(n), y.component(n + 1))
-    targets = [h.of_morphism(Morphism.identity(h.source)) for h in id_homs]
-    targets += [m.zero_element() for m in comm_rows]
-    sol = solve_blocks(
-        blocks,
-        [h.module for h in id_homs] + comm_rows,
-        [h.module for h in s_homs],
-        targets,
-    )
+            blocks[k + i, i + 1] = (None, -z.differential(n))
+    targets = [Morphism.identity(z.component(n)) for n in window]
+    targets += [Morphism.zero(z.component(n), y.component(n + 1)) for n in window]
+    cols = [(z.component(n), y.component(n)) for n in window]
+    sol = solve_blocks(blocks, cols, targets)
     if sol is None:
         return None
-    parts = tuple(h.to_morphism(x) for h, x in zip(s_homs, sol))
-    section = ChainMap(z, y, parts)
+    section = ChainMap(z, y, sol)
     retraction = _derive_chain_retraction(c, section)
     return ChainSplitWitness(section, retraction)
 
@@ -404,18 +394,15 @@ def is_pure_complex_conflation(c: ComplexConflation) -> PurityVerdict:
 
 def is_contractible(x: Complex) -> bool:
     """A homotopy h with d h + h d = id exists (exact linear solve)."""
-    if x.is_zero:
-        return True
     window = list(x.degrees())
-    h_cols = [hom_module(x.component(n), x.component(n - 1)).module for n in window]
-    t_homs = [hom_module(x.component(n), x.component(n)) for n in window]
     blocks = {}
     for i, n in enumerate(window):
-        blocks[i, i] = postcompose_map(x.differential(n - 1), x.component(n))
+        blocks[i, i] = (x.differential(n - 1), None)
         if i + 1 < len(window):
-            blocks[i, i + 1] = precompose_map(x.differential(n), x.component(n))
-    targets = [h.of_morphism(Morphism.identity(h.source)) for h in t_homs]
-    return solve_blocks(blocks, [h.module for h in t_homs], h_cols, targets) is not None
+            blocks[i, i + 1] = (None, x.differential(n))
+    targets = [Morphism.identity(x.component(n)) for n in window]
+    cols = [(x.component(n), x.component(n - 1)) for n in window]
+    return solve_blocks(blocks, cols, targets) is not None
 
 
 def is_injective_complex(x: Complex) -> bool:

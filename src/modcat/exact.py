@@ -242,30 +242,19 @@ class SplitWitness:
 def splits(c: Conflation) -> SplitWitness | None:
     """Search for a splitting of the conflation; None is definitive absence.
 
-    A section is assembled one quotient generator at a time: for the t-th
-    generator (of order d_t) its image x must satisfy g(x) = gen_t and
-    d_t * x = 0, solved as one block system with g stacked over d_t * id.
-    The image is the system's one deterministic Smith-form solution.  The
-    retraction is derived from the section, so a witness always carries
-    both or the conflation does not split at all.
+    The section is the one unknown s: M -> B of the block system
+    g . s = id_M, solved exactly with one Smith form, so it is the
+    system's one deterministic solution.  The retraction is derived from
+    the section, so a witness always carries both or the conflation does
+    not split at all.
     """
     g, f = c.g, c.f
-    m = g.codomain
-    b = g.domain
-    columns = []
-    for t, d_t in enumerate(m.invariant_factors):
-        gen = tuple(1 if s == t else 0 for s in range(m.rank()))
-        sol = solve_blocks(
-            {(0, 0): g, (1, 0): Morphism.multiplication(b, d_t)},
-            (m, b),
-            (b,),
-            (gen, b.zero_element()),
-        )
-        if sol is None:
-            return None
-        columns.append(sol[0])
-    section = Morphism.from_columns(m, b, columns)
-    retraction = factor_through_mono(Morphism.identity(b) - section @ g, f)
+    m = c.quotient
+    sol = solve_blocks({(0, 0): (g, None)}, [(m, c.total)], [Morphism.identity(m)])
+    if sol is None:
+        return None
+    section = sol[0]
+    retraction = factor_through_mono(Morphism.identity(c.total) - section @ g, f)
     if (g @ section).matrix != Morphism.identity(m).matrix:
         raise AssertionError("computed section fails g . s = id")
     if (retraction @ f).matrix != Morphism.identity(c.sub).matrix:

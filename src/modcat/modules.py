@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-from .snf import mat_vec, smith_normal_form, snf_diagonal
+from .snf import identity_matrix, mat_vec, smith_normal_form, snf_diagonal
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class RingSpec:
     modulus: int
 
     def __post_init__(self):
+        if type(self.modulus) is not int:
+            raise TypeError("modulus must be an int")
         if self.modulus < 2:
             raise ValueError("modulus must be at least 2")
 
@@ -62,9 +64,13 @@ class FiniteModule:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
+        factors = tuple(self.invariant_factors)
+        object.__setattr__(self, "invariant_factors", factors)
         n = self.ring.modulus
         prev = 1
-        for d in self.invariant_factors:
+        for d in factors:
+            if type(d) is not int:
+                raise TypeError("invariant factors must be ints")
             if d <= 1:
                 raise ValueError(f"invariant factor {d} must exceed 1")
             if n % d:
@@ -485,33 +491,50 @@ def solve(f: Morphism, target) -> tuple[int, ...] | None:
     return None if xs is None else f.domain.reduce(xs[0])
 
 
-def solve_blocks(blocks: dict, rows, cols, targets) -> tuple | None:
-    """Solve the block system sum_j blocks[i, j](x_j) == targets[i] for all i.
+def solve_blocks(blocks: dict, cols, targets) -> tuple | None:
+    """Solve sum_j l . x_j . r == targets[i] for all i over morphisms x_j.
 
-    ``blocks`` maps (row block, column block) to a morphism
-    cols[j] -> rows[i]; absent blocks are zero.  The blocks are written
-    straight into one integer matrix over the row modules' factors, so no
-    direct sum is canonicalized.  Returns one element of each column
-    module, or None when the system has no solution.
+    x_j: A_j -> B_j with ``cols[j] == (A_j, B_j)``, targets[i]: C_i -> D_i,
+    and ``blocks[i, j] == (l, r)`` stands for x |-> l . x . r (None is an
+    identity, absent blocks are zero).  Entry (b, a) of x_j is
+    (B_b / gcd(A_a, B_b)) * c, well defined for every integer c; entry
+    (r, s) of row i is one equation mod D_r, and all of them go into one
+    Smith form.  Returns one morphism per column, or None if unsolvable.
     """
-    row_off, col_off = [0], [0]
-    for m in rows:
-        row_off.append(row_off[-1] + m.rank())
-    for m in cols:
-        col_off.append(col_off[-1] + m.rank())
-    a = [[0] * col_off[-1] for _ in range(row_off[-1])]
-    for (i, j), mor in blocks.items():
-        if mor.domain != cols[j] or mor.codomain != rows[i]:
+    unknowns = [
+        [(b, a, e // gcd(d, e)) for b, e in enumerate(dst.invariant_factors)
+         for a, d in enumerate(src.invariant_factors) if gcd(d, e) > 1]
+        for src, dst in cols
+    ]
+    col_off = list(itertools.accumulate(map(len, unknowns), initial=0))
+    sizes = (t.codomain.rank() * t.domain.rank() for t in targets)
+    row_off = list(itertools.accumulate(sizes, initial=0))
+    system = [[0] * col_off[-1] for _ in range(row_off[-1])]
+    for (i, j), (l, r) in blocks.items():
+        (src, dst), t = cols[j], targets[i]
+        l_ends = (dst, dst) if l is None else (l.domain, l.codomain)
+        r_ends = (src, src) if r is None else (r.domain, r.codomain)
+        if l_ends != (dst, t.codomain) or r_ends != (t.domain, src):
             raise ValueError(f"block ({i}, {j}) has mismatched endpoints")
-        c0 = col_off[j]
-        for r, row in enumerate(mor.matrix, row_off[i]):
-            a[r][c0 : c0 + len(row)] = row
-    e = tuple(d for m in rows for d in m.invariant_factors)
-    xs = _solve_mod(a, e, [[v for t in targets for v in t]], col_off[-1])
+        left = identity_matrix(dst.rank()) if l is None else l.matrix
+        right = identity_matrix(src.rank()) if r is None else r.matrix
+        for v, (b, a, step) in enumerate(unknowns[j], col_off[j]):
+            for row, lrow in enumerate(left):
+                if lrow[b]:
+                    for s, y in enumerate(right[a], row_off[i] + row * t.domain.rank()):
+                        system[s][v] += lrow[b] * step * y
+    e = [d for t in targets for d in t.codomain.invariant_factors for _ in range(t.domain.rank())]
+    rhs = [v for t in targets for row in t.matrix for v in row]
+    xs = _solve_mod(system, e, [rhs], col_off[-1])
     if xs is None:
         return None
-    x = xs[0]
-    return tuple(m.reduce(x[col_off[j] : col_off[j + 1]]) for j, m in enumerate(cols))
+    out = []
+    for j, (src, dst) in enumerate(cols):
+        rows = [[0] * src.rank() for _ in range(dst.rank())]
+        for v, (b, a, step) in enumerate(unknowns[j], col_off[j]):
+            rows[b][a] = step * xs[0][v]
+        out.append(Morphism(src, dst, tuple(map(tuple, rows))))
+    return tuple(out)
 
 
 def solution_set(f: Morphism, target):

@@ -4,7 +4,9 @@ The brute cohomology oracle below scans elements (kernel and image as raw
 sets) and never touches the canonical-form machinery used by cohomology().
 The hom-exactness oracle for injective complexes assembles chain-hom
 groups through canonical direct sums, independently of the block solver
-behind is_contractible().
+behind is_contractible().  The hom-module block systems, which canonicalize
+every Hom(A, B) and solve for elements of it, are the oracle for the
+morphism-unknown systems behind splits_as_complexes() and is_contractible().
 """
 
 import itertools
@@ -15,6 +17,7 @@ from modcat.modules import (
     FiniteModule,
     Morphism,
     RingSpec,
+    _solve_mod,
     cyclic,
     direct_sum,
     direct_sum_many,
@@ -48,6 +51,7 @@ from modcat.complexes import (
 )
 from modcat.enumeration import (
     cyclic_subgroup_catalog,
+    enumerate_complex_conflations_ending_in,
     enumerate_complexes,
     enumerate_morphisms,
     flat_disk_cover,
@@ -107,6 +111,16 @@ def test_serialization_roundtrip():
     assert Complex.from_dict(x.to_dict()) == x
     cm = identity_chain_map(x)
     assert ChainMap.from_dict(cm.to_dict()) == cm
+
+
+@pytest.mark.parametrize("degrees", [[7, 99], [5], []])
+def test_from_dict_rejects_degrees_that_do_not_number_the_components(degrees):
+    d = Morphism.multiplication(Z4, 2)
+    record = Complex(R4, 3, (Z4, Z4), (d,)).to_dict()
+    assert record["degrees"] == [3, 4]
+    record["degrees"] = degrees
+    with pytest.raises(ValueError):
+        Complex.from_dict(record)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +343,95 @@ def test_dual_complex_conflation_validates():
     dc = dual_complex_conflation(c)
     assert isinstance(dc, ComplexConflation)
     assert dc.sub.component(0).order == 2
+
+
+# ---------------------------------------------------------------------------
+# the hom-module block systems, kept as the oracle for the morphism-unknown
+# solver behind splits_as_complexes and is_contractible
+# ---------------------------------------------------------------------------
+
+
+def element_solve_blocks(blocks: dict, rows, cols, targets) -> tuple | None:
+    """sum_j blocks[i, j](x_j) == targets[i] over elements x_j of cols[j]."""
+    row_off, col_off = [0], [0]
+    for m in rows:
+        row_off.append(row_off[-1] + m.rank())
+    for m in cols:
+        col_off.append(col_off[-1] + m.rank())
+    a = [[0] * col_off[-1] for _ in range(row_off[-1])]
+    for (i, j), mor in blocks.items():
+        assert mor.domain == cols[j] and mor.codomain == rows[i]
+        c0 = col_off[j]
+        for r, row in enumerate(mor.matrix, row_off[i]):
+            a[r][c0 : c0 + len(row)] = row
+    e = tuple(d for m in rows for d in m.invariant_factors)
+    xs = _solve_mod(a, e, [[v for t in targets for v in t]], col_off[-1])
+    if xs is None:
+        return None
+    x = xs[0]
+    return tuple(m.reduce(x[col_off[j] : col_off[j + 1]]) for j, m in enumerate(cols))
+
+
+def hom_route_chain_splits(c: ComplexConflation) -> bool:
+    """g^n s^n = id and d_Y s^n = s^(n+1) d_Z, with s^n in Hom(Z^n, Y^n)."""
+    z, y = c.quotient, c.total
+    if z.is_zero:
+        return True
+    window = list(z.degrees())
+    k = len(window)
+    s_homs = [hom_module(z.component(n), y.component(n)) for n in window]
+    id_homs = [hom_module(z.component(n), z.component(n)) for n in window]
+    comm_rows = [hom_module(z.component(n), y.component(n + 1)).module for n in window]
+    blocks = {}
+    for i, n in enumerate(window):
+        blocks[i, i] = postcompose_map(c.g.part(n), z.component(n))
+        blocks[k + i, i] = postcompose_map(y.differential(n), z.component(n))
+        if i + 1 < k:
+            blocks[k + i, i + 1] = -precompose_map(z.differential(n), y.component(n + 1))
+    targets = [h.of_morphism(Morphism.identity(h.source)) for h in id_homs]
+    targets += [m.zero_element() for m in comm_rows]
+    rows = [h.module for h in id_homs] + comm_rows
+    return element_solve_blocks(blocks, rows, [h.module for h in s_homs], targets) is not None
+
+
+def hom_route_contractible(x: Complex) -> bool:
+    """d h^n + h^(n+1) d = id, with h^n in Hom(X^n, X^(n-1))."""
+    if x.is_zero:
+        return True
+    window = list(x.degrees())
+    h_cols = [hom_module(x.component(n), x.component(n - 1)).module for n in window]
+    t_homs = [hom_module(x.component(n), x.component(n)) for n in window]
+    blocks = {}
+    for i, n in enumerate(window):
+        blocks[i, i] = postcompose_map(x.differential(n - 1), x.component(n))
+        if i + 1 < len(window):
+            blocks[i, i + 1] = precompose_map(x.differential(n), x.component(n))
+    targets = [h.of_morphism(Morphism.identity(h.source)) for h in t_homs]
+    return element_solve_blocks(blocks, [h.module for h in t_homs], h_cols, targets) is not None
+
+
+def test_morphism_unknowns_match_the_hom_module_route():
+    verdicts = contractible = conflations = chain_split = 0
+    for n, span in ((4, 3), (9, 3), (12, 2)):
+        for f in enumerate_complexes(n, span, n):
+            for x in (f, dual_complex(f)):
+                got = is_contractible(x)
+                assert got == hom_route_contractible(x), x
+                verdicts += 1
+                contractible += got
+            for cc in enumerate_complex_conflations_ending_in(f, 4, 6):
+                for c in (cc, dual_complex_conflation(cc)):
+                    w = splits_as_complexes(c)
+                    assert (w is not None) == hom_route_chain_splits(c), c
+                    conflations += 1
+                    if w is not None:
+                        chain_split += 1
+                        for d in c.quotient.degrees():
+                            assert c.g.part(d) @ w.section.part(d) == Morphism.identity(
+                                c.quotient.component(d)
+                            )
+    assert (verdicts, contractible) == (486, 50)
+    assert (conflations, chain_split) == (3358, 1998)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from modcat.modules import (
     subgroup_from_lattice,
 )
 from modcat.enumeration import enumerate_modules
+from modcat.exact import Conflation, splits
 
 from helpers import sample_morphisms
 
@@ -111,6 +112,19 @@ def test_ring_and_module_basics():
         FiniteModule(r, (6, 2))  # chain out of order
     with pytest.raises(ValueError):
         FiniteModule(r, (5,))  # 5 does not divide 12
+
+
+def test_ring_and_module_reject_non_int_input():
+    r = RingSpec(8)
+    m = FiniteModule(r, [2, 4])
+    assert m == FiniteModule(r, (2, 4)) and m.invariant_factors == (2, 4)
+    assert hash(m) == hash(FiniteModule(r, (2, 4)))
+    for factors in ((2.0, 4), (True, 4), (2, "4")):
+        with pytest.raises(TypeError):
+            FiniteModule(r, factors)
+    for modulus in (4.0, True, "4"):
+        with pytest.raises(TypeError):
+            RingSpec(modulus)
 
 
 def test_canonicalize_frozen_example():
@@ -425,6 +439,32 @@ def test_factorizations_take_one_smith_form_per_call(monkeypatch):
         calls.clear()
         assert factor_through_epi(u @ e, e) == u
         assert len(calls) == 1
+
+
+def test_splits_takes_one_smith_form_for_the_section(monkeypatch):
+    import modcat.modules as mm
+
+    r = RingSpec(8)
+    z2 = FiniteModule(r, (2,))
+    quotient = FiniteModule(r, (2, 8))
+    ds = direct_sum(z2, quotient)
+    assert ds.module.invariant_factors == (2, 2, 8)
+    split = Conflation(ds.injections[0], ds.projections[1])
+    z4 = FiniteModule(r, (4,))
+    non_split = Conflation(Morphism(z2, z4, ((2,),)), Morphism(z4, z2, ((1,),)))
+    calls = []
+    real = mm.smith_normal_form
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(mm, "smith_normal_form", counting)
+    assert splits(split) is not None
+    assert len(calls) == 2  # the section and the retraction
+    calls.clear()
+    assert splits(non_split) is None
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

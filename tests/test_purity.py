@@ -58,11 +58,17 @@ def two_in_four() -> Conflation:
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
 def test_dual_preserves_order_and_factors(n):
+    # The d-torsion counts over d | n determine a finite Z/n-module, so
+    # counting the characters chi: M -> Z/n with d . chi = 0 one by one
+    # pins the module dual(m) claims to be Hom(M, Z/n).
+    ring = RingSpec(n)
     for m in enumerate_modules(n, 24):
-        d = dual(m)
-        assert d.order == m.order
-        # finite modules over Z/n are self-dual up to iso
-        assert d.invariant_factors == m.invariant_factors
+        chars = list(enumerate_morphisms(m, ring.unit_module()))
+        dm = dual(m)
+        for d in ring.divisors():
+            killed = sum(chi.scaled(d).is_zero_morphism for chi in chars)
+            torsion = sum(not any(dm.scale(d, x)) for x in dm.elements())
+            assert torsion == killed, (m, d)
 
 
 def test_dual_mor_is_contravariant_and_additive():
