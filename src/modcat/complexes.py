@@ -7,6 +7,11 @@ components and zero differentials so degree arithmetic never needs
 special cases.  Windows are normalized (no zero components at either
 edge), which makes structural equality meaningful.
 
+The chain identities (d . d = 0 in a complex, d_T . f = f . d_S for a
+chain map) are checked on every object built, on the residue rows of the
+composites: no composite morphism and no synthesized zero map is built
+for them, and degrees outside a window read as zero matrices.
+
 Chain-level questions (does a conflation of complexes split? is a
 complex contractible?) are one exact block system whose unknowns are the
 degreewise morphisms themselves (``solve_blocks``), so every "no" is a
@@ -22,6 +27,7 @@ from .modules import (
     FiniteModule,
     Morphism,
     RingSpec,
+    _compose_rows,
     cokernel,
     factor_through_mono,
     image_order,
@@ -78,7 +84,10 @@ class Complex:
             if d.domain != comps[i] or d.codomain != comps[i + 1]:
                 raise ValueError(f"differential {i} has mismatched endpoints")
         for i in range(len(diffs) - 1):
-            if not (diffs[i + 1] @ diffs[i]).is_zero_morphism:
+            rows = _compose_rows(
+                diffs[i + 1].matrix, diffs[i].matrix, comps[i + 2].invariant_factors, comps[i].rank()
+            )
+            if any(map(any, rows)):
                 raise ValueError(f"differentials at positions {i}, {i + 1} do not compose to zero")
 
     @property
@@ -103,6 +112,18 @@ class Complex:
             return self.differentials[n - self.lo]
         return Morphism.zero(self.component(n), self.component(n + 1))
 
+    def _factors(self, n: int) -> tuple[int, ...]:
+        """Invariant factors of the degree-n component (() outside the window)."""
+        if self.components and self.lo <= n <= self.hi:
+            return self.components[n - self.lo].invariant_factors
+        return ()
+
+    def _differential_rows(self, n: int):
+        """The matrix of d^n, or None where it is zero outside the window."""
+        if self.components and self.lo <= n < self.hi:
+            return self.differentials[n - self.lo].matrix
+        return None
+
     def to_dict(self) -> dict:
         return {
             "n": self.ring.modulus,
@@ -113,8 +134,10 @@ class Complex:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Complex":
-        ring = RingSpec(int(data["n"]))
-        degrees = [int(x) for x in data["degrees"]]
+        ring = RingSpec(data["n"])
+        degrees = list(data["degrees"])
+        if any(type(x) is not int for x in degrees):
+            raise TypeError("degrees must be ints")
         comps = tuple(FiniteModule.from_dict(m) for m in data["components"])
         diffs = tuple(Morphism.from_dict(d) for d in data["differentials"])
         lo = degrees[0] if degrees else 0
@@ -153,24 +176,29 @@ class ChainMap:
             n = self.source.lo + i
             if p.domain != self.source.component(n) or p.codomain != self.target.component(n):
                 raise ValueError(f"part at degree {n} has mismatched endpoints")
-        lo = min(
-            self.source.lo if self.source.components else 0,
-            self.target.lo if self.target.components else 0,
-        )
-        hi = max(
-            self.source.hi if self.source.components else 0,
-            self.target.hi if self.target.components else 0,
-        )
-        for n in range(lo - 1, hi + 1):
-            lhs = self.target.differential(n) @ self.part(n)
-            rhs = self.part(n + 1) @ self.source.differential(n)
-            if lhs.matrix != rhs.matrix:
+        src, tgt = self.source, self.target
+        windows = [x.degrees() for x in (src, tgt) if x.components]
+        if not windows:
+            return
+        lo = min(w.start for w in windows)
+        hi = max(w.stop for w in windows)
+        for n in range(lo - 1, hi):
+            e, k = tgt._factors(n + 1), len(src._factors(n))
+            lhs = _compose_rows(tgt._differential_rows(n), self._part_rows(n), e, k)
+            rhs = _compose_rows(self._part_rows(n + 1), src._differential_rows(n), e, k)
+            if lhs != rhs:
                 raise ValueError(f"chain map fails to commute with differentials at degree {n}")
 
     def part(self, n: int) -> Morphism:
         if self.source.components and self.source.lo <= n <= self.source.hi:
             return self.parts[n - self.source.lo]
         return Morphism.zero(self.source.component(n), self.target.component(n))
+
+    def _part_rows(self, n: int):
+        """The matrix of f^n, or None where it is zero outside the window."""
+        if self.source.components and self.source.lo <= n <= self.source.hi:
+            return self.parts[n - self.source.lo].matrix
+        return None
 
     def to_dict(self) -> dict:
         return {

@@ -1,10 +1,12 @@
 """Constructions that only the tests use: morphism samples, mono slices,
-mediating morphisms of pullbacks and pushouts, identity chain maps.
+mediating morphisms of pullbacks and pushouts, identity chain maps,
+multiplication maps and element orders.
 
 The package never calls these, so they live next to the tests.
 """
 
 import random
+from math import gcd
 
 from modcat.complexes import ChainMap, Complex
 from modcat.enumeration import enumerate_morphisms
@@ -14,8 +16,6 @@ from modcat.modules import FiniteModule, Morphism, factor_through_epi, factor_th
 
 def sample_morphisms(dom: FiniteModule, cod: FiniteModule, count: int, seed: int):
     """A reproducible sample of morphisms dom -> cod."""
-    from math import gcd
-
     rng = random.Random((seed, dom.invariant_factors, cod.invariant_factors, count).__repr__())
     d = dom.invariant_factors
     e = cod.invariant_factors
@@ -56,3 +56,18 @@ def pushout_mediate(po: Pushout, u: Morphism, v: Morphism) -> Morphism:
 
 def identity_chain_map(x: Complex) -> ChainMap:
     return ChainMap(x, x, tuple(Morphism.identity(m) for m in x.components))
+
+
+def multiplication(m: FiniteModule, c: int) -> Morphism:
+    """x |-> c * x on m."""
+    k = m.rank()
+    return Morphism(m, m, tuple(tuple(c if i == j else 0 for i in range(k)) for j in range(k)))
+
+
+def element_order(m: FiniteModule, x) -> int:
+    """The additive order of the element x of m."""
+    result = 1
+    for v, d in zip(x, m.invariant_factors):
+        if v % d:
+            result = result * (d // gcd(v, d)) // gcd(result, d // gcd(v, d))
+    return result

@@ -7,9 +7,13 @@ groups through canonical direct sums, independently of the block solver
 behind is_contractible().  The hom-module block systems, which canonicalize
 every Hom(A, B) and solve for elements of it, are the oracle for the
 morphism-unknown systems behind splits_as_complexes() and is_contractible().
+The d . d = 0 and commutation checks composed through Morphism, with zero
+maps synthesized outside a window, are the oracle for the residue-row
+checks in Complex and ChainMap.
 """
 
 import itertools
+from math import gcd
 
 import pytest
 
@@ -57,7 +61,7 @@ from modcat.enumeration import (
     flat_disk_cover,
 )
 
-from helpers import identity_chain_map
+from helpers import identity_chain_map, multiplication
 
 
 R4 = RingSpec(4)
@@ -74,7 +78,7 @@ def test_complex_enforces_dd_zero():
     with pytest.raises(ValueError):
         Complex(R4, 0, (Z4, Z4, Z4), (Morphism.identity(Z4), Morphism.identity(Z4)))
     # mult-by-2 twice is zero on Z/4, so this one is legal
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     Complex(R4, 0, (Z4, Z4, Z4), (d, d))
 
 
@@ -106,7 +110,7 @@ def test_chain_map_must_commute():
 
 
 def test_serialization_roundtrip():
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     x = Complex(R4, -1, (Z4, Z4), (d,))
     assert Complex.from_dict(x.to_dict()) == x
     cm = identity_chain_map(x)
@@ -115,11 +119,20 @@ def test_serialization_roundtrip():
 
 @pytest.mark.parametrize("degrees", [[7, 99], [5], []])
 def test_from_dict_rejects_degrees_that_do_not_number_the_components(degrees):
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     record = Complex(R4, 3, (Z4, Z4), (d,)).to_dict()
     assert record["degrees"] == [3, 4]
     record["degrees"] = degrees
     with pytest.raises(ValueError):
+        Complex.from_dict(record)
+
+
+@pytest.mark.parametrize("key,value", [("degrees", [1.5]), ("degrees", [True]), ("n", 4.0)])
+def test_from_dict_rejects_values_that_are_not_ints(key, value):
+    record = single_complex(Z4, 1).to_dict()
+    assert record["degrees"] == [1]
+    record[key] = value
+    with pytest.raises(TypeError):
         Complex.from_dict(record)
 
 
@@ -138,7 +151,7 @@ def brute_cohomology_order(x: Complex, n: int) -> int:
 
 
 def test_frozen_cohomology():
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     x = two_term_complex(d)
     assert cohomology(x, 0).invariant_factors == (2,)
     assert cohomology(x, 1).invariant_factors == (2,)
@@ -158,7 +171,7 @@ def test_cohomology_matches_element_scan(n):
 
 
 def test_kernel_objects():
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     x = two_term_complex(d)
     ks = kernel_objects(x)
     assert ks[0].invariant_factors == (2,)
@@ -181,7 +194,7 @@ def test_dual_complex_shapes():
 
 
 def test_dual_complex_squares_to_identity_window():
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     for base in (-3, -1, 0, 2):
         x = Complex(R4, base, (Z4, Z4, Z4), (d, d))
         dd = dual_complex(dual_complex(x))
@@ -194,7 +207,7 @@ def test_dual_complex_squares_to_identity_window():
 def test_dual_entries_stay_integral_at_negative_degrees():
     # regression: a sign computed as (-1) ** n silently becomes a float for
     # negative n and poisons every matrix entry downstream
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     x = Complex(R4, -5, (Z4, Z4, Z4), (d, d))
     dx = dual_complex(x)
     for mor in dx.differentials:
@@ -209,7 +222,7 @@ def test_dual_entries_stay_integral_at_negative_degrees():
 
 
 def test_dual_complex_preserves_cohomology_orders_reversed():
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     x = Complex(R4, 0, (Z4, Z4), (d,))
     dx = dual_complex(x)
     for n in x.degrees():
@@ -217,7 +230,7 @@ def test_dual_complex_preserves_cohomology_orders_reversed():
 
 
 def test_dual_chain_map_contravariant():
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     x = two_term_complex(d)
     ident = identity_chain_map(x)
     di = dual_chain_map(ident)
@@ -254,7 +267,7 @@ def test_witness_degreewise_split_but_not_chain_split():
 
 
 def test_genuinely_chain_split_conflation():
-    x = two_term_complex(Morphism.multiplication(Z4, 2), degree=0)
+    x = two_term_complex(multiplication(Z4, 2), degree=0)
     z = single_complex(Z2, degree=1)
     # middle = x (+) z with block-diagonal differential
     ds0 = direct_sum(x.component(0), z.component(0))
@@ -299,7 +312,7 @@ def test_contractibility():
     assert is_contractible(zero_complex(R4))
     assert is_contractible(two_term_complex(Morphism.identity(Z4)))
     assert not is_contractible(single_complex(Z2))
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     assert not is_contractible(Complex(R4, 0, (Z4, Z4), (d,)))
 
 
@@ -343,6 +356,106 @@ def test_dual_complex_conflation_validates():
     dc = dual_complex_conflation(c)
     assert isinstance(dc, ComplexConflation)
     assert dc.sub.component(0).order == 2
+
+
+# ---------------------------------------------------------------------------
+# the composite-morphism identity checks, kept as the oracle for the
+# residue-row checks in Complex and ChainMap
+# ---------------------------------------------------------------------------
+
+
+def composite_route_dd_zero(diffs) -> bool:
+    """d^(i+1) . d^i is the zero morphism, composed through Morphism."""
+    return all((diffs[i + 1] @ diffs[i]).is_zero_morphism for i in range(len(diffs) - 1))
+
+
+def composite_route_commutes(source: Complex, target: Complex, parts) -> bool:
+    """d_T . f^n == f^(n+1) . d_S, with synthesized zero maps outside the window."""
+
+    def part(n):
+        if source.components and source.lo <= n <= source.hi:
+            return parts[n - source.lo]
+        return Morphism.zero(source.component(n), target.component(n))
+
+    lo = min(source.lo if source.components else 0, target.lo if target.components else 0)
+    hi = max(source.hi if source.components else 0, target.hi if target.components else 0)
+    return all(
+        (target.differential(n) @ part(n)).matrix == (part(n + 1) @ source.differential(n)).matrix
+        for n in range(lo - 1, hi + 1)
+    )
+
+
+def single_entry_mutations(f: Morphism):
+    """Every f with one entry moved to another well-defined value."""
+    dom, cod = f.domain.invariant_factors, f.codomain.invariant_factors
+    for j, row in enumerate(f.matrix):
+        for i, a in enumerate(row):
+            step = cod[j] // gcd(dom[i], cod[j])
+            if step < cod[j]:
+                rows = [list(r) for r in f.matrix]
+                rows[j][i] = a + step
+                yield Morphism(f.domain, f.codomain, tuple(map(tuple, rows)))
+
+
+def accepts(build) -> bool:
+    try:
+        build()
+    except ValueError as exc:
+        assert "compose to zero" in str(exc) or "fails to commute" in str(exc), exc
+        return False
+    return True
+
+
+def test_residue_row_checks_match_the_composite_route():
+    """Same verdict on every enumerated complex and conflation chain map, and
+    on every single-entry mutation of their differentials and parts."""
+    verdicts = {"complex": [0, 0], "chain map": [0, 0]}  # [rejected, accepted]
+
+    def compare(kind, build, expected):
+        assert accepts(build) == expected
+        verdicts[kind][expected] += 1
+
+    for n in (4, 9):
+        for x in enumerate_complexes(n, 3, n):
+            comps, diffs = x.components, x.differentials
+            assert composite_route_dd_zero(diffs)
+            compare("complex", lambda: Complex(x.ring, x.lo, comps, diffs), composite_route_dd_zero(diffs))
+            for i, d in enumerate(diffs):
+                for bad in single_entry_mutations(d):
+                    mutated = diffs[:i] + (bad,) + diffs[i + 1 :]
+                    compare(
+                        "complex",
+                        lambda: Complex(x.ring, x.lo, comps, mutated),
+                        composite_route_dd_zero(mutated),
+                    )
+            for cc in enumerate_complex_conflations_ending_in(x, 4, 6):
+                for phi in (cc.f, cc.g):
+                    src, tgt, parts = phi.source, phi.target, phi.parts
+                    assert composite_route_commutes(src, tgt, parts)
+                    compare(
+                        "chain map",
+                        lambda: ChainMap(src, tgt, parts),
+                        composite_route_commutes(src, tgt, parts),
+                    )
+                    for i, p in enumerate(parts):
+                        for bad in single_entry_mutations(p):
+                            mutated = parts[:i] + (bad,) + parts[i + 1 :]
+                            compare(
+                                "chain map",
+                                lambda: ChainMap(src, tgt, mutated),
+                                composite_route_commutes(src, tgt, mutated),
+                            )
+    assert verdicts == {"complex": [88, 330], "chain map": [3047, 5893]}
+
+
+def test_chain_map_commutes_where_the_source_is_out_of_window():
+    # degree 0: d_T . id = id, while f^1 . d_S = 0 (no part in degree 1,
+    # no source differential): only the zero side outside the window sees it
+    parts = (Morphism.identity(Z4),)
+    src, tgt = single_complex(Z4, 0), two_term_complex(Morphism.identity(Z4), 0)
+    assert not composite_route_commutes(src, tgt, parts)
+    with pytest.raises(ValueError, match="fails to commute with differentials at degree 0"):
+        ChainMap(src, tgt, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +692,7 @@ def brute_chain_map_count(w: Complex, target: Complex) -> int:
 
 
 def test_chain_hom_module_counts():
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     x = two_term_complex(d)
     disk = two_term_complex(Morphism.identity(Z4))
     for w, t in [(x, disk), (disk, x), (x, x), (single_complex(Z2), x)]:
@@ -610,10 +723,55 @@ def test_hom_exactness_oracle_flags_the_witness():
 
 
 def test_flat_disk_cover_is_a_complex_conflation():
-    d = Morphism.multiplication(Z4, 2)
+    d = multiplication(Z4, 2)
     x = two_term_complex(d)
     cover = flat_disk_cover(x)
     assert cover.quotient == x
     assert is_flat_complex(cover.total)
     for n in cover.total.degrees():
         assert is_flat(cover.total.component(n))
+
+
+def test_chain_validation_composes_no_morphism_and_kernels_are_cached(monkeypatch):
+    """Complex and ChainMap check their identities on residue rows, and each
+    kernel of the disk-cover family is computed once and reused."""
+    import modcat.modules as mm
+
+    family = enumerate_complexes(4, 3, 4)
+    depth = [0]  # > 0 while a Complex or ChainMap validates itself
+    calls = {"validation": 0, "construction": 0}
+    real_matmul = Morphism.__matmul__
+
+    def counting_matmul(self, other):
+        calls["validation" if depth[0] else "construction"] += 1
+        return real_matmul(self, other)
+
+    def nested(post_init):
+        def wrapper(self):
+            depth[0] += 1
+            try:
+                post_init(self)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(Morphism, "__matmul__", counting_matmul)
+    monkeypatch.setattr(Complex, "__post_init__", nested(Complex.__post_init__))
+    monkeypatch.setattr(ChainMap, "__post_init__", nested(ChainMap.__post_init__))
+    mm.kernel.cache_clear()
+    covers = [flat_disk_cover(x) for x in family]
+    info = mm.kernel.cache_info()
+    monkeypatch.undo()
+    assert calls == {"validation": 0, "construction": 478}
+    assert info.maxsize is not None and 0 < info.maxsize <= 64
+    assert info.hits > 0
+    for x, cover in zip(family, covers):
+        for n in range(x.lo - 1, x.hi + 2):
+            d = x.differential(n)
+            assert mm.kernel(d) == mm.kernel.__wrapped__(d)
+        for n in cover.total.degrees():
+            g = cover.g.part(n)
+            assert mm.kernel(g) == mm.kernel.__wrapped__(g)
+    mm.kernel.cache_clear()
+

@@ -46,7 +46,7 @@ from modcat.enumeration import (
     subgroup_catalog,
 )
 
-from helpers import enumerate_monos, sample_morphisms
+from helpers import enumerate_monos, multiplication, sample_morphisms
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def test_enumerate_complexes_no_duplicates_and_valid():
 
 
 def test_complex_conflation_from_chain_epi():
-    cover = flat_disk_cover(two_term_complex(Morphism.multiplication(cyclic(RingSpec(4), 4), 2)))
+    cover = flat_disk_cover(two_term_complex(multiplication(cyclic(RingSpec(4), 4), 2)))
     rebuilt = complex_conflation_from_chain_epi(cover.g)
     assert rebuilt.quotient == cover.quotient
     assert rebuilt.total == cover.total
@@ -464,7 +464,7 @@ def test_flat_disk_cover_shapes():
 
 def test_enumerate_complex_conflations_ending_in():
     r = RingSpec(4)
-    f = two_term_complex(Morphism.multiplication(cyclic(r, 4), 2))
+    f = two_term_complex(multiplication(cyclic(r, 4), 2))
     items = list(enumerate_complex_conflations_ending_in(f, 4, 5))
     # the uncapped disk cover plus at most max_count walked extras
     assert 1 <= len(items) <= 6

@@ -25,7 +25,7 @@ from modcat.exact import (
 )
 from modcat.enumeration import enumerate_morphisms, subgroup_catalog
 
-from helpers import pullback_mediate, pushout_mediate, sample_morphisms
+from helpers import multiplication, pullback_mediate, pushout_mediate, sample_morphisms
 
 
 R4 = RingSpec(4)
@@ -90,8 +90,8 @@ def test_inflation_deflation_of_identity_and_zero():
     assert is_deflation(Morphism.identity(Z4))
     assert is_inflation(Morphism.zero(z, Z4))
     assert is_deflation(Morphism.zero(Z4, z))
-    assert not is_inflation(Morphism.multiplication(Z4, 2))
-    assert not is_deflation(Morphism.multiplication(Z4, 2))
+    assert not is_inflation(multiplication(Z4, 2))
+    assert not is_deflation(multiplication(Z4, 2))
 
 
 # ---------------------------------------------------------------------------

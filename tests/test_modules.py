@@ -38,7 +38,7 @@ from modcat.modules import (
 from modcat.enumeration import enumerate_modules
 from modcat.exact import Conflation, splits
 
-from helpers import sample_morphisms
+from helpers import element_order, multiplication, sample_morphisms
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def brute_presented_profile(pres: Presentation) -> Counter:
 
 
 def module_profile(m: FiniteModule) -> Counter:
-    return Counter(m.element_order(x) for x in m.elements())
+    return Counter(element_order(m, x) for x in m.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +105,9 @@ def test_ring_and_module_basics():
     assert m.order == 12 and m.rank() == 2
     assert m.reduce((5, 7)) == (1, 1)
     assert len(list(m.elements())) == 12
-    assert m.element_order((1, 0)) == 2
-    assert m.element_order((0, 1)) == 6
-    assert m.element_order((1, 3)) == 2
+    assert element_order(m, (1, 0)) == 2
+    assert element_order(m, (0, 1)) == 6
+    assert element_order(m, (1, 3)) == 2
     with pytest.raises(ValueError):
         FiniteModule(r, (6, 2))  # chain out of order
     with pytest.raises(ValueError):
@@ -227,7 +227,7 @@ def test_morphism_matrix_is_reduced_mod_codomain():
     r = RingSpec(8)
     f = Morphism(cyclic(r, 4), cyclic(r, 4), ((6,),))
     assert f.matrix == ((2,),)
-    assert f == Morphism.multiplication(cyclic(r, 4), 2)
+    assert f == multiplication(cyclic(r, 4), 2)
 
 
 def test_mono_epi_iso_against_element_scan():
@@ -293,9 +293,36 @@ def test_serialization_roundtrip():
     r = RingSpec(12)
     m = FiniteModule(r, (2, 6))
     assert FiniteModule.from_dict(m.to_dict()) == m
-    f = Morphism.multiplication(m, 5)
+    f = multiplication(m, 5)
     assert Morphism.from_dict(f.to_dict()) == f
     assert RingSpec.from_dict(r.to_dict()) == r
+
+
+def _identity_on_z8_with_entry(entry):
+    record = Morphism.identity(FiniteModule(RingSpec(8), (8,))).to_dict()
+    record["matrix"][0][0] = entry
+    return record
+
+
+@pytest.mark.parametrize(
+    "cls,record",
+    [
+        (RingSpec, {"n": 8.9}),
+        (RingSpec, {"n": "8"}),
+        (RingSpec, {"n": True}),
+        (FiniteModule, {"n": 8.9, "factors": [2.9, "4"]}),
+        (FiniteModule, {"n": 8, "factors": [2.9, 4]}),
+        (FiniteModule, {"n": 8, "factors": [2, "4"]}),
+        (FiniteModule, {"n": 8, "factors": [True]}),
+        (Morphism, _identity_on_z8_with_entry(1.7)),
+        (Morphism, _identity_on_z8_with_entry("1")),
+        (Morphism, _identity_on_z8_with_entry(True)),
+    ],
+)
+def test_from_dict_rejects_values_that_are_not_ints(cls, record):
+    """A corrupted record is rejected, never truncated to a nearby int."""
+    with pytest.raises(TypeError):
+        cls.from_dict(record)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +366,7 @@ def test_kernel_image_cokernel_element_scan(n):
 def test_frozen_multiplication_by_two_over_z4():
     r = RingSpec(4)
     m = cyclic(r, 4)
-    f = Morphism.multiplication(m, 2)
+    f = multiplication(m, 2)
     ker, _ = kernel(f)
     im, _ = image(f)
     cok, _ = cokernel(f)
@@ -371,7 +398,7 @@ def test_solve_against_scan(n):
 def test_solution_set_is_a_kernel_coset():
     r = RingSpec(8)
     m = FiniteModule(r, (2, 8))
-    f = Morphism.multiplication(m, 2)
+    f = multiplication(m, 2)
     target = f.apply((1, 3))
     sols = list(solution_set(f, target))
     assert len(sols) == len(set(sols)) == kernel_order(f)
@@ -400,7 +427,7 @@ def test_factor_through_mono_recovers_the_unique_factor():
 def test_factor_through_epi_recovers_the_unique_factor():
     r = RingSpec(12)
     y = FiniteModule(r, (2, 12))
-    f = Morphism.multiplication(y, 2)
+    f = multiplication(y, 2)
     cok, e = cokernel(f)
     for u in sample_morphisms(cok, FiniteModule(r, (6,)), 4, seed=31):
         h = u @ e
@@ -415,7 +442,7 @@ def test_factorizations_take_one_smith_form_per_call(monkeypatch):
     r = RingSpec(8)
     y = FiniteModule(r, (2, 8))
     sub, m = subgroup_from_lattice(y, [[0, 2], [1, 0]])
-    cok, e = cokernel(Morphism.multiplication(y, 2))
+    cok, e = cokernel(multiplication(y, 2))
     dom = FiniteModule(r, (2, 8))
     assert sub.rank() >= 2 and dom.rank() >= 2 and cok.rank() >= 2
     calls = []

@@ -29,7 +29,7 @@ from modcat.monoidal import (
 from modcat.snf import snf_diagonal
 from modcat.enumeration import enumerate_modules
 
-from helpers import sample_morphisms
+from helpers import multiplication, sample_morphisms
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +182,8 @@ def test_tensor_mor_functorial():
 def test_tensor_mor_on_pure_tensors():
     r = RingSpec(8)
     a, b = FiniteModule(r, (2, 8)), FiniteModule(r, (4,))
-    f = Morphism.multiplication(a, 3)
-    g = Morphism.multiplication(b, 2)
+    f = multiplication(a, 3)
+    g = multiplication(b, 2)
     t = tensor(a, b)
     fg = tensor_mor(f, g)
     for x in a.elements():

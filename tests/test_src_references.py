@@ -1,11 +1,13 @@
-"""Every top-level function and class in ``src/modcat`` has a user there,
-and every name a module of the package imports is used by its code.
+"""Every top-level function and class in ``src/modcat``, and every method
+of those classes, has a user there, and every name a module of the
+package imports is used by its code.
 
 A definition counts as used when some code in the package outside its
 own body names it (as a name or an attribute), when a docstring or other
 string in the package names it (the public entry points that no package
 code calls are documented that way), or when ``modcat.__all__`` exports
-it.  Code that only the tests use belongs under ``tests/``.  An import
+it.  Dunder methods are called by the language itself and are not
+scanned.  Code that only the tests use belongs under ``tests/``.  An import
 counts as used only when the module's code names it; ``__init__.py``,
 which imports to re-export, is exempt.
 """
@@ -36,18 +38,31 @@ def _names_outside(tree, skip):
     return found
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(tree):
+    """(node, qualified name) of each top-level definition and each method."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            yield node, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not re.fullmatch(r"__\w+__", item.name):
+                    yield item, f"{node.name}.{item.name}"
+
+
 def unreferenced_definitions(src=SRC, exported=modcat.__all__):
-    """``module.name`` of each top-level definition nothing in ``src`` uses."""
+    """``module.name`` of each top-level definition, and ``module.Class.name``
+    of each method, that nothing in ``src`` uses."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(pathlib.Path(src).glob("*.py"))}
     unused = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for node, name in _definitions(tree):
             if node.name in exported:
                 continue
             if not any(node.name in _names_outside(t, node) for t in trees.values()):
-                unused.append(f"{module}.{node.name}")
+                unused.append(f"{module}.{name}")
     return unused
 
 
@@ -66,6 +81,25 @@ def test_the_scan_sees_a_definition_nothing_uses(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import Helper\n")
     assert unreferenced_definitions(tmp_path, ["exported"]) == ["a.recursive", "a.Helper"]
+
+
+def test_the_scan_sees_a_method_nothing_uses(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Shape:\n"
+        "    def __init__(self, k):\n        self.k = self.checked(k)\n\n"
+        "    def checked(self, k):\n        return k\n\n"
+        "    @property\n    def size(self):\n        return self.k\n\n"
+        "    def documented(self):\n        pass\n\n"
+        "    def exported(self):\n        pass\n\n"
+        "    def unused(self):\n        return self.unused_too()\n\n"
+        "    @classmethod\n    def unused_too(cls):\n        return cls(1).size\n"
+    )
+    (tmp_path / "b.py").write_text(
+        '"""Shape.documented is the entry point."""\n\n'
+        "from .a import Shape\n\n\n"
+        "def area(s: Shape):\n    return s.size\n"
+    )
+    assert unreferenced_definitions(tmp_path, ["exported"]) == ["a.Shape.unused", "b.area"]
 
 
 def unused_imports(src=SRC):
