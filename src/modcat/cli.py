@@ -41,7 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     parent.add_argument("--max-order", type=int, default=64, metavar="B",
                         help="largest module order enumerated (default 64)")
     parent.add_argument("--max-kernel", type=int, default=16, metavar="B",
-                        help="largest kernel order in conflation walks (default 16)")
+                        help="largest kernel order in conflation walks (default 16); "
+                        "flat-equiv needs at least the largest prime p with p^2 | N "
+                        "and p <= --max-order, for each modulus N")
     parent.add_argument("--span", type=int, default=4, metavar="K",
                         help="largest complex window span (default 4)")
     parent.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
@@ -91,6 +93,9 @@ def main(argv=None) -> int:
     names = SUITE_ORDER if args.command == "all" else (args.command,)
     try:
         report = run_suite(config, names=names)
+    except ConfigError as exc:  # raised before any suite runs
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception:  # a crash must not look like a counterexample
         traceback.print_exc()
         return 3

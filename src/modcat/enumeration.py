@@ -35,6 +35,7 @@ from .modules import (
     FiniteModule,
     Morphism,
     RingSpec,
+    _compose_rows,
     cokernel,
     factor_through_mono,
     kernel,
@@ -267,10 +268,14 @@ def enumerate_complexes(n: int, span: int, max_component_order: int) -> tuple[Co
             stacks = [[]]
             for i in range(s - 1):
                 new_stacks = []
+                e = comps[i + 1].invariant_factors
                 for stack in stacks:
                     prev = stack[-1] if stack else None
                     for dmor in enumerate_morphisms(comps[i], comps[i + 1]):
-                        if prev is not None and not (dmor @ prev).is_zero_morphism:
+                        # d . d == 0, read on the residue rows of the composite
+                        if prev is not None and any(
+                            map(any, _compose_rows(dmor.matrix, prev.matrix, e, prev.domain.rank()))
+                        ):
                             continue
                         new_stacks.append(stack + [dmor])
                 stacks = new_stacks

@@ -176,13 +176,26 @@ class Morphism:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def _trusted(cls, dom: FiniteModule, cod: FiniteModule, rows) -> "Morphism":
+        """A morphism built without ``__post_init__``.
+
+        Only for rows that are well defined and reduced mod the codomain
+        factors by construction (composites, sums, identities, ...); the
+        public constructor and ``from_dict`` keep validating.
+        """
+        m = object.__new__(cls)
+        m.__dict__.update(domain=dom, codomain=cod, matrix=rows)
+        return m
+
+    @classmethod
     def identity(cls, m: FiniteModule) -> "Morphism":
         k = m.rank()
-        return cls(m, m, tuple(tuple(1 if i == j else 0 for i in range(k)) for j in range(k)))
+        rows = tuple(tuple(1 if i == j else 0 for i in range(k)) for j in range(k))
+        return cls._trusted(m, m, rows)
 
     @classmethod
     def zero(cls, dom: FiniteModule, cod: FiniteModule) -> "Morphism":
-        return cls(dom, cod, tuple((0,) * dom.rank() for _ in range(cod.rank())))
+        return cls._trusted(dom, cod, tuple((0,) * dom.rank() for _ in range(cod.rank())))
 
     @classmethod
     def from_columns(cls, dom: FiniteModule, cod: FiniteModule, columns) -> "Morphism":
@@ -209,33 +222,31 @@ class Morphism:
         rows = _compose_rows(
             self.matrix, other.matrix, self.codomain.invariant_factors, other.domain.rank()
         )
-        return Morphism(other.domain, self.codomain, rows)
+        return Morphism._trusted(other.domain, self.codomain, rows)
 
     def __add__(self, other: "Morphism") -> "Morphism":
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ValueError("can only add parallel morphisms")
         rows = tuple(
-            tuple(x + y for x, y in zip(r1, r2))
-            for r1, r2 in zip(self.matrix, other.matrix)
+            tuple((x + y) % e for x, y in zip(r1, r2))
+            for r1, r2, e in zip(self.matrix, other.matrix, self.codomain.invariant_factors)
         )
-        return Morphism(self.domain, self.codomain, rows)
+        return Morphism._trusted(self.domain, self.codomain, rows)
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         return self + (-other)
 
     def __neg__(self) -> "Morphism":
-        return Morphism(
-            self.domain,
-            self.codomain,
-            tuple(tuple(-x for x in row) for row in self.matrix),
-        )
+        return self.scaled(-1)
 
     def scaled(self, c: int) -> "Morphism":
-        return Morphism(
-            self.domain,
-            self.codomain,
-            tuple(tuple(c * x for x in row) for row in self.matrix),
+        if not isinstance(c, int):
+            raise TypeError("a morphism is scaled by an int")
+        rows = tuple(
+            tuple(c * x % e for x in row)
+            for row, e in zip(self.matrix, self.codomain.invariant_factors)
         )
+        return Morphism._trusted(self.domain, self.codomain, rows)
 
     # -- predicates -----------------------------------------------------------
 
@@ -275,9 +286,10 @@ def _compose_rows(a, b, e: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ..
     """The rows of a . b reduced mod the codomain factors e, with k columns.
 
     ``a`` and ``b`` are residue matrices (rows of a morphism); None stands
-    for the zero matrix of the right shape.  Nothing is validated: callers
-    that need a morphism pass the rows to the ``Morphism`` constructor,
-    and the chain-level identity checks compare the rows directly.
+    for the zero matrix of the right shape.  Nothing is validated: the
+    rows of a composite of two morphisms are well defined and reduced, so
+    ``Morphism.__matmul__`` builds it through ``Morphism._trusted``, and
+    the chain-level identity checks compare the rows directly.
     """
     if a is None or b is None or not b:
         return tuple((0,) * k for _ in e)
@@ -309,7 +321,7 @@ def canonicalize(pres: Presentation) -> Canonicalized:
     g = pres.generators
     rows = [list(r) for r in pres.relations]
     rows.extend([n if i == j else 0 for j in range(g)] for i in range(g))
-    form = smith_normal_form(rows)
+    form = smith_normal_form(rows, left=False)
     diag = form.diagonal
     kept = [i for i in range(g) if diag[i] > 1]
     for i in range(g):
@@ -341,7 +353,7 @@ def subgroup_from_lattice(ambient: FiniteModule, gens: list[list[int]]):
     k = len(d)
     rows = [list(v) for v in gens]
     rows.extend([d[i] if i == j else 0 for j in range(k)] for i in range(k))
-    form = smith_normal_form(rows)
+    form = smith_normal_form(rows, left=False)
     diag = form.diagonal
     if any(diag[i] == 0 for i in range(k)):
         raise AssertionError("subgroup lattice must have full rank")
@@ -386,7 +398,7 @@ def _kernel_lattice_gens(f: Morphism) -> list[list[int]]:
     l = f.codomain.rank()
     if l == 0:
         return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    form = smith_normal_form(_augmented(f.matrix, f.codomain.invariant_factors))
+    form = smith_normal_form(_augmented(f.matrix, f.codomain.invariant_factors), left=False)
     r = form.rank
     v = form.right
     gens = []
@@ -467,7 +479,7 @@ def _solve_mod(a, e: tuple[int, ...], targets, k: int) -> list[list[int]] | None
     l = len(e)
     if l == 0 or not targets:
         return [[0] * k for _ in targets]
-    form = smith_normal_form(_augmented(a, e))
+    form = smith_normal_form(_augmented(a, e), left=True)
     solutions = []
     for target in targets:
         c = mat_vec(form.left, list(target))

@@ -123,8 +123,9 @@ class HomModule:
         matrix = [[0] * len(d) for _ in range(len(e))]
         for t, (i, j) in enumerate(self.pairs):
             c = sum(z[s] * self.lifts[s][t] for s in range(len(z)))
-            matrix[j][i] = c * self.multipliers[t]
-        return Morphism(self.source, self.target, tuple(tuple(r) for r in matrix))
+            # multipliers[t] is e_j / gcd(d_i, e_j): well defined for every c
+            matrix[j][i] = c * self.multipliers[t] % e[j]
+        return Morphism._trusted(self.source, self.target, tuple(map(tuple, matrix)))
 
     def of_morphism(self, f: Morphism) -> tuple[int, ...]:
         """Canonical coordinates of a morphism M -> N."""

@@ -7,7 +7,10 @@ exact.  Two normal forms are provided:
 * Smith normal form, with or without the unimodular transforms; one pivot
   loop serves both.  The full version returns ``D = left @ A @ right``
   together with ``right_inv`` so callers can change coordinates in both
-  directions.
+  directions.  ``left`` is as tall as the input and only a solver reads
+  it, so a caller that needs only ``right`` / ``right_inv`` asks for the
+  form without it (``left=False``); the pivots, the diagonal and the
+  right transforms are the same either way.
 * Hermite normal form (row-style, upper echelon) for canonical subgroup
   bases and membership tests.
 
@@ -34,13 +37,14 @@ class SmithForm:
 
     ``diagonal`` lists D[i][i] for i < min(rows, cols), nonnegative, each
     dividing the next among the nonzero entries (zeros, if any, come last).
-    ``right_inv`` is the exact integer inverse of ``right``.
+    ``right_inv`` is the exact integer inverse of ``right``.  ``left`` is
+    None when the form was computed with ``left=False``.
     """
 
     rows: int
     cols: int
     diagonal: list[int]
-    left: list[list[int]]
+    left: list[list[int]] | None
     right: list[list[int]]
     right_inv: list[list[int]]
 
@@ -67,18 +71,19 @@ def _pivot_position(m: list[list[int]], t: int, rows: int, cols: int):
     return best
 
 
-def _smith(matrix: list[list[int]], track: bool):
+def _smith(matrix: list[list[int]], track: bool, track_left: bool):
     """The one Smith pivot loop; returns (diagonal, left, right, right_inv).
 
     Deterministic: the pivot choice scans for the smallest nonzero absolute
     value (first occurrence wins), so identical inputs give identical
-    transforms.  Without ``track`` the three transforms are None and only
-    the working copy is reduced.
+    transforms.  Without ``track`` ``right`` and ``right_inv`` are None,
+    without ``track_left`` ``left`` is None; the transforms only follow the
+    working copy, so the pivots and the diagonal never depend on either.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     m = [list(r) for r in matrix]
-    left = identity_matrix(rows) if track else None
+    left = identity_matrix(rows) if track_left else None
     right = identity_matrix(cols) if track else None
     right_inv = identity_matrix(cols) if track else None
     for t in range(min(rows, cols)):
@@ -89,7 +94,7 @@ def _smith(matrix: list[list[int]], track: bool):
             i, j = pos
             if i != t:
                 m[i], m[t] = m[t], m[i]
-                if track:
+                if track_left:
                     left[i], left[t] = left[t], left[i]
             if j != t:
                 for r in m:
@@ -100,7 +105,7 @@ def _smith(matrix: list[list[int]], track: bool):
                     right_inv[j], right_inv[t] = right_inv[t], right_inv[j]
             if m[t][t] < 0:
                 m[t] = [-v for v in m[t]]
-                if track:
+                if track_left:
                     left[t] = [-v for v in left[t]]
             # Clear column t, then row t; restart if a remainder survived.
             # Entries left of column t and above row t are already zero.
@@ -113,7 +118,7 @@ def _smith(matrix: list[list[int]], track: bool):
                     q = mr[t] // p
                     for c in range(t, cols):
                         mr[c] -= q * mt[c]
-                    if track:
+                    if track_left:
                         lt, lr = left[t], left[r]
                         for c in range(rows):
                             lr[c] -= q * lt[c]
@@ -148,25 +153,25 @@ def _smith(matrix: list[list[int]], track: bool):
             if offender is None:
                 break
             m[t] = [a + b for a, b in zip(mt, m[offender])]
-            if track:
+            if track_left:
                 left[t] = [a + b for a, b in zip(left[t], left[offender])]
         if m[t][t] < 0:
             m[t] = [-v for v in m[t]]
-            if track:
+            if track_left:
                 left[t] = [-v for v in left[t]]
     return [m[i][i] for i in range(min(rows, cols))], left, right, right_inv
 
 
-def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
-    """Full Smith normal form with transform tracking."""
-    diagonal, left, right, right_inv = _smith(matrix, True)
+def smith_normal_form(matrix: list[list[int]], left: bool = True) -> SmithForm:
+    """Smith normal form with ``right`` and ``right_inv``, and ``left``
+    unless ``left=False``."""
     rows = len(matrix)
-    return SmithForm(rows, len(matrix[0]) if rows else 0, diagonal, left, right, right_inv)
+    return SmithForm(rows, len(matrix[0]) if rows else 0, *_smith(matrix, True, left))
 
 
 def snf_diagonal(matrix: list[list[int]]) -> list[int]:
     """Smith diagonal only, no transform bookkeeping (hot path)."""
-    return _smith(matrix, False)[0]
+    return _smith(matrix, False, False)[0]
 
 
 def hermite_normal_form(rows_in: list[list[int]], cols: int) -> list[list[int]]:

@@ -107,6 +107,28 @@ class ConfigError(ValueError):
     """Invalid suite configuration (maps to CLI exit code 2)."""
 
 
+def _needed_kernel_order(n: int, max_module_order: int) -> int:
+    """The kernel bound at which flat-equiv sees an impure conflation ending
+    in every non-flat module over Z/n of order <= ``max_module_order``.
+
+    A module is non-flat at a prime p with p^2 | n when its p-part is not
+    free, which takes order >= p, and then its smallest impure ending
+    conflation Z/p -> Z/p^(b+1) + ... -> F has a kernel of order p.  The
+    bound is the largest such p (0 when there is none); below it the
+    purity leg reads "all pure" vacuously and the run reports false
+    counterexamples to the flatness theorem.  No other suite reads the
+    kernel bound that way: a smaller one only checks fewer conflations.
+    """
+    bound, rest, p = 0, n, 2
+    while p * p <= rest:
+        if rest % (p * p) == 0 and p <= max_module_order:
+            bound = p
+        while rest % p == 0:
+            rest //= p
+        p += 1
+    return bound
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     moduli: tuple[int, ...] = (4, 8, 9, 12)
@@ -538,6 +560,15 @@ def run_suite(
     unknown = [x for x in names if x not in runners]
     if unknown:
         raise ConfigError(f"unknown suite name(s): {', '.join(unknown)}")
+    if "flat-equiv" in names:
+        for n in config.moduli:
+            needed = _needed_kernel_order(n, config.max_module_order)
+            if config.max_kernel_order < needed:
+                raise ConfigError(
+                    f"max_kernel_order {config.max_kernel_order} is too small for modulus {n}: "
+                    f"flat-equiv needs kernels of order {needed} to see an impure conflation "
+                    f"ending in each non-flat module, so it must be at least {needed}"
+                )
     suites = []
     for name in SUITE_ORDER:
         if name not in names:

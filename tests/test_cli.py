@@ -74,6 +74,12 @@ def test_bad_modulus_is_a_config_error(capsys):
     assert "modulus" in capsys.readouterr().err
 
 
+def test_too_small_kernel_bound_is_a_config_error(capsys):
+    assert main(["flat-equiv", "--modulus", "9", "--max-order", "8", "--max-kernel", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "modulus 9" in err and "at least 3" in err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["axioms", "--format", "yaml"])

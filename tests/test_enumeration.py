@@ -376,6 +376,46 @@ def test_enumerate_complexes_no_duplicates_and_valid():
         assert len(x.components) <= 3
 
 
+def composite_filtered_complexes(n: int, span: int, max_component_order: int):
+    """The complexes of ``enumerate_complexes``, with d . d == 0 tested on
+    composite morphisms: the stacks are built as there, in the same order."""
+    ring = RingSpec(n)
+    cyclics = [m for m in enumerate_modules(n, max_component_order) if m.rank() == 1]
+    out = [zero_complex(ring)]
+    for s in range(1, span + 1):
+        inner = [ring.zero_module()] + cyclics
+        universes = [cyclics if pos in (0, s - 1) else inner for pos in range(s)]
+        for comps in itertools.product(*universes):
+            stacks = [[]]
+            for i in range(s - 1):
+                stacks = [
+                    stack + [d]
+                    for stack in stacks
+                    for d in enumerate_morphisms(comps[i], comps[i + 1])
+                    if not stack or (d @ stack[-1]).is_zero_morphism
+                ]
+            out += [Complex(ring, 0, comps, tuple(stack)) for stack in stacks]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_enumerate_complexes_builds_no_composite(monkeypatch, n):
+    """The d . d == 0 filter reads the residue rows of the composite; the
+    family is the one the composite filter gives."""
+    calls = []
+    real = Morphism.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Morphism, "__matmul__", counting)
+    family = enumerate_complexes.__wrapped__(n, 3, n)
+    monkeypatch.undo()
+    assert calls == []
+    assert family == composite_filtered_complexes(n, 3, n)
+
+
 def test_complex_conflation_from_chain_epi():
     cover = flat_disk_cover(two_term_complex(multiplication(cyclic(RingSpec(4), 4), 2)))
     rebuilt = complex_conflation_from_chain_epi(cover.g)

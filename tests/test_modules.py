@@ -8,6 +8,7 @@ None of these touch the Smith-normal-form path under test.
 """
 
 import itertools
+import sys
 from collections import Counter
 
 import pytest
@@ -35,7 +36,7 @@ from modcat.modules import (
     solve,
     subgroup_from_lattice,
 )
-from modcat.enumeration import enumerate_modules
+from modcat.enumeration import enumerate_modules, enumerate_morphisms
 from modcat.exact import Conflation, splits
 
 from helpers import element_order, multiplication, sample_morphisms
@@ -221,6 +222,9 @@ def test_morphism_validation():
         Morphism(b, b, ((True,),))
     with pytest.raises(ValueError):
         Morphism(a, cyclic(RingSpec(8), 2), ((0,),))
+    # scaled builds its result without the constructor, so it checks c itself
+    with pytest.raises(TypeError):
+        Morphism(b, b, ((1,),)).scaled(1.5)
 
 
 def test_morphism_matrix_is_reduced_mod_codomain():
@@ -323,6 +327,107 @@ def test_from_dict_rejects_values_that_are_not_ints(cls, record):
     """A corrupted record is rejected, never truncated to a nearby int."""
     with pytest.raises(TypeError):
         cls.from_dict(record)
+
+
+def _partners(morphisms, count=3):
+    """At most ``count`` members of a list, first and last included."""
+    if len(morphisms) <= count:
+        return list(morphisms)
+    step = (len(morphisms) - 1) / (count - 1)
+    return [morphisms[round(i * step)] for i in range(count)]
+
+
+def _entrywise(op, *morphisms):
+    """Unreduced integer rows combining the matrices entry by entry."""
+    return tuple(
+        tuple(op(*entries) for entries in zip(*rows))
+        for rows in zip(*(m.matrix for m in morphisms))
+    )
+
+
+def test_trusted_arithmetic_matches_the_validating_constructor():
+    """Composites, sums, negatives, multiples, identities and zero maps
+    skip validation; each equals the validating constructor's morphism
+    built from unreduced integer rows, so its rows are reduced and well
+    defined."""
+    composites = 0
+    for n in (4, 8, 9, 12):
+        mods = enumerate_modules(n, 8)
+        homs = {(a, b): list(enumerate_morphisms(a, b)) for a in mods for b in mods}
+        for a in mods:
+            k = a.rank()
+            ident = tuple(tuple(int(i == j) for i in range(k)) for j in range(k))
+            assert Morphism.identity(a) == Morphism(a, a, ident)
+        for (a, b), fs in homs.items():
+            zero = tuple((0,) * a.rank() for _ in range(b.rank()))
+            assert Morphism.zero(a, b) == Morphism(a, b, zero)
+            for f in fs:
+                assert -f == Morphism(a, b, _entrywise(lambda x: -x, f))
+                for c in (-3, 2, 5, n + 1):
+                    assert f.scaled(c) == Morphism(a, b, _entrywise(lambda x: c * x, f))
+                for g in _partners(fs):
+                    assert f + g == Morphism(a, b, _entrywise(lambda x, y: x + y, f, g))
+                    assert f - g == Morphism(a, b, _entrywise(lambda x, y: x - y, f, g))
+                for c in mods:
+                    for g in _partners(homs[b, c]):
+                        columns = list(zip(*f.matrix)) or [()] * a.rank()
+                        rows = tuple(
+                            tuple(sum(x * y for x, y in zip(row, col)) for col in columns)
+                            for row in g.matrix
+                        )
+                        assert g @ f == Morphism(a, c, rows)
+                        composites += 1
+    assert composites > 10_000
+
+
+def test_hom_decoding_is_reduced():
+    """``HomModule.to_morphism`` skips validation too.  Its raw entries
+    first reach past the codomain factors over Z/12 at Hom(Z/2+Z/6,
+    Z/3+Z/6), of order 36, so the walk covers modules up to order 18 and
+    hom modules up to order 144."""
+    from modcat.monoidal import hom_module
+
+    mods = enumerate_modules(12, 18)
+    decoded = 0
+    for a in mods:
+        for b in mods:
+            h = hom_module(a, b)
+            if h.module.order > 144:
+                continue
+            for z in h.module.elements():
+                f = h.to_morphism(z)
+                assert Morphism(a, b, f.matrix) == f
+                assert h.of_morphism(f) == z
+                decoded += 1
+    assert decoded > 1000
+
+
+def test_every_trusted_morphism_of_a_suite_run_validates(monkeypatch):
+    """Every morphism that a run of all five suites builds through
+    ``Morphism._trusted`` passes the validating constructor unchanged."""
+    from modcat.suites import SuiteConfig, run_suite
+
+    built = set()
+    callers = set()
+    real = Morphism._trusted.__func__
+
+    def recording(cls, dom, cod, rows):
+        callers.add(sys._getframe(1).f_code.co_name)
+        m = real(cls, dom, cod, rows)
+        built.add(m)
+        return m
+
+    monkeypatch.setattr(Morphism, "_trusted", classmethod(recording))
+    config = SuiteConfig(
+        moduli=(4, 9, 12), max_module_order=12, max_kernel_order=4, max_complex_span=2
+    )
+    report = run_suite(config)
+    monkeypatch.undo()
+    assert report.exit_code == 0
+    assert callers == {"__matmul__", "__add__", "scaled", "identity", "zero", "to_morphism"}
+    assert len(built) > 10_000
+    for m in built:
+        assert Morphism(m.domain, m.codomain, m.matrix) == m
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +553,9 @@ def test_factorizations_take_one_smith_form_per_call(monkeypatch):
     calls = []
     real = mm.smith_normal_form
 
-    def counting(matrix):
+    def counting(matrix, *args, **kwargs):
         calls.append(len(matrix))
-        return real(matrix)
+        return real(matrix, *args, **kwargs)
 
     monkeypatch.setattr(mm, "smith_normal_form", counting)
     for u in sample_morphisms(dom, sub, 4, seed=37):
@@ -482,9 +587,9 @@ def test_splits_takes_one_smith_form_for_the_section(monkeypatch):
     calls = []
     real = mm.smith_normal_form
 
-    def counting(matrix):
+    def counting(matrix, *args, **kwargs):
         calls.append(len(matrix))
-        return real(matrix)
+        return real(matrix, *args, **kwargs)
 
     monkeypatch.setattr(mm, "smith_normal_form", counting)
     assert splits(split) is not None

@@ -124,6 +124,18 @@ def test_smith_transform_identity(a):
 
 @given(small_matrix())
 @settings(max_examples=150, deadline=None)
+def test_smith_form_without_left_keeps_the_right_transforms(a):
+    full = smith_normal_form(a)
+    short = smith_normal_form(a, left=False)
+    assert short.left is None
+    assert (short.rows, short.cols) == (full.rows, full.cols)
+    assert short.diagonal == full.diagonal
+    assert short.right == full.right
+    assert short.right_inv == full.right_inv
+
+
+@given(small_matrix())
+@settings(max_examples=150, deadline=None)
 def test_smith_diagonal_chain_and_oracle(a):
     diag = snf_diagonal(a)
     assert diag == smith_normal_form(a).diagonal

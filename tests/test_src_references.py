@@ -10,6 +10,9 @@ it.  Dunder methods are called by the language itself and are not
 scanned.  Code that only the tests use belongs under ``tests/``.  An import
 counts as used only when the module's code names it; ``__init__.py``,
 which imports to re-export, is exempt.
+
+A third scan keeps ``Morphism._trusted``, the constructor that skips
+validation, inside an allow-list of functions.
 """
 
 import ast
@@ -134,3 +137,64 @@ def test_the_scan_sees_an_import_nothing_uses(tmp_path):
         "def f(x: int) -> int:\n    return gcd(x, helper(os.sep))\n"
     )
     assert unused_imports(tmp_path) == ["a.py: least", "a.py: unused_here"]
+
+
+# Morphism._trusted skips validation, so only constructions whose result is
+# well defined and reduced by construction may call it.
+TRUSTED_CALLERS = {
+    "modules.Morphism.identity",
+    "modules.Morphism.zero",
+    "modules.Morphism.__matmul__",
+    "modules.Morphism.__add__",
+    "modules.Morphism.scaled",
+    "monoidal.HomModule.to_morphism",
+}
+
+
+def _scopes_naming(node, attr, scope=()):
+    """The enclosing class and function names of each ``.attr`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
+            yield from _scopes_naming(child, attr, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == attr:
+            yield scope
+        yield from _scopes_naming(child, attr, scope)
+
+
+def trusted_uses(src=SRC, allowed=TRUSTED_CALLERS):
+    """``module.qualified.name`` of each function outside ``allowed`` that
+    names ``_trusted`` (``module`` alone for module-level code)."""
+    found = []
+    for path in sorted(pathlib.Path(src).glob("*.py")):
+        for scope in _scopes_naming(ast.parse(path.read_text()), "_trusted"):
+            name = ".".join((path.stem,) + scope)
+            if name not in allowed:
+                found.append(name)
+    return found
+
+
+def test_only_the_allowed_constructions_skip_validation():
+    assert trusted_uses() == []
+
+
+def test_the_scan_sees_a_trusted_call_outside_the_allow_list(tmp_path):
+    (tmp_path / "modules.py").write_text(
+        "class Morphism:\n"
+        "    @classmethod\n    def _trusted(cls, dom, cod, rows):\n        return cls()\n\n"
+        "    def __post_init__(self):\n        Morphism._trusted(1, 2, 3)\n\n"
+        "    def __matmul__(self, other):\n        return Morphism._trusted(1, 2, 3)\n\n"
+        "    @classmethod\n    def from_dict(cls, data):\n        return cls._trusted(1, 2, 3)\n\n"
+        "    @classmethod\n    def from_columns(cls, dom, cod, columns):\n"
+        "        build = cls._trusted\n        return build(dom, cod, columns)\n"
+    )
+    (tmp_path / "enumeration.py").write_text(
+        "from .modules import Morphism\n\n\n"
+        "def enumerate_morphisms(dom, cod):\n    yield Morphism._trusted(dom, cod, ())\n"
+    )
+    assert trusted_uses(tmp_path) == [
+        "enumeration.enumerate_morphisms",
+        "modules.Morphism.__post_init__",
+        "modules.Morphism.from_dict",
+        "modules.Morphism.from_columns",
+    ]

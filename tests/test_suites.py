@@ -121,6 +121,42 @@ def test_config_rejects_bad_values():
     ):
         with pytest.raises(ConfigError):
             SuiteConfig(**bad)
+    # Below the largest prime p with p^2 | n, flat-equiv misses the impure
+    # conflations Z/p -> ... -> F and reports false counterexamples, so a
+    # run that includes it is rejected before any suite runs.  The other
+    # suites only check fewer conflations and accept such a config
+    # (test_cli's repeated-modulus run is enough-pi at modulus 9, kernel 2).
+    for moduli, order, kernel, named in (
+        ((4, 8, 9, 12), 16, 2, "modulus 9"),
+        ((4,), 64, 1, "modulus 4"),
+        ((50,), 8, 4, "modulus 50"),
+    ):
+        cfg = SuiteConfig(moduli=moduli, max_module_order=order, max_kernel_order=kernel)
+        for names in (("flat-equiv",), SUITE_ORDER):
+            with pytest.raises(ConfigError, match=named):
+                run_suite(cfg, names=names)
+
+
+@pytest.mark.parametrize(
+    "n,order,kernel",
+    [
+        (9, 16, 3),
+        (36, 16, 3),
+        (50, 8, 5),
+        (25, 4, 0),  # Z/5 has order 5: no non-flat module within the order bound
+        (6, 16, 0),  # squarefree: every module is flat
+    ],
+)
+def test_flat_equiv_passes_at_the_kernel_threshold(n, order, kernel):
+    """At the smallest accepted kernel bound, flat-equiv reports no failure."""
+    cfg = SuiteConfig(moduli=(n,), max_module_order=order, max_kernel_order=kernel)
+    report = run_suite(cfg, names=("flat-equiv",))
+    assert report.suites[0].checked > 0
+    assert report.exit_code == 0
+    if kernel:
+        below = SuiteConfig(moduli=(n,), max_module_order=order, max_kernel_order=kernel - 1)
+        with pytest.raises(ConfigError, match=f"at least {kernel}"):
+            run_suite(below, names=("flat-equiv",))
 
 
 def test_unknown_suite_name():
