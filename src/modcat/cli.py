@@ -36,23 +36,26 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         dest="moduli",
         metavar="N",
-        help="base ring modulus; repeatable, each value once (default: 4 8 9 12)",
+        help="base ring modulus; repeatable, each value once "
+        f"(default: {' '.join(map(str, SuiteConfig.moduli))})",
     )
-    parent.add_argument("--max-order", type=int, default=64, metavar="B",
-                        help="largest module order enumerated (default 64)")
-    parent.add_argument("--max-kernel", type=int, default=16, metavar="B",
-                        help="largest kernel order in conflation walks (default 16); "
+    parent.add_argument("--max-order", type=int, default=SuiteConfig.max_module_order, metavar="B",
+                        help="largest module order enumerated (default %(default)s)")
+    parent.add_argument("--max-kernel", type=int, default=SuiteConfig.max_kernel_order, metavar="B",
+                        help="largest kernel order in conflation walks (default %(default)s); "
                         "flat-equiv needs at least the largest prime p with p^2 | N "
                         "and p <= --max-order, for each modulus N")
-    parent.add_argument("--span", type=int, default=4, metavar="K",
-                        help="largest complex window span (default 4)")
-    parent.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    parent.add_argument("--samples", type=int, default=200, metavar="C",
-                        help="sample size per quantifier in sample mode")
-    parent.add_argument("--seed", type=int, default=None,
+    parent.add_argument("--span", type=int, default=SuiteConfig.max_complex_span, metavar="K",
+                        help="largest complex window span (default %(default)s)")
+    parent.add_argument("--mode", choices=("exhaustive", "sample"), default=SuiteConfig.mode,
+                        help="(default %(default)s)")
+    parent.add_argument("--samples", type=int, default=SuiteConfig.sample_count, metavar="C",
+                        help="sample size per quantifier in sample mode (default %(default)s)")
+    parent.add_argument("--seed", type=int,
                         help="seed for sample mode (required there)")
-    parent.add_argument("--format", choices=("text", "json"), default="text")
-    parent.add_argument("--out", default=None, metavar="PATH",
+    parent.add_argument("--format", choices=("text", "json"), default=SuiteConfig.output_format,
+                        help="(default %(default)s)")
+    parent.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -70,7 +73,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = SuiteConfig(
-            moduli=tuple(args.moduli) if args.moduli else (4, 8, 9, 12),
+            moduli=tuple(args.moduli) if args.moduli else SuiteConfig.moduli,
             max_module_order=args.max_order,
             max_kernel_order=args.max_kernel,
             max_complex_span=args.span,

@@ -224,10 +224,8 @@ class ComplexConflation:
     def __post_init__(self):
         if self.f.target != self.g.source:
             raise ValueError("chain maps do not compose through a common middle")
-        middle = self.g.source
-        lo = min(middle.lo, self.f.source.lo if self.f.source.components else middle.lo)
-        hi = max(middle.hi, self.f.source.hi if self.f.source.components else middle.hi)
-        for n in range(lo, hi + 1):
+        # Every degree of any of the three windows: elsewhere all three are 0.
+        for n in sorted({n for x in (self.sub, self.total, self.quotient) for n in x.degrees()}):
             Conflation(self.f.part(n), self.g.part(n))
 
     @property
@@ -260,7 +258,7 @@ class ComplexConflation:
 
 def cohomology(x: Complex, n: int) -> FiniteModule:
     """ker(d^n) / im(d^(n-1)) in canonical form."""
-    ker_mod, incl = kernel(x.differential(n))
+    _, incl = kernel(x.differential(n))
     into_kernel = factor_through_mono(x.differential(n - 1), incl)
     h, _ = cokernel(into_kernel)
     return h

@@ -382,7 +382,6 @@ def _complete_differentials(f: Complex, window, combo, budget: int):
                 system = post
                 target = rhs
             else:
-                pre_target = hom_module(prev.domain, y_next)
                 pre = precompose_map(prev, y_next)
                 big = direct_sum(post.codomain, pre.codomain)
                 system = big.injections[0] @ post + big.injections[1] @ pre

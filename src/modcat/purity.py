@@ -57,10 +57,12 @@ def dual(m: FiniteModule) -> FiniteModule:
 
 
 def dual_mor(f: Morphism) -> Morphism:
-    """f+ = - . f: N+ -> M+; entry (i, j) is a[j][i] d_i / e_j, exact as f is well defined."""
+    """f+ = - . f: N+ -> M+; entry (i, j) is a[j][i] d_i / e_j, exact as f is well defined.
+
+    Each entry lies in [0, d_i), so f+ is built without validation."""
     d, e, a = f.domain.invariant_factors, f.codomain.invariant_factors, f.matrix
     rows = tuple(tuple(a[j][i] * d[i] // e[j] for j in range(len(e))) for i in range(len(d)))
-    return Morphism(f.codomain, f.domain, rows)
+    return Morphism._trusted(f.codomain, f.domain, rows)
 
 
 def dual_conflation(c: Conflation) -> Conflation:

@@ -30,6 +30,11 @@ when it fails.  The suite runner records the result with
 ``data`` and calls the same function.  An exception inside a suite becomes
 one ``crash`` record for that suite, whose replay reruns the suite; the
 remaining suites still run.
+
+``run_suite(config, names)`` and ``replay_counterexample(record)`` take
+nothing else: the checks call the routes they test (``pullback``,
+``pushout``, ``is_pure_oracle``, ...) by their names in this module at call
+time, so patching such a name substitutes a fake for a run and its replay.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ from .exact import (
 )
 from .modules import FiniteModule, Morphism, RingSpec, cyclic
 from .purity import (
+    _prime_factors,
     double_dual_unit,
     flat_structural_oracle,
     is_flat,
@@ -107,26 +113,29 @@ class ConfigError(ValueError):
     """Invalid suite configuration (maps to CLI exit code 2)."""
 
 
-def _needed_kernel_order(n: int, max_module_order: int) -> int:
-    """The kernel bound at which flat-equiv sees an impure conflation ending
-    in every non-flat module over Z/n of order <= ``max_module_order``.
+def _check_kernel_bound(moduli, max_module_order: int, max_kernel_order: int):
+    """Raise ``ConfigError`` when flat-equiv would miss an impure conflation
+    ending in some non-flat module over Z/n of order <= ``max_module_order``.
 
     A module is non-flat at a prime p with p^2 | n when its p-part is not
     free, which takes order >= p, and then its smallest impure ending
     conflation Z/p -> Z/p^(b+1) + ... -> F has a kernel of order p.  The
-    bound is the largest such p (0 when there is none); below it the
-    purity leg reads "all pure" vacuously and the run reports false
-    counterexamples to the flatness theorem.  No other suite reads the
-    kernel bound that way: a smaller one only checks fewer conflations.
+    kernel bound must reach the largest such p; below it the purity leg
+    reads "all pure" vacuously and the run reports false counterexamples
+    to the flatness theorem.  No other suite reads the kernel bound that
+    way: a smaller one only checks fewer conflations.
     """
-    bound, rest, p = 0, n, 2
-    while p * p <= rest:
-        if rest % (p * p) == 0 and p <= max_module_order:
-            bound = p
-        while rest % p == 0:
-            rest //= p
-        p += 1
-    return bound
+    for n in moduli:
+        needed = max(
+            (p for p in _prime_factors(n) if n % (p * p) == 0 and p <= max_module_order),
+            default=0,
+        )
+        if max_kernel_order < needed:
+            raise ConfigError(
+                f"max_kernel_order {max_kernel_order} is too small for modulus {n}: "
+                f"flat-equiv needs kernels of order {needed} to see an impure conflation "
+                f"ending in each non-flat module, so it must be at least {needed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -325,25 +334,25 @@ def _composition_check(first: Morphism, second: Morphism, inflations: bool):
     return reason, {"first": first.to_dict(), "second": second.to_dict()}
 
 
-def _pullback_check(g: Morphism, h: Morphism, pullback_fn):
-    pb = pullback_fn(g, h)
+def _pullback_check(g: Morphism, h: Morphism):
+    pb = pullback(g, h)
     if is_deflation(pb.to_domh) and (g @ pb.to_domg == h @ pb.to_domh):
         return None
     reason = "pullback of a deflation is not a commuting deflation square"
     return reason, {"deflation": g.to_dict(), "along": h.to_dict()}
 
 
-def _pushout_check(f: Morphism, h: Morphism, pushout_fn):
-    po = pushout_fn(f, h)
+def _pushout_check(f: Morphism, h: Morphism):
+    po = pushout(f, h)
     if is_inflation(po.from_codh) and (po.from_codf @ f == po.from_codh @ h):
         return None
     reason = "pushout of an inflation is not a commuting inflation square"
     return reason, {"inflation": f.to_dict(), "along": h.to_dict()}
 
 
-def _purity_check(c: Conflation, purity_oracle):
+def _purity_check(c: Conflation):
     primary = _entry_pure(c)
-    oracle = purity_oracle(c).is_pure
+    oracle = is_pure_oracle(c).is_pure
     if primary == oracle:
         return None
     reason = f"dual-splits says {primary}, tensor oracle says {oracle}"
@@ -425,7 +434,7 @@ def _four_way_check(f: Complex):
 def _witness_check(ring: RingSpec):
     """The componentwise-split, non-chain-split conflation: sphere at
     degree 1 into the two-term identity disk onto the sphere at degree 0."""
-    p = min(q for q in range(2, ring.modulus + 1) if ring.modulus % q == 0)
+    p = _prime_factors(ring.modulus)[0]
     s = cyclic(ring, p)
     disk = two_term_complex(Morphism.identity(s), degree=0)
     x = single_complex(s, 1)
@@ -456,7 +465,7 @@ def _lambda_degreewise_check(f: Complex):
 # ---------------------------------------------------------------------------
 
 
-def run_axioms(config: SuiteConfig, pullback_fn=pullback, pushout_fn=pushout) -> SuiteResult:
+def run_axioms(config: SuiteConfig) -> SuiteResult:
     res = SuiteResult("axioms")
     for n in config.moduli:
         mid_cap = min(config.max_module_order, AXIOM_MIDDLE_CAP)
@@ -475,13 +484,13 @@ def run_axioms(config: SuiteConfig, pullback_fn=pullback, pushout_fn=pushout) ->
                 for w in enumerate_modules(n, part_cap):
                     salt = f"{n}:{y.invariant_factors}:{e.key}:{w.invariant_factors}"
                     for h in _select(enumerate_morphisms(w, e.quotient), config, f"ax-pb:{salt}"):
-                        res.check("pullback-stability", n, _pullback_check(g, h, pullback_fn))
+                        res.check("pullback-stability", n, _pullback_check(g, h))
                     for h in _select(enumerate_morphisms(e.sub, w), config, f"ax-po:{salt}"):
-                        res.check("pushout-stability", n, _pushout_check(f, h, pushout_fn))
+                        res.check("pushout-stability", n, _pushout_check(f, h))
     return res
 
 
-def run_prop1(config: SuiteConfig, purity_oracle=is_pure_oracle) -> SuiteResult:
+def run_prop1(config: SuiteConfig) -> SuiteResult:
     """Dual-splits purity against the tensor oracle."""
     res = SuiteResult("prop1")
     for n in config.moduli:
@@ -492,7 +501,7 @@ def run_prop1(config: SuiteConfig, purity_oracle=is_pure_oracle) -> SuiteResult:
                 f"prop1:{n}:{y.invariant_factors}",
             )
             for e in entries:
-                res.check("purity-agreement", n, _purity_check(e.conflation(), purity_oracle))
+                res.check("purity-agreement", n, _purity_check(e.conflation()))
     return res
 
 
@@ -542,39 +551,28 @@ def run_complexes(config: SuiteConfig) -> SuiteResult:
 SUITE_ORDER = ("axioms", "prop1", "flat-equiv", "enough-pi", "complexes")
 
 
-def run_suite(
-    config: SuiteConfig,
-    names=SUITE_ORDER,
-    purity_oracle=is_pure_oracle,
-    pullback_fn=pullback,
-    pushout_fn=pushout,
-) -> Report:
+def run_suite(config: SuiteConfig, names=SUITE_ORDER) -> Report:
     start = time.monotonic()
+    # Built per call, so that a name patched or wrapped in this module
+    # after import is the one that runs.
     runners = {
-        "axioms": lambda: run_axioms(config, pullback_fn=pullback_fn, pushout_fn=pushout_fn),
-        "prop1": lambda: run_prop1(config, purity_oracle=purity_oracle),
-        "flat-equiv": lambda: run_flat_equiv(config),
-        "enough-pi": lambda: run_enough_pi(config),
-        "complexes": lambda: run_complexes(config),
+        "axioms": run_axioms,
+        "prop1": run_prop1,
+        "flat-equiv": run_flat_equiv,
+        "enough-pi": run_enough_pi,
+        "complexes": run_complexes,
     }
     unknown = [x for x in names if x not in runners]
     if unknown:
         raise ConfigError(f"unknown suite name(s): {', '.join(unknown)}")
     if "flat-equiv" in names:
-        for n in config.moduli:
-            needed = _needed_kernel_order(n, config.max_module_order)
-            if config.max_kernel_order < needed:
-                raise ConfigError(
-                    f"max_kernel_order {config.max_kernel_order} is too small for modulus {n}: "
-                    f"flat-equiv needs kernels of order {needed} to see an impure conflation "
-                    f"ending in each non-flat module, so it must be at least {needed}"
-                )
+        _check_kernel_bound(config.moduli, config.max_module_order, config.max_kernel_order)
     suites = []
     for name in SUITE_ORDER:
         if name not in names:
             continue
         try:
-            suites.append(runners[name]())
+            suites.append(runners[name](config))
         except Exception as exc:  # noqa: BLE001 - becomes a crash record; the other suites still run
             crashed = SuiteResult(name)
             crashed.check("crash", None, _crash_failure(name, config, exc))
@@ -583,12 +581,7 @@ def run_suite(
     return Report(config, suites, elapsed)
 
 
-def replay_counterexample(
-    ce: dict,
-    purity_oracle=is_pure_oracle,
-    pullback_fn=pullback,
-    pushout_fn=pushout,
-) -> bool:
+def replay_counterexample(ce: dict) -> bool:
     """Re-run the check a counterexample came from; True = failure reproduces.
 
     A ``crash`` record reruns its suite; every other record decodes its
@@ -597,13 +590,7 @@ def replay_counterexample(
     check = ce["check"]
     data = ce["data"]
     if check == "crash":
-        report = run_suite(
-            SuiteConfig(**data["config"]),
-            names=(data["suite"],),
-            purity_oracle=purity_oracle,
-            pullback_fn=pullback_fn,
-            pushout_fn=pushout_fn,
-        )
+        report = run_suite(SuiteConfig(**data["config"]), names=(data["suite"],))
         return report.exit_code == 3
 
     def mor(key):
@@ -612,6 +599,7 @@ def replay_counterexample(
     def flat_equiv():
         m = FiniteModule.from_dict(data["module"])
         k, o = data["max_kernel_order"], data["max_module_order"]
+        _check_kernel_bound((ce["modulus"],), o, k)
         return _flat_equiv_check(m, conflations_ending_in(m, k, o), k, o)
 
     replays = {
@@ -624,11 +612,9 @@ def replay_counterexample(
         "inflation-composition": lambda: _composition_check(
             mor("first"), mor("second"), inflations=True
         ),
-        "pullback-stability": lambda: _pullback_check(mor("deflation"), mor("along"), pullback_fn),
-        "pushout-stability": lambda: _pushout_check(mor("inflation"), mor("along"), pushout_fn),
-        "purity-agreement": lambda: _purity_check(
-            Conflation.from_dict(data["conflation"]), purity_oracle
-        ),
+        "pullback-stability": lambda: _pullback_check(mor("deflation"), mor("along")),
+        "pushout-stability": lambda: _pushout_check(mor("inflation"), mor("along")),
+        "purity-agreement": lambda: _purity_check(Conflation.from_dict(data["conflation"])),
         "flat-equiv": flat_equiv,
         "extract-section": lambda: _extract_section_check(Conflation.from_dict(data["conflation"])),
         "enough-pi": lambda: _enough_pi_check(

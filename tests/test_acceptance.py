@@ -245,19 +245,20 @@ def _oracle_skipping_divisor_two(c) -> PurityVerdict:
     return PurityVerdict(True, "broken-scan", None)
 
 
-def test_criterion_8_mutation_sensitivity():
+def test_criterion_8_mutation_sensitivity(monkeypatch):
     cfg = SuiteConfig(moduli=(4,), max_module_order=8, max_kernel_order=4,
                       max_complex_span=2)
-    report = run_suite(cfg, names=("prop1",), purity_oracle=_oracle_skipping_divisor_two)
+    monkeypatch.setattr("modcat.suites.is_pure_oracle", _oracle_skipping_divisor_two)
+    report = run_suite(cfg, names=("prop1",))
     suite = report.suites[0]
-    replayed = 0
-    for ce in suite.counterexamples:
-        ce = json.loads(json.dumps(ce))  # must survive serialization
-        if replay_counterexample(ce, purity_oracle=_oracle_skipping_divisor_two):
-            replayed += 1
+    ces = [json.loads(json.dumps(ce)) for ce in suite.counterexamples]  # must survive serialization
+    replayed = sum(replay_counterexample(ce) for ce in ces)
+    monkeypatch.undo()
+    honest = sum(replay_counterexample(ce) for ce in ces)
     _verdict(
         8,
-        report.exit_code == 1 and suite.failed >= 1 and replayed == len(suite.counterexamples) > 0,
+        report.exit_code == 1 and suite.failed >= 1 and replayed == len(ces) > 0 and honest == 0,
         f"broken oracle (divisor 2 skipped): exit code {report.exit_code}, "
-        f"{suite.failed} counterexamples, {replayed} replayed",
+        f"{suite.failed} counterexamples, {replayed} replayed, "
+        f"{honest} replayed with the honest oracle",
     )

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from modcat.cli import main
+from modcat.suites import Report, SuiteConfig
 
 
 TINY = ["--modulus", "4", "--max-order", "4", "--max-kernel", "2", "--span", "1"]
@@ -105,15 +106,10 @@ def test_crash_exits_three_with_traceback(monkeypatch, capsys):
 
 
 def test_recorded_crash_writes_the_report_and_exits_three(monkeypatch, tmp_path, capsys):
-    from modcat.suites import run_suite
-
     def raising_pullback(g, h):
         raise RuntimeError("pullback exploded")
 
-    monkeypatch.setattr(
-        "modcat.cli.run_suite",
-        lambda config, names: run_suite(config, names=names, pullback_fn=raising_pullback),
-    )
+    monkeypatch.setattr("modcat.suites.pullback", raising_pullback)
     path = tmp_path / "report.json"
     assert main(["all", *TINY, "--format", "json", "--out", str(path)]) == 3
     assert capsys.readouterr().out == ""
@@ -122,6 +118,18 @@ def test_recorded_crash_writes_the_report_and_exits_three(monkeypatch, tmp_path,
     assert [ce["check"] for ce in suites["axioms"]["counterexamples"]] == ["crash"]
     for name in ("prop1", "flat-equiv", "enough-pi", "complexes"):
         assert suites[name]["checked"] > 0 and suites[name]["failed"] == 0
+
+
+def test_no_flags_give_the_default_config(monkeypatch, capsys):
+    seen = []
+
+    def capturing_run_suite(config, names):
+        seen.append(config)
+        return Report(config, [], 0)
+
+    monkeypatch.setattr("modcat.cli.run_suite", capturing_run_suite)
+    assert main(["prop1"]) == 0
+    assert seen == [SuiteConfig()]
 
 
 def test_console_entry_point_installed():

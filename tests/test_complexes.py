@@ -29,6 +29,7 @@ from modcat.modules import (
     factor_through_mono,
     kernel,
 )
+from modcat.exact import NotAConflation
 from modcat.monoidal import hom_module, postcompose_map, precompose_map
 from modcat.purity import dual, dual_mor, is_flat, is_injective
 from modcat.complexes import (
@@ -107,6 +108,19 @@ def test_chain_map_must_commute():
     # into degree 1 it is fine
     sphere1 = single_complex(Z2, degree=1)
     ChainMap(sphere1, disk, (Morphism.identity(Z2),))
+
+
+def test_complex_conflation_checks_the_quotient_window():
+    # X = Z/2 and Y = Z/4 in degree 0; Z = Z/2 in degrees 0 and 1, zero
+    # differential.  Degree 0 is a conflation, but degree 1 is 0 -> 0 -> Z/2.
+    x, y = single_complex(Z2, 0), single_complex(Z4, 0)
+    z = Complex(R4, 0, (Z2, Z2), (Morphism.zero(Z2, Z2),))
+    f = ChainMap(x, y, (Morphism(Z2, Z4, ((2,),)),))
+    g = ChainMap(y, z, (Morphism(Z4, Z2, ((1,),)),))
+    with pytest.raises(NotAConflation):
+        ComplexConflation(f, g)
+    with pytest.raises(NotAConflation):
+        ComplexConflation.from_dict({"f": f.to_dict(), "g": g.to_dict()})
 
 
 def test_serialization_roundtrip():

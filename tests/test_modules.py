@@ -424,7 +424,9 @@ def test_every_trusted_morphism_of_a_suite_run_validates(monkeypatch):
     report = run_suite(config)
     monkeypatch.undo()
     assert report.exit_code == 0
-    assert callers == {"__matmul__", "__add__", "scaled", "identity", "zero", "to_morphism"}
+    assert callers == {
+        "__matmul__", "__add__", "scaled", "identity", "zero", "to_morphism", "dual_mor"
+    }
     assert len(built) > 10_000
     for m in built:
         assert Morphism(m.domain, m.codomain, m.matrix) == m

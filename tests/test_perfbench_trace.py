@@ -44,6 +44,10 @@ def test_traced_prop1_run_reports_per_layer_metrics():
     values = json.loads(proc.stdout.splitlines()[-1])
     assert values["suites.prop1.checks"] > 0
     assert values["suites.prop1.failed"] == 0
+    # The tracer rebinds module names: a runner or check that captured its
+    # function before the tracer installed would read 0 here.
+    assert values["suites.prop1.wall_s"] > 0
+    assert values["purity.is_pure_oracle.calls"] > 0
     assert values["exact.splits.calls"] > 0
     assert values["snf.smith_normal_form.calls"] > 0
     assert values["snf.snf_diagonal.calls"] > 0

@@ -12,7 +12,8 @@ counts as used only when the module's code names it; ``__init__.py``,
 which imports to re-export, is exempt.
 
 A third scan keeps ``Morphism._trusted``, the constructor that skips
-validation, inside an allow-list of functions.
+validation, inside an allow-list of functions, and a fourth finds local
+names that a function binds and never reads (``_`` is exempt).
 """
 
 import ast
@@ -148,6 +149,7 @@ TRUSTED_CALLERS = {
     "modules.Morphism.__add__",
     "modules.Morphism.scaled",
     "monoidal.HomModule.to_morphism",
+    "purity.dual_mor",
 }
 
 
@@ -198,3 +200,51 @@ def test_the_scan_sees_a_trusted_call_outside_the_allow_list(tmp_path):
         "modules.Morphism.from_dict",
         "modules.Morphism.from_columns",
     ]
+
+
+def _bound_names(fn):
+    """Names bound in ``fn``'s own scope, outside nested functions and classes."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FUNCTIONS + (ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(src=SRC):
+    """``module.function: name`` of each name a function binds and never
+    reads; a read inside a nested function counts."""
+    dead = []
+    for path in sorted(pathlib.Path(src).glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            read = {
+                node.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread = set(_bound_names(fn)) - read - {"_"}
+            dead += [f"{path.stem}.{fn.name}: {name}" for name in sorted(unread)]
+    return dead
+
+
+def test_src_binds_no_unread_local():
+    assert dead_locals() == []
+
+
+def test_the_scan_sees_a_local_nothing_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(xs):\n"
+        "    total, unused = 0, 1\n"
+        "    _, kept = divmod(7, 2)\n"
+        "    for i, x in enumerate(xs):\n        total += x\n"
+        "    seen = [y for y in xs]\n"
+        "    closed = 3\n\n"
+        "    def inner():\n        late = closed\n        return kept\n\n"
+        "    return total, inner, lambda: seen\n"
+    )
+    assert dead_locals(tmp_path) == ["a.f: i", "a.f: unused", "a.inner: late"]

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import modcat
-from modcat.modules import Morphism, cokernel, cyclic, direct_sum, kernel
+from modcat.modules import Morphism, RingSpec, cokernel, cyclic, direct_sum, kernel
 from modcat.exact import Pullback, Pushout
 from modcat.purity import PurityVerdict, conflation_tensor_failure, dual_mor
 from modcat.suites import (
@@ -21,6 +21,7 @@ from modcat.suites import (
     Report,
     SuiteConfig,
     SUITE_ORDER,
+    _check_kernel_bound,
     replay_counterexample,
     run_suite,
 )
@@ -159,6 +160,37 @@ def test_flat_equiv_passes_at_the_kernel_threshold(n, order, kernel):
             run_suite(below, names=("flat-equiv",))
 
 
+@pytest.mark.parametrize(
+    "n,needed",
+    [(4, 2), (8, 2), (12, 2), (9, 3), (18, 3), (36, 3), (25, 5), (50, 5), (6, 0), (30, 0)],
+)
+def test_kernel_bound_table(n, needed):
+    """The README's table: the largest prime p with p^2 | n, 0 when squarefree."""
+    _check_kernel_bound((n,), 64, needed)
+    if needed:
+        with pytest.raises(ConfigError, match=f"modulus {n}.*at least {needed}"):
+            _check_kernel_bound((n,), 64, needed - 1)
+
+
+def test_replay_rejects_a_flat_equiv_record_below_the_kernel_bound():
+    # A record written below the bound (as older versions did, for Z/3 over
+    # Z/9 at order 8, kernel 2) would replay as a reproduced counterexample.
+    record = {
+        "check": "flat-equiv",
+        "modulus": 9,
+        "reason": "flatness routes disagree",
+        "data": {
+            "module": cyclic(RingSpec(9), 3).to_dict(),
+            "max_kernel_order": 2,
+            "max_module_order": 8,
+        },
+    }
+    with pytest.raises(ConfigError, match="modulus 9.*at least 3"):
+        replay_counterexample(record)
+    record["data"]["max_kernel_order"] = 3
+    assert not replay_counterexample(record)
+
+
 def test_unknown_suite_name():
     with pytest.raises(ConfigError):
         run_suite(TINY, names=("axioms", "nonsense"))
@@ -244,32 +276,37 @@ def test_sample_mode_flat_equiv_checks_every_ending_conflation():
 # ---------------------------------------------------------------------------
 
 
-def test_broken_purity_oracle_is_caught_and_replayable():
-    report = run_suite(TINY, names=("prop1",), purity_oracle=broken_oracle)
+def test_broken_tensor_oracle_is_caught_and_replayable(monkeypatch):
+    monkeypatch.setattr("modcat.suites.is_pure_oracle", broken_oracle)
+    report = run_suite(TINY, names=("prop1",))
     assert report.exit_code == 1
     suite = report.suites[0]
     assert suite.failed > 0
     assert suite.counterexamples
-    for ce in suite.counterexamples:
+    # serialize through JSON: the stored detail must survive transport
+    ces = [json.loads(json.dumps(ce)) for ce in suite.counterexamples]
+    for ce in ces:
         assert ce["check"] == "purity-agreement"
-        # serialize through JSON: the stored detail must survive transport
-        ce = json.loads(json.dumps(ce))
-        assert replay_counterexample(ce, purity_oracle=broken_oracle)
+        assert replay_counterexample(ce)
+    monkeypatch.undo()
+    for ce in ces:
         assert not replay_counterexample(ce)  # honest oracle: no disagreement
 
 
-def test_wrong_sign_pullback_is_caught_by_the_square_check():
-    report = run_suite(TINY, names=("axioms",), pullback_fn=bad_pullback)
+def test_wrong_sign_pullback_is_caught_by_the_square_check(monkeypatch):
+    monkeypatch.setattr("modcat.suites.pullback", bad_pullback)
+    report = run_suite(TINY, names=("axioms",))
     assert report.exit_code == 1
     suite = report.suites[0]
     assert suite.failed > 0
     kinds = {ce["check"] for ce in suite.counterexamples}
     assert "pullback-stability" in kinds
-    for ce in suite.counterexamples:
-        if ce["check"] != "pullback-stability":
-            continue
-        ce = json.loads(json.dumps(ce))
-        assert replay_counterexample(ce, pullback_fn=bad_pullback)
+    ces = [json.loads(json.dumps(ce)) for ce in suite.counterexamples]
+    ces = [ce for ce in ces if ce["check"] == "pullback-stability"]
+    for ce in ces:
+        assert replay_counterexample(ce)
+    monkeypatch.undo()
+    for ce in ces:
         assert not replay_counterexample(ce)
 
 
@@ -283,91 +320,97 @@ def _zero_double_dual(x):
     )
 
 
-# (id, suites, expected kinds, module attributes to patch, run_suite/replay hooks)
+# (id, suites, expected kinds, module attributes to patch)
 REPLAY_SCENARIOS = [
     (
         "no-inflations",
         ("axioms",),
         {"identity-inflation-deflation", "inflation-composition", "pushout-stability"},
         {"modcat.suites.is_inflation": lambda m: False},
-        {},
     ),
     (
         "no-deflations",
         ("axioms",),
         {"identity-inflation-deflation", "deflation-composition", "pullback-stability"},
         {"modcat.suites.is_deflation": lambda m: False},
-        {},
     ),
-    ("wrong-sign-pullback", ("axioms",), {"pullback-stability"}, {}, {"pullback_fn": bad_pullback}),
-    ("wrong-sign-pushout", ("axioms",), {"pushout-stability"}, {}, {"pushout_fn": bad_pushout}),
-    ("broken-oracle", ("prop1",), {"purity-agreement"}, {}, {"purity_oracle": broken_oracle}),
+    (
+        "wrong-sign-pullback",
+        ("axioms",),
+        {"pullback-stability"},
+        {"modcat.suites.pullback": bad_pullback},
+    ),
+    (
+        "wrong-sign-pushout",
+        ("axioms",),
+        {"pushout-stability"},
+        {"modcat.suites.pushout": bad_pushout},
+    ),
+    (
+        "broken-oracle",
+        ("prop1",),
+        {"purity-agreement"},
+        {"modcat.suites.is_pure_oracle": broken_oracle},
+    ),
     (
         "structural-always-flat",
         ("flat-equiv",),
         {"flat-equiv"},
         {"modcat.suites.flat_structural_oracle": lambda m: True},
-        {},
     ),
     (
         "extract-section-raises",
         ("flat-equiv",),
         {"extract-section"},
         {"modcat.purity.extract_section": _raise},
-        {},
     ),
     (
         "triangle-fails",
         ("enough-pi",),
         {"enough-pi"},
         {"modcat.suites.triangle_identity_check": lambda m: False},
-        {},
     ),
     (
         "negated-dual",
         ("enough-pi",),
         {"enough-pi"},
         {"modcat.purity.dual_mor": lambda f: -dual_mor(f)},
-        {},
     ),
     (
         "every-complex-flat",
         ("complexes",),
         {"complex-four-way"},
         {"modcat.suites.is_flat_complex": lambda x: True},
-        {},
     ),
     (
         "everything-chain-splits",
         ("complexes",),
         {"complex-witness"},
         {"modcat.suites.splits_as_complexes": lambda c: object()},
-        {},
     ),
     (
         "zero-double-dual",
         ("complexes",),
         {"lambda-degreewise"},
         {"modcat.suites.double_dual_complex_iso": _zero_double_dual},
-        {},
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "suites, kinds, patches, hooks",
+    "suites, kinds, patches",
     [s[1:] for s in REPLAY_SCENARIOS],
     ids=[s[0] for s in REPLAY_SCENARIOS],
 )
-def test_every_check_kind_replays_its_failures(monkeypatch, suites, kinds, patches, hooks):
+def test_every_check_kind_replays_its_failures(monkeypatch, suites, kinds, patches):
     for target, value in patches.items():
         monkeypatch.setattr(target, value)
-    report = run_suite(TINY, names=suites, **hooks)
+    report = run_suite(TINY, names=suites)
     ces = [json.loads(json.dumps(ce)) for s in report.suites for ce in s.counterexamples]
     assert report.exit_code == 1
     assert {ce["check"] for ce in ces} == kinds
     for ce in ces:
-        assert replay_counterexample(ce, **hooks), ce["check"]
+        assert replay_counterexample(ce), ce["check"]
     monkeypatch.undo()
     for ce in ces:
         assert not replay_counterexample(ce), ce["check"]
@@ -377,9 +420,10 @@ def raising_pullback(g, h):
     raise RuntimeError("pullback exploded")
 
 
-def test_a_crash_is_recorded_and_the_other_suites_still_run():
+def test_a_crash_is_recorded_and_the_other_suites_still_run(monkeypatch):
     honest = run_suite(TINY, names=("prop1",)).suites[0]
-    report = run_suite(TINY, names=("axioms", "prop1"), pullback_fn=raising_pullback)
+    monkeypatch.setattr("modcat.suites.pullback", raising_pullback)
+    report = run_suite(TINY, names=("axioms", "prop1"))
     assert report.exit_code == 3
     axioms, prop1 = report.suites
     assert (axioms.name, axioms.checked, axioms.failed) == ("axioms", 1, 1)
@@ -395,7 +439,8 @@ def test_a_crash_is_recorded_and_the_other_suites_still_run():
     assert (prop1.checked, prop1.failed) == (honest.checked, 0)
     assert "crash: RuntimeError: pullback exploded" in report.to_text()
     ce = json.loads(json.dumps(ce))
-    assert replay_counterexample(ce, pullback_fn=raising_pullback)
+    assert replay_counterexample(ce)
+    monkeypatch.undo()
     assert not replay_counterexample(ce)
 
 
@@ -411,11 +456,15 @@ def test_replay_rejects_unknown_check():
         replay_counterexample({"check": "no-such-check", "modulus": 4, "data": {}})
 
 
-def test_counterexamples_are_json_serializable():
-    report = run_suite(TINY, names=("prop1",), purity_oracle=broken_oracle)
+def test_counterexamples_are_json_serializable(monkeypatch):
+    monkeypatch.setattr("modcat.suites.is_pure_oracle", broken_oracle)
+    report = run_suite(TINY, names=("prop1",))
     blob = report.to_json()
     parsed = json.loads(blob)
     ces = parsed["suites"][0]["counterexamples"]
     assert ces
     for ce in ces:
-        assert replay_counterexample(ce, purity_oracle=broken_oracle)
+        assert replay_counterexample(ce)
+    monkeypatch.undo()
+    for ce in ces:
+        assert not replay_counterexample(ce)
