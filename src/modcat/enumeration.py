@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import gcd, lcm
 
 from .complexes import (
     ChainMap,
@@ -43,7 +44,7 @@ from .modules import (
     subgroup_from_lattice,
 )
 from .monoidal import hom_module, postcompose_map, precompose_map
-from .snf import lattice_member, snf_diagonal
+from .snf import hermite_normal_form, lattice_member, snf_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +55,8 @@ from .snf import lattice_member, snf_diagonal
 @lru_cache(maxsize=512)
 def enumerate_modules(n: int, max_order: int) -> tuple[FiniteModule, ...]:
     """All canonical modules over Z/n of order <= max_order, sorted."""
+    if max_order < 1:
+        return ()
     ring = RingSpec(n)
     divisors = [d for d in range(2, n + 1) if n % d == 0]
     chains = [()]
@@ -78,8 +81,6 @@ def modules_of_order(n: int, order: int) -> tuple[FiniteModule, ...]:
 
 def enumerate_morphisms(dom: FiniteModule, cod: FiniteModule):
     """All morphisms dom -> cod, entries walked row-major."""
-    from math import gcd
-
     d = dom.invariant_factors
     e = cod.invariant_factors
     cells = []
@@ -187,20 +188,34 @@ def subgroup_catalog(y: FiniteModule) -> tuple[SubgroupEntry, ...]:
 
 
 @lru_cache(maxsize=4096)
-def cyclic_subgroup_catalog(y: FiniteModule) -> tuple[SubgroupEntry, ...]:
-    """Every cyclic subgroup of y (including the zero subgroup)."""
-    from .snf import hermite_normal_form
+def cyclic_subgroup_catalog(y: FiniteModule, order: int) -> tuple[SubgroupEntry, ...]:
+    """Every cyclic subgroup of y of the given order, one Hermite form each.
 
+    The generators of a cyclic group of order o are exactly u*x with u a
+    unit mod o.  Elements are walked in lexicographic order, so the first
+    element of order ``order`` not yet covered is the lex-first generator of
+    its subgroup; marking its unit multiples covers the subgroup's other
+    generators.  Entries come in the order of their lex-first generators,
+    with that generator as the single row.
+    """
     d = y.invariant_factors
     k = len(d)
-    seen = {}
+    if (d[-1] if d else 1) % order:
+        return ()
+    relations = [[d[i] if c == i else 0 for c in range(k)] for i in range(k)]
+    units = [u for u in range(order) if gcd(u, order) == 1]
+    covered = set()
+    keys = set()
+    entries = []
     for x in y.elements():
-        rows = [list(x)] + [[d[i] if c == i else 0 for c in range(k)] for i in range(k)]
-        basis = hermite_normal_form(rows, k)
-        key = tuple(tuple(r) for r in basis)
-        if key not in seen:
-            seen[key] = SubgroupEntry(y, key, (x,))
-    return tuple(seen.values())
+        if x in covered or lcm(*(di // gcd(xi, di) for xi, di in zip(x, d))) != order:
+            continue
+        covered.update(tuple(u * xi % di for xi, di in zip(x, d)) for u in units)
+        key = tuple(tuple(r) for r in hermite_normal_form([list(x)] + relations, k))
+        assert key not in keys, "two unit orbits gave one subgroup"
+        keys.add(key)
+        entries.append(SubgroupEntry(y, key, (x,)))
+    return tuple(entries)
 
 
 def conflations_ending_in(
@@ -211,7 +226,8 @@ def conflations_ending_in(
 
     For each kernel order the full subgroup walk runs while |Y| <=
     middle_bound; beyond it cyclic kernels are walked for every divisor
-    of n regardless of middle size, which keeps the family discriminating
+    of n regardless of middle size, from a catalog built for that kernel
+    order alone, which keeps the family discriminating
     for flatness at every end module.  Each middle belongs to exactly one
     kernel order and each catalog's keys are distinct, so no conflation
     is handed out twice.
@@ -219,14 +235,12 @@ def conflations_ending_in(
     n = f.ring.modulus
     for k_ord in range(1, kernel_bound + 1):
         middle_order = f.order * k_ord
-        if middle_order <= middle_bound:
-            catalog = subgroup_catalog
-        elif n % k_ord == 0:
-            catalog = cyclic_subgroup_catalog
-        else:
+        whole = middle_order <= middle_bound
+        if not whole and n % k_ord:
             continue
         for y in modules_of_order(n, middle_order):
-            for entry in catalog(y):
+            catalog = subgroup_catalog(y) if whole else cyclic_subgroup_catalog(y, k_ord)
+            for entry in catalog:
                 if entry.sub_order == k_ord and entry.quotient == f:
                     yield entry
 

@@ -659,9 +659,9 @@ def enumerate_complex_conflations_bounded(ring: RingSpec, bound: int):
         out.append(ComplexConflation(ChainMap(zero, y, ()), ident))
         out.append(ComplexConflation(ident, to_zero))
         for nd in y.degrees():
-            for entry in cyclic_subgroup_catalog(y.component(nd)):
-                if entry.sub.is_zero or entry.sub.order not in (2, 3, 5, 7, 11):
-                    continue
+            for entry in (
+                e for p in (2, 3, 5, 7, 11) for e in cyclic_subgroup_catalog(y.component(nd), p)
+            ):
                 if not (y.differential(nd) @ entry.inclusion).is_zero_morphism:
                     continue
                 fmap = ChainMap(single_complex(entry.sub, nd), y, (entry.inclusion,))

@@ -5,6 +5,7 @@ subgroup of a rank-k module is generated by at most k elements, so closing
 all k-tuples of elements enumerates subgroups with no lattice machinery.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -33,6 +34,7 @@ from modcat.complexes import (
     zero_complex,
 )
 from modcat.enumeration import (
+    SubgroupEntry,
     complex_conflation_from_chain_epi,
     conflations_ending_in,
     conflations_with_sub,
@@ -66,6 +68,12 @@ def test_enumerate_modules_frozen_list_n6():
         (3, 3),
         (2, 6),
     ]
+
+
+def test_enumerate_modules_keeps_its_order_bound_below_one():
+    assert enumerate_modules(4, 0) == ()
+    assert enumerate_modules(4, -3) == ()
+    assert enumerate_modules(4, 1) == (RingSpec(4).zero_module(),)
 
 
 def test_enumerate_modules_all_chains_divide():
@@ -172,20 +180,43 @@ def test_subgroup_counts_over_f2_six_dims():
     assert by_order == {1: 1, 2: 63, 4: 651, 8: 1395, 16: 651, 32: 63, 64: 1}
 
 
-def test_cyclic_subgroup_catalog():
-    y = FiniteModule(RingSpec(4), (2, 4))
-    entries = cyclic_subgroup_catalog(y)
-    assert len(entries) == 6
-    brute = set()
+def brute_cyclic_subgroup_sets(y: FiniteModule) -> set:
+    """All cyclic subgroups of y as frozensets, by repeated addition."""
+    out = set()
     for x in y.elements():
         seen = {y.zero_element()}
         acc = x
         while acc not in seen:
             seen.add(acc)
             acc = y.add(acc, x)
-        brute.add(frozenset(seen))
+        out.add(frozenset(seen))
+    return out
+
+
+def test_cyclic_subgroup_catalog():
+    y = FiniteModule(RingSpec(4), (2, 4))
+    entries = [e for order in (1, 2, 4) for e in cyclic_subgroup_catalog(y, order)]
+    assert len(entries) == 6
     got = {frozenset(e.inclusion.apply(v) for v in e.sub.elements()) for e in entries}
-    assert got == brute
+    assert got == brute_cyclic_subgroup_sets(y)
+    assert cyclic_subgroup_catalog(y, 3) == ()
+    assert cyclic_subgroup_catalog(y, 8) == ()
+
+
+@pytest.mark.parametrize(
+    "n,factors",
+    [(8, (2, 8)), (9, (3, 9)), (12, (2, 12)), (12, (6, 12)), (30, (30,)), (36, (6, 36))],
+)
+def test_cyclic_catalogs_over_all_orders_are_every_cyclic_subgroup(n, factors):
+    y = FiniteModule(RingSpec(n), factors)
+    got = []
+    for order in range(1, n + 1):
+        for e in cyclic_subgroup_catalog(y, order):
+            members = frozenset(e.inclusion.apply(v) for v in e.sub.elements())
+            assert len(members) == e.sub_order == order
+            got.append(members)
+    assert len(set(got)) == len(got)  # no subgroup twice, across orders too
+    assert set(got) == brute_cyclic_subgroup_sets(y)
 
 
 # ---------------------------------------------------------------------------
@@ -223,36 +254,57 @@ def eager_subgroup_catalog(y):
     return out
 
 
-def eager_cyclic_subgroup_catalog(y):
+@functools.lru_cache(maxsize=None)
+def first_generators(y):
+    """(key, x) per cyclic subgroup, x its lex-first generator: one Hermite
+    form per element, the walk that the per-order catalogs replace."""
     d = y.invariant_factors
     k = len(d)
     seen = {}
     for x in y.elements():
         rows = [list(x)] + [[d[i] if c == i else 0 for c in range(k)] for i in range(k)]
         key = tuple(tuple(r) for r in hermite_normal_form(rows, k))
-        if key not in seen:
-            seen[key] = _eager(y, [x], key)
-    return list(seen.values())
+        seen.setdefault(key, x)
+    return tuple(seen.items())
+
+
+def eager_cyclic_subgroup_catalog(y):
+    return [_eager(y, [x], key) for key, x in first_generators(y)]
+
+
+def assert_lazy_matches_eager(lazy, eager, y):
+    assert [e.key for e in lazy] == [row[0] for row in eager]
+    for e, (key, sub, incl, quot, proj) in zip(lazy, eager):
+        # the cheap invariants, read before anything is built
+        assert e.sub_order == sub.order
+        assert e.quotient == quot
+        assert e.ambient == y
+        assert e.sub == sub
+        assert e.inclusion == incl
+        assert e.projection == proj
+
+
+def assert_cyclic_catalogs_match_eager(y):
+    eager = eager_cyclic_subgroup_catalog(y)
+    exponent = y.invariant_factors[-1] if y.invariant_factors else 1
+    for order in range(1, exponent + 1):
+        lazy = cyclic_subgroup_catalog(y, order)
+        assert_lazy_matches_eager(lazy, [row for row in eager if row[1].order == order], y)
 
 
 @pytest.mark.parametrize("n", [4, 8, 9, 12])
 def test_lazy_catalogs_match_the_eager_oracle(n):
     for y in enumerate_modules(n, 32):
-        for lazy_walk, eager_walk in (
-            (subgroup_catalog, eager_subgroup_catalog),
-            (cyclic_subgroup_catalog, eager_cyclic_subgroup_catalog),
-        ):
-            lazy = lazy_walk(y)
-            eager = eager_walk(y)
-            assert [e.key for e in lazy] == [row[0] for row in eager]
-            for e, (key, sub, incl, quot, proj) in zip(lazy, eager):
-                # the cheap invariants, read before anything is built
-                assert e.sub_order == sub.order
-                assert e.quotient == quot
-                assert e.ambient == y
-                assert e.sub == sub
-                assert e.inclusion == incl
-                assert e.projection == proj
+        assert_lazy_matches_eager(subgroup_catalog(y), eager_subgroup_catalog(y), y)
+        assert_cyclic_catalogs_match_eager(y)
+
+
+@pytest.mark.parametrize("n,bound", [(30, 60), (36, 72)])
+def test_cyclic_catalogs_match_the_eager_oracle_beyond_cyclic_unit_groups(n, bound):
+    """Element orders such as 15, 9 or 36 have unit groups that are not
+    cyclic 2-groups, so a unit orbit can be larger than {x, -x}."""
+    for y in enumerate_modules(n, bound):
+        assert_cyclic_catalogs_match_eager(y)
 
 
 def test_sample_mode_builds_at_most_the_sampled_entries(monkeypatch):
@@ -323,6 +375,27 @@ def test_conflations_ending_in_frozen_count():
         for end in enumerate_modules(n, 32):
             tags = [(e.ambient.invariant_factors, e.key) for e in conflations_ending_in(end, 16, 32)]
             assert len(set(tags)) == len(tags), end
+
+
+def test_conflations_beyond_the_middle_bound_match_the_whole_catalog_filter():
+    """The per-order catalogs yield what filtering one catalog of every
+    cyclic subgroup by kernel order and quotient kept, in the same order."""
+    for n in (4, 8, 9, 12):
+        for end in enumerate_modules(n, 32):
+            got = [
+                (e.ambient.invariant_factors, e.key, e.sub_order)
+                for e in conflations_ending_in(end, 16, 32)
+                if e.ambient.order > 32
+            ]
+            want = [
+                (y.invariant_factors, e.key, e.sub_order)
+                for k_ord in range(1, 17)
+                if end.order * k_ord > 32 and n % k_ord == 0
+                for y in modules_of_order(n, end.order * k_ord)
+                for e in (SubgroupEntry(y, key, (x,)) for key, x in first_generators(y))
+                if e.sub_order == k_ord and e.quotient == end
+            ]
+            assert got == want, end
 
 
 def test_conflations_ending_in_goes_cyclic_beyond_the_middle_bound():

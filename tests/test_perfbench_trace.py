@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` wraps the layer functions it finds by name and then
 reads fixed metric names such as ``snf.snf_diagonal.calls``, so renaming or
 removing one of them in ``modcat`` would break ``perfbench/run.py --trace 1``.
-This test runs the tracer on a tiny prop1 suite in a fresh process, the way
-the benchmark's traced run does, and reads the per-layer metrics.
+These tests run the tracer on a tiny prop1 suite and a tiny flat-equiv
+suite, each in a fresh process the way the benchmark's traced run does, and
+read the per-layer metrics.
 """
 
 import json
@@ -23,17 +24,18 @@ from tracer import Tracer, per_layer_metrics
 
 tracer = Tracer()
 tracer.install()
-report = run_suite(SuiteConfig(moduli=(4,), max_module_order=8), names=("prop1",))
+report = run_suite(SuiteConfig(%s), names=(%r,))
 metrics = per_layer_metrics(tracer.summary(), report)
 print(json.dumps({name: m["value"] for name, m in metrics.items()}))
 """
 
 
-def test_traced_prop1_run_reports_per_layer_metrics():
+def traced_run(config: str, suite: str) -> dict:
+    """Per-layer metric values of one traced suite run in a fresh process."""
     path = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN],
+        [sys.executable, "-c", TRACED_RUN % (config, suite)],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -41,7 +43,11 @@ def test_traced_prop1_run_reports_per_layer_metrics():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    values = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_prop1_run_reports_per_layer_metrics():
+    values = traced_run("moduli=(4,), max_module_order=8", "prop1")
     assert values["suites.prop1.checks"] > 0
     assert values["suites.prop1.failed"] == 0
     # The tracer rebinds module names: a runner or check that captured its
@@ -53,3 +59,13 @@ def test_traced_prop1_run_reports_per_layer_metrics():
     assert values["snf.snf_diagonal.calls"] > 0
     # split search takes one deterministic solution and walks no coset
     assert values["modules.solution_set.yielded"] == 0
+
+
+def test_traced_flat_equiv_run_reaches_the_cyclic_catalogs():
+    # kernel bound 4 over middles of order <= 4: every kernel order above 1
+    # takes the per-order cyclic catalog, whose Hermite forms the tracer counts
+    values = traced_run("moduli=(4,), max_module_order=4, max_kernel_order=4", "flat-equiv")
+    assert values["suites.flat-equiv.checks"] > 0
+    assert values["suites.flat-equiv.failed"] == 0
+    assert values["enumeration.conflations_ending_in.yielded"] > 0
+    assert values["snf.hermite_normal_form.calls"] > 0

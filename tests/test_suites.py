@@ -416,6 +416,26 @@ def test_every_check_kind_replays_its_failures(monkeypatch, suites, kinds, patch
         assert not replay_counterexample(ce), ce["check"]
 
 
+def test_the_pure_injective_leg_fails_where_is_pure_and_splits_disagree(monkeypatch):
+    """At finite scale every module is pure-injective, so the leg can fail
+    only when a conflation starting at M++ is called pure and does not split."""
+    monkeypatch.setattr("modcat.purity.is_pure", lambda c: PurityVerdict(True, "forced", None))
+    config = SuiteConfig(moduli=(4,), max_module_order=4, max_kernel_order=4)
+    report = run_suite(config, names=("enough-pi",))
+    ces = [json.loads(json.dumps(ce)) for ce in report.suites[0].counterexamples]
+    assert report.exit_code == 1
+    assert ces
+    for ce in ces:
+        assert ce["check"] == "enough-pi"
+        legs = ce["data"]["legs"]
+        assert legs["double_dual_pure_injective"] is False
+        assert [leg for leg, ok in legs.items() if not ok] == ["double_dual_pure_injective"]
+        assert replay_counterexample(ce)
+    monkeypatch.undo()
+    for ce in ces:
+        assert not replay_counterexample(ce)
+
+
 def raising_pullback(g, h):
     raise RuntimeError("pullback exploded")
 
