@@ -40,11 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default: {' '.join(map(str, SuiteConfig.moduli))})",
     )
     parent.add_argument("--max-order", type=int, default=SuiteConfig.max_module_order, metavar="B",
-                        help="largest module order enumerated (default %(default)s)")
+                        help="largest module order enumerated, at least 1 (default %(default)s)")
     parent.add_argument("--max-kernel", type=int, default=SuiteConfig.max_kernel_order, metavar="B",
                         help="largest kernel order in conflation walks (default %(default)s); "
                         "flat-equiv needs at least the largest prime p with p^2 | N "
-                        "and p <= --max-order, for each modulus N")
+                        "and p <= --max-order, for each modulus N, and prop1 at least 1")
     parent.add_argument("--span", type=int, default=SuiteConfig.max_complex_span, metavar="K",
                         help="largest complex window span (default %(default)s)")
     parent.add_argument("--mode", choices=("exhaustive", "sample"), default=SuiteConfig.mode,

@@ -410,14 +410,37 @@ def _kernel_lattice_gens(f: Morphism) -> list[list[int]]:
 # Small on purpose.  The complexes suite asks for the kernels of a few
 # dozen differentials and chain-map parts over and over (kernel_objects
 # twice per complex, complex_conflation_from_chain_epi per conflation),
-# close together: at moduli 4 and 9, span 4, 64 entries catch all 9,298
-# repeats among 9,371 calls.  The axioms suite makes about 7,000 one-off
-# calls, which a large cache would only hold: with 8,192 entries its peak
-# memory went from 17.0 to 24.7 MB.
+# close together: at moduli 4 and 9, span 4, 64 entries catch all 9,041
+# repeats among 9,101 calls.  The axioms suite makes 7,268 calls at
+# moduli 4 8 9 12, order 8, of which 6,976 miss: a large cache would
+# only hold them, and with 8,192 entries peak memory went from 17.1 to
+# 25.5 MB.
 @lru_cache(maxsize=64)
 def kernel(f: Morphism):
-    """(kernel module, inclusion into the domain)."""
-    return subgroup_from_lattice(f.domain, _kernel_lattice_gens(f))
+    """(kernel module, inclusion into the domain), in one Smith form.
+
+    Uses ker f = (coker f^+)^+ for the character dual (-)^+ = Hom(-, Z/n),
+    which is exact on finite Z/n-modules because Z/n is self-injective.
+    With d, e the factors of the domain and codomain and a the matrix,
+    f^+ has entry a[j][i] * d[i] // e[j] at (i, j) (the closed form of
+    ``purity.dual_mor``, inlined since ``purity`` imports this module).
+    Its columns and diag(d) present coker f^+; the inclusion is the dual
+    of the projection p onto it, entry p[t][i] * d[i] // c[t] at (i, t).
+    """
+    d = f.domain.invariant_factors
+    e = f.codomain.invariant_factors
+    k = len(d)
+    rel = [tuple(a * d[i] // e[j] for i, a in enumerate(row)) for j, row in enumerate(f.matrix)]
+    rel.extend(tuple(d[i] if i == t else 0 for t in range(k)) for i in range(k))
+    can = canonicalize(Presentation(f.domain.ring, k, tuple(rel)))
+    c = can.module.invariant_factors
+    rows = tuple(
+        tuple(p * d[i] // c[t] for t, p in enumerate(can.generator_images[i])) for i in range(k)
+    )
+    incl = Morphism(can.module, f.domain, rows)
+    if any(map(any, _compose_rows(f.matrix, incl.matrix, e, len(c)))):
+        raise AssertionError("kernel inclusion is not killed by the morphism")
+    return can.module, incl
 
 
 def image(f: Morphism):
@@ -556,12 +579,22 @@ def solve_blocks(blocks: dict, cols, targets) -> tuple | None:
     return tuple(out)
 
 
+# The lattice route's basis, not kernel(f)'s: under COMPLEX_FAMILY_CAP the
+# coset order of solution_set decides which complex conflations get
+# checked.  Cached like kernel: the walk asks for a few systems again and
+# again (20 distinct among 270 calls at moduli 4 and 9, span 4).  ROADMAP
+# item 3 removes both when it moves solution_set to the tests.
+@lru_cache(maxsize=64)
+def _lattice_kernel(f: Morphism):
+    return subgroup_from_lattice(f.domain, _kernel_lattice_gens(f))
+
+
 def solution_set(f: Morphism, target):
     """All solutions of f(x) == target as an iterator (coset of the kernel)."""
     x0 = solve(f, target)
     if x0 is None:
         return
-    ker, incl = kernel(f)
+    ker, incl = _lattice_kernel(f)
     dom = f.domain
     for coeffs in ker.elements():
         yield dom.add(x0, incl.apply(coeffs))

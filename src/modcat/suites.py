@@ -168,9 +168,13 @@ class SuiteConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # No module has order 0, so a module bound of 0 would check nothing
+        # and pass.  A kernel bound of 0 still runs flat-equiv's checks
+        # (run_suite rejects it for prop1), and a span of 0 the witness checks.
         for name in bounds:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            least = 1 if name == "max_module_order" else 0
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if self.mode not in ("exhaustive", "sample"):
             raise ConfigError(f"mode must be 'exhaustive' or 'sample', got {self.mode!r}")
         if self.mode == "sample":
@@ -567,6 +571,11 @@ def run_suite(config: SuiteConfig, names=SUITE_ORDER) -> Report:
         raise ConfigError(f"unknown suite name(s): {', '.join(unknown)}")
     if "flat-equiv" in names:
         _check_kernel_bound(config.moduli, config.max_module_order, config.max_kernel_order)
+    if "prop1" in names and config.max_kernel_order < 1:
+        raise ConfigError(
+            "max_kernel_order must be >= 1 for prop1, which checks only conflations "
+            "with a kernel of order at most the bound"
+        )
     suites = []
     for name in SUITE_ORDER:
         if name not in names:

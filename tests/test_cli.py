@@ -81,6 +81,17 @@ def test_too_small_kernel_bound_is_a_config_error(capsys):
     assert "modulus 9" in err and "at least 3" in err
 
 
+@pytest.mark.parametrize("flag,bound", [("--max-order", "max_module_order"),
+                                        ("--max-kernel", "max_kernel_order")])
+def test_order_bound_of_zero_is_a_config_error(flag, bound, capsys):
+    # Without the check, axioms, prop1 and enough-pi ran 0 checks and exited 0.
+    # At the squarefree modulus 6 flat-equiv accepts a kernel bound of 0.
+    assert main(["all", "--modulus", "6", "--span", "1", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bound} must be >= 1" in captured.err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["axioms", "--format", "yaml"])

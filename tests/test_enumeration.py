@@ -6,7 +6,9 @@ all k-tuples of elements enumerates subgroups with no lattice machinery.
 """
 
 import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -22,7 +24,7 @@ from modcat.modules import (
     subgroup_from_lattice,
 )
 from modcat.snf import hermite_normal_form, lattice_member
-from modcat.suites import SuiteConfig, run_suite
+from modcat.suites import COMPLEX_FAMILY_CAP, COMPLEX_KERNEL_CAP, SuiteConfig, run_suite
 from modcat.monoidal import hom_module
 from modcat.purity import is_flat
 from modcat.complexes import (
@@ -589,3 +591,29 @@ def test_enumerate_complex_conflations_ending_in():
     for cc in items:
         assert isinstance(cc, ComplexConflation)
         assert cc.quotient == f
+
+
+@pytest.mark.parametrize(
+    "n,span,count,digest",
+    [
+        (4, 3, 365, "4e7326a7d1426f55ce4faee02a6b8fdd37a8360f3a53ac8c37a94fbc1fd6d4f4"),
+        (9, 3, 725, "b4a1b58d4a363e81621771219153cff11ae517d6f7e5d0e3cf8123d556bf421b"),
+        (12, 2, 589, "a90f84f0701108488e1d058d21418457c07db2b0854108e8082576deb0ec8f3d"),
+    ],
+    ids=["4-3", "9-3", "12-2"],
+)
+def test_capped_complex_families_are_pinned(n, span, count, digest):
+    """The chain epis of the capped families the complexes suite checks.
+
+    Under COMPLEX_FAMILY_CAP the walk order decides which conflations are
+    checked, so a change of basis anywhere under it (a kernel inclusion,
+    a coset order) would silently change the suite's coverage.  A change
+    that means to choose the family differently updates these pins.
+    """
+    seq = [
+        cc.g.to_dict()
+        for x in enumerate_complexes(n, span, n)
+        for cc in enumerate_complex_conflations_ending_in(x, COMPLEX_KERNEL_CAP, COMPLEX_FAMILY_CAP)
+    ]
+    assert len(seq) == count
+    assert hashlib.sha256(json.dumps(seq, sort_keys=True).encode()).hexdigest() == digest

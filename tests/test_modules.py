@@ -10,6 +10,7 @@ None of these touch the Smith-normal-form path under test.
 import itertools
 import sys
 from collections import Counter
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -35,9 +36,11 @@ from modcat.modules import (
     solution_set,
     solve,
     subgroup_from_lattice,
+    _kernel_lattice_gens,
 )
 from modcat.enumeration import enumerate_modules, enumerate_morphisms
 from modcat.exact import Conflation, splits
+from modcat.suites import SuiteConfig, run_suite
 
 from helpers import element_order, multiplication, sample_morphisms
 
@@ -480,6 +483,70 @@ def test_frozen_multiplication_by_two_over_z4():
     assert ker.invariant_factors == (2,)
     assert im.invariant_factors == (2,)
     assert cok.invariant_factors == (2,)
+
+
+def hom_order(dom: FiniteModule, cod: FiniteModule) -> int:
+    return prod(gcd(d, e) for d in dom.invariant_factors for e in cod.invariant_factors)
+
+
+@pytest.mark.parametrize("n,per_pair", [(4, 32), (8, 32), (9, 32), (12, 32), (18, 8), (30, 8), (36, 8)])
+def test_dual_route_kernel_against_element_scan(n, per_pair):
+    """Every morphism between modules of order <= 16 whose Hom group has at
+    most 256 elements, and a fixed sample of ``per_pair`` beyond that; only
+    a sample at the three larger moduli.  ker f = (coker f^+)^+ must give
+    the scanned kernel through a mono, with the lattice route's factors."""
+    pool = [m for m in enumerate_modules(n, 16) if m.order <= 16]
+    for dom in pool:
+        for cod in pool:
+            exhaustive = n in (4, 8, 9, 12) and hom_order(dom, cod) <= 256
+            morphisms = (
+                enumerate_morphisms(dom, cod) if exhaustive
+                else sample_morphisms(dom, cod, per_pair, seed=43)
+            )
+            for f in morphisms:
+                ker, incl = kernel(f)
+                assert incl.domain == ker and incl.codomain == dom
+                assert {incl.apply(e) for e in ker.elements()} == brute_kernel(f)
+                assert incl.is_mono()
+                lattice_ker, _ = subgroup_from_lattice(dom, _kernel_lattice_gens(f))
+                assert ker.invariant_factors == lattice_ker.invariant_factors
+
+
+def test_kernel_takes_one_smith_form_per_call(monkeypatch):
+    import modcat.modules as mm
+
+    r = RingSpec(12)
+    calls = []
+    real = mm.smith_normal_form
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(len(matrix))
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(mm, "smith_normal_form", counting)
+    y = FiniteModule(r, (2, 6, 12))
+    for f in sample_morphisms(y, FiniteModule(r, (3, 12)), 6, seed=47):
+        mm.kernel.cache_clear()
+        calls.clear()
+        ker, _ = kernel(f)
+        assert len(calls) == 1
+        assert ker.order == kernel_order(f)
+
+
+@pytest.mark.parametrize("wrong", ["doubled", "zero"])
+def test_a_wrong_kernel_inclusion_is_a_crash_not_a_counterexample(monkeypatch, wrong):
+    # The pullback's own asserts catch a wrong basis; the suite must report
+    # the crash rather than a counterexample to the exact-category axioms.
+    def wrong_kernel(f):
+        ker, incl = kernel(f)
+        return ker, incl.scaled(2) if wrong == "doubled" else Morphism.zero(ker, f.domain)
+
+    monkeypatch.setattr("modcat.exact.kernel", wrong_kernel)
+    report = run_suite(SuiteConfig(moduli=(4,), max_module_order=4), names=("axioms",))
+    assert report.exit_code == 3
+    records = report.suites[0].counterexamples
+    assert records and all(ce["check"] == "crash" for ce in records)
+    assert records[0]["data"]["exception"] == "AssertionError"
 
 
 # ---------------------------------------------------------------------------

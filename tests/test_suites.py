@@ -104,6 +104,22 @@ def test_config_rejects_bad_values():
         SuiteConfig(moduli=(4, 4))
     with pytest.raises(ConfigError):
         SuiteConfig(max_module_order=-1)
+    # No module has order 0, so these bounds would check nothing and pass:
+    # axioms, prop1 and enough-pi at module bound 0, prop1 at kernel bound 0.
+    with pytest.raises(ConfigError, match="max_module_order must be >= 1"):
+        SuiteConfig(moduli=(4,), max_module_order=0)
+    for names in (("prop1",), SUITE_ORDER):
+        with pytest.raises(ConfigError, match="max_kernel_order must be >= 1"):
+            run_suite(SuiteConfig(moduli=(6,), max_kernel_order=0), names=names)
+    with pytest.raises(ConfigError):
+        SuiteConfig(max_kernel_order=-1)
+    with pytest.raises(ConfigError):
+        SuiteConfig(max_complex_span=-1)
+    # Kernel bound 0 still runs flat-equiv (test_flat_equiv_passes_at_the_
+    # kernel_threshold), and span 0 the complex-witness checks.
+    report = run_suite(SuiteConfig(moduli=(4,), max_module_order=4, max_complex_span=0),
+                       names=("complexes",))
+    assert report.suites[0].checked > 0 and report.exit_code == 0
     with pytest.raises(ConfigError):
         SuiteConfig(mode="fuzz")
     with pytest.raises(ConfigError):
