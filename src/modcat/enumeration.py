@@ -37,11 +37,11 @@ from .modules import (
     Morphism,
     RingSpec,
     _compose_rows,
+    _generator_map,
     cokernel,
     factor_through_mono,
     kernel,
     solution_set,
-    subgroup_from_lattice,
 )
 from .monoidal import hom_module, postcompose_map, precompose_map
 from .snf import hermite_normal_form, lattice_member, snf_diagonal
@@ -126,8 +126,8 @@ class SubgroupEntry:
         self._sub = None
 
     def _build(self) -> None:
-        sub, incl = subgroup_from_lattice(self.ambient, self._rows)
-        quot, proj = cokernel(incl)
+        quot, proj = cokernel(_generator_map(self.ambient, self._rows))
+        sub, incl = kernel(proj)
         if quot != self.quotient or sub.order != self.sub_order:
             raise AssertionError("built subgroup disagrees with its Smith invariants")
         self._sub, self._inclusion, self._projection = sub, incl, proj

@@ -14,7 +14,10 @@ All structural computations (canonical form, kernels, cokernels, sums,
 solving) go through the integer relation lattice: a presentation with g
 generators is the quotient of Z^g by the lattice spanned by its relation
 rows together with n times the identity, and Smith normal form over Z
-diagonalizes it.
+diagonalizes it.  Only ``canonicalize`` and the solver take that
+factorization: a cokernel is one canonicalized presentation, a kernel the
+dual of one, and a subgroup or an image the kernel of the projection onto
+a cokernel.
 """
 
 from __future__ import annotations
@@ -209,9 +212,12 @@ class Morphism:
     # -- arithmetic -----------------------------------------------------------
 
     def apply(self, x) -> tuple[int, ...]:
+        k = self.domain.rank()
+        if len(x) != k:
+            raise ValueError(f"element {tuple(x)} has length {len(x)}, not the domain rank {k}")
         cod = self.codomain.invariant_factors
         return tuple(
-            sum(row[i] * x[i] for i in range(len(x))) % cod[j]
+            sum(row[i] * x[i] for i in range(k)) % cod[j]
             for j, row in enumerate(self.matrix)
         )
 
@@ -339,49 +345,6 @@ def canonicalize(pres: Presentation) -> Canonicalized:
 
 
 # ---------------------------------------------------------------------------
-# subgroups presented by integer lattices
-# ---------------------------------------------------------------------------
-
-
-def subgroup_from_lattice(ambient: FiniteModule, gens: list[list[int]]):
-    """The subgroup of ``ambient`` generated by the given integer vectors.
-
-    Returns (module, inclusion).  The vectors are taken mod the ambient
-    factors; the ambient relation lattice is joined in automatically.
-    """
-    d = ambient.invariant_factors
-    k = len(d)
-    rows = [list(v) for v in gens]
-    rows.extend([d[i] if i == j else 0 for j in range(k)] for i in range(k))
-    form = smith_normal_form(rows, left=False)
-    diag = form.diagonal
-    if any(diag[i] == 0 for i in range(k)):
-        raise AssertionError("subgroup lattice must have full rank")
-    vinv = form.right_inv
-    basis = [[diag[i] * vinv[i][j] for j in range(k)] for i in range(k)]
-    v = form.right
-    rel = []
-    for j in range(k):
-        row = []
-        for i in range(k):
-            num = d[j] * v[j][i]
-            if num % diag[i]:
-                raise AssertionError("ambient relation fell outside the subgroup lattice")
-            row.append((num // diag[i]) % ambient.ring.modulus)
-        rel.append(tuple(row))
-    can = canonicalize(Presentation(ambient.ring, k, tuple(rel)))
-    columns = []
-    for t in range(can.module.rank()):
-        lift = can.generator_lifts[t]
-        ambient_vec = [
-            sum(lift[u] * basis[u][j] for u in range(k)) for j in range(k)
-        ]
-        columns.append(ambient.reduce(ambient_vec))
-    incl = Morphism.from_columns(can.module, ambient, columns)
-    return can.module, incl
-
-
-# ---------------------------------------------------------------------------
 # kernels, images, cokernels
 # ---------------------------------------------------------------------------
 
@@ -392,29 +355,16 @@ def _augmented(a, e: tuple[int, ...]) -> list[list[int]]:
     return [list(a[j]) + [e[j] if j == t else 0 for t in range(l)] for j in range(l)]
 
 
-def _kernel_lattice_gens(f: Morphism) -> list[list[int]]:
-    """Integer vectors spanning the preimage of the codomain lattice."""
-    k = f.domain.rank()
-    l = f.codomain.rank()
-    if l == 0:
-        return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    form = smith_normal_form(_augmented(f.matrix, f.codomain.invariant_factors), left=False)
-    r = form.rank
-    v = form.right
-    gens = []
-    for col in range(r, k + l):
-        gens.append([v[row][col] for row in range(k)])
-    return gens
-
-
 # Small on purpose.  The complexes suite asks for the kernels of a few
-# dozen differentials and chain-map parts over and over (kernel_objects
-# twice per complex, complex_conflation_from_chain_epi per conflation),
-# close together: at moduli 4 and 9, span 4, 64 entries catch all 9,041
-# repeats among 9,101 calls.  The axioms suite makes 7,268 calls at
-# moduli 4 8 9 12, order 8, of which 6,976 miss: a large cache would
-# only hold them, and with 8,192 entries peak memory went from 17.1 to
-# 25.5 MB.
+# dozen differentials, chain-map parts and hom-coordinate systems over and
+# over (kernel_objects twice per complex, complex_conflation_from_chain_epi
+# per conflation, solution_set per walked system), close together: at
+# moduli 4 and 9, span 4, 64 entries catch all 9,305 repeats among 9,378
+# calls.  The axioms suite makes 7,383 calls at moduli 4 8 9 12, order 8,
+# of which 7,031 miss, and every subgroup or image built is one call that
+# is rarely asked again (prop1 at order 32, kernel 8: 1,947 calls, no
+# repeat): a large cache would only hold them, and with 8,192 entries
+# peak memory went from 17.1 to 25.5 MB.
 @lru_cache(maxsize=64)
 def kernel(f: Morphism):
     """(kernel module, inclusion into the domain), in one Smith form.
@@ -444,9 +394,9 @@ def kernel(f: Morphism):
 
 
 def image(f: Morphism):
-    """(image module, inclusion into the codomain)."""
-    cols = [[f.matrix[j][i] for j in range(f.codomain.rank())] for i in range(f.domain.rank())]
-    return subgroup_from_lattice(f.codomain, cols)
+    """(image module, inclusion into the codomain): the kernel of the
+    projection onto the cokernel."""
+    return kernel(cokernel(f)[1])
 
 
 def cokernel(f: Morphism):
@@ -464,6 +414,34 @@ def cokernel(f: Morphism):
     can = canonicalize(Presentation(cod.ring, l, tuple(rel)))
     proj = Morphism.from_columns(cod, can.module, list(can.generator_images))
     return can.module, proj
+
+
+def _generator_map(ambient: FiniteModule, gens) -> Morphism:
+    """The map to ``ambient`` from a free module whose columns are ``gens``;
+    its image is the subgroup they generate.
+
+    Raises ValueError for a vector whose length is not the ambient rank
+    and TypeError for an entry that is not an int.
+    """
+    k = ambient.rank()
+    cols = [tuple(v) for v in gens]
+    for v in cols:
+        if len(v) != k:
+            raise ValueError(f"generator {v} has length {len(v)}, not the ambient rank {k}")
+        if any(type(a) is not int for a in v):
+            raise TypeError(f"generator {v} has an entry that is not an int")
+    free = FiniteModule(ambient.ring, (ambient.ring.modulus,) * len(cols))
+    return Morphism.from_columns(free, ambient, cols)
+
+
+def subgroup_from_lattice(ambient: FiniteModule, gens):
+    """The subgroup of ``ambient`` generated by the given integer vectors.
+
+    Returns (module, inclusion), the image of ``_generator_map``: the
+    kernel of the projection onto ambient / <gens>.  The vectors are
+    taken mod the ambient factors.
+    """
+    return image(_generator_map(ambient, gens))
 
 
 @lru_cache(maxsize=65536)
@@ -579,22 +557,13 @@ def solve_blocks(blocks: dict, cols, targets) -> tuple | None:
     return tuple(out)
 
 
-# The lattice route's basis, not kernel(f)'s: under COMPLEX_FAMILY_CAP the
-# coset order of solution_set decides which complex conflations get
-# checked.  Cached like kernel: the walk asks for a few systems again and
-# again (20 distinct among 270 calls at moduli 4 and 9, span 4).  ROADMAP
-# item 3 removes both when it moves solution_set to the tests.
-@lru_cache(maxsize=64)
-def _lattice_kernel(f: Morphism):
-    return subgroup_from_lattice(f.domain, _kernel_lattice_gens(f))
-
-
 def solution_set(f: Morphism, target):
-    """All solutions of f(x) == target as an iterator (coset of the kernel)."""
+    """All solutions of f(x) == target as an iterator: the coset of x0 =
+    ``solve(f, target)``, walked in lex order of ``kernel(f)``'s coordinates."""
     x0 = solve(f, target)
     if x0 is None:
         return
-    ker, incl = _lattice_kernel(f)
+    ker, incl = kernel(f)
     dom = f.domain
     for coeffs in ker.elements():
         yield dom.add(x0, incl.apply(coeffs))

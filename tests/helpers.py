@@ -1,6 +1,8 @@
 """Constructions that only the tests use: morphism samples, mono slices,
 mediating morphisms of pullbacks and pushouts, identity chain maps,
-multiplication maps and element orders.
+multiplication maps, element orders, and the lattice route to subgroups
+and kernels, an oracle independent of the package's cokernel-and-dual-kernel
+route.
 
 The package never calls these, so they live next to the tests.
 """
@@ -11,7 +13,15 @@ from math import gcd
 from modcat.complexes import ChainMap, Complex
 from modcat.enumeration import enumerate_morphisms
 from modcat.exact import Pullback, Pushout
-from modcat.modules import FiniteModule, Morphism, factor_through_epi, factor_through_mono
+from modcat.modules import (
+    FiniteModule,
+    Morphism,
+    Presentation,
+    canonicalize,
+    factor_through_epi,
+    factor_through_mono,
+)
+from modcat.snf import smith_normal_form
 
 
 def sample_morphisms(dom: FiniteModule, cod: FiniteModule, count: int, seed: int):
@@ -71,3 +81,49 @@ def element_order(m: FiniteModule, x) -> int:
         if v % d:
             result = result * (d // gcd(v, d)) // gcd(result, d // gcd(v, d))
     return result
+
+
+def lattice_subgroup(ambient: FiniteModule, gens):
+    """The subgroup of ``ambient`` generated by the integer vectors ``gens``,
+    as (module, inclusion), read off the Smith form of the lattice they span
+    together with the ambient relations."""
+    d = ambient.invariant_factors
+    k = len(d)
+    rows = [list(v) for v in gens]
+    rows.extend([d[i] if i == j else 0 for j in range(k)] for i in range(k))
+    form = smith_normal_form(rows, left=False)
+    diag = form.diagonal
+    if any(diag[i] == 0 for i in range(k)):
+        raise AssertionError("subgroup lattice must have full rank")
+    vinv = form.right_inv
+    basis = [[diag[i] * vinv[i][j] for j in range(k)] for i in range(k)]
+    v = form.right
+    rel = []
+    for j in range(k):
+        row = []
+        for i in range(k):
+            num = d[j] * v[j][i]
+            if num % diag[i]:
+                raise AssertionError("ambient relation fell outside the subgroup lattice")
+            row.append((num // diag[i]) % ambient.ring.modulus)
+        rel.append(tuple(row))
+    can = canonicalize(Presentation(ambient.ring, k, tuple(rel)))
+    columns = []
+    for t in range(can.module.rank()):
+        lift = can.generator_lifts[t]
+        vec = [sum(lift[u] * basis[u][j] for u in range(k)) for j in range(k)]
+        columns.append(ambient.reduce(vec))
+    return can.module, Morphism.from_columns(can.module, ambient, columns)
+
+
+def kernel_lattice_gens(f: Morphism) -> list[list[int]]:
+    """Integer vectors spanning the preimage of the codomain lattice: the
+    kernel of f is ``lattice_subgroup(f.domain, kernel_lattice_gens(f))``."""
+    k = f.domain.rank()
+    e = f.codomain.invariant_factors
+    l = len(e)
+    if l == 0:
+        return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    augmented = [list(f.matrix[j]) + [e[j] if j == t else 0 for t in range(l)] for j in range(l)]
+    form = smith_normal_form(augmented, left=False)
+    return [[form.right[row][col] for row in range(k)] for col in range(form.rank, k + l)]

@@ -21,7 +21,7 @@ from modcat.modules import (
     cokernel,
     cyclic,
     direct_sum,
-    subgroup_from_lattice,
+    kernel,
 )
 from modcat.snf import hermite_normal_form, lattice_member
 from modcat.suites import COMPLEX_FAMILY_CAP, COMPLEX_KERNEL_CAP, SuiteConfig, run_suite
@@ -50,7 +50,7 @@ from modcat.enumeration import (
     subgroup_catalog,
 )
 
-from helpers import enumerate_monos, multiplication, sample_morphisms
+from helpers import enumerate_monos, lattice_subgroup, multiplication, sample_morphisms
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +227,14 @@ def test_cyclic_catalogs_over_all_orders_are_every_cyclic_subgroup(n, factors):
 
 
 def _eager(y, rows, key):
-    sub, incl = subgroup_from_lattice(y, [list(r) for r in rows])
-    quot, proj = cokernel(incl)
-    return key, sub, incl, quot, proj
+    """Every field of a catalog entry, built up front through the public
+    calls, and the elements of the subgroup by the lattice oracle."""
+    free = FiniteModule(y.ring, (y.ring.modulus,) * len(rows))
+    quot, proj = cokernel(Morphism.from_columns(free, y, [tuple(r) for r in rows]))
+    sub, incl = kernel(proj)
+    lattice_sub, lattice_incl = lattice_subgroup(y, rows)
+    members = frozenset(lattice_incl.apply(v) for v in lattice_sub.elements())
+    return key, sub, incl, quot, proj, members
 
 
 def eager_subgroup_catalog(y):
@@ -276,7 +281,7 @@ def eager_cyclic_subgroup_catalog(y):
 
 def assert_lazy_matches_eager(lazy, eager, y):
     assert [e.key for e in lazy] == [row[0] for row in eager]
-    for e, (key, sub, incl, quot, proj) in zip(lazy, eager):
+    for e, (key, sub, incl, quot, proj, members) in zip(lazy, eager):
         # the cheap invariants, read before anything is built
         assert e.sub_order == sub.order
         assert e.quotient == quot
@@ -284,6 +289,7 @@ def assert_lazy_matches_eager(lazy, eager, y):
         assert e.sub == sub
         assert e.inclusion == incl
         assert e.projection == proj
+        assert {e.inclusion.apply(v) for v in e.sub.elements()} == members
 
 
 def assert_cyclic_catalogs_match_eager(y):
@@ -315,13 +321,13 @@ def test_sample_mode_builds_at_most_the_sampled_entries(monkeypatch):
         mode="sample", sample_count=3, seed=5,
     )
     builds = []
-    real = modcat.enumeration.subgroup_from_lattice
+    real = modcat.enumeration._generator_map
 
     def counting(ambient, gens):
         builds.append(ambient)
         return real(ambient, gens)
 
-    monkeypatch.setattr(modcat.enumeration, "subgroup_from_lattice", counting)
+    monkeypatch.setattr(modcat.enumeration, "_generator_map", counting)
     subgroup_catalog.cache_clear()
     report = run_suite(cfg, names=("prop1",))
     subgroup_catalog.cache_clear()
@@ -598,7 +604,7 @@ def test_enumerate_complex_conflations_ending_in():
     [
         (4, 3, 365, "4e7326a7d1426f55ce4faee02a6b8fdd37a8360f3a53ac8c37a94fbc1fd6d4f4"),
         (9, 3, 725, "b4a1b58d4a363e81621771219153cff11ae517d6f7e5d0e3cf8123d556bf421b"),
-        (12, 2, 589, "a90f84f0701108488e1d058d21418457c07db2b0854108e8082576deb0ec8f3d"),
+        (12, 2, 589, "17392eaf943aac44ec648d8817175faf94f5707630a108527a3b4da12b128ea3"),
     ],
     ids=["4-3", "9-3", "12-2"],
 )

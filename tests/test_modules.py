@@ -4,7 +4,10 @@ Independent oracles used throughout:
   * brute coset enumeration of a presented module (set arithmetic only),
   * additive closure of generator sets for subgroups,
   * elementwise scans for kernel / image / mono / epi facts.
-None of these touch the Smith-normal-form path under test.
+None of these touch the Smith-normal-form path under test.  The lattice
+route of ``helpers.lattice_subgroup`` is a second Smith-form route to
+subgroups and kernels: it diagonalizes the subgroup lattice itself, where
+the package takes the kernel of the projection onto a cokernel.
 """
 
 import itertools
@@ -36,13 +39,18 @@ from modcat.modules import (
     solution_set,
     solve,
     subgroup_from_lattice,
-    _kernel_lattice_gens,
 )
 from modcat.enumeration import enumerate_modules, enumerate_morphisms
 from modcat.exact import Conflation, splits
 from modcat.suites import SuiteConfig, run_suite
 
-from helpers import element_order, multiplication, sample_morphisms
+from helpers import (
+    element_order,
+    kernel_lattice_gens,
+    lattice_subgroup,
+    multiplication,
+    sample_morphisms,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +200,38 @@ def test_canonicalize_generator_lifts_hit_canonical_generators():
 )
 def test_subgroup_matches_additive_closure(n, ambient, gens):
     y = FiniteModule(RingSpec(n), tuple(ambient))
-    sub, incl = subgroup_from_lattice(y, gens)
     want = closure(y, gens)
-    got = {incl.apply(e) for e in sub.elements()}
-    assert incl.is_mono()
-    assert got == want
-    assert sub.order == len(want)
+    # the package's route and the lattice oracle
+    for sub, incl in (subgroup_from_lattice(y, gens), lattice_subgroup(y, gens)):
+        got = {incl.apply(e) for e in sub.elements()}
+        assert incl.is_mono()
+        assert got == want
+        assert sub.order == len(want)
 
 
 def test_subgroup_of_zero_gens_is_zero():
     y = FiniteModule(RingSpec(4), (2, 4))
-    sub, incl = subgroup_from_lattice(y, [[0, 0]])
-    assert sub.is_zero
-    assert incl.is_mono()
+    for gens in ([[0, 0]], []):
+        sub, incl = subgroup_from_lattice(y, gens)
+        assert sub.is_zero
+        assert incl.is_mono()
+
+
+@pytest.mark.parametrize(
+    "gens,error",
+    [
+        ([[1, 2, 3]], ValueError),  # longer than the rank: must not be truncated
+        ([[1]], ValueError),
+        ([[0, 2], []], ValueError),
+        ([[1.0, 2]], TypeError),
+        ([[1, 2.5]], TypeError),
+        ([[1, "2"]], TypeError),
+    ],
+)
+def test_subgroup_rejects_malformed_generators(gens, error):
+    y = FiniteModule(RingSpec(12), (2, 12))
+    with pytest.raises(error, match="generator"):
+        subgroup_from_lattice(y, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +255,14 @@ def test_morphism_validation():
     # scaled builds its result without the constructor, so it checks c itself
     with pytest.raises(TypeError):
         Morphism(b, b, ((1,),)).scaled(1.5)
+
+
+@pytest.mark.parametrize("x", [(1,), (1, 0, 0), ()])
+def test_apply_rejects_an_element_of_the_wrong_length(x):
+    f = Morphism.identity(FiniteModule(RingSpec(12), (2, 12)))
+    with pytest.raises(ValueError, match="domain rank 2"):
+        f.apply(x)
+    assert f.apply((1, 5)) == (1, 5)
 
 
 def test_morphism_matrix_is_reduced_mod_codomain():
@@ -508,7 +543,7 @@ def test_dual_route_kernel_against_element_scan(n, per_pair):
                 assert incl.domain == ker and incl.codomain == dom
                 assert {incl.apply(e) for e in ker.elements()} == brute_kernel(f)
                 assert incl.is_mono()
-                lattice_ker, _ = subgroup_from_lattice(dom, _kernel_lattice_gens(f))
+                lattice_ker, _ = lattice_subgroup(dom, kernel_lattice_gens(f))
                 assert ker.invariant_factors == lattice_ker.invariant_factors
 
 

@@ -3,9 +3,9 @@
 ``perfbench/tracer.py`` wraps the layer functions it finds by name and then
 reads fixed metric names such as ``snf.snf_diagonal.calls``, so renaming or
 removing one of them in ``modcat`` would break ``perfbench/run.py --trace 1``.
-These tests run the tracer on a tiny prop1 suite and a tiny flat-equiv
-suite, each in a fresh process the way the benchmark's traced run does, and
-read the per-layer metrics.
+These tests run the tracer on a tiny prop1 suite, a tiny flat-equiv suite
+and a tiny complexes suite, each in a fresh process the way the benchmark's
+traced run does, and read the per-layer metrics.
 """
 
 import json
@@ -69,3 +69,12 @@ def test_traced_flat_equiv_run_reaches_the_cyclic_catalogs():
     assert values["suites.flat-equiv.failed"] == 0
     assert values["enumeration.conflations_ending_in.yielded"] > 0
     assert values["snf.hermite_normal_form.calls"] > 0
+
+
+def test_traced_complexes_run_walks_solution_sets():
+    # the tracer reads modules.solution_set by name: the differential
+    # completion of the capped complex families walks its cosets
+    values = traced_run("moduli=(4,), max_module_order=4, max_complex_span=2", "complexes")
+    assert values["suites.complexes.checks"] > 0
+    assert values["suites.complexes.failed"] == 0
+    assert values["modules.solution_set.yielded"] > 0

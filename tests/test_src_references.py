@@ -13,7 +13,10 @@ which imports to re-export, is exempt.
 
 A third scan keeps ``Morphism._trusted``, the constructor that skips
 validation, inside an allow-list of functions, and a fourth finds local
-names that a function binds and never reads (``_`` is exempt).
+names that a function binds and never reads (``_`` is exempt).  A fifth
+keeps ``smith_normal_form``, the factorization with transforms, inside
+``canonicalize`` and ``_solve_mod``: every subgroup, image and kernel then
+comes from a cokernel and the dual kernel, by one route.
 """
 
 import ast
@@ -154,26 +157,33 @@ TRUSTED_CALLERS = {
 
 
 def _scopes_naming(node, attr, scope=()):
-    """The enclosing class and function names of each ``.attr`` under ``node``."""
+    """The enclosing class and function names of each ``attr`` or ``.attr``
+    under ``node``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
             yield from _scopes_naming(child, attr, scope + (child.name,))
             continue
-        if isinstance(child, ast.Attribute) and child.attr == attr:
+        if (isinstance(child, ast.Attribute) and child.attr == attr) or (
+            isinstance(child, ast.Name) and child.id == attr
+        ):
             yield scope
         yield from _scopes_naming(child, attr, scope)
 
 
-def trusted_uses(src=SRC, allowed=TRUSTED_CALLERS):
+def uses_outside(src, attr, allowed):
     """``module.qualified.name`` of each function outside ``allowed`` that
-    names ``_trusted`` (``module`` alone for module-level code)."""
+    names ``attr`` (``module`` alone for module-level code)."""
     found = []
     for path in sorted(pathlib.Path(src).glob("*.py")):
-        for scope in _scopes_naming(ast.parse(path.read_text()), "_trusted"):
+        for scope in _scopes_naming(ast.parse(path.read_text()), attr):
             name = ".".join((path.stem,) + scope)
             if name not in allowed:
                 found.append(name)
     return found
+
+
+def trusted_uses(src=SRC, allowed=TRUSTED_CALLERS):
+    return uses_outside(src, "_trusted", allowed)
 
 
 def test_only_the_allowed_constructions_skip_validation():
@@ -199,6 +209,42 @@ def test_the_scan_sees_a_trusted_call_outside_the_allow_list(tmp_path):
         "modules.Morphism.__post_init__",
         "modules.Morphism.from_dict",
         "modules.Morphism.from_columns",
+    ]
+
+
+# The one factorization with transforms: presentations in canonical form,
+# and solutions of linear systems.  Subgroups and images are kernels of the
+# projection onto a cokernel, and kernels are duals of cokernels.
+SMITH_FORM_CALLERS = {"modules.canonicalize", "modules._solve_mod"}
+
+
+def smith_form_uses(src=SRC, allowed=SMITH_FORM_CALLERS):
+    return uses_outside(src, "smith_normal_form", allowed)
+
+
+def test_only_canonicalize_and_the_solver_take_smith_forms():
+    assert smith_form_uses() == []
+
+
+def test_the_scan_sees_a_smith_form_outside_the_allow_list(tmp_path):
+    (tmp_path / "modules.py").write_text(
+        "from .snf import smith_normal_form, snf_diagonal\n\n\n"
+        "def canonicalize(pres):\n    return smith_normal_form(pres, left=False)\n\n\n"
+        "def _solve_mod(a):\n    return smith_normal_form(a)\n\n\n"
+        "def subgroup_from_lattice(ambient, gens):\n"
+        "    return smith_normal_form(gens).right_inv\n\n\n"
+        "def kernel(f):\n    factor = smith_normal_form\n    return factor(f)\n\n\n"
+        "def _cokernel_order(m):\n    return snf_diagonal(m)\n"
+    )
+    (tmp_path / "enumeration.py").write_text(
+        "from . import snf\n\n\n"
+        "class SubgroupEntry:\n"
+        "    def _build(self):\n        return snf.smith_normal_form(self.rows)\n"
+    )
+    assert smith_form_uses(tmp_path) == [
+        "enumeration.SubgroupEntry._build",
+        "modules.subgroup_from_lattice",
+        "modules.kernel",
     ]
 
 
