@@ -41,9 +41,8 @@ from .modules import (
     cokernel,
     factor_through_mono,
     kernel,
-    solution_set,
+    solve_blocks,
 )
-from .monoidal import hom_module, postcompose_map, precompose_map
 from .snf import hermite_normal_form, lattice_member, snf_diagonal
 
 
@@ -349,68 +348,68 @@ def flat_disk_cover(f: Complex) -> ComplexConflation:
 def enumerate_complex_conflations_ending_in(
     f: Complex, kernel_cap: int, max_count: int
 ):
-    """Conflations of complexes ending in f: the disk cover plus a capped
-    walk over degreewise extensions with compatible differentials."""
+    """Conflations of complexes ending in f: the disk cover, then the first
+    ``max_count`` middles over the degreewise extensions.
+
+    Combos of per-degree conflations (kernel order <= ``kernel_cap``) are
+    walked in product order, skipping the all-zero kernel; within a combo
+    the middles come depth first from ``_complete_differentials``.
+    """
     yield flat_disk_cover(f)
     if f.is_zero or max_count <= 0:
         return
-    window = list(f.degrees())
     per_degree = [
         list(conflations_ending_in(comp, kernel_cap, comp.order * kernel_cap))
         for comp in f.components
     ]
-    produced = 0
-    for combo in itertools.product(*per_degree):
-        if produced >= max_count:
+    middles = (
+        complex_conflation_from_chain_epi(
+            ChainMap(
+                Complex(f.ring, f.lo, tuple(e.ambient for e in combo), diffs),
+                f,
+                tuple(e.projection for e in combo),
+            )
+        )
+        for combo in itertools.product(*per_degree)
+        if any(e.sub_order > 1 for e in combo)
+        for diffs in _complete_differentials(f, combo)
+    )
+    yield from itertools.islice(middles, max_count)
+
+
+def _complete_differentials(f: Complex, combo):
+    """Every stack of middle differentials over the degreewise deflations
+    p of ``combo``, lazily.
+
+    A middle differential D: Y^n -> Y^(n+1) over d_f has p . D = d_f . p,
+    so it is D_0 + i . E for one lift D_0 and a unique E: Y^n -> X^(n+1),
+    i the inclusion of the kernel X^(n+1) of p.  The lifts do not depend on
+    the stack: if one level has none, the combo has no middle.  E is walked
+    depth first in ``enumerate_morphisms`` order, keeping D when
+    D . D_prev == 0 on the residue rows of the composite.
+    """
+    lifts = []
+    for n, (here, there) in enumerate(zip(combo, combo[1:]), f.lo):
+        target = f.differential(n) @ here.projection
+        cols = [(here.ambient, there.ambient)]
+        sol = solve_blocks({(0, 0): (there.projection, None)}, cols, [target])
+        if sol is None:
             return
-        if all(e.sub_order == 1 for e in combo):
-            continue
-        for cc in _complete_differentials(f, window, combo, max_count - produced):
-            yield cc
-            produced += 1
-            if produced >= max_count:
-                return
+        lifts.append(sol[0])
 
-
-def _complete_differentials(f: Complex, window, combo, budget: int):
-    """All middle differentials compatible with the chosen degreewise epis."""
-    from .modules import direct_sum
-
-    stacks = [[]]
-    for idx in range(len(window) - 1):
-        nd = window[idx]
-        y_here = combo[idx].ambient
-        y_next = combo[idx + 1].ambient
-        proj_here = combo[idx].projection
-        proj_next = combo[idx + 1].projection
-        h = hom_module(y_here, y_next)
-        post_target = hom_module(y_here, f.component(nd + 1))
-        post = postcompose_map(proj_next, y_here)
-        rhs = post_target.of_morphism(f.differential(nd) @ proj_here)
-        new_stacks = []
-        for stack in stacks:
-            if len(new_stacks) >= budget * 4:
-                break
-            prev = stack[-1] if stack else None
-            if prev is None:
-                system = post
-                target = rhs
-            else:
-                pre = precompose_map(prev, y_next)
-                big = direct_sum(post.codomain, pre.codomain)
-                system = big.injections[0] @ post + big.injections[1] @ pre
-                target = big.injections[0].apply(rhs)
-            for sol in solution_set(system, target):
-                new_stacks.append(stack + [h.to_morphism(sol)])
-                if len(new_stacks) >= budget * 4:
-                    break
-        stacks = new_stacks
-    count = 0
-    for stack in stacks:
-        if count >= budget:
+    def walk(stack):
+        level = len(stack)
+        if level == len(lifts):
+            yield stack
             return
-        y = Complex(f.ring, f.lo, tuple(e.ambient for e in combo), tuple(stack))
-        parts = tuple(combo[i].projection for i in range(len(window)))
-        g = ChainMap(y, f, parts)
-        yield complex_conflation_from_chain_epi(g)
-        count += 1
+        there = combo[level + 1]
+        e = there.ambient.invariant_factors
+        for corr in enumerate_morphisms(combo[level].ambient, there.sub):
+            d = lifts[level] + there.inclusion @ corr
+            if stack and any(
+                map(any, _compose_rows(d.matrix, stack[-1].matrix, e, stack[-1].domain.rank()))
+            ):
+                continue
+            yield from walk(stack + (d,))
+
+    yield from walk(())

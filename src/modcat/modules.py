@@ -99,8 +99,16 @@ class FiniteModule:
     def zero_element(self) -> tuple[int, ...]:
         return (0,) * len(self.invariant_factors)
 
+    def _check_rank(self, *vecs) -> None:
+        """Raise ValueError for a vector whose length is not the rank."""
+        k = len(self.invariant_factors)
+        for v in vecs:
+            if len(v) != k:
+                raise ValueError(f"element {tuple(v)} has length {len(v)}, not the rank {k}")
+
     def reduce(self, vec) -> tuple[int, ...]:
         """Reduce an integer vector to the canonical element it represents."""
+        self._check_rank(vec)
         return tuple(v % d for v, d in zip(vec, self.invariant_factors))
 
     def elements(self):
@@ -108,9 +116,11 @@ class FiniteModule:
         return itertools.product(*(range(d) for d in self.invariant_factors))
 
     def add(self, x, y) -> tuple[int, ...]:
+        self._check_rank(x, y)
         return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
 
     def scale(self, c: int, x) -> tuple[int, ...]:
+        self._check_rank(x)
         return tuple((c * a) % d for a, d in zip(x, self.invariant_factors))
 
     def to_dict(self) -> dict:
@@ -206,6 +216,7 @@ class Morphism:
         cols = list(columns)
         if len(cols) != dom.rank():
             raise ValueError("need one column per domain generator")
+        cod._check_rank(*cols)
         l = cod.rank()
         return cls(dom, cod, tuple(tuple(col[j] for col in cols) for j in range(l)))
 
@@ -356,15 +367,14 @@ def _augmented(a, e: tuple[int, ...]) -> list[list[int]]:
 
 
 # Small on purpose.  The complexes suite asks for the kernels of a few
-# dozen differentials, chain-map parts and hom-coordinate systems over and
-# over (kernel_objects twice per complex, complex_conflation_from_chain_epi
-# per conflation, solution_set per walked system), close together: at
-# moduli 4 and 9, span 4, 64 entries catch all 9,305 repeats among 9,378
-# calls.  The axioms suite makes 7,383 calls at moduli 4 8 9 12, order 8,
-# of which 7,031 miss, and every subgroup or image built is one call that
-# is rarely asked again (prop1 at order 32, kernel 8: 1,947 calls, no
-# repeat): a large cache would only hold them, and with 8,192 entries
-# peak memory went from 17.1 to 25.5 MB.
+# dozen differentials and chain-map parts over and over (kernel_objects
+# twice per complex, complex_conflation_from_chain_epi per conflation),
+# close together: at moduli 4 and 9, span 4, 64 entries catch all 9,048
+# repeats among 9,108 calls.  The axioms suite makes 7,383 calls at
+# moduli 4 8 9 12, order 8, of which 7,031 miss, and every subgroup or
+# image built is one call that is rarely asked again (prop1 at order 32,
+# kernel 8: 1,947 calls, no repeat): a large cache would only hold them,
+# and with 8,192 entries peak memory went from 17.1 to 25.5 MB.
 @lru_cache(maxsize=64)
 def kernel(f: Morphism):
     """(kernel module, inclusion into the domain), in one Smith form.

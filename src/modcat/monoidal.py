@@ -157,28 +157,6 @@ def hom_module(m: FiniteModule, n: FiniteModule) -> HomModule:
     )
 
 
-def postcompose_map(g: Morphism, source: FiniteModule) -> Morphism:
-    """Hom(source, dom g) -> Hom(source, cod g) by h |-> g . h."""
-    h_in = hom_module(source, g.domain)
-    h_out = hom_module(source, g.codomain)
-    columns = [
-        h_out.of_morphism(g @ h_in.to_morphism(z))
-        for z in _canonical_generators(h_in.module)
-    ]
-    return Morphism.from_columns(h_in.module, h_out.module, columns)
-
-
-def precompose_map(f: Morphism, target: FiniteModule) -> Morphism:
-    """Hom(cod f, target) -> Hom(dom f, target) by h |-> h . f."""
-    h_in = hom_module(f.codomain, target)
-    h_out = hom_module(f.domain, target)
-    columns = [
-        h_out.of_morphism(h_in.to_morphism(z) @ f)
-        for z in _canonical_generators(h_in.module)
-    ]
-    return Morphism.from_columns(h_in.module, h_out.module, columns)
-
-
 def _canonical_generators(m: FiniteModule):
     k = m.rank()
     return [tuple(1 if s == t else 0 for s in range(k)) for t in range(k)]

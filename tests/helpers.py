@@ -1,8 +1,9 @@
 """Constructions that only the tests use: morphism samples, mono slices,
 mediating morphisms of pullbacks and pushouts, identity chain maps,
-multiplication maps, element orders, and the lattice route to subgroups
+multiplication maps, element orders, the lattice route to subgroups
 and kernels, an oracle independent of the package's cokernel-and-dual-kernel
-route.
+route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
+the walk over their solution cosets that completes middle differentials.
 
 The package never calls these, so they live next to the tests.
 """
@@ -18,9 +19,12 @@ from modcat.modules import (
     Morphism,
     Presentation,
     canonicalize,
+    direct_sum,
     factor_through_epi,
     factor_through_mono,
+    solution_set,
 )
+from modcat.monoidal import _canonical_generators, hom_module
 from modcat.snf import smith_normal_form
 
 
@@ -127,3 +131,53 @@ def kernel_lattice_gens(f: Morphism) -> list[list[int]]:
     augmented = [list(f.matrix[j]) + [e[j] if j == t else 0 for t in range(l)] for j in range(l)]
     form = smith_normal_form(augmented, left=False)
     return [[form.right[row][col] for row in range(k)] for col in range(form.rank, k + l)]
+
+
+def postcompose_map(g: Morphism, source: FiniteModule) -> Morphism:
+    """Hom(source, dom g) -> Hom(source, cod g) by h |-> g . h."""
+    h_in = hom_module(source, g.domain)
+    h_out = hom_module(source, g.codomain)
+    columns = [
+        h_out.of_morphism(g @ h_in.to_morphism(z))
+        for z in _canonical_generators(h_in.module)
+    ]
+    return Morphism.from_columns(h_in.module, h_out.module, columns)
+
+
+def precompose_map(f: Morphism, target: FiniteModule) -> Morphism:
+    """Hom(cod f, target) -> Hom(dom f, target) by h |-> h . f."""
+    h_in = hom_module(f.codomain, target)
+    h_out = hom_module(f.domain, target)
+    columns = [
+        h_out.of_morphism(h_in.to_morphism(z) @ f)
+        for z in _canonical_generators(h_in.module)
+    ]
+    return Morphism.from_columns(h_in.module, h_out.module, columns)
+
+
+def hom_coordinate_middles(f: Complex, combo) -> list[tuple[Morphism, ...]]:
+    """Every stack of middle differentials over the degreewise deflations of
+    ``combo`` (subgroup entries, one per degree of f), in hom coordinates.
+
+    Level by level, D: Y^n -> Y^(n+1) solves p^(n+1) . D = d_f . p^n and
+    D . D_prev = 0 as one linear system on Hom(Y^n, Y^(n+1)); each stack is
+    extended by the whole solution coset.  No cap.
+    """
+    stacks = [()]
+    for n, (here, there) in enumerate(zip(combo, combo[1:]), f.lo):
+        h = hom_module(here.ambient, there.ambient)
+        post = postcompose_map(there.projection, here.ambient)
+        rhs = hom_module(here.ambient, f.component(n + 1)).of_morphism(
+            f.differential(n) @ here.projection
+        )
+        new_stacks = []
+        for stack in stacks:
+            system, target = post, rhs
+            if stack:
+                pre = precompose_map(stack[-1], there.ambient)
+                big = direct_sum(post.codomain, pre.codomain)
+                system = big.injections[0] @ post + big.injections[1] @ pre
+                target = big.injections[0].apply(rhs)
+            new_stacks += [stack + (h.to_morphism(z),) for z in solution_set(system, target)]
+        stacks = new_stacks
+    return stacks

@@ -14,8 +14,6 @@ from modcat.modules import FiniteModule, Morphism, RingSpec, cyclic
 from modcat.monoidal import (
     curry,
     hom_module,
-    postcompose_map,
-    precompose_map,
     tensor,
     tensor_mor,
     uncurry,
@@ -36,7 +34,7 @@ from modcat.enumeration import (
 )
 from modcat.suites import SuiteConfig, replay_counterexample, run_suite
 
-from helpers import sample_morphisms
+from helpers import postcompose_map, precompose_map, sample_morphisms
 
 
 MODULI = (4, 8, 9, 12)

@@ -30,7 +30,7 @@ from modcat.modules import (
     kernel,
 )
 from modcat.exact import NotAConflation
-from modcat.monoidal import hom_module, postcompose_map, precompose_map
+from modcat.monoidal import hom_module
 from modcat.purity import dual, dual_mor, is_flat, is_injective
 from modcat.complexes import (
     ChainMap,
@@ -62,7 +62,7 @@ from modcat.enumeration import (
     flat_disk_cover,
 )
 
-from helpers import identity_chain_map, multiplication
+from helpers import identity_chain_map, multiplication, postcompose_map, precompose_map
 
 
 R4 = RingSpec(4)

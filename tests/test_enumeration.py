@@ -37,6 +37,7 @@ from modcat.complexes import (
 )
 from modcat.enumeration import (
     SubgroupEntry,
+    _complete_differentials,
     complex_conflation_from_chain_epi,
     conflations_ending_in,
     conflations_with_sub,
@@ -50,7 +51,13 @@ from modcat.enumeration import (
     subgroup_catalog,
 )
 
-from helpers import enumerate_monos, lattice_subgroup, multiplication, sample_morphisms
+from helpers import (
+    enumerate_monos,
+    hom_coordinate_middles,
+    lattice_subgroup,
+    multiplication,
+    sample_morphisms,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +606,39 @@ def test_enumerate_complex_conflations_ending_in():
         assert cc.quotient == f
 
 
+def test_uncapped_middles_match_the_hom_coordinate_route():
+    """Every middle over every combo of per-degree conflations, once each.
+
+    The walk lifts each differential once and adds corrections into the
+    kernel of the next deflation; the oracle solves p . D = d_f . p and
+    D . D_prev = 0 in hom-module coordinates and walks the whole coset.
+    Span 3 puts the D . D_prev filter to work.
+    """
+    def matrices(stack):
+        return tuple(d.matrix for d in stack)
+
+    combos = 0
+    for n, span in [(4, 2), (9, 2), (3, 3)]:
+        for f in enumerate_complexes(n, span, n)[1:]:
+            per_degree = [
+                list(conflations_ending_in(c, COMPLEX_KERNEL_CAP, c.order * COMPLEX_KERNEL_CAP))
+                for c in f.components
+            ]
+            for combo in itertools.product(*per_degree):
+                got = [matrices(stack) for stack in _complete_differentials(f, combo)]
+                want = {matrices(stack) for stack in hom_coordinate_middles(f, combo)}
+                assert len(set(got)) == len(got)
+                assert set(got) == want, (f, combo)
+                combos += 1
+    assert combos > 3000
+
+
 @pytest.mark.parametrize(
     "n,span,count,digest",
     [
-        (4, 3, 365, "4e7326a7d1426f55ce4faee02a6b8fdd37a8360f3a53ac8c37a94fbc1fd6d4f4"),
+        (4, 3, 365, "221749295690bc1256953a5c8c5b758b969487b58df3871339736f86867cb656"),
         (9, 3, 725, "b4a1b58d4a363e81621771219153cff11ae517d6f7e5d0e3cf8123d556bf421b"),
-        (12, 2, 589, "17392eaf943aac44ec648d8817175faf94f5707630a108527a3b4da12b128ea3"),
+        (12, 2, 589, "b3dbf7cf72e3de032a48e070bea7d32f28fb7fecf37105f4839f79b13c9deb37"),
     ],
     ids=["4-3", "9-3", "12-2"],
 )
@@ -612,9 +646,12 @@ def test_capped_complex_families_are_pinned(n, span, count, digest):
     """The chain epis of the capped families the complexes suite checks.
 
     Under COMPLEX_FAMILY_CAP the walk order decides which conflations are
-    checked, so a change of basis anywhere under it (a kernel inclusion,
-    a coset order) would silently change the suite's coverage.  A change
-    that means to choose the family differently updates these pins.
+    checked: combos in product order over the per-degree catalogs, then
+    middles depth first, each differential one lift plus a correction E
+    into the next kernel in ``enumerate_morphisms`` order.  A change of
+    basis anywhere under it (a lift, a kernel inclusion) would silently
+    change the suite's coverage.  A change that means to choose the family
+    differently updates these pins.
     """
     seq = [
         cc.g.to_dict()

@@ -265,6 +265,27 @@ def test_apply_rejects_an_element_of_the_wrong_length(x):
     assert f.apply((1, 5)) == (1, 5)
 
 
+Z2_Z12 = FiniteModule(RingSpec(12), (2, 12))
+
+
+@pytest.mark.parametrize("x", [(1, 6, 5), (1,), ()])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: Z2_Z12.reduce(x),
+        lambda x: Z2_Z12.add(x, (1, 1)),
+        lambda x: Z2_Z12.add((1, 1), x),
+        lambda x: Z2_Z12.scale(5, x),
+        lambda x: Morphism.from_columns(cyclic(RingSpec(12), 12), Z2_Z12, [x]),
+    ],
+    ids=["reduce", "add-left", "add-right", "scale", "from_columns"],
+)
+def test_elements_and_columns_of_the_wrong_length_are_rejected(call, x):
+    with pytest.raises(ValueError, match="rank 2"):
+        call(x)
+    assert call((1, 6)) is not None
+
+
 def test_morphism_matrix_is_reduced_mod_codomain():
     r = RingSpec(8)
     f = Morphism(cyclic(r, 4), cyclic(r, 4), ((6,),))

@@ -20,8 +20,6 @@ from modcat.monoidal import (
     curry,
     evaluation,
     hom_module,
-    postcompose_map,
-    precompose_map,
     tensor,
     tensor_mor,
     uncurry,
@@ -29,7 +27,7 @@ from modcat.monoidal import (
 from modcat.snf import snf_diagonal
 from modcat.enumeration import enumerate_modules
 
-from helpers import multiplication, sample_morphisms
+from helpers import multiplication, postcompose_map, precompose_map, sample_morphisms
 
 
 # ---------------------------------------------------------------------------

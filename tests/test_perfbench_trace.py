@@ -71,10 +71,14 @@ def test_traced_flat_equiv_run_reaches_the_cyclic_catalogs():
     assert values["snf.hermite_normal_form.calls"] > 0
 
 
-def test_traced_complexes_run_walks_solution_sets():
-    # the tracer reads modules.solution_set by name: the differential
-    # completion of the capped complex families walks its cosets
+def test_traced_complexes_run_completes_differentials_over_morphisms():
+    # the capped complex families lift each differential once and walk
+    # corrections as morphisms: no coset walk and no hom-coordinate direct
+    # sum.  The tracer still reads modules.solution_set by name, so the key
+    # must resolve even while the suites never walk it.
     values = traced_run("moduli=(4,), max_module_order=4, max_complex_span=2", "complexes")
     assert values["suites.complexes.checks"] > 0
     assert values["suites.complexes.failed"] == 0
-    assert values["modules.solution_set.yielded"] > 0
+    assert values["modules.solution_set.yielded"] == 0
+    assert values["modules.direct_sum_many.calls"] == 0
+    assert values["enumeration.enumerate_morphisms.yielded"] > 0

@@ -2,7 +2,8 @@
 
 Independent oracles:
   * the character dual through the internal hom, Hom(-, Z/n) built by
-    ``hom_module`` and ``precompose_map`` (the package uses the closed form),
+    ``hom_module`` and the test helper ``precompose_map`` (the package uses
+    the closed form),
   * purity by tensoring against *every* small module (the in-package oracle
     only scans cyclic divisor modules; the scan here is strictly broader),
   * injectivity by brute extension search over a subgroup catalog (the
@@ -13,7 +14,7 @@ import pytest
 
 from modcat.modules import FiniteModule, Morphism, RingSpec, cyclic, direct_sum
 from modcat.exact import Conflation, make_conflation, splits
-from modcat.monoidal import hom_module, precompose_map
+from modcat.monoidal import hom_module
 from modcat.purity import (
     NotFlat,
     conflation_tensor_failure,
@@ -39,7 +40,7 @@ from modcat.enumeration import (
     subgroup_catalog,
 )
 
-from helpers import sample_morphisms
+from helpers import precompose_map, sample_morphisms
 
 
 R4 = RingSpec(4)

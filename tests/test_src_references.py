@@ -16,7 +16,9 @@ validation, inside an allow-list of functions, and a fourth finds local
 names that a function binds and never reads (``_`` is exempt).  A fifth
 keeps ``smith_normal_form``, the factorization with transforms, inside
 ``canonicalize`` and ``_solve_mod``: every subgroup, image and kernel then
-comes from a cokernel and the dual kernel, by one route.
+comes from a cokernel and the dual kernel, by one route.  A sixth keeps
+``hom_module``, the internal hom in coordinates, inside the closed
+structure and the double-dual unit.
 """
 
 import ast
@@ -245,6 +247,46 @@ def test_the_scan_sees_a_smith_form_outside_the_allow_list(tmp_path):
         "enumeration.SubgroupEntry._build",
         "modules.subgroup_from_lattice",
         "modules.kernel",
+    ]
+
+
+# Hom-module coordinates stay where the internal hom is the subject: the
+# closed structure itself (curry, uncurry, evaluation), and the unit
+# M -> M++ that is the second route against the closed-form dual.  Every
+# other solve or walk has morphisms for unknowns.
+HOM_MODULE_CALLERS = {
+    "monoidal.curry",
+    "monoidal.uncurry",
+    "monoidal.evaluation",
+    "purity.double_dual_unit",
+}
+
+
+def hom_module_uses(src=SRC, allowed=HOM_MODULE_CALLERS):
+    return uses_outside(src, "hom_module", allowed)
+
+
+def test_only_the_closed_structure_and_the_double_dual_use_hom_coordinates():
+    assert hom_module_uses() == []
+
+
+def test_the_scan_sees_hom_coordinates_outside_the_allow_list(tmp_path):
+    (tmp_path / "monoidal.py").write_text(
+        "def hom_module(m, n):\n    return (m, n)\n\n\n"
+        "def curry(f, m, n):\n    return hom_module(n, f)\n\n\n"
+        "def postcompose_map(g, source):\n    return hom_module(source, g)\n"
+    )
+    (tmp_path / "enumeration.py").write_text(
+        "from . import monoidal\n"
+        "from .monoidal import hom_module\n\n\n"
+        "def _complete_differentials(f, combo):\n"
+        "    return monoidal.hom_module(f, combo)\n\n\n"
+        "class Walk:\n    def step(self, y):\n        h = hom_module\n        return h(y, y)\n"
+    )
+    assert hom_module_uses(tmp_path) == [
+        "enumeration._complete_differentials",
+        "enumeration.Walk.step",
+        "monoidal.postcompose_map",
     ]
 
 
