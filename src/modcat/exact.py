@@ -8,8 +8,10 @@ additionally re-derives both universal properties through the canonical
 kernel and cokernel and checks the comparison maps are isomorphisms,
 giving an independent route to the same verdict.
 
-Pullbacks are fiber products carved out of a biproduct, pushouts are
-quotients of one; both validate their defining squares and the
+A pullback is the kernel of [g | -h] on the concatenated coordinates of
+dom g and dom h, a pushout the cokernel of [f; -h] into those of cod f
+and cod h; neither builds the direct sum or composes with its
+injections or projections.  Both validate their defining squares and the
 inflation/deflation stability postconditions at construction time.
 """
 
@@ -18,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .modules import (
-    DirectSum,
     FiniteModule,
     Morphism,
+    _cokernel_columns,
+    _kernel_rows,
     cokernel,
-    direct_sum,
     factor_through_epi,
     factor_through_mono,
     kernel,
@@ -153,42 +155,42 @@ def is_deflation(f: Morphism) -> bool:
 
 @dataclass(frozen=True)
 class Pullback:
-    """Fiber product of g and h with its two projections.
-
-    ``embed`` realizes the module as a submodule of dom(g) + dom(h);
-    it is what mediating morphisms factor through.
-    """
+    """Fiber product of g and h with its two projections."""
 
     module: FiniteModule
     to_domg: Morphism
     to_domh: Morphism
-    embed: Morphism
-    ambient: DirectSum
 
 
 def pullback(g: Morphism, h: Morphism) -> Pullback:
-    """Pull the deflation g back along h.
+    """Pull the deflation g back along h: {(y, w) : g(y) = h(w)}.
 
-    The projection opposite g (to dom h) is again a deflation; this and
-    the commuting square are asserted, as is the fiber-product order
-    |Q| = |dom g| * |dom h| / |cod g|.
+    The fiber product is the kernel of [g | -h] on dom g + dom h in the
+    concatenated coordinates, factors d_g then d_h; the first len(d_g)
+    rows of its inclusion are the projection to dom g, the rest the one
+    to dom h.  The projection opposite g (to dom h) is again a deflation;
+    this and the commuting square are asserted, as is the fiber-product
+    order |Q| = |dom g| * |dom h| / |cod g|.
     """
     if g.codomain != h.codomain:
         raise ValueError("pullback legs must share a codomain")
     if not g.is_epi():
         raise ValueError("pullback requires its first leg to be a deflation")
-    ds = direct_sum(g.domain, h.domain)
-    delta = g @ ds.projections[0] - h @ ds.projections[1]
-    q, embed = kernel(delta)
-    to_g = ds.projections[0] @ embed
-    to_h = ds.projections[1] @ embed
+    d = g.domain.invariant_factors
+    e = g.codomain.invariant_factors
+    rows = tuple(
+        rg + tuple(-x % ej for x in rh) for rg, rh, ej in zip(g.matrix, h.matrix, e)
+    )
+    q, incl = _kernel_rows(g.domain.ring, d + h.domain.invariant_factors, e, rows)
+    to_g = Morphism(q, g.domain, incl[: len(d)])
+    to_h = Morphism(q, h.domain, incl[len(d) :])
     if (g @ to_g).matrix != (h @ to_h).matrix:
         raise AssertionError("pullback square does not commute")
     if q.order * g.codomain.order != g.domain.order * h.domain.order:
         raise AssertionError("fiber product has the wrong order")
     if not to_h.is_epi():
         raise AssertionError("pullback of a deflation failed to be a deflation")
-    return Pullback(q, to_g, to_h, embed, ds)
+    return Pullback(q, to_g, to_h)
 
 
 @dataclass(frozen=True)
@@ -198,32 +200,35 @@ class Pushout:
     module: FiniteModule
     from_codf: Morphism
     from_codh: Morphism
-    project: Morphism
-    ambient: DirectSum
 
 
 def pushout(f: Morphism, h: Morphism) -> Pushout:
     """Push the inflation f out along h: (cod f + cod h) / {(f x, -h x)}.
 
-    The coprojection opposite f (from cod h) is again an inflation;
-    asserted together with the square and the quotient order.
+    The pushout is the cokernel of [f; -h] into cod f + cod h in the
+    concatenated coordinates, factors e_f then e_h; the first len(e_f)
+    columns of its projection are the coprojection from cod f, the rest
+    the one from cod h.  The coprojection opposite f (from cod h) is
+    again an inflation; asserted together with the square and the
+    quotient order.
     """
     if f.domain != h.domain:
         raise ValueError("pushout legs must share a domain")
     if not f.is_mono():
         raise ValueError("pushout requires its first leg to be an inflation")
-    ds = direct_sum(f.codomain, h.codomain)
-    gamma = ds.injections[0] @ f - ds.injections[1] @ h
-    q, proj = cokernel(gamma)
-    from_f = proj @ ds.injections[0]
-    from_h = proj @ ds.injections[1]
+    e = f.codomain.invariant_factors
+    eh = h.codomain.invariant_factors
+    rows = f.matrix + tuple(tuple(-x % ej for x in row) for row, ej in zip(h.matrix, eh))
+    q, cols = _cokernel_columns(f.domain.ring, e + eh, rows)
+    from_f = Morphism.from_columns(f.codomain, q, cols[: len(e)])
+    from_h = Morphism.from_columns(h.codomain, q, cols[len(e) :])
     if (from_f @ f).matrix != (from_h @ h).matrix:
         raise AssertionError("pushout square does not commute")
     if q.order * f.domain.order != f.codomain.order * h.codomain.order:
         raise AssertionError("pushout has the wrong order")
     if not from_h.is_mono():
         raise AssertionError("pushout of an inflation failed to be an inflation")
-    return Pushout(q, from_f, from_h, proj, ds)
+    return Pushout(q, from_f, from_h)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,14 @@ All structural computations (canonical form, kernels, cokernels, sums,
 solving) go through the integer relation lattice: a presentation with g
 generators is the quotient of Z^g by the lattice spanned by its relation
 rows together with n times the identity, and Smith normal form over Z
-diagonalizes it.  Only ``canonicalize`` and the solver take that
+diagonalizes it.  Kernels, cokernels and sums pass diag(d) rows that
+already imply n times the identity, so their canonical form leaves those
+rows out.  Only the canonical form and the solver take that
 factorization: a cokernel is one canonicalized presentation, a kernel the
 dual of one, and a subgroup or an image the kernel of the projection onto
-a cokernel.
+a cokernel.  Kernels and cokernels are taken on residue rows between any
+cyclic decompositions, so a pullback or a pushout works in the
+concatenated coordinates of two modules without their direct sum.
 """
 
 from __future__ import annotations
@@ -334,18 +338,31 @@ class Canonicalized:
 
 
 def canonicalize(pres: Presentation) -> Canonicalized:
+    """The invariant-factor form of a presentation, whose lattice also
+    holds n times the identity."""
     n = pres.ring.modulus
     g = pres.generators
     rows = [list(r) for r in pres.relations]
     rows.extend([n if i == j else 0 for j in range(g)] for i in range(g))
+    return _canonical_form(pres.ring, g, rows)
+
+
+def _canonical_form(ring: RingSpec, g: int, rows) -> Canonicalized:
+    """The invariant-factor form of Z^g modulo the lattice of ``rows``.
+
+    The rows must bound every generator by some divisor of n, as the
+    diag(d) rows of kernels, cokernels and direct sums do; they then imply
+    n times the identity, so the Smith form runs without those g rows.
+    """
     form = smith_normal_form(rows, left=False)
     diag = form.diagonal
+    n = ring.modulus
     kept = [i for i in range(g) if diag[i] > 1]
     for i in range(g):
         if diag[i] == 0 or n % diag[i]:
             raise AssertionError("relation lattice must have full rank with factors dividing n")
     factors = tuple(diag[i] for i in kept)
-    module = FiniteModule(pres.ring, factors)
+    module = FiniteModule(ring, factors)
     v = form.right
     vinv = form.right_inv
     images = tuple(
@@ -366,41 +383,59 @@ def _augmented(a, e: tuple[int, ...]) -> list[list[int]]:
     return [list(a[j]) + [e[j] if j == t else 0 for t in range(l)] for j in range(l)]
 
 
-# Small on purpose.  The complexes suite asks for the kernels of a few
-# dozen differentials and chain-map parts over and over (kernel_objects
-# twice per complex, complex_conflation_from_chain_epi per conflation),
-# close together: at moduli 4 and 9, span 4, 64 entries catch all 9,048
-# repeats among 9,108 calls.  The axioms suite makes 7,383 calls at
-# moduli 4 8 9 12, order 8, of which 7,031 miss, and every subgroup or
-# image built is one call that is rarely asked again (prop1 at order 32,
-# kernel 8: 1,947 calls, no repeat): a large cache would only hold them,
-# and with 8,192 entries peak memory went from 17.1 to 25.5 MB.
-@lru_cache(maxsize=64)
-def kernel(f: Morphism):
-    """(kernel module, inclusion into the domain), in one Smith form.
+def _kernel_rows(ring: RingSpec, d: tuple[int, ...], e: tuple[int, ...], a):
+    """(kernel module, inclusion rows) of the map with residue rows ``a``
+    from + Z/d_i to + Z/e_j, in one Smith form.
 
     Uses ker f = (coker f^+)^+ for the character dual (-)^+ = Hom(-, Z/n),
     which is exact on finite Z/n-modules because Z/n is self-injective.
-    With d, e the factors of the domain and codomain and a the matrix,
     f^+ has entry a[j][i] * d[i] // e[j] at (i, j) (the closed form of
     ``purity.dual_mor``, inlined since ``purity`` imports this module).
     Its columns and diag(d) present coker f^+; the inclusion is the dual
     of the projection p onto it, entry p[t][i] * d[i] // c[t] at (i, t).
+    The dual of a cyclic sum is taken summand by summand, so d and e are
+    any cyclic decompositions, divisor chains or not.
     """
-    d = f.domain.invariant_factors
-    e = f.codomain.invariant_factors
     k = len(d)
-    rel = [tuple(a * d[i] // e[j] for i, a in enumerate(row)) for j, row in enumerate(f.matrix)]
+    rel = [tuple(x * d[i] // e[j] for i, x in enumerate(row)) for j, row in enumerate(a)]
     rel.extend(tuple(d[i] if i == t else 0 for t in range(k)) for i in range(k))
-    can = canonicalize(Presentation(f.domain.ring, k, tuple(rel)))
+    can = _canonical_form(ring, k, rel)
     c = can.module.invariant_factors
     rows = tuple(
         tuple(p * d[i] // c[t] for t, p in enumerate(can.generator_images[i])) for i in range(k)
     )
-    incl = Morphism(can.module, f.domain, rows)
-    if any(map(any, _compose_rows(f.matrix, incl.matrix, e, len(c)))):
+    if any(map(any, _compose_rows(a, rows, e, len(c)))):
         raise AssertionError("kernel inclusion is not killed by the morphism")
-    return can.module, incl
+    return can.module, rows
+
+
+def _cokernel_columns(ring: RingSpec, e: tuple[int, ...], a):
+    """(cokernel module, images of the codomain generators) of the map with
+    residue rows ``a`` into + Z/e_j, in one Smith form: the columns of a
+    and diag(e) present it.  e is any cyclic decomposition."""
+    l = len(e)
+    rel = list(zip(*a))
+    rel.extend(tuple(e[j] if j == t else 0 for t in range(l)) for j in range(l))
+    can = _canonical_form(ring, l, rel)
+    return can.module, can.generator_images
+
+
+# Small on purpose.  The complexes suite asks for the kernels of a few
+# dozen differentials and chain-map parts over and over (kernel_objects
+# twice per complex, complex_conflation_from_chain_epi per conflation),
+# close together: at moduli 4 and 9, span 4, 64 entries catch all 9,048
+# repeats among 9,108 calls.  Every subgroup or image built is one call
+# that is rarely asked again (prop1 at order 32, kernel 8: 1,947 calls,
+# no repeat): a large cache would only hold them.  Pullbacks and pushouts
+# take their kernels and cokernels on rows, not through this cache.
+@lru_cache(maxsize=64)
+def kernel(f: Morphism):
+    """(kernel module, inclusion into the domain), in one Smith form: the
+    dual of the projection onto the cokernel of the dual map."""
+    ker, rows = _kernel_rows(
+        f.domain.ring, f.domain.invariant_factors, f.codomain.invariant_factors, f.matrix
+    )
+    return ker, Morphism(ker, f.domain, rows)
 
 
 def image(f: Morphism):
@@ -411,19 +446,8 @@ def image(f: Morphism):
 
 def cokernel(f: Morphism):
     """(cokernel module, projection from the codomain)."""
-    cod = f.codomain
-    l = cod.rank()
-    rel = [
-        tuple(f.matrix[j][i] for j in range(l))
-        for i in range(f.domain.rank())
-    ]
-    rel.extend(
-        tuple(cod.invariant_factors[j] if j == t else 0 for t in range(l))
-        for j in range(l)
-    )
-    can = canonicalize(Presentation(cod.ring, l, tuple(rel)))
-    proj = Morphism.from_columns(cod, can.module, list(can.generator_images))
-    return can.module, proj
+    q, cols = _cokernel_columns(f.codomain.ring, f.codomain.invariant_factors, f.matrix)
+    return q, Morphism.from_columns(f.codomain, q, cols)
 
 
 def _generator_map(ambient: FiniteModule, gens) -> Morphism:
@@ -648,7 +672,7 @@ def direct_sum_many(summands: tuple[FiniteModule, ...]) -> DirectSum:
     for idx, m in enumerate(summands):
         for i, d in enumerate(m.invariant_factors):
             rel.append(tuple(d if j == offsets[idx] + i else 0 for j in range(total)))
-    can = canonicalize(Presentation(ring, total, tuple(rel)))
+    can = _canonical_form(ring, total, rel)
     s = can.module
     injections = []
     projections = []

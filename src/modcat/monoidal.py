@@ -19,9 +19,8 @@ from .modules import (
     Canonicalized,
     FiniteModule,
     Morphism,
-    Presentation,
     RingSpec,
-    canonicalize,
+    _canonical_form,
 )
 
 
@@ -34,7 +33,7 @@ def _pair_sum(
         tuple(gcd(dom[i], cod[j]) if t == s else 0 for s in range(len(pairs)))
         for t, (i, j) in enumerate(pairs)
     )
-    return pairs, canonicalize(Presentation(ring, len(pairs), rel))
+    return pairs, _canonical_form(ring, len(pairs), rel)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Constructions that only the tests use: morphism samples, mono slices,
-mediating morphisms of pullbacks and pushouts, identity chain maps,
+the direct-sum embedding of a pullback and projection onto a pushout,
+their mediating morphisms, the direct-sum route to pullbacks and pushouts
+as an oracle for the concatenated-coordinate one, identity chain maps,
 multiplication maps, element orders, the lattice route to subgroups
 and kernels, an oracle independent of the package's cokernel-and-dual-kernel
 route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
@@ -19,9 +21,11 @@ from modcat.modules import (
     Morphism,
     Presentation,
     canonicalize,
+    cokernel,
     direct_sum,
     factor_through_epi,
     factor_through_mono,
+    kernel,
     solution_set,
 )
 from modcat.monoidal import _canonical_generators, hom_module
@@ -48,11 +52,25 @@ def enumerate_monos(dom: FiniteModule, cod: FiniteModule):
     return (f for f in enumerate_morphisms(dom, cod) if f.is_mono())
 
 
+def pullback_embedding(pb: Pullback):
+    """(dom g + dom h, the embedding of the fiber product into it): the
+    pair of the two projections."""
+    ds = direct_sum(pb.to_domg.codomain, pb.to_domh.codomain)
+    return ds, ds.injections[0] @ pb.to_domg + ds.injections[1] @ pb.to_domh
+
+
+def pushout_projection(po: Pushout):
+    """(cod f + cod h, the projection from it onto the pushout): the copair
+    of the two coprojections."""
+    ds = direct_sum(po.from_codf.domain, po.from_codh.domain)
+    return ds, po.from_codf @ ds.projections[0] + po.from_codh @ ds.projections[1]
+
+
 def pullback_mediate(pb: Pullback, u: Morphism, v: Morphism) -> Morphism:
     """The unique w with to_domg . w = u and to_domh . w = v."""
-    ds = pb.ambient
+    ds, embed = pullback_embedding(pb)
     pair = ds.injections[0] @ u + ds.injections[1] @ v
-    w = factor_through_mono(pair, pb.embed)
+    w = factor_through_mono(pair, embed)
     if (pb.to_domg @ w).matrix != u.matrix or (pb.to_domh @ w).matrix != v.matrix:
         raise AssertionError("mediating morphism does not reproduce the cone")
     return w
@@ -60,12 +78,28 @@ def pullback_mediate(pb: Pullback, u: Morphism, v: Morphism) -> Morphism:
 
 def pushout_mediate(po: Pushout, u: Morphism, v: Morphism) -> Morphism:
     """The unique w with w . from_codf = u and w . from_codh = v."""
-    ds = po.ambient
+    ds, project = pushout_projection(po)
     copair = u @ ds.projections[0] + v @ ds.projections[1]
-    w = factor_through_epi(copair, po.project)
+    w = factor_through_epi(copair, project)
     if (w @ po.from_codf).matrix != u.matrix or (w @ po.from_codh).matrix != v.matrix:
         raise AssertionError("mediating morphism does not reproduce the cocone")
     return w
+
+
+def direct_sum_pullback(g: Morphism, h: Morphism):
+    """(pullback, dom g + dom h, embedding): the fiber product carved out
+    of the canonical direct sum as the kernel of g . p_0 - h . p_1."""
+    ds = direct_sum(g.domain, h.domain)
+    q, embed = kernel(g @ ds.projections[0] - h @ ds.projections[1])
+    return Pullback(q, ds.projections[0] @ embed, ds.projections[1] @ embed), ds, embed
+
+
+def direct_sum_pushout(f: Morphism, h: Morphism):
+    """(pushout, cod f + cod h, projection): the canonical direct sum
+    modulo the image of i_0 . f - i_1 . h."""
+    ds = direct_sum(f.codomain, h.codomain)
+    q, project = cokernel(ds.injections[0] @ f - ds.injections[1] @ h)
+    return Pushout(q, project @ ds.injections[0], project @ ds.injections[1]), ds, project
 
 
 def identity_chain_map(x: Complex) -> ChainMap:

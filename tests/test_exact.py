@@ -24,8 +24,18 @@ from modcat.exact import (
     splits,
 )
 from modcat.enumeration import enumerate_morphisms, subgroup_catalog
+from modcat.suites import SuiteConfig, run_suite
 
-from helpers import multiplication, pullback_mediate, pushout_mediate, sample_morphisms
+from helpers import (
+    direct_sum_pullback,
+    direct_sum_pushout,
+    multiplication,
+    pullback_embedding,
+    pullback_mediate,
+    pushout_mediate,
+    pushout_projection,
+    sample_morphisms,
+)
 
 
 R4 = RingSpec(4)
@@ -115,7 +125,7 @@ def test_pullback_square_and_mediation():
     for h in enumerate_morphisms(Z4, Z2):
         pb = pullback(g, h)
         assert g @ pb.to_domg == h @ pb.to_domh
-        assert pb.embed.is_mono()
+        assert pullback_embedding(pb)[1].is_mono()
         # deflations pull back to deflations
         assert is_deflation(pb.to_domh)
         # universal property, with uniqueness, against a brute scan
@@ -157,7 +167,7 @@ def test_pushout_square_and_mediation():
     for h in enumerate_morphisms(Z2, Z4):
         po = pushout(f, h)
         assert po.from_codf @ f == po.from_codh @ h
-        assert po.project.is_epi()
+        assert pushout_projection(po)[1].is_epi()
         # inflations push out to inflations
         assert is_inflation(po.from_codh)
         # universal property against a brute scan
@@ -175,6 +185,106 @@ def test_pushout_along_identity_recovers_the_map():
     po = pushout(f, Morphism.identity(Z2))
     assert po.from_codh.is_mono()
     assert po.from_codf.is_iso()
+
+
+# ---------------------------------------------------------------------------
+# concatenated coordinates against the direct-sum oracle
+# ---------------------------------------------------------------------------
+
+
+def _image_set(f: Morphism) -> frozenset:
+    return frozenset(f.apply(x) for x in f.domain.elements())
+
+
+def _kernel_set(f: Morphism) -> frozenset:
+    zero = f.codomain.zero_element()
+    return frozenset(x for x in f.domain.elements() if f.apply(x) == zero)
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_pullbacks_and_pushouts_agree_with_the_direct_sum_oracle(monkeypatch, n):
+    """Every pullback and pushout of the axioms suite at modulus n, order
+    <= 8, against the construction inside the canonical direct sum: the
+    same invariant factors, the same image of the embedding into
+    dom g + dom h, and the same kernel of the projection from
+    cod f + cod h, compared as sets of elements."""
+    built = {"pullback": [], "pushout": []}
+
+    def recording(kind, construct):
+        def wrapper(a, b):
+            result = construct(a, b)
+            built[kind].append((a, b, result))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr("modcat.suites.pullback", recording("pullback", pullback))
+    monkeypatch.setattr("modcat.suites.pushout", recording("pushout", pushout))
+    report = run_suite(SuiteConfig(moduli=(n,), max_module_order=8), names=("axioms",))
+    monkeypatch.undo()
+    assert report.exit_code == 0
+    assert built["pullback"] and built["pushout"]
+    for g, h, pb in built["pullback"]:
+        oracle, ds, embed = direct_sum_pullback(g, h)
+        assert pb.module.invariant_factors == oracle.module.invariant_factors
+        ambient, pair = pullback_embedding(pb)
+        assert ambient == ds
+        assert _image_set(pair) == _image_set(embed)
+    for f, h, po in built["pushout"]:
+        oracle, ds, project = direct_sum_pushout(f, h)
+        assert po.module.invariant_factors == oracle.module.invariant_factors
+        ambient, copair = pushout_projection(po)
+        assert ambient == ds
+        assert _kernel_set(copair) == _kernel_set(project)
+
+
+def test_pullback_and_pushout_take_one_smith_form_and_no_direct_sum(monkeypatch):
+    """Each construction is one Smith form (the kernel of [g | -h] or the
+    cokernel of [f; -h]), builds no direct sum, and composes only the two
+    legs of its square."""
+    import modcat.modules as mm
+
+    r = RingSpec(12)
+    y = FiniteModule(r, (2, 12))
+    w = FiniteModule(r, (2, 6))
+    entries = [e for e in subgroup_catalog(y) if e.sub.rank() and e.quotient.rank()]
+    cases = [
+        (e.projection, e.inclusion, h_pb, h_po)
+        for e in entries[:4]
+        for h_pb in sample_morphisms(w, e.quotient, 2, seed=53)
+        for h_po in sample_morphisms(e.sub, w, 2, seed=59)
+    ]
+    assert len(cases) == 16
+    smith_forms = []
+    real_smith = mm.smith_normal_form
+
+    def counting(matrix, *args, **kwargs):
+        smith_forms.append(len(matrix))
+        return real_smith(matrix, *args, **kwargs)
+
+    composites = []
+    real_matmul = Morphism.__matmul__
+
+    def recording(self, other):
+        composites.append((self, other))
+        return real_matmul(self, other)
+
+    monkeypatch.setattr(mm, "smith_normal_form", counting)
+    monkeypatch.setattr(Morphism, "__matmul__", recording)
+    sums = mm.direct_sum_many.cache_info()
+    for g, f, h_pb, h_po in cases:
+        smith_forms.clear()
+        composites.clear()
+        pb = pullback(g, h_pb)
+        assert len(smith_forms) == 1
+        assert composites == [(g, pb.to_domg), (h_pb, pb.to_domh)]
+        smith_forms.clear()
+        composites.clear()
+        po = pushout(f, h_po)
+        assert len(smith_forms) == 1
+        assert composites == [(po.from_codf, f), (po.from_codh, h_po)]
+    info = mm.direct_sum_many.cache_info()
+    assert info.hits + info.misses == sums.hits + sums.misses
 
 
 # ---------------------------------------------------------------------------

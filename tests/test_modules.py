@@ -486,7 +486,9 @@ def test_every_trusted_morphism_of_a_suite_run_validates(monkeypatch):
     assert callers == {
         "__matmul__", "__add__", "scaled", "identity", "zero", "to_morphism", "dual_mor"
     }
-    assert len(built) > 10_000
+    # 2,204 distinct morphisms at this config; pullbacks and pushouts no
+    # longer compose with direct-sum injections and projections.
+    assert len(built) > 2_000
     for m in built:
         assert Morphism(m.domain, m.codomain, m.matrix) == m
 
@@ -589,20 +591,48 @@ def test_kernel_takes_one_smith_form_per_call(monkeypatch):
         assert ker.order == kernel_order(f)
 
 
-@pytest.mark.parametrize("wrong", ["doubled", "zero"])
-def test_a_wrong_kernel_inclusion_is_a_crash_not_a_counterexample(monkeypatch, wrong):
-    # The pullback's own asserts catch a wrong basis; the suite must report
-    # the crash rather than a counterexample to the exact-category axioms.
-    def wrong_kernel(f):
-        ker, incl = kernel(f)
-        return ker, incl.scaled(2) if wrong == "doubled" else Morphism.zero(ker, f.domain)
+def _mangled(vectors, wrong):
+    """Doubled or zeroed integer vectors."""
+    return tuple(tuple(2 * x if wrong == "doubled" else 0 for x in v) for v in vectors)
 
-    monkeypatch.setattr("modcat.exact.kernel", wrong_kernel)
-    report = run_suite(SuiteConfig(moduli=(4,), max_module_order=4), names=("axioms",))
+
+def _crash_only(report):
     assert report.exit_code == 3
     records = report.suites[0].counterexamples
     assert records and all(ce["check"] == "crash" for ce in records)
     assert records[0]["data"]["exception"] == "AssertionError"
+
+
+@pytest.mark.parametrize("wrong", ["doubled", "zero"])
+def test_a_wrong_kernel_inclusion_is_a_crash_not_a_counterexample(monkeypatch, wrong):
+    # The pullback's own asserts catch a wrong basis of the kernel of
+    # [g | -h]; the suite must report the crash rather than a
+    # counterexample to the exact-category axioms.
+    import modcat.modules as mm
+
+    real = mm._kernel_rows
+
+    def wrong_kernel(ring, d, e, a):
+        ker, rows = real(ring, d, e, a)
+        return ker, _mangled(rows, wrong)
+
+    monkeypatch.setattr("modcat.exact._kernel_rows", wrong_kernel)
+    _crash_only(run_suite(SuiteConfig(moduli=(4,), max_module_order=4), names=("axioms",)))
+
+
+@pytest.mark.parametrize("wrong", ["doubled", "zero"])
+def test_a_wrong_cokernel_projection_is_a_crash_not_a_counterexample(monkeypatch, wrong):
+    # Likewise the pushout's asserts for the cokernel of [f; -h].
+    import modcat.modules as mm
+
+    real = mm._cokernel_columns
+
+    def wrong_cokernel(ring, e, a):
+        q, cols = real(ring, e, a)
+        return q, _mangled(cols, wrong)
+
+    monkeypatch.setattr("modcat.exact._cokernel_columns", wrong_cokernel)
+    _crash_only(run_suite(SuiteConfig(moduli=(4,), max_module_order=4), names=("axioms",)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ A third scan keeps ``Morphism._trusted``, the constructor that skips
 validation, inside an allow-list of functions, and a fourth finds local
 names that a function binds and never reads (``_`` is exempt).  A fifth
 keeps ``smith_normal_form``, the factorization with transforms, inside
-``canonicalize`` and ``_solve_mod``: every subgroup, image and kernel then
-comes from a cokernel and the dual kernel, by one route.  A sixth keeps
+the canonical form ``_canonical_form`` and ``_solve_mod``: every subgroup,
+image and kernel then comes from a cokernel and the dual kernel, by one
+route.  A sixth keeps
 ``hom_module``, the internal hom in coordinates, inside the closed
 structure and the double-dual unit.
 """
@@ -214,10 +215,12 @@ def test_the_scan_sees_a_trusted_call_outside_the_allow_list(tmp_path):
     ]
 
 
-# The one factorization with transforms: presentations in canonical form,
+# The one factorization with transforms: presentations in canonical form
+# (``canonicalize`` appends n times the identity and calls the private
+# ``_canonical_form``, which kernels, cokernels and sums call directly),
 # and solutions of linear systems.  Subgroups and images are kernels of the
 # projection onto a cokernel, and kernels are duals of cokernels.
-SMITH_FORM_CALLERS = {"modules.canonicalize", "modules._solve_mod"}
+SMITH_FORM_CALLERS = {"modules._canonical_form", "modules._solve_mod"}
 
 
 def smith_form_uses(src=SRC, allowed=SMITH_FORM_CALLERS):
@@ -231,7 +234,7 @@ def test_only_canonicalize_and_the_solver_take_smith_forms():
 def test_the_scan_sees_a_smith_form_outside_the_allow_list(tmp_path):
     (tmp_path / "modules.py").write_text(
         "from .snf import smith_normal_form, snf_diagonal\n\n\n"
-        "def canonicalize(pres):\n    return smith_normal_form(pres, left=False)\n\n\n"
+        "def _canonical_form(ring, g, rows):\n    return smith_normal_form(rows, left=False)\n\n\n"
         "def _solve_mod(a):\n    return smith_normal_form(a)\n\n\n"
         "def subgroup_from_lattice(ambient, gens):\n"
         "    return smith_normal_form(gens).right_inv\n\n\n"

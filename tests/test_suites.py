@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import modcat
-from modcat.modules import Morphism, RingSpec, cokernel, cyclic, direct_sum, kernel
+from modcat.modules import Morphism, RingSpec, cyclic
 from modcat.exact import Pullback, Pushout
 from modcat.purity import PurityVerdict, conflation_tensor_failure, dual_mor
 from modcat.suites import (
@@ -25,6 +25,8 @@ from modcat.suites import (
     replay_counterexample,
     run_suite,
 )
+
+from helpers import direct_sum_pullback, direct_sum_pushout
 
 
 TINY = SuiteConfig(
@@ -51,30 +53,12 @@ def broken_oracle(c) -> PurityVerdict:
 
 def bad_pullback(g, h) -> Pullback:
     """Pullback assembled from {(y, w) : g(y) = -h(w)} — the wrong square."""
-    ds = direct_sum(g.domain, h.domain)
-    mixed = g @ ds.projections[0] + h @ ds.projections[1]
-    ker, incl = kernel(mixed)
-    return Pullback(
-        module=ker,
-        to_domg=ds.projections[0] @ incl,
-        to_domh=ds.projections[1] @ incl,
-        embed=incl,
-        ambient=ds,
-    )
+    return direct_sum_pullback(g, -h)[0]
 
 
 def bad_pushout(f, h) -> Pushout:
     """Pushout taken modulo {(f x, h x)} — the wrong square."""
-    ds = direct_sum(f.codomain, h.codomain)
-    mixed = ds.injections[0] @ f + ds.injections[1] @ h
-    q, proj = cokernel(mixed)
-    return Pushout(
-        module=q,
-        from_codf=proj @ ds.injections[0],
-        from_codh=proj @ ds.injections[1],
-        project=proj,
-        ambient=ds,
-    )
+    return direct_sum_pushout(f, -h)[0]
 
 
 # ---------------------------------------------------------------------------
