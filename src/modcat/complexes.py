@@ -29,6 +29,7 @@ from .modules import (
     RingSpec,
     _compose_rows,
     cokernel,
+    cyclic,
     factor_through_mono,
     image_order,
     kernel,
@@ -288,8 +289,6 @@ def tensor_with_module(x: Complex, w: FiniteModule) -> Complex:
 
 def is_pure_acyclic(x: Complex) -> bool:
     """Acyclic after tensoring with Z/d for every divisor d | n, d > 1."""
-    from .modules import cyclic
-
     for d in x.ring.divisors():
         if d == 1:
             continue

@@ -71,7 +71,12 @@ class Conflation:
                 witness=incl.apply(gen),
             )
         if not g.is_epi():
-            for y in g.codomain.elements():
+            # The lexicographically first element outside the image: the
+            # last unit vector outside it, since every element before that
+            # one lies in the span of the later unit vectors.
+            k = g.codomain.rank()
+            for t in reversed(range(k)):
+                y = tuple(1 if s == t else 0 for s in range(k))
                 if solve(g, y) is None:
                     raise NotAConflation(
                         "second leg is not a cokernel of the first (not epic)",

@@ -330,21 +330,46 @@ class Canonicalized:
     ``generator_images[i]`` is the canonical element presented by the i-th
     generator; ``generator_lifts[t]`` is an integer combination of the
     presentation generators mapping onto the t-th canonical generator.
+    ``combine`` and ``coordinates`` are the one change of coordinates
+    between the presentation generators and the canonical module; the
+    tensor and hom modules extend this class over their pair sums.
     """
 
     module: FiniteModule
     generator_images: tuple[tuple[int, ...], ...]
     generator_lifts: tuple[tuple[int, ...], ...]
 
+    def combine(self, c) -> tuple[int, ...]:
+        """The canonical element presented by sum_i c[i] * generator i;
+        the c[i] are any integers."""
+        acc = [0] * self.module.rank()
+        for x, img in zip(c, self.generator_images, strict=True):
+            if x:
+                acc = [a + x * v for a, v in zip(acc, img)]
+        return self.module.reduce(acc)
+
+    def coordinates(self, z) -> list[int]:
+        """Integer generator coordinates that ``combine`` maps onto the
+        canonical element z: the sum of z[t] times the t-th lift."""
+        self.module._check_rank(z)
+        acc = [0] * len(self.generator_images)
+        for x, lift in zip(z, self.generator_lifts):
+            if x:
+                acc = [a + x * v for a, v in zip(acc, lift)]
+        return acc
+
 
 def canonicalize(pres: Presentation) -> Canonicalized:
     """The invariant-factor form of a presentation, whose lattice also
     holds n times the identity."""
-    n = pres.ring.modulus
     g = pres.generators
-    rows = [list(r) for r in pres.relations]
-    rows.extend([n if i == j else 0 for j in range(g)] for i in range(g))
+    rows = list(pres.relations) + _diagonal_rows((pres.ring.modulus,) * g)
     return _canonical_form(pres.ring, g, rows)
+
+
+def _diagonal_rows(c) -> list[tuple[int, ...]]:
+    """The rows of diag(c): generator i has order c[i]."""
+    return [tuple(x if i == t else 0 for t in range(len(c))) for i, x in enumerate(c)]
 
 
 def _canonical_form(ring: RingSpec, g: int, rows) -> Canonicalized:
@@ -398,8 +423,7 @@ def _kernel_rows(ring: RingSpec, d: tuple[int, ...], e: tuple[int, ...], a):
     """
     k = len(d)
     rel = [tuple(x * d[i] // e[j] for i, x in enumerate(row)) for j, row in enumerate(a)]
-    rel.extend(tuple(d[i] if i == t else 0 for t in range(k)) for i in range(k))
-    can = _canonical_form(ring, k, rel)
+    can = _canonical_form(ring, k, rel + _diagonal_rows(d))
     c = can.module.invariant_factors
     rows = tuple(
         tuple(p * d[i] // c[t] for t, p in enumerate(can.generator_images[i])) for i in range(k)
@@ -413,10 +437,7 @@ def _cokernel_columns(ring: RingSpec, e: tuple[int, ...], a):
     """(cokernel module, images of the codomain generators) of the map with
     residue rows ``a`` into + Z/e_j, in one Smith form: the columns of a
     and diag(e) present it.  e is any cyclic decomposition."""
-    l = len(e)
-    rel = list(zip(*a))
-    rel.extend(tuple(e[j] if j == t else 0 for t in range(l)) for j in range(l))
-    can = _canonical_form(ring, l, rel)
+    can = _canonical_form(ring, len(e), list(zip(*a)) + _diagonal_rows(e))
     return can.module, can.generator_images
 
 
@@ -663,27 +684,16 @@ def direct_sum_many(summands: tuple[FiniteModule, ...]) -> DirectSum:
     ring = summands[0].ring
     if any(m.ring != ring for m in summands):
         raise ValueError("summands live over different rings")
-    offsets = []
-    total = 0
-    for m in summands:
-        offsets.append(total)
-        total += m.rank()
-    rel = []
-    for idx, m in enumerate(summands):
-        for i, d in enumerate(m.invariant_factors):
-            rel.append(tuple(d if j == offsets[idx] + i else 0 for j in range(total)))
-    can = _canonical_form(ring, total, rel)
+    rel = _diagonal_rows([d for m in summands for d in m.invariant_factors])
+    can = _canonical_form(ring, len(rel), rel)
     s = can.module
     injections = []
     projections = []
-    for idx, m in enumerate(summands):
-        off = offsets[idx]
-        k = m.rank()
-        inj_cols = [can.generator_images[off + i] for i in range(k)]
-        injections.append(Morphism.from_columns(m, s, inj_cols))
-        proj_cols = [
-            m.reduce(can.generator_lifts[t][off : off + k]) for t in range(s.rank())
-        ]
+    offsets = itertools.accumulate((m.rank() for m in summands), initial=0)
+    for m, off in zip(summands, offsets):
+        block = slice(off, off + m.rank())
+        injections.append(Morphism.from_columns(m, s, can.generator_images[block]))
+        proj_cols = [m.reduce(lift[block]) for lift in can.generator_lifts]
         projections.append(Morphism.from_columns(s, m, proj_cols))
     return DirectSum(s, tuple(injections), tuple(projections))
 

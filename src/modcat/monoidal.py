@@ -4,9 +4,12 @@ Both constructions reduce to the same shape: for M = + Z/d_i and
 N = + Z/e_j, the pure tensors x_i (x) y_j and the elementary homs
 h_ij (sending the i-th generator to a multiple of the j-th) each
 generate a cyclic group of order gcd(d_i, e_j), and the whole object
-is the direct sum over all pairs, re-canonicalized into a divisor
-chain.  We keep the pair bookkeeping so elements can be converted
-between canonical coordinates and pure-tensor / matrix form.
+is the direct sum over all pairs (i major, j minor), re-canonicalized
+into a divisor chain.  ``TensorProduct`` and ``HomModule`` are that
+canonical form: its ``combine`` and ``coordinates`` convert between pair
+coordinates and canonical ones, so a pure tensor is one ``combine`` and
+f (x) g sends each source lift through f and g pair by pair and
+combines it in the target.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .modules import (
     Canonicalized,
@@ -21,50 +25,34 @@ from .modules import (
     Morphism,
     RingSpec,
     _canonical_form,
+    _diagonal_rows,
 )
 
 
-def _pair_sum(
-    ring: RingSpec, dom: tuple[int, ...], cod: tuple[int, ...]
-) -> tuple[tuple[tuple[int, int], ...], Canonicalized]:
-    """Canonicalize + Z/gcd(d_i, e_j) over all pairs (i, j)."""
-    pairs = tuple((i, j) for i in range(len(dom)) for j in range(len(cod)))
-    rel = tuple(
-        tuple(gcd(dom[i], cod[j]) if t == s else 0 for s in range(len(pairs)))
-        for t, (i, j) in enumerate(pairs)
-    )
-    return pairs, _canonical_form(ring, len(pairs), rel)
+def _pair_sum(ring: RingSpec, dom: tuple[int, ...], cod: tuple[int, ...]) -> Canonicalized:
+    """Canonicalize + Z/gcd(d_i, e_j) over all pairs (i, j), i major."""
+    rel = _diagonal_rows([gcd(d, e) for d in dom for e in cod])
+    return _canonical_form(ring, len(rel), rel)
 
 
 @dataclass(frozen=True)
-class TensorProduct:
-    """M (x) N with conversion between canonical and pure-tensor coordinates."""
+class TensorProduct(Canonicalized):
+    """M (x) N, whose generators are the pure tensors x_i (x) y_j."""
 
     left: FiniteModule
     right: FiniteModule
-    module: FiniteModule
-    pairs: tuple[tuple[int, int], ...]
-    pure_images: tuple[tuple[int, ...], ...]
-    lifts: tuple[tuple[int, ...], ...]
 
     def pure(self, x, y) -> tuple[int, ...]:
         """The element x (x) y in canonical coordinates."""
-        acc = [0] * self.module.rank()
-        for t, (i, j) in enumerate(self.pairs):
-            c = x[i] * y[j]
-            if c:
-                img = self.pure_images[t]
-                for s in range(len(acc)):
-                    acc[s] += c * img[s]
-        return self.module.reduce(acc)
+        return self.combine([a * b for a in x for b in y])
 
     def expand(self, z) -> list[tuple[int, int, int]]:
         """Write z as a sum of coefficient * (generator pair): [(c, i, j), ...]."""
+        d, e = self.left.invariant_factors, self.right.invariant_factors
         out = []
-        for t, (i, j) in enumerate(self.pairs):
-            c = sum(z[s] * self.lifts[s][t] for s in range(len(z)))
-            g = gcd(self.left.invariant_factors[i], self.right.invariant_factors[j])
-            c %= g
+        for t, c in enumerate(self.coordinates(z)):
+            i, j = divmod(t, len(e))
+            c %= gcd(d[i], e[j])
             if c:
                 out.append((c, i, j))
         return out
@@ -74,86 +62,69 @@ class TensorProduct:
 def tensor(m: FiniteModule, n: FiniteModule) -> TensorProduct:
     if m.ring != n.ring:
         raise ValueError("tensor factors live over different rings")
-    pairs, can = _pair_sum(m.ring, m.invariant_factors, n.invariant_factors)
-    return TensorProduct(
-        m, n, can.module, pairs, can.generator_images, can.generator_lifts
-    )
+    can = _pair_sum(m.ring, m.invariant_factors, n.invariant_factors)
+    return TensorProduct(can.module, can.generator_images, can.generator_lifts, m, n)
 
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
-    """f (x) g on the canonical tensor modules."""
+    """f (x) g on the canonical tensor modules, one product per column.
+
+    The lift of a source generator, in pair coordinates, is a matrix W
+    over dom f x dom g; its image is F W G^T (entry f[i'][i] * g[j'][j]
+    from pair (i, j) to pair (i', j')) combined in the target.  The lift
+    is not reduced mod gcd(d_i, e_j): f and g are well defined, so the
+    image of a pair generator is killed by its order.
+    """
     src = tensor(f.domain, g.domain)
     dst = tensor(f.codomain, g.codomain)
-    fcols = [
-        tuple(f.matrix[j][i] for j in range(f.codomain.rank()))
-        for i in range(f.domain.rank())
-    ]
-    gcols = [
-        tuple(g.matrix[j][i] for j in range(g.codomain.rank()))
-        for i in range(g.domain.rank())
-    ]
+    l = g.domain.rank()
     columns = []
-    for t in range(src.module.rank()):
-        acc = dst.module.zero_element()
-        for c, i, j in src.expand(
-            tuple(1 if s == t else 0 for s in range(src.module.rank()))
-        ):
-            acc = dst.module.add(acc, dst.module.scale(c, dst.pure(fcols[i], gcols[j])))
-        columns.append(acc)
+    for lift in src.generator_lifts:
+        w_cols = [lift[j::l] for j in range(l)]
+        fw = [[sum(map(mul, row, col)) for col in w_cols] for row in f.matrix]
+        columns.append(dst.combine([sum(map(mul, r, row)) for r in fw for row in g.matrix]))
     return Morphism.from_columns(src.module, dst.module, columns)
 
 
 @dataclass(frozen=True)
-class HomModule:
-    """Hom(M, N) as a canonical module, convertible to and from morphisms."""
+class HomModule(Canonicalized):
+    """Hom(M, N), whose generators are the elementary homs h_ij with
+    entry ``multipliers[t]`` = e_j / gcd(d_i, e_j) at (j, i) for pair t."""
 
     source: FiniteModule
     target: FiniteModule
-    module: FiniteModule
-    pairs: tuple[tuple[int, int], ...]
-    pure_images: tuple[tuple[int, ...], ...]
-    lifts: tuple[tuple[int, ...], ...]
     multipliers: tuple[int, ...]
 
     def to_morphism(self, z) -> Morphism:
         """The actual morphism M -> N encoded by the element z."""
-        d = self.source.invariant_factors
         e = self.target.invariant_factors
-        matrix = [[0] * len(d) for _ in range(len(e))]
-        for t, (i, j) in enumerate(self.pairs):
-            c = sum(z[s] * self.lifts[s][t] for s in range(len(z)))
-            # multipliers[t] is e_j / gcd(d_i, e_j): well defined for every c
-            matrix[j][i] = c * self.multipliers[t] % e[j]
-        return Morphism._trusted(self.source, self.target, tuple(map(tuple, matrix)))
+        # every integer multiple of a multiplier is a well-defined entry
+        entries = [c * step for c, step in zip(self.coordinates(z), self.multipliers)]
+        rows = tuple(tuple(a % ej for a in entries[j :: len(e)]) for j, ej in enumerate(e))
+        return Morphism._trusted(self.source, self.target, rows)
 
     def of_morphism(self, f: Morphism) -> tuple[int, ...]:
         """Canonical coordinates of a morphism M -> N."""
         if f.domain != self.source or f.codomain != self.target:
             raise ValueError("morphism does not belong to this hom module")
-        acc = [0] * self.module.rank()
-        for t, (i, j) in enumerate(self.pairs):
-            a = f.matrix[j][i]
-            c, rem = divmod(a, self.multipliers[t])
+        # pair (i, j) is entry (j, i): the matrix read column by column
+        entries = (a for col in zip(*f.matrix) for a in col)
+        coeffs = []
+        for a, step in zip(entries, self.multipliers):
+            c, rem = divmod(a, step)
             if rem:
                 raise AssertionError("well-defined morphism fell outside the hom lattice")
-            img = self.pure_images[t]
-            for s in range(len(acc)):
-                acc[s] += c * img[s]
-        return self.module.reduce(acc)
+            coeffs.append(c)
+        return self.combine(coeffs)
 
 
 @lru_cache(maxsize=16384)
 def hom_module(m: FiniteModule, n: FiniteModule) -> HomModule:
     if m.ring != n.ring:
         raise ValueError("hom endpoints live over different rings")
-    pairs, can = _pair_sum(m.ring, m.invariant_factors, n.invariant_factors)
-    mult = tuple(
-        n.invariant_factors[j] // gcd(m.invariant_factors[i], n.invariant_factors[j])
-        for (i, j) in pairs
-    )
-    return HomModule(
-        m, n, can.module, pairs, can.generator_images, can.generator_lifts, mult
-    )
+    can = _pair_sum(m.ring, m.invariant_factors, n.invariant_factors)
+    mult = tuple(e // gcd(d, e) for d in m.invariant_factors for e in n.invariant_factors)
+    return HomModule(can.module, can.generator_images, can.generator_lifts, m, n, mult)
 
 
 def _canonical_generators(m: FiniteModule):

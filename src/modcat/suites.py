@@ -82,6 +82,7 @@ from .modules import FiniteModule, Morphism, RingSpec, cyclic
 from .purity import (
     _prime_factors,
     double_dual_unit,
+    extract_section,
     flat_structural_oracle,
     is_flat,
     is_flat_tensor_route,
@@ -328,12 +329,10 @@ def _composition_check(first: Morphism, second: Morphism, inflations: bool):
         is_kind, complete, kind = is_deflation, conflation_from_epi, "deflation"
     comp = second @ first
     if is_kind(comp):
-        try:
-            complete(comp)
-        except ValueError:
-            pass
-        else:
-            return None
+        # completing an epi / mono can only fail by an internal error,
+        # which must surface as a crash, not as a counterexample
+        complete(comp)
+        return None
     reason = f"composite of two {kind}s is not {'an' if inflations else 'a'} {kind}"
     return reason, {"first": first.to_dict(), "second": second.to_dict()}
 
@@ -388,8 +387,6 @@ def _flat_equiv_check(m: FiniteModule, entries, max_kernel_order: int, max_modul
 
 
 def _extract_section_check(c: Conflation):
-    from .purity import extract_section
-
     try:
         extract_section(c)
     except Exception as exc:  # noqa: BLE001 - recorded, not hidden

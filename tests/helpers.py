@@ -2,7 +2,8 @@
 the direct-sum embedding of a pullback and projection onto a pushout,
 their mediating morphisms, the direct-sum route to pullbacks and pushouts
 as an oracle for the concatenated-coordinate one, identity chain maps,
-multiplication maps, element orders, the lattice route to subgroups
+multiplication maps, element orders, the per-term tensor of two
+morphisms as an oracle for the one product, the lattice route to subgroups
 and kernels, an oracle independent of the package's cokernel-and-dual-kernel
 route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
 the walk over their solution cosets that completes middle differentials.
@@ -28,7 +29,7 @@ from modcat.modules import (
     kernel,
     solution_set,
 )
-from modcat.monoidal import _canonical_generators, hom_module
+from modcat.monoidal import _canonical_generators, hom_module, tensor
 from modcat.snf import smith_normal_form
 
 
@@ -165,6 +166,30 @@ def kernel_lattice_gens(f: Morphism) -> list[list[int]]:
     augmented = [list(f.matrix[j]) + [e[j] if j == t else 0 for t in range(l)] for j in range(l)]
     form = smith_normal_form(augmented, left=False)
     return [[form.right[row][col] for row in range(k)] for col in range(form.rank, k + l)]
+
+
+def per_term_tensor_mor(f: Morphism, g: Morphism) -> Morphism:
+    """f (x) g term by term: each canonical generator of the source is
+    expanded into reduced pure-tensor terms c * x_i (x) y_j, and each term
+    adds c * f(x_i) (x) g(y_j) in the target.  The oracle for the one
+    product of ``monoidal.tensor_mor``."""
+    src = tensor(f.domain, g.domain)
+    dst = tensor(f.codomain, g.codomain)
+    fcols = [
+        tuple(f.matrix[j][i] for j in range(f.codomain.rank()))
+        for i in range(f.domain.rank())
+    ]
+    gcols = [
+        tuple(g.matrix[j][i] for j in range(g.codomain.rank()))
+        for i in range(g.domain.rank())
+    ]
+    columns = []
+    for z in _canonical_generators(src.module):
+        acc = dst.module.zero_element()
+        for c, i, j in src.expand(z):
+            acc = dst.module.add(acc, dst.module.scale(c, dst.pure(fcols[i], gcols[j])))
+        columns.append(acc)
+    return Morphism.from_columns(src.module, dst.module, columns)
 
 
 def postcompose_map(g: Morphism, source: FiniteModule) -> Morphism:

@@ -9,6 +9,7 @@ from modcat.modules import (
     cyclic,
     direct_sum,
     kernel,
+    solve,
     subgroup_from_lattice,
 )
 from modcat.exact import (
@@ -23,7 +24,7 @@ from modcat.exact import (
     pushout,
     splits,
 )
-from modcat.enumeration import enumerate_morphisms, subgroup_catalog
+from modcat.enumeration import enumerate_modules, enumerate_morphisms, subgroup_catalog
 from modcat.suites import SuiteConfig, run_suite
 
 from helpers import (
@@ -67,6 +68,24 @@ def test_conflation_rejects_bad_legs():
     with pytest.raises(NotAConflation):
         # mono, epi, composite zero, but order bookkeeping fails: 4 != 1 * 2
         make_conflation(Morphism.zero(R4.zero_module(), Z4), Morphism(Z4, Z2, ((1,),)))
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12])
+def test_the_not_epi_witness_is_the_first_element_outside_the_image(n):
+    # Element-walk oracle: the lexicographically first y with no preimage.
+    mods = list(enumerate_modules(n, 12))
+    seen = 0
+    for a in mods:
+        for b in mods:
+            for g in enumerate_morphisms(a, b):
+                if g.is_epi():
+                    continue
+                first = next(y for y in b.elements() if solve(g, y) is None)
+                with pytest.raises(NotAConflation, match="not epic") as info:
+                    Conflation(Morphism.zero(RingSpec(n).zero_module(), a), g)
+                assert info.value.witness == first
+                seen += 1
+    assert seen > 0
 
 
 def test_exactness_is_forced_by_the_order_check():

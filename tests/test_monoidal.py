@@ -25,9 +25,15 @@ from modcat.monoidal import (
     uncurry,
 )
 from modcat.snf import snf_diagonal
-from modcat.enumeration import enumerate_modules
+from modcat.enumeration import enumerate_modules, enumerate_morphisms
 
-from helpers import multiplication, postcompose_map, precompose_map, sample_morphisms
+from helpers import (
+    multiplication,
+    per_term_tensor_mor,
+    postcompose_map,
+    precompose_map,
+    sample_morphisms,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +181,24 @@ def test_tensor_mor_functorial():
                 lhs = tensor_mor(g @ f, u @ g)
                 rhs = tensor_mor(g, u) @ tensor_mor(f, g)
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12])
+def test_tensor_mor_is_the_per_term_tensor(n):
+    # Every pair of morphisms between modules of order <= 4, and every
+    # morphism between modules of order <= 8 against every 97th one from
+    # an offset of its own index, so each appears as f and as g (all pairs
+    # at order <= 8 are about three million).
+    def morphisms(bound):
+        mods = list(enumerate_modules(n, bound))
+        return [f for a in mods for b in mods for f in enumerate_morphisms(a, b)]
+
+    small, large = morphisms(4), morphisms(8)
+    pairs = [(f, g) for f in small for g in small]
+    pairs += [(f, g) for k, f in enumerate(large) for g in large[k % 97 :: 97]]
+    assert sum(g != Morphism.identity(g.domain) for _, g in pairs) > len(pairs) // 2
+    for f, g in pairs:
+        assert tensor_mor(f, g) == per_term_tensor_mor(f, g)
 
 
 def test_tensor_mor_on_pure_tensors():

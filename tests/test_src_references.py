@@ -19,7 +19,10 @@ the canonical form ``_canonical_form`` and ``_solve_mod``: every subgroup,
 image and kernel then comes from a cokernel and the dual kernel, by one
 route.  A sixth keeps
 ``hom_module``, the internal hom in coordinates, inside the closed
-structure and the double-dual unit.
+structure and the double-dual unit.  A seventh finds a function-level
+``from .x import`` in a file that already imports from ``.x`` at the top:
+such a name cannot be patched on the module that uses it, while a
+top-level import is the seam every route of ``modcat.suites`` offers.
 """
 
 import ast
@@ -339,3 +342,63 @@ def test_the_scan_sees_a_local_nothing_reads(tmp_path):
         "    return total, inner, lambda: seen\n"
     )
     assert dead_locals(tmp_path) == ["a.f: i", "a.f: unused", "a.inner: late"]
+
+
+def _local_imports(node, scope=()):
+    """(enclosing class and function names, node) of each ``from ... import``
+    inside a function or class under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
+            yield from _local_imports(child, scope + (child.name,))
+        elif isinstance(child, ast.ImportFrom) and scope:
+            yield scope, child
+        else:
+            yield from _local_imports(child, scope)
+
+
+def redundant_local_imports(src=SRC):
+    """``module.qualified.name: .x`` of each function-level ``from .x import``
+    whose file imports from ``.x`` at the top level too.  A local import
+    that breaks an import cycle has no top-level twin and is not flagged."""
+    found = []
+    for path in sorted(pathlib.Path(src).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {
+            (node.level, node.module) for node in tree.body if isinstance(node, ast.ImportFrom)
+        }
+        for scope, node in _local_imports(tree):
+            if node.level and (node.level, node.module) in top:
+                found.append(f"{'.'.join((path.stem,) + scope)}: .{node.module}")
+    return found
+
+
+def test_no_function_imports_what_its_file_imports_at_the_top():
+    assert redundant_local_imports() == []
+
+
+def test_the_scan_sees_a_local_import_with_a_top_level_twin(tmp_path):
+    (tmp_path / "suites.py").write_text(
+        "import json\n"
+        "from .exact import pullback\n"
+        "from .purity import is_pure\n\n\n"
+        "def check(c):\n"
+        "    from .purity import extract_section\n"
+        "    from .enumeration import catalog\n"
+        "    import traceback\n"
+        "    from json import dumps\n"
+        "    return extract_section(c), catalog, traceback, dumps\n\n\n"
+        "class Runner:\n"
+        "    def run(self):\n"
+        "        def inner():\n            from .exact import pushout\n            return pushout\n"
+        "        return inner, is_pure, pullback\n"
+    )
+    (tmp_path / "purity.py").write_text(
+        "from .exact import splits\n\n\n"
+        "def is_pure_injective(m):\n"
+        "    from .enumeration import conflations_with_sub\n"
+        "    return splits, conflations_with_sub\n"
+    )
+    assert redundant_local_imports(tmp_path) == [
+        "suites.check: .purity",
+        "suites.Runner.run.inner: .exact",
+    ]

@@ -362,7 +362,7 @@ REPLAY_SCENARIOS = [
         "extract-section-raises",
         ("flat-equiv",),
         {"extract-section"},
-        {"modcat.purity.extract_section": _raise},
+        {"modcat.suites.extract_section": _raise},
     ),
     (
         "triangle-fails",
