@@ -227,7 +227,7 @@ class ComplexConflation:
             raise ValueError("chain maps do not compose through a common middle")
         # Every degree of any of the three windows: elsewhere all three are 0.
         for n in sorted({n for x in (self.sub, self.total, self.quotient) for n in x.degrees()}):
-            Conflation(self.f.part(n), self.g.part(n))
+            self.degreewise(n)
 
     @property
     def sub(self) -> Complex:

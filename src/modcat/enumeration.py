@@ -260,40 +260,44 @@ def conflations_with_sub(m: FiniteModule, middle_bound: int):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
-def enumerate_complexes(n: int, span: int, max_component_order: int) -> tuple[Complex, ...]:
-    """All complexes with the given window span, cyclic components, base degree 0.
+def _differential_stacks(levels, stack=()):
+    """Every stack of differentials (d^0, d^1, ...) with d^i from the tuple
+    ``levels[i]`` and d^(i+1) . d^i == 0, depth first in lexicographic
+    level order.
 
-    Interior slots may be zero (edges never are — windows are normalized),
-    and differentials range over every choice with vanishing composites.
+    The composite is read on its residue rows; none is built.
+    """
+    if len(stack) == len(levels):
+        yield stack
+        return
+    prev = stack[-1] if stack else None
+    for d in levels[len(stack)]:
+        if prev is not None and any(map(any, _compose_rows(
+            d.matrix, prev.matrix, d.codomain.invariant_factors, prev.domain.rank()
+        ))):
+            continue
+        yield from _differential_stacks(levels, stack + (d,))
+
+
+@lru_cache(maxsize=128)
+def enumerate_complexes(n: int, span: int) -> tuple[Complex, ...]:
+    """All complexes over Z/n with window span <= ``span``, cyclic components
+    and base degree 0.
+
+    Interior slots may be zero (edges never are — windows are normalized).
+    For each tuple of components every level's morphisms are enumerated
+    once, and ``_differential_stacks`` keeps the stacks with vanishing
+    composites.
     """
     ring = RingSpec(n)
-    cyclics = [m for m in enumerate_modules(n, max_component_order) if m.rank() == 1]
+    cyclics = [m for m in enumerate_modules(n, n) if m.rank() == 1]
+    inner = [ring.zero_module()] + cyclics
     out = [zero_complex(ring)]
     for s in range(1, span + 1):
-        slot_universes = []
-        for pos in range(s):
-            if pos == 0 or pos == s - 1:
-                slot_universes.append(list(cyclics))
-            else:
-                slot_universes.append([ring.zero_module()] + list(cyclics))
-        for comps in itertools.product(*slot_universes):
-            stacks = [[]]
-            for i in range(s - 1):
-                new_stacks = []
-                e = comps[i + 1].invariant_factors
-                for stack in stacks:
-                    prev = stack[-1] if stack else None
-                    for dmor in enumerate_morphisms(comps[i], comps[i + 1]):
-                        # d . d == 0, read on the residue rows of the composite
-                        if prev is not None and any(
-                            map(any, _compose_rows(dmor.matrix, prev.matrix, e, prev.domain.rank()))
-                        ):
-                            continue
-                        new_stacks.append(stack + [dmor])
-                stacks = new_stacks
-            for stack in stacks:
-                out.append(Complex(ring, 0, tuple(comps), tuple(stack)))
+        universes = [cyclics if pos in (0, s - 1) else inner for pos in range(s)]
+        for comps in itertools.product(*universes):
+            levels = [tuple(enumerate_morphisms(a, b)) for a, b in zip(comps, comps[1:])]
+            out += (Complex(ring, 0, comps, stack) for stack in _differential_stacks(levels))
     return tuple(out)
 
 
@@ -384,9 +388,9 @@ def _complete_differentials(f: Complex, combo):
     A middle differential D: Y^n -> Y^(n+1) over d_f has p . D = d_f . p,
     so it is D_0 + i . E for one lift D_0 and a unique E: Y^n -> X^(n+1),
     i the inclusion of the kernel X^(n+1) of p.  The lifts do not depend on
-    the stack: if one level has none, the combo has no middle.  E is walked
-    depth first in ``enumerate_morphisms`` order, keeping D when
-    D . D_prev == 0 on the residue rows of the composite.
+    the stack: if one level has none, the combo has no middle.  Each level's
+    candidates D_0 + i . E, E in ``enumerate_morphisms`` order, are built
+    once, and ``_differential_stacks`` keeps the stacks with D . D_prev == 0.
     """
     lifts = []
     for n, (here, there) in enumerate(zip(combo, combo[1:]), f.lo):
@@ -396,20 +400,8 @@ def _complete_differentials(f: Complex, combo):
         if sol is None:
             return
         lifts.append(sol[0])
-
-    def walk(stack):
-        level = len(stack)
-        if level == len(lifts):
-            yield stack
-            return
-        there = combo[level + 1]
-        e = there.ambient.invariant_factors
-        for corr in enumerate_morphisms(combo[level].ambient, there.sub):
-            d = lifts[level] + there.inclusion @ corr
-            if stack and any(
-                map(any, _compose_rows(d.matrix, stack[-1].matrix, e, stack[-1].domain.rank()))
-            ):
-                continue
-            yield from walk(stack + (d,))
-
-    yield from walk(())
+    levels = [
+        tuple(lift + there.inclusion @ e for e in enumerate_morphisms(here.ambient, there.sub))
+        for lift, here, there in zip(lifts, combo, combo[1:])
+    ]
+    yield from _differential_stacks(levels)

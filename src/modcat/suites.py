@@ -538,7 +538,7 @@ def run_complexes(config: SuiteConfig) -> SuiteResult:
     res = SuiteResult("complexes")
     for n in config.moduli:
         res.check("complex-witness", n, _witness_check(RingSpec(n)))
-        for f in _select(enumerate_complexes(n, config.max_complex_span, n), config, f"cpx:{n}"):
+        for f in _select(enumerate_complexes(n, config.max_complex_span), config, f"cpx:{n}"):
             res.check("complex-four-way", n, _four_way_check(f))
             res.check("lambda-degreewise", n, _lambda_degreewise_check(f))
     return res

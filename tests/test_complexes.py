@@ -179,7 +179,7 @@ def test_frozen_cohomology():
 
 @pytest.mark.parametrize("n", [4, 9])
 def test_cohomology_matches_element_scan(n):
-    for x in enumerate_complexes(n, 3, n):
+    for x in enumerate_complexes(n, 3):
         for deg in range(x.lo - 1, x.hi + 2):
             assert cohomology(x, deg).order == brute_cohomology_order(x, deg)
 
@@ -313,6 +313,12 @@ def test_pure_acyclicity_frozen_cases():
     assert not is_pure_acyclic(x)
     t = tensor_with_module(x, Z2)
     assert not is_acyclic(t)
+    # not acyclic (H^0 = 2Z/4), but acyclic after tensoring with Z/2: the
+    # divisor d = n must be checked too
+    proj = two_term_complex(Morphism(Z4, Z2, ((1,),)))
+    assert not is_acyclic(proj)
+    assert is_acyclic(tensor_with_module(proj, Z2))
+    assert not is_pure_acyclic(proj)
 
 
 def test_flat_complex_frozen_cases():
@@ -335,7 +341,7 @@ def test_contractible_iff_acyclic_with_split_kernels():
     from modcat.exact import splits, conflation_from_mono
     from modcat.modules import kernel
 
-    for x in enumerate_complexes(4, 3, 4):
+    for x in enumerate_complexes(4, 3):
         got = is_contractible(x)
         if x.is_zero:
             assert got
@@ -430,7 +436,7 @@ def test_residue_row_checks_match_the_composite_route():
         verdicts[kind][expected] += 1
 
     for n in (4, 9):
-        for x in enumerate_complexes(n, 3, n):
+        for x in enumerate_complexes(n, 3):
             comps, diffs = x.components, x.differentials
             assert composite_route_dd_zero(diffs)
             compare("complex", lambda: Complex(x.ring, x.lo, comps, diffs), composite_route_dd_zero(diffs))
@@ -542,7 +548,7 @@ def hom_route_contractible(x: Complex) -> bool:
 def test_morphism_unknowns_match_the_hom_module_route():
     verdicts = contractible = conflations = chain_split = 0
     for n, span in ((4, 3), (9, 3), (12, 2)):
-        for f in enumerate_complexes(n, span, n):
+        for f in enumerate_complexes(n, span):
             for x in (f, dual_complex(f)):
                 got = is_contractible(x)
                 assert got == hom_route_contractible(x), x
@@ -649,7 +655,7 @@ def enumerate_complex_conflations_bounded(ring: RingSpec, bound: int):
     order <= bound: trivial ends plus prime spheres inside every
     enumerated two-term middle."""
     out = []
-    for y in enumerate_complexes(ring.modulus, 2, bound):
+    for y in enumerate_complexes(ring.modulus, 2):
         total = 1
         for c in y.components:
             total *= c.order
@@ -753,7 +759,7 @@ def test_chain_validation_composes_no_morphism_and_kernels_are_cached(monkeypatc
     kernel of the disk-cover family is computed once and reused."""
     import modcat.modules as mm
 
-    family = enumerate_complexes(4, 3, 4)
+    family = enumerate_complexes(4, 3)
     depth = [0]  # > 0 while a Complex or ChainMap validates itself
     calls = {"validation": 0, "construction": 0}
     real_matmul = Morphism.__matmul__

@@ -444,14 +444,14 @@ def test_enumerate_complexes_frozen_counts():
     #   one slot [2]: 1
     #   two slots ([2],[2]): 2 differentials (0 and id): 2
     #   three slots ([2],0,[2]): 1;  ([2],[2],[2]): pairs with d1 d0 = 0: 3
-    assert len(enumerate_complexes(2, 3, 2)) == 8
+    assert len(enumerate_complexes(2, 3)) == 8
     # n=4, span 2, components <= 4: 1 + 2 spheres + (2+2+2+4) two-slot = 13
-    assert len(enumerate_complexes(4, 2, 4)) == 13
+    assert len(enumerate_complexes(4, 2)) == 13
 
 
 def test_enumerate_complexes_no_duplicates_and_valid():
     seen = set()
-    for x in enumerate_complexes(4, 3, 4):
+    for x in enumerate_complexes(4, 3):
         key = (
             x.lo,
             tuple(m.invariant_factors for m in x.components),
@@ -498,10 +498,72 @@ def test_enumerate_complexes_builds_no_composite(monkeypatch, n):
         return real(self, other)
 
     monkeypatch.setattr(Morphism, "__matmul__", counting)
-    family = enumerate_complexes.__wrapped__(n, 3, n)
+    family = enumerate_complexes.__wrapped__(n, 3)
     monkeypatch.undo()
     assert calls == []
     assert family == composite_filtered_complexes(n, 3, n)
+
+
+@pytest.mark.parametrize(
+    "n,span,count,digest",
+    [
+        (4, 4, 241, "e2f0a288ae0063ee9e2124b555850ec1676d7f7cdb07576045f3c9e8a696b7ba"),
+        (9, 4, 657, "78c2afa22656f5d11a2217fa73322a034d98011343618795cf75d74b3164fb45"),
+        (12, 3, 983, "0d3a958861c80165a8e5a3cac9c7f3d88b5633b22a6102ebff601ff2548da6aa"),
+    ],
+    ids=["4-4", "9-4", "12-3"],
+)
+def test_enumerate_complexes_order_is_pinned(n, span, count, digest):
+    """Sample mode picks complexes by index, so the order of
+    ``enumerate_complexes`` decides what a sampled run checks."""
+    seq = [x.to_dict() for x in enumerate_complexes(n, span)]
+    assert len(seq) == count
+    assert hashlib.sha256(json.dumps(seq, sort_keys=True).encode()).hexdigest() == digest
+
+
+def counted_morphism_walks(monkeypatch):
+    """Record the (dom, cod) of every ``enumerate_morphisms`` call made
+    through ``modcat.enumeration``."""
+    calls = []
+    real = enumerate_morphisms
+
+    def counting(dom, cod):
+        calls.append((dom, cod))
+        return real(dom, cod)
+
+    monkeypatch.setattr(modcat.enumeration, "enumerate_morphisms", counting)
+    return calls
+
+
+def test_complex_enumeration_walks_each_level_once(monkeypatch):
+    """One morphism walk per adjacent pair of each component tuple: at
+    n = 4, span 3, 4 two-slot tuples and 12 three-slot tuples give 28."""
+    calls = counted_morphism_walks(monkeypatch)
+    enumerate_complexes.__wrapped__(4, 3)
+    assert len(calls) == 28
+
+
+def test_family_middles_walk_each_level_once(monkeypatch):
+    """A combo with a lift at every degree walks Hom(Y^n, X^(n+1)) once per
+    level, whatever the number of stacks; a combo without one walks none.
+    Span 3 gives combos with two levels."""
+    calls = counted_morphism_walks(monkeypatch)
+    deep = 0
+    for n, span in [(4, 2), (9, 2), (3, 3)]:
+        for f in enumerate_complexes(n, span)[1:]:
+            per_degree = [
+                list(conflations_ending_in(c, COMPLEX_KERNEL_CAP, c.order * COMPLEX_KERNEL_CAP))
+                for c in f.components
+            ]
+            for combo in itertools.product(*per_degree):
+                calls.clear()
+                stacks = list(_complete_differentials(f, combo))
+                levels = [(here.ambient, there.sub) for here, there in zip(combo, combo[1:])]
+                assert calls in ([], levels)
+                if stacks:
+                    assert calls == levels
+                deep += len(calls) > 1
+    assert deep > 0
 
 
 def test_complex_conflation_from_chain_epi():
@@ -573,7 +635,7 @@ def direct_sum_disk_cover(f):
 
 @pytest.mark.parametrize("n", [4, 9])
 def test_flat_disk_cover_matches_direct_sum_oracle(n):
-    complexes = enumerate_complexes(n, 4, n)
+    complexes = enumerate_complexes(n, 4)
     assert len(complexes) > 100
     for f in complexes:
         assert flat_disk_cover(f) == direct_sum_disk_cover(f)
@@ -619,7 +681,7 @@ def test_uncapped_middles_match_the_hom_coordinate_route():
 
     combos = 0
     for n, span in [(4, 2), (9, 2), (3, 3)]:
-        for f in enumerate_complexes(n, span, n)[1:]:
+        for f in enumerate_complexes(n, span)[1:]:
             per_degree = [
                 list(conflations_ending_in(c, COMPLEX_KERNEL_CAP, c.order * COMPLEX_KERNEL_CAP))
                 for c in f.components
@@ -655,7 +717,7 @@ def test_capped_complex_families_are_pinned(n, span, count, digest):
     """
     seq = [
         cc.g.to_dict()
-        for x in enumerate_complexes(n, span, n)
+        for x in enumerate_complexes(n, span)
         for cc in enumerate_complex_conflations_ending_in(x, COMPLEX_KERNEL_CAP, COMPLEX_FAMILY_CAP)
     ]
     assert len(seq) == count

@@ -224,7 +224,7 @@ def test_frozen_injectivity_facts():
     assert is_injective(RingSpec(12).zero_module())
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 18, 36])
 def test_flat_routes_agree(n):
     for m in enumerate_modules(n, 32):
         a = is_flat(m)
