@@ -104,11 +104,14 @@ class FiniteModule:
         return (0,) * len(self.invariant_factors)
 
     def _check_rank(self, *vecs) -> None:
-        """Raise ValueError for a vector whose length is not the rank."""
+        """Raise ValueError for a vector whose length is not the rank, TypeError for a non-int."""
         k = len(self.invariant_factors)
         for v in vecs:
             if len(v) != k:
                 raise ValueError(f"element {tuple(v)} has length {len(v)}, not the rank {k}")
+            for a in v:
+                if type(a) is not int:
+                    raise TypeError(f"element {tuple(v)} has an entry that is not an int")
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Reduce an integer vector to the canonical element it represents."""
@@ -124,6 +127,8 @@ class FiniteModule:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
 
     def scale(self, c: int, x) -> tuple[int, ...]:
+        if not isinstance(c, int):
+            raise TypeError("an element is scaled by an int")
         self._check_rank(x)
         return tuple((c * a) % d for a, d in zip(x, self.invariant_factors))
 
@@ -155,9 +160,15 @@ class Presentation:
     relations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.generators) is not int:
+            raise TypeError("the generator count must be an int")
+        if self.generators < 0:
+            raise ValueError(f"generator count {self.generators} is negative")
         for row in self.relations:
             if len(row) != self.generators:
                 raise ValueError("relation row length does not match generator count")
+            if any(type(a) is not int for a in row):
+                raise TypeError("relation entries must be ints")
 
 
 @dataclass(frozen=True)
@@ -230,6 +241,7 @@ class Morphism:
         k = self.domain.rank()
         if len(x) != k:
             raise ValueError(f"element {tuple(x)} has length {len(x)}, not the domain rank {k}")
+        self.domain._check_rank(x)  # TypeError for an entry that is not an int
         cod = self.codomain.invariant_factors
         return tuple(
             sum(row[i] * x[i] for i in range(k)) % cod[j]
@@ -379,7 +391,7 @@ def _canonical_form(ring: RingSpec, g: int, rows) -> Canonicalized:
     diag(d) rows of kernels, cokernels and direct sums do; they then imply
     n times the identity, so the Smith form runs without those g rows.
     """
-    form = smith_normal_form(rows, left=False)
+    form = smith_normal_form(rows)
     diag = form.diagonal
     n = ring.modulus
     kept = [i for i in range(g) if diag[i] > 1]
@@ -446,7 +458,7 @@ def _cokernel_columns(ring: RingSpec, e: tuple[int, ...], a):
 # twice per complex, complex_conflation_from_chain_epi per conflation),
 # close together: at moduli 4 and 9, span 4, 64 entries catch all 9,048
 # repeats among 9,108 calls.  Every subgroup or image built is one call
-# that is rarely asked again (prop1 at order 32, kernel 8: 1,947 calls,
+# that is rarely asked again (prop1 at order 32, kernel 8: 2,069 calls,
 # no repeat): a large cache would only hold them.  Pullbacks and pushouts
 # take their kernels and cokernels on rows, not through this cache.
 @lru_cache(maxsize=64)
@@ -528,17 +540,16 @@ def _solve_mod(a, e: tuple[int, ...], targets, k: int) -> list[list[int]] | None
     """One integer x of length k with a @ x == t (mod e) per target t, or None.
 
     ``e`` is any tuple of moduli, one per row of ``a``; it need not be a
-    divisor chain.  Every solution comes from the one Smith form of
-    [a | diag(e)], so identical inputs give identical witnesses.  None
-    means some target has no solution.
+    divisor chain.  Every solution comes from the one Smith form L @ [a | diag(e)] @ R,
+    which carries each t to L @ t, so identical inputs give identical
+    witnesses.  None means some target has no solution.
     """
     l = len(e)
     if l == 0 or not targets:
         return [[0] * k for _ in targets]
-    form = smith_normal_form(_augmented(a, e), left=True)
+    form = smith_normal_form(_augmented(a, e), carry=targets)
     solutions = []
-    for target in targets:
-        c = mat_vec(form.left, list(target))
+    for target, c in zip(targets, form.carried):
         w = [0] * (k + l)
         for j in range(l):
             dj = form.diagonal[j]
@@ -560,8 +571,9 @@ def solve(f: Morphism, target) -> tuple[int, ...] | None:
     """One solution x of f(x) == target, or None.
 
     Deterministic: the solution comes from the Smith form of the augmented
-    system, so identical inputs give identical witnesses.
+    system, so identical inputs give identical witnesses.  Checks the target like ``reduce``.
     """
+    f.codomain._check_rank(target)
     xs = _solve_mod(f.matrix, f.codomain.invariant_factors, [target], f.domain.rank())
     return None if xs is None else f.domain.reduce(xs[0])
 

@@ -177,16 +177,7 @@ def uncurry(g: Morphism, m: FiniteModule, n: FiniteModule, k: FiniteModule) -> M
 
 
 def evaluation(m: FiniteModule, n: FiniteModule) -> Morphism:
-    """Hom(M, N) (x) M -> N, the counit of the tensor-hom adjunction."""
-    h = hom_module(m, n)
-    t = tensor(h.module, m)
-    columns = []
-    for z in _canonical_generators(t.module):
-        acc = n.zero_element()
-        for c, a, i in t.expand(z):
-            ga = tuple(1 if s == a else 0 for s in range(h.module.rank()))
-            mor = h.to_morphism(ga)
-            xi = tuple(1 if s == i else 0 for s in range(m.rank()))
-            acc = n.add(acc, n.scale(c, mor.apply(xi)))
-        columns.append(acc)
-    return Morphism.from_columns(t.module, n, columns)
+    """Hom(M, N) (x) M -> N, the counit of the tensor-hom adjunction: the
+    uncurried identity of Hom(M, N)."""
+    h = hom_module(m, n).module
+    return uncurry(Morphism.identity(h), h, m, n)

@@ -4,13 +4,11 @@ Everything in this package reduces to integer linear algebra on small dense
 matrices, so the routines here work on lists of rows of Python ints and stay
 exact.  Two normal forms are provided:
 
-* Smith normal form, with or without the unimodular transforms; one pivot
-  loop serves both.  The full version returns ``D = left @ A @ right``
-  together with ``right_inv`` so callers can change coordinates in both
-  directions.  ``left`` is as tall as the input and only a solver reads
-  it, so a caller that needs only ``right`` / ``right_inv`` asks for the
-  form without it (``left=False``); the pivots, the diagonal and the
-  right transforms are the same either way.
+* Smith normal form D = L @ A @ R, with or without the transforms; one
+  pivot loop serves both.  The full version returns ``right`` (R) and
+  ``right_inv`` so callers can change coordinates in both directions.
+  L is not kept: a solver needs only L @ t for its targets t, so it
+  passes them as carried columns, which the row operations reach.
 * Hermite normal form (row-style, upper echelon) for canonical subgroup
   bases and membership tests.
 
@@ -33,18 +31,19 @@ def mat_vec(a: list[list[int]], x: list[int]) -> list[int]:
 
 @dataclass
 class SmithForm:
-    """D = left @ A @ right with left, right unimodular.
+    """D = L @ A @ R with L, R unimodular.
 
     ``diagonal`` lists D[i][i] for i < min(rows, cols), nonnegative, each
     dividing the next among the nonzero entries (zeros, if any, come last).
-    ``right_inv`` is the exact integer inverse of ``right``.  ``left`` is
-    None when the form was computed with ``left=False``.
+    ``right`` is R and ``right_inv`` its exact integer inverse.  L itself is
+    not kept: ``carried`` holds L @ c for each column c the caller passed
+    as ``carry``.
     """
 
     rows: int
     cols: int
     diagonal: list[int]
-    left: list[list[int]] | None
+    carried: list[list[int]]
     right: list[list[int]]
     right_inv: list[list[int]]
 
@@ -71,21 +70,31 @@ def _pivot_position(m: list[list[int]], t: int, rows: int, cols: int):
     return best
 
 
-def _smith(matrix: list[list[int]], track: bool, track_left: bool):
-    """The one Smith pivot loop; returns (diagonal, left, right, right_inv).
+def _smith(matrix: list[list[int]], track: bool, carry=()):
+    """The one Smith pivot loop; returns (diagonal, augmented matrix).
 
-    Deterministic: the pivot choice scans for the smallest nonzero absolute
-    value (first occurrence wins), so identical inputs give identical
-    transforms.  Without ``track`` ``right`` and ``right_inv`` are None,
-    without ``track_left`` ``left`` is None; the transforms only follow the
-    working copy, so the pivots and the diagonal never depend on either.
+    A's rows carry their entries of the ``carry`` columns, which the row
+    operations turn into L @ carry.  With ``track``, an identity below A
+    ends as ``right`` (column operations run down whole columns), and a
+    second one below it as the transpose of ``right_inv``: swaps move it
+    with A, and column c -= q * column t adds q * column c to column t.
+    Pivots are searched in A only, so the diagonal depends on neither.
+
+    Deterministic: the pivot is the smallest nonzero absolute value (first
+    occurrence wins), so identical inputs give identical transforms.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
+    width = cols + len(carry)
     m = [list(r) for r in matrix]
-    left = identity_matrix(rows) if track_left else None
-    right = identity_matrix(cols) if track else None
-    right_inv = identity_matrix(cols) if track else None
+    for v in carry:
+        for r, x in zip(m, v):
+            r.append(x)
+    if track:
+        m += identity_matrix(cols)  # ends as right
+    height = len(m)  # the rows that column operations act on
+    right_inv_t = identity_matrix(cols) if track else []
+    m += right_inv_t
     for t in range(min(rows, cols)):
         while True:
             pos = _pivot_position(m, t, rows, cols)
@@ -94,19 +103,11 @@ def _smith(matrix: list[list[int]], track: bool, track_left: bool):
             i, j = pos
             if i != t:
                 m[i], m[t] = m[t], m[i]
-                if track_left:
-                    left[i], left[t] = left[t], left[i]
             if j != t:
                 for r in m:
                     r[j], r[t] = r[t], r[j]
-                if track:
-                    for r in right:
-                        r[j], r[t] = r[t], r[j]
-                    right_inv[j], right_inv[t] = right_inv[t], right_inv[j]
             if m[t][t] < 0:
                 m[t] = [-v for v in m[t]]
-                if track_left:
-                    left[t] = [-v for v in left[t]]
             # Clear column t, then row t; restart if a remainder survived.
             # Entries left of column t and above row t are already zero.
             dirty = False
@@ -116,26 +117,18 @@ def _smith(matrix: list[list[int]], track: bool, track_left: bool):
                 mr = m[r]
                 if mr[t]:
                     q = mr[t] // p
-                    for c in range(t, cols):
+                    for c in range(t, width):
                         mr[c] -= q * mt[c]
-                    if track_left:
-                        lt, lr = left[t], left[r]
-                        for c in range(rows):
-                            lr[c] -= q * lt[c]
                     if mr[t]:
                         dirty = True
             for c in range(t + 1, cols):
                 if mt[c]:
                     q = mt[c] // p
-                    for r in range(t, rows):
+                    for r in range(t, height):
                         m[r][c] -= q * m[r][t]
                     if track:
-                        # column c -= q * column t; inverse: row t += q * row c
-                        for r in right:
-                            r[c] -= q * r[t]
-                        vt, vc = right_inv[t], right_inv[c]
-                        for s in range(cols):
-                            vt[s] += q * vc[s]
+                        for r in right_inv_t:
+                            r[t] += q * r[c]
                     if mt[c]:
                         dirty = True
             if dirty:
@@ -153,25 +146,26 @@ def _smith(matrix: list[list[int]], track: bool, track_left: bool):
             if offender is None:
                 break
             m[t] = [a + b for a, b in zip(mt, m[offender])]
-            if track_left:
-                left[t] = [a + b for a, b in zip(left[t], left[offender])]
         if m[t][t] < 0:
             m[t] = [-v for v in m[t]]
-            if track_left:
-                left[t] = [-v for v in left[t]]
-    return [m[i][i] for i in range(min(rows, cols))], left, right, right_inv
+    return [m[i][i] for i in range(min(rows, cols))], m
 
 
-def smith_normal_form(matrix: list[list[int]], left: bool = True) -> SmithForm:
-    """Smith normal form with ``right`` and ``right_inv``, and ``left``
-    unless ``left=False``."""
+def smith_normal_form(matrix: list[list[int]], carry=()) -> SmithForm:
+    """Smith normal form with ``right`` and ``right_inv``, and L @ c in
+    ``carried`` for each column c of ``carry`` (one entry per row of
+    ``matrix``)."""
     rows = len(matrix)
-    return SmithForm(rows, len(matrix[0]) if rows else 0, *_smith(matrix, True, left))
+    cols = len(matrix[0]) if rows else 0
+    diagonal, m = _smith(matrix, True, carry)
+    carried = [[m[i][c] for i in range(rows)] for c in range(cols, cols + len(carry))]
+    right_inv = [list(r) for r in zip(*m[rows + cols :])]
+    return SmithForm(rows, cols, diagonal, carried, m[rows : rows + cols], right_inv)
 
 
 def snf_diagonal(matrix: list[list[int]]) -> list[int]:
     """Smith diagonal only, no transform bookkeeping (hot path)."""
-    return _smith(matrix, False, False)[0]
+    return _smith(matrix, False)[0]
 
 
 def hermite_normal_form(rows_in: list[list[int]], cols: int) -> list[list[int]]:

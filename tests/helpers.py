@@ -130,7 +130,7 @@ def lattice_subgroup(ambient: FiniteModule, gens):
     k = len(d)
     rows = [list(v) for v in gens]
     rows.extend([d[i] if i == j else 0 for j in range(k)] for i in range(k))
-    form = smith_normal_form(rows, left=False)
+    form = smith_normal_form(rows)
     diag = form.diagonal
     if any(diag[i] == 0 for i in range(k)):
         raise AssertionError("subgroup lattice must have full rank")
@@ -164,7 +164,7 @@ def kernel_lattice_gens(f: Morphism) -> list[list[int]]:
     if l == 0:
         return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     augmented = [list(f.matrix[j]) + [e[j] if j == t else 0 for t in range(l)] for j in range(l)]
-    form = smith_normal_form(augmented, left=False)
+    form = smith_normal_form(augmented)
     return [[form.right[row][col] for row in range(k)] for col in range(form.rank, k + l)]
 
 

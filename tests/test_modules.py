@@ -10,7 +10,10 @@ subgroups and kernels: it diagonalizes the subgroup lattice itself, where
 the package takes the kernel of the projection onto a cokernel.
 """
 
+import hashlib
 import itertools
+import json
+import random
 import sys
 from collections import Counter
 from math import gcd, prod
@@ -25,6 +28,7 @@ from modcat.modules import (
     Morphism,
     Presentation,
     RingSpec,
+    _solve_mod,
     canonicalize,
     cokernel,
     cokernel_order,
@@ -137,6 +141,14 @@ def test_ring_and_module_reject_non_int_input():
     for modulus in (4.0, True, "4"):
         with pytest.raises(TypeError):
             RingSpec(modulus)
+    for factor in (0.5, "2"):
+        with pytest.raises(TypeError):
+            m.scale(factor, (1, 1))
+    with pytest.raises(ValueError):
+        Presentation(r, -1, ())
+    for generators, relations in ((2.0, ()), ("2", ()), (2, ((1, 0.5),)), (2, ((1, "0"),))):
+        with pytest.raises(TypeError):
+            Presentation(r, generators, relations)
 
 
 def test_canonicalize_frozen_example():
@@ -280,10 +292,19 @@ def test_morphism_validation():
         Morphism(b, b, ((1,),)).scaled(1.5)
 
 
-@pytest.mark.parametrize("x", [(1,), (1, 0, 0), ()])
-def test_apply_rejects_an_element_of_the_wrong_length(x):
+@pytest.mark.parametrize(
+    "x,error,message",
+    [
+        ((1,), ValueError, "domain rank 2"),
+        ((1, 0, 0), ValueError, "domain rank 2"),
+        ((), ValueError, "domain rank 2"),
+        ((1.5, 2), TypeError, "not an int"),
+    ],
+    ids=["x0", "x1", "x2", "float"],
+)
+def test_apply_rejects_an_element_of_the_wrong_length(x, error, message):
     f = Morphism.identity(FiniteModule(RingSpec(12), (2, 12)))
-    with pytest.raises(ValueError, match="domain rank 2"):
+    with pytest.raises(error, match=message):
         f.apply(x)
     assert f.apply((1, 5)) == (1, 5)
 
@@ -291,7 +312,17 @@ def test_apply_rejects_an_element_of_the_wrong_length(x):
 Z2_Z12 = FiniteModule(RingSpec(12), (2, 12))
 
 
-@pytest.mark.parametrize("x", [(1, 6, 5), (1,), ()])
+@pytest.mark.parametrize(
+    "x,error,message",
+    [
+        ((1, 6, 5), ValueError, "rank 2"),
+        ((1,), ValueError, "rank 2"),
+        ((), ValueError, "rank 2"),
+        ((1.5, 2), TypeError, "not an int"),
+        ((0.5, 0), TypeError, "not an int"),
+    ],
+    ids=["x0", "x1", "x2", "float", "half"],
+)
 @pytest.mark.parametrize(
     "call",
     [
@@ -303,8 +334,8 @@ Z2_Z12 = FiniteModule(RingSpec(12), (2, 12))
     ],
     ids=["reduce", "add-left", "add-right", "scale", "from_columns"],
 )
-def test_elements_and_columns_of_the_wrong_length_are_rejected(call, x):
-    with pytest.raises(ValueError, match="rank 2"):
+def test_elements_and_columns_of_the_wrong_length_are_rejected(call, x, error, message):
+    with pytest.raises(error, match=message):
         call(x)
     assert call((1, 6)) is not None
 
@@ -697,6 +728,69 @@ def test_solve_against_scan(n):
                         assert got is not None and f.apply(got) == target
                     else:
                         assert got is None
+
+
+def random_systems(seed=2018, count=400):
+    """Seeded systems (a, e, targets, k) with l, k <= 4 and each modulus
+    dividing n; about half the targets are images a @ x, so both
+    verdicts occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((4, 8, 9, 12, 36))
+        l, k = rng.randint(1, 4), rng.randint(1, 4)
+        e = tuple(rng.choice(RingSpec(n).divisors()[1:]) for _ in range(l))
+        a = [[rng.randrange(-n, n) for _ in range(k)] for _ in range(l)]
+        targets = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                x = [rng.randrange(n) for _ in range(k)]
+                targets.append([sum(c * y for c, y in zip(row, x)) % d for row, d in zip(a, e)])
+            else:
+                targets.append([rng.randrange(d) for d in e])
+        yield a, e, targets, k
+
+
+def digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def test_solver_outputs_are_pinned():
+    """Every solution and every None of ``_solve_mod`` on 400 seeded
+    systems, hashed: a change of the Smith form or the solver that moves
+    any witness fails here."""
+    out = [_solve_mod(a, e, targets, k) for a, e, targets, k in random_systems()]
+    assert sum(x is not None for x in out) == 249
+    assert digest(out) == "7ccee63471cc94c59313704901dfd43aa69eeca08f9bf0da340d232e9f7a91bc"
+
+
+def test_canonical_forms_are_pinned():
+    """Module, generator images and generator lifts of ``canonicalize`` on
+    300 seeded presentations, hashed."""
+    rng = random.Random(2018)
+    out = []
+    for _ in range(300):
+        n = rng.choice((4, 8, 9, 12, 36))
+        g = rng.randint(1, 4)
+        relations = tuple(
+            tuple(rng.randrange(n) for _ in range(g)) for _ in range(rng.randint(0, 4))
+        )
+        can = canonicalize(Presentation(RingSpec(n), g, relations))
+        out.append([can.module.to_dict(), can.generator_images, can.generator_lifts])
+    assert digest(out) == "1dd41fec547a9060847e7985f798a7c8a7f5a901c2847231233d0c3059e3878c"
+
+
+@pytest.mark.parametrize(
+    "target,error",
+    [((1,), ValueError), ((1, 1, 1), ValueError), ((1.5, 1), TypeError)],
+    ids=["short", "long", "float"],
+)
+def test_solve_rejects_a_target_that_is_not_a_codomain_element(target, error):
+    """The solver reads only the first rank entries of a target, so a
+    longer one must not be truncated, nor a float read as unsolvable."""
+    f = Morphism.identity(Z2_Z12)
+    with pytest.raises(error, match="rank 2" if error is ValueError else "not an int"):
+        solve(f, target)
+    assert solve(f, (1, 1)) == (1, 1)
 
 
 def test_solution_set_is_a_kernel_coset():

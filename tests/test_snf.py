@@ -110,28 +110,40 @@ def small_matrix(draw):
 @given(small_matrix())
 @settings(max_examples=150, deadline=None)
 def test_smith_transform_identity(a):
-    form = smith_normal_form(a)
+    # L is what the row operations make of the identity: carry its columns
     rows, cols = len(a), len(a[0])
-    d = mat_mul(mat_mul(form.left, a), form.right)
+    form = smith_normal_form(a, carry=identity_matrix(rows))
+    left = [list(r) for r in zip(*form.carried)]
+    d = mat_mul(mat_mul(left, a), form.right)
     for i in range(rows):
         for j in range(cols):
             expect = form.diagonal[i] if i == j and i < len(form.diagonal) else 0
             assert d[i][j] == expect
-    assert abs(det(form.left)) == 1
+    assert abs(det(left)) == 1
     assert abs(det(form.right)) == 1
     assert mat_mul(form.right, form.right_inv) == identity_matrix(cols)
 
 
-@given(small_matrix())
+@st.composite
+def matrix_and_carry(draw):
+    a = draw(small_matrix())
+    column = st.lists(small_entries, min_size=len(a), max_size=len(a))
+    return a, draw(st.lists(column, max_size=3))
+
+
+@given(matrix_and_carry())
 @settings(max_examples=150, deadline=None)
-def test_smith_form_without_left_keeps_the_right_transforms(a):
-    full = smith_normal_form(a)
-    short = smith_normal_form(a, left=False)
-    assert short.left is None
-    assert (short.rows, short.cols) == (full.rows, full.cols)
-    assert short.diagonal == full.diagonal
-    assert short.right == full.right
-    assert short.right_inv == full.right_inv
+def test_carried_columns_change_no_diagonal_or_right_transform(case):
+    a, carry = case
+    bare = smith_normal_form(a)
+    form = smith_normal_form(a, carry=carry)
+    assert bare.carried == []
+    assert (form.rows, form.cols) == (bare.rows, bare.cols)
+    assert form.diagonal == bare.diagonal
+    assert form.right == bare.right
+    assert form.right_inv == bare.right_inv
+    left = [list(r) for r in zip(*smith_normal_form(a, carry=identity_matrix(len(a))).carried)]
+    assert form.carried == [mat_vec(left, c) for c in carry]
 
 
 @given(small_matrix())

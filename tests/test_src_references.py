@@ -22,7 +22,9 @@ route.  A sixth keeps
 structure and the double-dual unit.  A seventh finds a function-level
 ``from .x import`` in a file that already imports from ``.x`` at the top:
 such a name cannot be patched on the module that uses it, while a
-top-level import is the seam every route of ``modcat.suites`` offers.
+top-level import is the seam every route of ``modcat.suites`` offers.  An
+eighth keeps ``.carried``, the columns a Smith form carries through its row
+operations, inside the solver ``_solve_mod``.
 """
 
 import ast
@@ -162,26 +164,27 @@ TRUSTED_CALLERS = {
 }
 
 
-def _scopes_naming(node, attr, scope=()):
-    """The enclosing class and function names of each ``attr`` or ``.attr``
-    under ``node``."""
+def _scopes_naming(node, attr, names, scope=()):
+    """The enclosing class and function names of each ``.attr`` under
+    ``node``, and of each bare ``attr`` if ``names``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
-            yield from _scopes_naming(child, attr, scope + (child.name,))
+            yield from _scopes_naming(child, attr, names, scope + (child.name,))
             continue
         if (isinstance(child, ast.Attribute) and child.attr == attr) or (
-            isinstance(child, ast.Name) and child.id == attr
+            names and isinstance(child, ast.Name) and child.id == attr
         ):
             yield scope
-        yield from _scopes_naming(child, attr, scope)
+        yield from _scopes_naming(child, attr, names, scope)
 
 
-def uses_outside(src, attr, allowed):
+def uses_outside(src, attr, allowed, names=True):
     """``module.qualified.name`` of each function outside ``allowed`` that
-    names ``attr`` (``module`` alone for module-level code)."""
+    names ``.attr``, or bare ``attr`` if ``names`` (``module`` alone for
+    module-level code)."""
     found = []
     for path in sorted(pathlib.Path(src).glob("*.py")):
-        for scope in _scopes_naming(ast.parse(path.read_text()), attr):
+        for scope in _scopes_naming(ast.parse(path.read_text()), attr, names):
             name = ".".join((path.stem,) + scope)
             if name not in allowed:
                 found.append(name)
@@ -237,8 +240,8 @@ def test_only_canonicalize_and_the_solver_take_smith_forms():
 def test_the_scan_sees_a_smith_form_outside_the_allow_list(tmp_path):
     (tmp_path / "modules.py").write_text(
         "from .snf import smith_normal_form, snf_diagonal\n\n\n"
-        "def _canonical_form(ring, g, rows):\n    return smith_normal_form(rows, left=False)\n\n\n"
-        "def _solve_mod(a):\n    return smith_normal_form(a)\n\n\n"
+        "def _canonical_form(ring, g, rows):\n    return smith_normal_form(rows)\n\n\n"
+        "def _solve_mod(a, t):\n    return smith_normal_form(a, carry=t)\n\n\n"
         "def subgroup_from_lattice(ambient, gens):\n"
         "    return smith_normal_form(gens).right_inv\n\n\n"
         "def kernel(f):\n    factor = smith_normal_form\n    return factor(f)\n\n\n"
@@ -253,6 +256,40 @@ def test_the_scan_sees_a_smith_form_outside_the_allow_list(tmp_path):
         "enumeration.SubgroupEntry._build",
         "modules.subgroup_from_lattice",
         "modules.kernel",
+    ]
+
+
+# L @ t for each target t, the only part of the left transform the package
+# reads, is carried through the row operations of the solver's Smith form.
+# Attributes only: ``carried`` is also the field and a local of ``snf``.
+CARRIED_READERS = {"modules._solve_mod"}
+
+
+def carried_reads(src=SRC, allowed=CARRIED_READERS):
+    return uses_outside(src, "carried", allowed, names=False)
+
+
+def test_only_the_solver_reads_carried_columns():
+    assert carried_reads() == []
+
+
+def test_the_scan_sees_a_carried_read_outside_the_allow_list(tmp_path):
+    (tmp_path / "snf.py").write_text(
+        "class SmithForm:\n    carried: list\n\n\n"
+        "def _smith(m, carry):\n    carried = [list(c) for c in carry]\n    return carried\n\n\n"
+        "def left_of(form):\n    return form.carried\n"
+    )
+    (tmp_path / "modules.py").write_text(
+        "def _solve_mod(a, targets):\n"
+        "    return smith_normal_form(a, carry=targets).carried\n\n\n"
+        "def kernel(f):\n    cols = smith_normal_form(f, carry=f).carried\n    return cols\n\n\n"
+        "class Canonicalized:\n"
+        "    def combine(self, c):\n        return c or self.form.carried\n"
+    )
+    assert carried_reads(tmp_path) == [
+        "modules.kernel",
+        "modules.Canonicalized.combine",
+        "snf.left_of",
     ]
 
 
