@@ -189,7 +189,7 @@ class Morphism:
             if len(row) != len(dom):
                 raise ValueError("matrix row length must match domain rank")
             if any(type(a) is not int for a in row):
-                raise TypeError("matrix entries must be ints")
+                raise TypeError("a generator image has an entry that is not an int")
             e = cod[j]
             red = tuple(a % e for a in row)
             for i, a in enumerate(red):
@@ -227,12 +227,17 @@ class Morphism:
 
     @classmethod
     def from_columns(cls, dom: FiniteModule, cod: FiniteModule, columns) -> "Morphism":
-        """Build from the list of images of the domain generators."""
+        """Build from the list of images of the domain generators; the
+        constructor checks their entries."""
         cols = list(columns)
         if len(cols) != dom.rank():
             raise ValueError("need one column per domain generator")
-        cod._check_rank(*cols)
         l = cod.rank()
+        for i, col in enumerate(cols):
+            if len(col) != l:
+                raise ValueError(
+                    f"the image {tuple(col)} of generator {i} has length {len(col)}, not the rank {l}"
+                )
         return cls(dom, cod, tuple(tuple(col[j] for col in cols) for j in range(l)))
 
     # -- arithmetic -----------------------------------------------------------
@@ -241,7 +246,8 @@ class Morphism:
         k = self.domain.rank()
         if len(x) != k:
             raise ValueError(f"element {tuple(x)} has length {len(x)}, not the domain rank {k}")
-        self.domain._check_rank(x)  # TypeError for an entry that is not an int
+        if any(type(a) is not int for a in x):
+            raise TypeError(f"element {tuple(x)} has an entry that is not an int")
         cod = self.codomain.invariant_factors
         return tuple(
             sum(row[i] * x[i] for i in range(k)) % cod[j]
@@ -341,10 +347,12 @@ class Canonicalized:
 
     ``generator_images[i]`` is the canonical element presented by the i-th
     generator; ``generator_lifts[t]`` is an integer combination of the
-    presentation generators mapping onto the t-th canonical generator.
-    ``combine`` and ``coordinates`` are the one change of coordinates
-    between the presentation generators and the canonical module; the
-    tensor and hom modules extend this class over their pair sums.
+    presentation generators mapping onto the t-th canonical generator, the
+    solver's solution of that equation.  ``combine`` and ``coordinates``
+    are the one change of coordinates between the presentation generators
+    and the canonical module; the tensor and hom modules extend this class
+    over their pair sums.  Kernels and cokernels read only the images, so
+    they take ``_canonical_form`` and build no lifts.
     """
 
     module: FiniteModule
@@ -376,7 +384,7 @@ def canonicalize(pres: Presentation) -> Canonicalized:
     holds n times the identity."""
     g = pres.generators
     rows = list(pres.relations) + _diagonal_rows((pres.ring.modulus,) * g)
-    return _canonical_form(pres.ring, g, rows)
+    return _canonicalized(pres.ring, g, rows)
 
 
 def _diagonal_rows(c) -> list[tuple[int, ...]]:
@@ -384,8 +392,9 @@ def _diagonal_rows(c) -> list[tuple[int, ...]]:
     return [tuple(x if i == t else 0 for t in range(len(c))) for i, x in enumerate(c)]
 
 
-def _canonical_form(ring: RingSpec, g: int, rows) -> Canonicalized:
-    """The invariant-factor form of Z^g modulo the lattice of ``rows``.
+def _canonical_form(ring: RingSpec, g: int, rows):
+    """(module, generator images): the invariant-factor form of Z^g modulo
+    the lattice of ``rows``, read off R of one Smith form.
 
     The rows must bound every generator by some divisor of n, as the
     diag(d) rows of kernels, cokernels and direct sums do; they then imply
@@ -401,12 +410,17 @@ def _canonical_form(ring: RingSpec, g: int, rows) -> Canonicalized:
     factors = tuple(diag[i] for i in kept)
     module = FiniteModule(ring, factors)
     v = form.right
-    vinv = form.right_inv
-    images = tuple(
-        tuple(v[i][j] % diag[j] for j in kept) for i in range(g)
-    )
-    lifts = tuple(tuple(vinv[t][:g]) for t in kept)
-    return Canonicalized(module, images, lifts)
+    return module, tuple(tuple(v[i][j] % diag[j] for j in kept) for i in range(g))
+
+
+def _canonicalized(ring: RingSpec, g: int, rows) -> Canonicalized:
+    """``_canonical_form`` with generator lifts: the t-th lift solves
+    images @ x == t-th unit, so ``_solve_mod`` checks each one."""
+    module, images = _canonical_form(ring, g, rows)
+    k = module.rank()
+    units = [[1 if s == t else 0 for s in range(k)] for t in range(k)]
+    lifts = _solve_mod(list(zip(*images)), module.invariant_factors, units, g)
+    return Canonicalized(module, images, tuple(map(tuple, lifts)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,31 +440,32 @@ def _kernel_rows(ring: RingSpec, d: tuple[int, ...], e: tuple[int, ...], a):
 
     Uses ker f = (coker f^+)^+ for the character dual (-)^+ = Hom(-, Z/n),
     which is exact on finite Z/n-modules because Z/n is self-injective.
-    f^+ has entry a[j][i] * d[i] // e[j] at (i, j) (the closed form of
-    ``purity.dual_mor``, inlined since ``purity`` imports this module).
-    Its columns and diag(d) present coker f^+; the inclusion is the dual
-    of the projection p onto it, entry p[t][i] * d[i] // c[t] at (i, t).
-    The dual of a cyclic sum is taken summand by summand, so d and e are
-    any cyclic decompositions, divisor chains or not.
+    The columns of f^+ and diag(d) present coker f^+; the inclusion is the
+    dual of the projection onto it.  Both duals are ``_dual_rows``, taken
+    summand by summand, so d and e are any cyclic decompositions, divisor
+    chains or not.
     """
-    k = len(d)
-    rel = [tuple(x * d[i] // e[j] for i, x in enumerate(row)) for j, row in enumerate(a)]
-    can = _canonical_form(ring, k, rel + _diagonal_rows(d))
-    c = can.module.invariant_factors
-    rows = tuple(
-        tuple(p * d[i] // c[t] for t, p in enumerate(can.generator_images[i])) for i in range(k)
-    )
+    rel = list(zip(*_dual_rows(d, e, a)))
+    ker, images = _canonical_form(ring, len(d), rel + _diagonal_rows(d))
+    c = ker.invariant_factors
+    rows = _dual_rows(d, c, list(zip(*images)))
     if any(map(any, _compose_rows(a, rows, e, len(c)))):
         raise AssertionError("kernel inclusion is not killed by the morphism")
-    return can.module, rows
+    return ker, rows
+
+
+def _dual_rows(d: tuple[int, ...], e: tuple[int, ...], a) -> tuple[tuple[int, ...], ...]:
+    """The rows of f^+ = - . f for f with residue rows ``a`` from + Z/d_i to
+    + Z/e_j: entry a[j][i] * d[i] // e[j] at (i, j), exact and in [0, d_i)
+    as f is well defined."""
+    return tuple(tuple(a[j][i] * d[i] // e[j] for j in range(len(e))) for i in range(len(d)))
 
 
 def _cokernel_columns(ring: RingSpec, e: tuple[int, ...], a):
     """(cokernel module, images of the codomain generators) of the map with
     residue rows ``a`` into + Z/e_j, in one Smith form: the columns of a
     and diag(e) present it.  e is any cyclic decomposition."""
-    can = _canonical_form(ring, len(e), list(zip(*a)) + _diagonal_rows(e))
-    return can.module, can.generator_images
+    return _canonical_form(ring, len(e), list(zip(*a)) + _diagonal_rows(e))
 
 
 # Small on purpose.  The complexes suite asks for the kernels of a few
@@ -487,16 +502,11 @@ def _generator_map(ambient: FiniteModule, gens) -> Morphism:
     """The map to ``ambient`` from a free module whose columns are ``gens``;
     its image is the subgroup they generate.
 
-    Raises ValueError for a vector whose length is not the ambient rank
-    and TypeError for an entry that is not an int.
+    ``from_columns`` raises ValueError for a vector whose length is not
+    the ambient rank, and the constructor TypeError for an entry that is
+    not an int.
     """
-    k = ambient.rank()
     cols = [tuple(v) for v in gens]
-    for v in cols:
-        if len(v) != k:
-            raise ValueError(f"generator {v} has length {len(v)}, not the ambient rank {k}")
-        if any(type(a) is not int for a in v):
-            raise TypeError(f"generator {v} has an entry that is not an int")
     free = FiniteModule(ambient.ring, (ambient.ring.modulus,) * len(cols))
     return Morphism.from_columns(free, ambient, cols)
 
@@ -697,7 +707,7 @@ def direct_sum_many(summands: tuple[FiniteModule, ...]) -> DirectSum:
     if any(m.ring != ring for m in summands):
         raise ValueError("summands live over different rings")
     rel = _diagonal_rows([d for m in summands for d in m.invariant_factors])
-    can = _canonical_form(ring, len(rel), rel)
+    can = _canonicalized(ring, len(rel), rel)
     s = can.module
     injections = []
     projections = []

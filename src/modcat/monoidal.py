@@ -24,7 +24,7 @@ from .modules import (
     FiniteModule,
     Morphism,
     RingSpec,
-    _canonical_form,
+    _canonicalized,
     _diagonal_rows,
 )
 
@@ -32,7 +32,7 @@ from .modules import (
 def _pair_sum(ring: RingSpec, dom: tuple[int, ...], cod: tuple[int, ...]) -> Canonicalized:
     """Canonicalize + Z/gcd(d_i, e_j) over all pairs (i, j), i major."""
     rel = _diagonal_rows([gcd(d, e) for d in dom for e in cod])
-    return _canonical_form(ring, len(rel), rel)
+    return _canonicalized(ring, len(rel), rel)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def tensor(m: FiniteModule, n: FiniteModule) -> TensorProduct:
     if m.ring != n.ring:
         raise ValueError("tensor factors live over different rings")
     can = _pair_sum(m.ring, m.invariant_factors, n.invariant_factors)
-    return TensorProduct(can.module, can.generator_images, can.generator_lifts, m, n)
+    return TensorProduct(**vars(can), left=m, right=n)
 
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
@@ -124,7 +124,7 @@ def hom_module(m: FiniteModule, n: FiniteModule) -> HomModule:
         raise ValueError("hom endpoints live over different rings")
     can = _pair_sum(m.ring, m.invariant_factors, n.invariant_factors)
     mult = tuple(e // gcd(d, e) for d in m.invariant_factors for e in n.invariant_factors)
-    return HomModule(can.module, can.generator_images, can.generator_lifts, m, n, mult)
+    return HomModule(**vars(can), source=m, target=n, multipliers=mult)
 
 
 def _canonical_generators(m: FiniteModule):

@@ -34,7 +34,7 @@ from .exact import (
     pullback,
     splits,
 )
-from .modules import FiniteModule, Morphism, RingSpec, cyclic
+from .modules import FiniteModule, Morphism, RingSpec, _dual_rows, cyclic
 from .monoidal import hom_module, tensor_mor
 
 
@@ -60,8 +60,7 @@ def dual_mor(f: Morphism) -> Morphism:
     """f+ = - . f: N+ -> M+; entry (i, j) is a[j][i] d_i / e_j, exact as f is well defined.
 
     Each entry lies in [0, d_i), so f+ is built without validation."""
-    d, e, a = f.domain.invariant_factors, f.codomain.invariant_factors, f.matrix
-    rows = tuple(tuple(a[j][i] * d[i] // e[j] for j in range(len(e))) for i in range(len(d)))
+    rows = _dual_rows(f.domain.invariant_factors, f.codomain.invariant_factors, f.matrix)
     return Morphism._trusted(f.codomain, f.domain, rows)
 
 

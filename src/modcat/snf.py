@@ -4,11 +4,11 @@ Everything in this package reduces to integer linear algebra on small dense
 matrices, so the routines here work on lists of rows of Python ints and stay
 exact.  Two normal forms are provided:
 
-* Smith normal form D = L @ A @ R, with or without the transforms; one
-  pivot loop serves both.  The full version returns ``right`` (R) and
-  ``right_inv`` so callers can change coordinates in both directions.
-  L is not kept: a solver needs only L @ t for its targets t, so it
-  passes them as carried columns, which the row operations reach.
+* Smith normal form D = L @ A @ R, with or without R; one pivot loop
+  serves both.  The full version returns ``right`` (R), which turns a
+  diagonal solution into one of A.  L is not kept: a solver needs only
+  L @ t for its targets t, so it passes them as carried columns, which
+  the row operations reach.
 * Hermite normal form (row-style, upper echelon) for canonical subgroup
   bases and membership tests.
 
@@ -35,9 +35,8 @@ class SmithForm:
 
     ``diagonal`` lists D[i][i] for i < min(rows, cols), nonnegative, each
     dividing the next among the nonzero entries (zeros, if any, come last).
-    ``right`` is R and ``right_inv`` its exact integer inverse.  L itself is
-    not kept: ``carried`` holds L @ c for each column c the caller passed
-    as ``carry``.
+    ``right`` is R.  L itself is not kept: ``carried`` holds L @ c for each
+    column c the caller passed as ``carry``.
     """
 
     rows: int
@@ -45,7 +44,6 @@ class SmithForm:
     diagonal: list[int]
     carried: list[list[int]]
     right: list[list[int]]
-    right_inv: list[list[int]]
 
     @property
     def rank(self) -> int:
@@ -75,10 +73,8 @@ def _smith(matrix: list[list[int]], track: bool, carry=()):
 
     A's rows carry their entries of the ``carry`` columns, which the row
     operations turn into L @ carry.  With ``track``, an identity below A
-    ends as ``right`` (column operations run down whole columns), and a
-    second one below it as the transpose of ``right_inv``: swaps move it
-    with A, and column c -= q * column t adds q * column c to column t.
-    Pivots are searched in A only, so the diagonal depends on neither.
+    ends as ``right``: column operations run down whole columns.  Pivots
+    are searched in A only, so the diagonal depends on neither.
 
     Deterministic: the pivot is the smallest nonzero absolute value (first
     occurrence wins), so identical inputs give identical transforms.
@@ -92,9 +88,6 @@ def _smith(matrix: list[list[int]], track: bool, carry=()):
             r.append(x)
     if track:
         m += identity_matrix(cols)  # ends as right
-    height = len(m)  # the rows that column operations act on
-    right_inv_t = identity_matrix(cols) if track else []
-    m += right_inv_t
     for t in range(min(rows, cols)):
         while True:
             pos = _pivot_position(m, t, rows, cols)
@@ -124,11 +117,8 @@ def _smith(matrix: list[list[int]], track: bool, carry=()):
             for c in range(t + 1, cols):
                 if mt[c]:
                     q = mt[c] // p
-                    for r in range(t, height):
-                        m[r][c] -= q * m[r][t]
-                    if track:
-                        for r in right_inv_t:
-                            r[t] += q * r[c]
+                    for r in m[t:]:
+                        r[c] -= q * r[t]
                     if mt[c]:
                         dirty = True
             if dirty:
@@ -152,15 +142,13 @@ def _smith(matrix: list[list[int]], track: bool, carry=()):
 
 
 def smith_normal_form(matrix: list[list[int]], carry=()) -> SmithForm:
-    """Smith normal form with ``right`` and ``right_inv``, and L @ c in
-    ``carried`` for each column c of ``carry`` (one entry per row of
-    ``matrix``)."""
+    """Smith normal form with ``right``, and L @ c in ``carried`` for each
+    column c of ``carry`` (one entry per row of ``matrix``)."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     diagonal, m = _smith(matrix, True, carry)
     carried = [[m[i][c] for i in range(rows)] for c in range(cols, cols + len(carry))]
-    right_inv = [list(r) for r in zip(*m[rows + cols :])]
-    return SmithForm(rows, cols, diagonal, carried, m[rows : rows + cols], right_inv)
+    return SmithForm(rows, cols, diagonal, carried, m[rows:])
 
 
 def snf_diagonal(matrix: list[list[int]]) -> list[int]:

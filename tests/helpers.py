@@ -125,17 +125,17 @@ def element_order(m: FiniteModule, x) -> int:
 def lattice_subgroup(ambient: FiniteModule, gens):
     """The subgroup of ``ambient`` generated by the integer vectors ``gens``,
     as (module, inclusion), read off the Smith form of the lattice they span
-    together with the ambient relations."""
+    together with the ambient relations.  Its basis rows are the rows of
+    L @ A = D @ R^-1, carried through the row operations as A's columns."""
     d = ambient.invariant_factors
     k = len(d)
     rows = [list(v) for v in gens]
     rows.extend([d[i] if i == j else 0 for j in range(k)] for i in range(k))
-    form = smith_normal_form(rows)
+    form = smith_normal_form(rows, carry=[list(c) for c in zip(*rows)])
     diag = form.diagonal
     if any(diag[i] == 0 for i in range(k)):
         raise AssertionError("subgroup lattice must have full rank")
-    vinv = form.right_inv
-    basis = [[diag[i] * vinv[i][j] for j in range(k)] for i in range(k)]
+    basis = [[form.carried[j][i] for j in range(k)] for i in range(k)]
     v = form.right
     rel = []
     for j in range(k):

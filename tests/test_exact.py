@@ -6,6 +6,7 @@ from modcat.modules import (
     FiniteModule,
     Morphism,
     RingSpec,
+    cokernel,
     cyclic,
     direct_sum,
     kernel,
@@ -304,6 +305,42 @@ def test_pullback_and_pushout_take_one_smith_form_and_no_direct_sum(monkeypatch)
         assert composites == [(po.from_codf, f), (po.from_codh, h_po)]
     info = mm.direct_sum_many.cache_info()
     assert info.hits + info.misses == sums.hits + sums.misses
+
+
+def test_kernels_cokernels_pullbacks_and_pushouts_take_one_smith_form_and_no_solve(monkeypatch):
+    """Each reads only the generator images of its canonical form: one
+    Smith form, and no generator lift solved through ``_solve_mod``."""
+    import modcat.modules as mm
+
+    r = RingSpec(12)
+    y = FiniteModule(r, (2, 12))
+    w = FiniteModule(r, (2, 6))
+    entries = [e for e in subgroup_catalog(y) if e.sub.rank() and e.quotient.rank()][:4]
+    maps = [*sample_morphisms(w, y, 4, seed=61), *sample_morphisms(y, w, 4, seed=67)]
+    smith_forms = []
+    real_smith = mm.smith_normal_form
+
+    def counting(matrix, *args, **kwargs):
+        smith_forms.append(len(matrix))
+        return real_smith(matrix, *args, **kwargs)
+
+    def no_solve(*args):
+        raise AssertionError("a kernel, cokernel, pullback or pushout solved a system")
+
+    monkeypatch.setattr(mm, "smith_normal_form", counting)
+    monkeypatch.setattr(mm, "_solve_mod", no_solve)
+    calls = [lambda f=f: mm.kernel.__wrapped__(f) for f in maps]
+    calls += [lambda f=f: cokernel(f) for f in maps]
+    for e in entries:
+        calls += [lambda e=e, h=h: pullback(e.projection, h)
+                  for h in sample_morphisms(w, e.quotient, 2, seed=53)]
+        calls += [lambda e=e, h=h: pushout(e.inclusion, h)
+                  for h in sample_morphisms(e.sub, w, 2, seed=59)]
+    assert len(calls) == 32
+    for call in calls:
+        smith_forms.clear()
+        call()
+        assert len(smith_forms) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -765,7 +765,9 @@ def test_solver_outputs_are_pinned():
 
 def test_canonical_forms_are_pinned():
     """Module, generator images and generator lifts of ``canonicalize`` on
-    300 seeded presentations, hashed."""
+    300 seeded presentations, hashed.  The lifts are the solver's solutions
+    of images @ x == unit, so a change to ``_solve_mod`` moves this digest
+    too."""
     rng = random.Random(2018)
     out = []
     for _ in range(300):
@@ -776,7 +778,7 @@ def test_canonical_forms_are_pinned():
         )
         can = canonicalize(Presentation(RingSpec(n), g, relations))
         out.append([can.module.to_dict(), can.generator_images, can.generator_lifts])
-    assert digest(out) == "1dd41fec547a9060847e7985f798a7c8a7f5a901c2847231233d0c3059e3878c"
+    assert digest(out) == "e82087a79e1aa4f8506cd00a53892cb227b8781b07cc74fd52110a55df71c029"
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcat.modules import FiniteModule, Morphism, RingSpec, cyclic
+from modcat.modules import FiniteModule, Morphism, RingSpec, cyclic, direct_sum_many
 from modcat.monoidal import (
     curry,
     evaluation,
@@ -354,3 +354,38 @@ def test_evaluation_is_the_counit():
     for f in sample_morphisms(tf.module, n, 4, seed=103):
         cf = curry(f, f_mod, m)
         assert ev @ tensor_mor(cf, Morphism.identity(m)) == f
+
+
+# ---------------------------------------------------------------------------
+# generator lifts of the pair sums
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12])
+def test_pair_sum_lifts_and_coordinates_change_coordinates_both_ways(n):
+    """Every tensor, hom module and direct sum of two modules of order
+    <= 16: each generator lift combines to its canonical unit, coordinates
+    send each pair generator back to itself modulo its order gcd(d_i, e_j),
+    and combine . coordinates is the identity on every element of a module
+    of order <= 256 (on the units of larger ones, which suffices as both
+    maps are additive).  A direct sum reads its projections off the lifts,
+    so its biproduct identities are the same statement."""
+    mods = enumerate_modules(n, 16)
+    for a, b in itertools.product(mods, repeat=2):
+        orders = [gcd(d, e) for d in a.invariant_factors for e in b.invariant_factors]
+        for can in (tensor(a, b), hom_module(a, b)):
+            m = can.module
+            units = [tuple(1 if s == t else 0 for s in range(m.rank())) for t in range(m.rank())]
+            assert [can.combine(lift) for lift in can.generator_lifts] == units
+            for i, img in enumerate(can.generator_images):
+                back = can.coordinates(img)
+                assert all((x - (u == i)) % o == 0 for u, (x, o) in enumerate(zip(back, orders)))
+            for z in m.elements() if m.order <= 256 else units:
+                assert can.combine(can.coordinates(z)) == z
+        ds = direct_sum_many((a, b))
+        for k, (proj, part) in enumerate(zip(ds.projections, (a, b))):
+            for l, inj in enumerate(ds.injections):
+                expect = Morphism.identity(part) if k == l else Morphism.zero(inj.domain, part)
+                assert proj @ inj == expect
+        total = ds.injections[0] @ ds.projections[0] + ds.injections[1] @ ds.projections[1]
+        assert total == Morphism.identity(ds.module)

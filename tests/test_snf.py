@@ -121,7 +121,6 @@ def test_smith_transform_identity(a):
             assert d[i][j] == expect
     assert abs(det(left)) == 1
     assert abs(det(form.right)) == 1
-    assert mat_mul(form.right, form.right_inv) == identity_matrix(cols)
 
 
 @st.composite
@@ -141,7 +140,6 @@ def test_carried_columns_change_no_diagonal_or_right_transform(case):
     assert (form.rows, form.cols) == (bare.rows, bare.cols)
     assert form.diagonal == bare.diagonal
     assert form.right == bare.right
-    assert form.right_inv == bare.right_inv
     left = [list(r) for r in zip(*smith_normal_form(a, carry=identity_matrix(len(a))).carried)]
     assert form.carried == [mat_vec(left, c) for c in carry]
 

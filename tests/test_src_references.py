@@ -24,7 +24,10 @@ structure and the double-dual unit.  A seventh finds a function-level
 such a name cannot be patched on the module that uses it, while a
 top-level import is the seam every route of ``modcat.suites`` offers.  An
 eighth keeps ``.carried``, the columns a Smith form carries through its row
-operations, inside the solver ``_solve_mod``.
+operations, inside the solver ``_solve_mod``.  A ninth keeps
+``.generator_lifts``, the solver's lifts of the canonical generators, with
+the change of coordinates ``Canonicalized.coordinates``, ``tensor_mor``
+and ``direct_sum_many``.
 """
 
 import ast
@@ -291,6 +294,41 @@ def test_the_scan_sees_a_carried_read_outside_the_allow_list(tmp_path):
         "modules.Canonicalized.combine",
         "snf.left_of",
     ]
+
+
+# Generator lifts are solved for only where a canonical form is read
+# backwards: the coordinates of a canonical element, the source lifts that
+# f (x) g sends through f and g, and the projections of a direct sum.
+# Attributes only, as for ``carried``.
+GENERATOR_LIFT_READERS = {
+    "modules.Canonicalized.coordinates",
+    "monoidal.tensor_mor",
+    "modules.direct_sum_many",
+}
+
+
+def generator_lift_reads(src=SRC, allowed=GENERATOR_LIFT_READERS):
+    return uses_outside(src, "generator_lifts", allowed, names=False)
+
+
+def test_only_coordinates_tensor_mor_and_direct_sums_read_generator_lifts():
+    assert generator_lift_reads() == []
+
+
+def test_the_scan_sees_a_generator_lift_read_outside_the_allow_list(tmp_path):
+    (tmp_path / "modules.py").write_text(
+        "class Canonicalized:\n    generator_lifts: tuple\n\n"
+        "    def coordinates(self, z):\n        return self.generator_lifts\n\n\n"
+        "def _canonical_form(ring, g, rows):\n"
+        "    generator_lifts = ()\n    return rows, generator_lifts\n\n\n"
+        "def kernel(f):\n    return canonicalize(f).generator_lifts\n"
+    )
+    (tmp_path / "monoidal.py").write_text(
+        "def tensor_mor(f, g):\n    return tensor(f, g).generator_lifts\n\n\n"
+        "def tensor(m, n):\n    can = _pair_sum(m, n)\n"
+        "    return TensorProduct(can.module, can.generator_lifts)\n"
+    )
+    assert generator_lift_reads(tmp_path) == ["modules.kernel", "monoidal.tensor"]
 
 
 # Hom-module coordinates stay where the internal hom is the subject: the
