@@ -253,8 +253,8 @@ def splits(c: Conflation) -> SplitWitness | None:
     """Search for a splitting of the conflation; None is definitive absence.
 
     The section is the one unknown s: M -> B of the block system
-    g . s = id_M, solved exactly with one Smith form, so it is the
-    system's one deterministic solution.  The retraction is derived from
+    g . s = id_M, solved exactly by one ``solve_blocks`` system, so it is
+    the system's one deterministic solution.  The retraction is derived from
     the section, so a witness always carries both or the conflation does
     not split at all.
     """

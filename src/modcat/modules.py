@@ -10,18 +10,20 @@ matrix with one row per codomain factor e_j and one column per domain
 factor d_i, entry a[j][i] mod e_j, subject to the well-definedness
 condition d_i * a[j][i] == 0 (mod e_j).
 
-All structural computations (canonical form, kernels, cokernels, sums,
-solving) go through the integer relation lattice: a presentation with g
+All structural computations (canonical form, kernels, cokernels, sums)
+go through the integer relation lattice: a presentation with g
 generators is the quotient of Z^g by the lattice spanned by its relation
 rows together with n times the identity, and Smith normal form over Z
 diagonalizes it.  Kernels, cokernels and sums pass diag(d) rows that
 already imply n times the identity, so their canonical form leaves those
-rows out.  Only the canonical form and the solver take that
-factorization: a cokernel is one canonicalized presentation, a kernel the
-dual of one, and a subgroup or an image the kernel of the projection onto
-a cokernel.  Kernels and cokernels are taken on residue rows between any
-cyclic decompositions, so a pullback or a pushout works in the
-concatenated coordinates of two modules without their direct sum.
+rows out.  Only the canonical form takes that factorization: a cokernel
+is one canonicalized presentation, a kernel the dual of one, and a
+subgroup or an image the kernel of the projection onto a cokernel.
+Linear systems are solved in each local ring Z/p^K of Z/n, by
+elimination on pivots of least p-adic valuation, and joined by the
+Chinese remainder theorem.  Kernels and cokernels are taken on residue
+rows between any cyclic decompositions, so a pullback or a pushout works
+in the concatenated coordinates of two modules without their direct sum.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 
-from .snf import identity_matrix, mat_vec, smith_normal_form, snf_diagonal
+from .snf import identity_matrix, smith_normal_form, snf_diagonal
 
 
 @dataclass(frozen=True)
@@ -546,42 +548,110 @@ def kernel_order(f: Morphism) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _solve_local(a, e: tuple[int, ...], targets, k: int, q: int):
+    """``_solve_mod`` over the local ring Z/q, q = p^K the p-part of lcm(e).
+
+    A row mod e_j keeps its p-part p^w = gcd(e_j, q) and is scaled, with
+    its targets, by q / p^w into a row mod q; rows with p^w = 1 drop out.
+    Gaussian elimination on [a | targets] mod q pivots on the first entry
+    of least valuation (gcd with q) in row-major order and scales its unit
+    part to 1.  That power of p divides every entry of the rows not yet
+    pivoted, so clearing below takes one exact quotient per row and no gcd
+    steps, and a pivot row's target must be divisible by it.  Leftover
+    zero rows need zero targets.  Back-substitution sets the free unknowns
+    to 0.  Returns one solution mod q per target, or None.
+    """
+    rows = []
+    for j, d in enumerate(e):
+        w = gcd(d, q)
+        if w > 1:
+            s = q // w
+            rows.append([v * s % q for v in a[j]] + [t[j] * s % q for t in targets])
+    pivots = []
+    for t in range(len(rows)):
+        best, pos = q, None
+        for i in range(t, len(rows)):
+            for c, v in enumerate(rows[i][:k]):
+                if v and gcd(v, q) < best:
+                    best, pos = gcd(v, q), (i, c)
+            if best == 1:
+                break
+        if pos is None:
+            break
+        i, c = pos
+        rows[i], rows[t] = rows[t], rows[i]
+        unit = pow(rows[t][c] // best, -1, q)
+        top = rows[t] = [v * unit % q for v in rows[t]]
+        for r in range(t + 1, len(rows)):
+            f = rows[r][c] // best
+            if f:
+                rows[r] = [(v - f * u) % q for v, u in zip(rows[r], top)]
+        pivots.append((c, best, top))
+    if any(any(row[k:]) for row in rows[len(pivots):]):
+        return None
+    solutions = []
+    for col in range(k, k + len(targets)):
+        x = [0] * k
+        for c, g, row in reversed(pivots):
+            rem = row[col] - sum(map(mul, row[:k], x))
+            if rem % g:
+                return None
+            x[c] = rem % q // g
+        solutions.append(x)
+    return solutions
+
+
 def _solve_mod(a, e: tuple[int, ...], targets, k: int) -> list[list[int]] | None:
     """One integer x of length k with a @ x == t (mod e) per target t, or None.
 
     ``e`` is any tuple of moduli, one per row of ``a``; it need not be a
-    divisor chain.  Every solution comes from the one Smith form L @ [a | diag(e)] @ R,
-    which carries each t to L @ t, so identical inputs give identical
-    witnesses.  None means some target has no solution.
+    divisor chain.  Z/lcm(e) is the product of its local rings Z/p^K, so
+    the system is solved in each (``_solve_local``) and the solutions are
+    joined by the Chinese remainder theorem.  Deterministic: identical
+    inputs give identical witnesses.  None means some target has no
+    solution.
     """
-    l = len(e)
-    if l == 0 or not targets:
-        return [[0] * k for _ in targets]
-    form = smith_normal_form(_augmented(a, e), carry=targets)
-    solutions = []
-    for target, c in zip(targets, form.carried):
-        w = [0] * (k + l)
-        for j in range(l):
-            dj = form.diagonal[j]
-            if dj:
-                if c[j] % dj:
-                    return None
-                w[j] = c[j] // dj
-            elif c[j]:
-                return None
-        x = mat_vec(form.right, w)[:k]
-        for j in range(l):
-            if (sum(a[j][i] * x[i] for i in range(k)) - target[j]) % e[j]:
+    if not targets:
+        return []
+    n = lcm(*e)
+    solutions = [[0] * k for _ in targets]
+    for p in _prime_factors(n):
+        m = n
+        while m % p == 0:
+            m //= p
+        q = n // m
+        local = _solve_local(a, e, targets, k, q)
+        if local is None:
+            return None
+        c = m * pow(m, -1, q)  # 1 mod q, 0 mod m
+        for x, y in zip(solutions, local):
+            x[:] = [(u + c * v) % n for u, v in zip(x, y)]
+    for x, target in zip(solutions, targets):
+        for j in range(len(e)):
+            if (sum(map(mul, a[j], x)) - target[j]) % e[j]:
                 raise AssertionError("solver produced a non-solution")
-        solutions.append(x)
     return solutions
 
 
 def solve(f: Morphism, target) -> tuple[int, ...] | None:
     """One solution x of f(x) == target, or None.
 
-    Deterministic: the solution comes from the Smith form of the augmented
-    system, so identical inputs give identical witnesses.  Checks the target like ``reduce``.
+    Deterministic: the solution comes from ``_solve_mod``, so identical
+    inputs give identical witnesses.  Checks the target like ``reduce``.
     """
     f.codomain._check_rank(target)
     xs = _solve_mod(f.matrix, f.codomain.invariant_factors, [target], f.domain.rank())
@@ -596,7 +666,8 @@ def solve_blocks(blocks: dict, cols, targets) -> tuple | None:
     identity, absent blocks are zero).  Entry (b, a) of x_j is
     (B_b / gcd(A_a, B_b)) * c, well defined for every integer c; entry
     (r, s) of row i is one equation mod D_r, and all of them go into one
-    Smith form.  Returns one morphism per column, or None if unsolvable.
+    ``_solve_mod`` system.  Returns one morphism per column, or None if
+    unsolvable.
     """
     unknowns = [
         [(b, a, e // gcd(d, e)) for b, e in enumerate(dst.invariant_factors)

@@ -34,7 +34,7 @@ from .exact import (
     pullback,
     splits,
 )
-from .modules import FiniteModule, Morphism, RingSpec, _dual_rows, cyclic
+from .modules import FiniteModule, Morphism, RingSpec, _dual_rows, _prime_factors, cyclic
 from .monoidal import hom_module, tensor_mor
 
 
@@ -176,20 +176,6 @@ def is_injective(m: FiniteModule) -> bool:
 def is_flat(m: FiniteModule) -> bool:
     """Flat exactly when the character dual is injective."""
     return is_injective(dual(m))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def flat_structural_oracle(m: FiniteModule) -> bool:

@@ -5,10 +5,9 @@ matrices, so the routines here work on lists of rows of Python ints and stay
 exact.  Two normal forms are provided:
 
 * Smith normal form D = L @ A @ R, with or without R; one pivot loop
-  serves both.  The full version returns ``right`` (R), which turns a
-  diagonal solution into one of A.  L is not kept: a solver needs only
-  L @ t for its targets t, so it passes them as carried columns, which
-  the row operations reach.
+  serves both.  The full version returns ``right`` (R).  L is not kept:
+  L @ c for columns c that the caller passes is carried through the row
+  operations instead.
 * Hermite normal form (row-style, upper echelon) for canonical subgroup
   bases and membership tests.
 
@@ -23,10 +22,6 @@ from dataclasses import dataclass
 
 def identity_matrix(m: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-
-def mat_vec(a: list[list[int]], x: list[int]) -> list[int]:
-    return [sum(row[i] * x[i] for i in range(len(x))) for row in a]
 
 
 @dataclass

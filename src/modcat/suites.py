@@ -78,9 +78,8 @@ from .exact import (
     pullback,
     pushout,
 )
-from .modules import FiniteModule, Morphism, RingSpec, cyclic
+from .modules import FiniteModule, Morphism, RingSpec, _prime_factors, cyclic
 from .purity import (
-    _prime_factors,
     double_dual_unit,
     extract_section,
     flat_structural_oracle,

@@ -21,6 +21,7 @@ from modcat.modules import (
     FiniteModule,
     Morphism,
     Presentation,
+    _augmented,
     canonicalize,
     cokernel,
     direct_sum,
@@ -153,6 +154,42 @@ def lattice_subgroup(ambient: FiniteModule, gens):
         vec = [sum(lift[u] * basis[u][j] for u in range(k)) for j in range(k)]
         columns.append(ambient.reduce(vec))
     return can.module, Morphism.from_columns(can.module, ambient, columns)
+
+
+def mat_vec(a: list[list[int]], x: list[int]) -> list[int]:
+    return [sum(row[i] * x[i] for i in range(len(x))) for row in a]
+
+
+def smith_solve_mod(a, e: tuple[int, ...], targets, k: int) -> list[list[int]] | None:
+    """One integer x of length k with a @ x == t (mod e) per target t, or None.
+
+    ``e`` is any tuple of moduli, one per row of ``a``; it need not be a
+    divisor chain.  Every solution comes from the one Smith form L @ [a | diag(e)] @ R,
+    which carries each t to L @ t, so identical inputs give identical
+    witnesses.  None means some target has no solution.  The Smith-form
+    route over Z, an oracle for the package's per-prime-power solver.
+    """
+    l = len(e)
+    if l == 0 or not targets:
+        return [[0] * k for _ in targets]
+    form = smith_normal_form(_augmented(a, e), carry=targets)
+    solutions = []
+    for target, c in zip(targets, form.carried):
+        w = [0] * (k + l)
+        for j in range(l):
+            dj = form.diagonal[j]
+            if dj:
+                if c[j] % dj:
+                    return None
+                w[j] = c[j] // dj
+            elif c[j]:
+                return None
+        x = mat_vec(form.right, w)[:k]
+        for j in range(l):
+            if (sum(a[j][i] * x[i] for i in range(k)) - target[j]) % e[j]:
+                raise AssertionError("solver produced a non-solution")
+        solutions.append(x)
+    return solutions
 
 
 def kernel_lattice_gens(f: Morphism) -> list[list[int]]:

@@ -699,8 +699,8 @@ def test_uncapped_middles_match_the_hom_coordinate_route():
     "n,span,count,digest",
     [
         (4, 3, 365, "221749295690bc1256953a5c8c5b758b969487b58df3871339736f86867cb656"),
-        (9, 3, 725, "b4a1b58d4a363e81621771219153cff11ae517d6f7e5d0e3cf8123d556bf421b"),
-        (12, 2, 589, "b3dbf7cf72e3de032a48e070bea7d32f28fb7fecf37105f4839f79b13c9deb37"),
+        (9, 3, 725, "5014bb023e8a081fb42aaf9e263cd2cc4d2722535632561fcae416348343334b"),
+        (12, 2, 589, "bccc3852b8346a0792fc9e524920cb44206ce1577fe9b724951660c478965d59"),
     ],
     ids=["4-3", "9-3", "12-2"],
 )

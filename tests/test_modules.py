@@ -17,6 +17,7 @@ import random
 import sys
 from collections import Counter
 from math import gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,7 @@ from helpers import (
     lattice_subgroup,
     multiplication,
     sample_morphisms,
+    smith_solve_mod,
 )
 
 
@@ -730,13 +732,13 @@ def test_solve_against_scan(n):
                         assert got is None
 
 
-def random_systems(seed=2018, count=400):
+def random_systems(seed=2018, count=400, moduli=(4, 8, 9, 12, 36)):
     """Seeded systems (a, e, targets, k) with l, k <= 4 and each modulus
     dividing n; about half the targets are images a @ x, so both
     verdicts occur."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.choice((4, 8, 9, 12, 36))
+        n = rng.choice(moduli)
         l, k = rng.randint(1, 4), rng.randint(1, 4)
         e = tuple(rng.choice(RingSpec(n).divisors()[1:]) for _ in range(l))
         a = [[rng.randrange(-n, n) for _ in range(k)] for _ in range(l)]
@@ -760,7 +762,88 @@ def test_solver_outputs_are_pinned():
     any witness fails here."""
     out = [_solve_mod(a, e, targets, k) for a, e, targets, k in random_systems()]
     assert sum(x is not None for x in out) == 249
-    assert digest(out) == "7ccee63471cc94c59313704901dfd43aa69eeca08f9bf0da340d232e9f7a91bc"
+    assert digest(out) == "05565b21e10ebd34ed1ea33aa1117a919acd721859baaacaba256887cd194f13"
+
+
+def solves(a, e, targets, k, xs) -> bool:
+    """Whether xs holds one solution of a @ x == t (mod e) per target t."""
+    return len(xs) == len(targets) and all(
+        len(x) == k and all((sum(map(mul, row, x)) - t[j]) % e[j] == 0 for j, row in enumerate(a))
+        for x, t in zip(xs, targets)
+    )
+
+
+def assert_solvers_agree(systems):
+    """The per-prime-power solver and the Smith-form oracle give None on
+    the same systems, and each solution of either solves its system."""
+    count = solvable = 0
+    for a, e, targets, k in systems:
+        got = _solve_mod(a, e, targets, k)
+        want = smith_solve_mod(a, e, targets, k)
+        assert (got is None) == (want is None), (a, e, targets, k)
+        if got is not None:
+            assert solves(a, e, targets, k, got) and solves(a, e, targets, k, want)
+            solvable += 1
+        count += 1
+    return count, solvable
+
+
+@pytest.mark.parametrize("seed", [3, 1986, 1998])
+def test_solver_agrees_with_the_smith_form_route_on_random_systems(seed):
+    count, solvable = assert_solvers_agree(random_systems(seed, moduli=(4, 8, 9, 12, 30, 36, 72)))
+    assert count == 400 and 0 < solvable < count
+
+
+def test_solver_agrees_with_the_smith_form_route_on_suite_systems(monkeypatch):
+    """Every system that the complexes and prop1 suites hand the solver at
+    n = 12, recorded through a wrapper and replayed on both routes."""
+    import modcat.modules as mm
+
+    recorded = []
+    real = mm._solve_mod
+
+    def recording(a, e, targets, k):
+        recorded.append(([list(r) for r in a], tuple(e), [list(t) for t in targets], k))
+        return real(a, e, targets, k)
+
+    monkeypatch.setattr(mm, "_solve_mod", recording)
+    for config, suite in [
+        (SuiteConfig(moduli=(12,), max_complex_span=2), "complexes"),
+        (SuiteConfig(moduli=(12,), max_module_order=16, max_kernel_order=4), "prop1"),
+    ]:
+        assert run_suite(config, names=(suite,)).exit_code == 0
+    monkeypatch.undo()
+    count, solvable = assert_solvers_agree(recorded)
+    assert count == len(recorded) > 100 and 0 < solvable < count
+
+
+@pytest.mark.parametrize(
+    "a,e,targets,k,solvable",
+    [
+        ([[2], [1]], (1, 4), [[1, 3]], 1, True),
+        ([[2], [3]], (4, 9), [[2, 6]], 1, True),
+        ([[2], [3]], (4, 9), [[2, 6], [1, 0]], 1, False),
+        ([], (), [[]], 3, True),
+        ([[], []], (4, 6), [[0, 0]], 0, True),
+        ([[], []], (4, 6), [[0, 3]], 0, False),
+        ([[-3, 5], [-7, -2]], (8, 9), [[-1, -4]], 2, True),
+        ([[2], [3]], (4, 9), [[2, 1]], 1, False),
+    ],
+    ids=[
+        "modulus-1-row", "coprime-moduli", "one-target-unsolvable", "no-rows",
+        "k-0-zero-target", "k-0-nonzero-target", "negative", "fails-only-at-3",
+    ],
+)
+def test_solver_corner_cases(a, e, targets, k, solvable):
+    """A row mod 1 constrains nothing (2x = 1 holds mod 1); coprime moduli
+    meet through the Chinese remainder theorem; one unsolvable target makes
+    the whole call None; with k = 0 a target is solvable exactly when it is
+    0; negative entries and targets are residues; a system solvable at
+    p = 2 but not at p = 3 (3x = 1 mod 9) has no solution at all."""
+    xs = _solve_mod(a, e, targets, k)
+    assert (xs is not None) == solvable
+    assert xs is None or solves(a, e, targets, k, xs)
+    assert (smith_solve_mod(a, e, targets, k) is not None) == solvable
 
 
 def test_canonical_forms_are_pinned():
@@ -778,7 +861,7 @@ def test_canonical_forms_are_pinned():
         )
         can = canonicalize(Presentation(RingSpec(n), g, relations))
         out.append([can.module.to_dict(), can.generator_images, can.generator_lifts])
-    assert digest(out) == "e82087a79e1aa4f8506cd00a53892cb227b8781b07cc74fd52110a55df71c029"
+    assert digest(out) == "c21d0822be4909d3552a4d9344de9dd0b6980dc8c607fe795bf39459ad276729"
 
 
 @pytest.mark.parametrize(
@@ -836,28 +919,42 @@ def test_factor_through_epi_recovers_the_unique_factor():
         factor_through_epi(Morphism.identity(y), e)  # does not kill ker(e)
 
 
-def test_factorizations_take_one_smith_form_per_call(monkeypatch):
+def counting_local_eliminations(monkeypatch):
+    """A list that records the modulus q of each call of the solver's
+    per-prime-power elimination."""
     import modcat.modules as mm
 
-    r = RingSpec(8)
-    y = FiniteModule(r, (2, 8))
-    sub, m = subgroup_from_lattice(y, [[0, 2], [1, 0]])
-    cok, e = cokernel(multiplication(y, 2))
-    dom = FiniteModule(r, (2, 8))
-    assert sub.rank() >= 2 and dom.rank() >= 2 and cok.rank() >= 2
     calls = []
-    real = mm.smith_normal_form
+    real = mm._solve_local
 
-    def counting(matrix, *args, **kwargs):
-        calls.append(len(matrix))
-        return real(matrix, *args, **kwargs)
+    def counting(a, e, targets, k, q):
+        calls.append(q)
+        return real(a, e, targets, k, q)
 
-    monkeypatch.setattr(mm, "smith_normal_form", counting)
+    monkeypatch.setattr(mm, "_solve_local", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n,y_factors,c,per_call", [(8, (2, 8), 2, 1), (12, (6, 12), 6, 2)], ids=["8", "12"]
+)
+def test_factorizations_take_one_local_elimination_per_prime_power(
+    monkeypatch, n, y_factors, c, per_call
+):
+    """One system per factorization: one elimination per prime power of
+    the lcm of its moduli (8 = 2^3; 12 = 2^2 * 3 for both maps here)."""
+    r = RingSpec(n)
+    y = FiniteModule(r, y_factors)
+    sub, m = subgroup_from_lattice(y, [[0, 2], [1, 0]])
+    cok, e = cokernel(multiplication(y, c))
+    dom = FiniteModule(r, (2, n))
+    assert sub.rank() >= 2 and dom.rank() >= 2 and cok.rank() >= 2
+    calls = counting_local_eliminations(monkeypatch)
     for u in sample_morphisms(dom, sub, 4, seed=37):
         h = m @ u
         calls.clear()
         phi = factor_through_mono(h, m)
-        assert len(calls) == 1
+        assert len(calls) == per_call
         assert phi == u
         # the per-column route gives the same columns
         cols = [solve(m, tuple(row[i] for row in h.matrix)) for i in range(dom.rank())]
@@ -865,33 +962,30 @@ def test_factorizations_take_one_smith_form_per_call(monkeypatch):
     for u in sample_morphisms(cok, FiniteModule(r, (2, 4)), 4, seed=41):
         calls.clear()
         assert factor_through_epi(u @ e, e) == u
-        assert len(calls) == 1
+        assert len(calls) == per_call
 
 
-def test_splits_takes_one_smith_form_for_the_section(monkeypatch):
-    import modcat.modules as mm
-
-    r = RingSpec(8)
+@pytest.mark.parametrize(
+    "n,per_solve,top,bottom", [(8, 1, 4, 2), (12, 2, 12, 6)], ids=["8", "12"]
+)
+def test_splits_takes_one_local_elimination_per_prime_power(monkeypatch, n, per_solve, top, bottom):
+    """The section and the retraction are one system each.  The non-split
+    Z/2 -> Z/top -> Z/bottom has no section mod 2, its first prime, so at
+    n = 12 the 3-part is not tried."""
+    r = RingSpec(n)
     z2 = FiniteModule(r, (2,))
-    quotient = FiniteModule(r, (2, 8))
+    quotient = FiniteModule(r, (2, n))
     ds = direct_sum(z2, quotient)
-    assert ds.module.invariant_factors == (2, 2, 8)
+    assert ds.module.invariant_factors == (2, 2, n)
     split = Conflation(ds.injections[0], ds.projections[1])
-    z4 = FiniteModule(r, (4,))
-    non_split = Conflation(Morphism(z2, z4, ((2,),)), Morphism(z4, z2, ((1,),)))
-    calls = []
-    real = mm.smith_normal_form
-
-    def counting(matrix, *args, **kwargs):
-        calls.append(len(matrix))
-        return real(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(mm, "smith_normal_form", counting)
+    y, z = FiniteModule(r, (top,)), FiniteModule(r, (bottom,))
+    non_split = Conflation(Morphism(z2, y, ((top // 2,),)), Morphism(y, z, ((1,),)))
+    calls = counting_local_eliminations(monkeypatch)
     assert splits(split) is not None
-    assert len(calls) == 2  # the section and the retraction
+    assert len(calls) == 2 * per_solve  # the section and the retraction
     calls.clear()
     assert splits(non_split) is None
-    assert len(calls) == 1
+    assert calls == [2]
 
 
 # ---------------------------------------------------------------------------

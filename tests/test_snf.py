@@ -17,10 +17,11 @@ from modcat.snf import (
     hermite_normal_form,
     identity_matrix,
     lattice_member,
-    mat_vec,
     smith_normal_form,
     snf_diagonal,
 )
+
+from helpers import mat_vec
 
 
 def mat_mul(a, b):

@@ -15,16 +15,17 @@ A third scan keeps ``Morphism._trusted``, the constructor that skips
 validation, inside an allow-list of functions, and a fourth finds local
 names that a function binds and never reads (``_`` is exempt).  A fifth
 keeps ``smith_normal_form``, the factorization with transforms, inside
-the canonical form ``_canonical_form`` and ``_solve_mod``: every subgroup,
-image and kernel then comes from a cokernel and the dual kernel, by one
-route.  A sixth keeps
+the canonical form ``_canonical_form``: every subgroup, image and kernel
+then comes from a cokernel and the dual kernel, by one route, and the
+solver ``_solve_mod`` eliminates per prime power instead.  A sixth keeps
 ``hom_module``, the internal hom in coordinates, inside the closed
 structure and the double-dual unit.  A seventh finds a function-level
 ``from .x import`` in a file that already imports from ``.x`` at the top:
 such a name cannot be patched on the module that uses it, while a
 top-level import is the seam every route of ``modcat.suites`` offers.  An
-eighth keeps ``.carried``, the columns a Smith form carries through its row
-operations, inside the solver ``_solve_mod``.  A ninth keeps
+eighth finds ``.carried``, the columns a Smith form carries through its row
+operations, anywhere in the package: only the tests' Smith-form oracles
+read them.  A ninth keeps
 ``.generator_lifts``, the solver's lifts of the canonical generators, with
 the change of coordinates ``Canonicalized.coordinates``, ``tensor_mor``
 and ``direct_sum_many``.
@@ -226,10 +227,11 @@ def test_the_scan_sees_a_trusted_call_outside_the_allow_list(tmp_path):
 
 # The one factorization with transforms: presentations in canonical form
 # (``canonicalize`` appends n times the identity and calls the private
-# ``_canonical_form``, which kernels, cokernels and sums call directly),
-# and solutions of linear systems.  Subgroups and images are kernels of the
-# projection onto a cokernel, and kernels are duals of cokernels.
-SMITH_FORM_CALLERS = {"modules._canonical_form", "modules._solve_mod"}
+# ``_canonical_form``, which kernels, cokernels and sums call directly).
+# Subgroups and images are kernels of the projection onto a cokernel, and
+# kernels are duals of cokernels.  Linear systems are solved per prime
+# power by ``_solve_mod``, which takes no Smith form.
+SMITH_FORM_CALLERS = {"modules._canonical_form"}
 
 
 def smith_form_uses(src=SRC, allowed=SMITH_FORM_CALLERS):
@@ -257,15 +259,17 @@ def test_the_scan_sees_a_smith_form_outside_the_allow_list(tmp_path):
     )
     assert smith_form_uses(tmp_path) == [
         "enumeration.SubgroupEntry._build",
+        "modules._solve_mod",
         "modules.subgroup_from_lattice",
         "modules.kernel",
     ]
 
 
-# L @ t for each target t, the only part of the left transform the package
-# reads, is carried through the row operations of the solver's Smith form.
+# L @ t for columns t, the only part of the left transform a Smith form
+# offers, is read by the Smith-form oracles under ``tests/`` only; the
+# package's solver eliminates per prime power and carries nothing.
 # Attributes only: ``carried`` is also the field and a local of ``snf``.
-CARRIED_READERS = {"modules._solve_mod"}
+CARRIED_READERS = set()
 
 
 def carried_reads(src=SRC, allowed=CARRIED_READERS):
@@ -290,6 +294,7 @@ def test_the_scan_sees_a_carried_read_outside_the_allow_list(tmp_path):
         "    def combine(self, c):\n        return c or self.form.carried\n"
     )
     assert carried_reads(tmp_path) == [
+        "modules._solve_mod",
         "modules.kernel",
         "modules.Canonicalized.combine",
         "snf.left_of",
