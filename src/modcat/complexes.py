@@ -8,9 +8,16 @@ special cases.  Windows are normalized (no zero components at either
 edge), which makes structural equality meaningful.
 
 The chain identities (d . d = 0 in a complex, d_T . f = f . d_S for a
-chain map) are checked on every object built, on the residue rows of the
-composites: no composite morphism and no synthesized zero map is built
-for them, and degrees outside a window read as zero matrices.
+chain map, exactness in every degree of a conflation of complexes) are
+checked by the public constructors and ``from_dict``, on the residue rows
+of the composites: no composite morphism and no synthesized zero map is
+built for them, and degrees outside a window read as zero matrices.  The
+four dual builders (``dual_complex``, ``dual_chain_map``,
+``dual_complex_conflation`` and ``double_dual_complex_iso``) build
+through the private ``_trusted`` constructors instead: the character dual
+is an exact anti-equivalence that keeps windows normalized, so their
+identities hold by construction.  A tier-1 test rebuilds every trusted
+object of a suite run through the validating constructors.
 
 Chain-level questions (does a conflation of complexes split? is a
 complex contractible?) are one exact block system whose unknowns are the
@@ -20,7 +27,7 @@ definitive absence, not a search failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exact import Conflation
 from .modules import (
@@ -70,12 +77,15 @@ class Complex:
     lo: int
     components: tuple[FiniteModule, ...]
     differentials: tuple[Morphism, ...]
+    hi: int = field(init=False, repr=False, compare=False)
+    """Highest degree carrying a (possibly) nonzero component; lo - 1 when zero."""
 
     def __post_init__(self):
         lo, comps, diffs = _strip(self.lo, self.components, self.differentials)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "differentials", diffs)
+        object.__setattr__(self, "hi", lo + len(comps) - 1)
         if comps and len(diffs) != len(comps) - 1:
             raise ValueError("need exactly one differential between consecutive degrees")
         for m in comps:
@@ -91,10 +101,24 @@ class Complex:
             if any(map(any, rows)):
                 raise ValueError(f"differentials at positions {i}, {i + 1} do not compose to zero")
 
-    @property
-    def hi(self) -> int:
-        """Highest degree carrying a (possibly) nonzero component."""
-        return self.lo + len(self.components) - 1
+    @classmethod
+    def _trusted(cls, ring: RingSpec, lo: int, components, differentials) -> "Complex":
+        """A complex built without ``__post_init__``.
+
+        Only for a window that is normalized, with differentials that
+        match their endpoints and compose to zero, by construction (the
+        dual of a complex); the public constructor and ``from_dict`` keep
+        validating.
+        """
+        x = object.__new__(cls)
+        x.__dict__.update(
+            ring=ring,
+            lo=lo,
+            components=components,
+            differentials=differentials,
+            hi=lo + len(components) - 1,
+        )
+        return x
 
     @property
     def is_zero(self) -> bool:
@@ -190,6 +214,16 @@ class ChainMap:
             if lhs != rhs:
                 raise ValueError(f"chain map fails to commute with differentials at degree {n}")
 
+    @classmethod
+    def _trusted(cls, source: Complex, target: Complex, parts) -> "ChainMap":
+        """A chain map built without ``__post_init__``, for parts that match
+        their endpoints and commute with the differentials by construction
+        (a dual, the double-dual unit); the public constructor keeps
+        validating."""
+        phi = object.__new__(cls)
+        phi.__dict__.update(source=source, target=target, parts=parts)
+        return phi
+
     def part(self, n: int) -> Morphism:
         if self.source.components and self.source.lo <= n <= self.source.hi:
             return self.parts[n - self.source.lo]
@@ -228,6 +262,15 @@ class ComplexConflation:
         # Every degree of any of the three windows: elsewhere all three are 0.
         for n in sorted({n for x in (self.sub, self.total, self.quotient) for n in x.degrees()}):
             self.degreewise(n)
+
+    @classmethod
+    def _trusted(cls, f: ChainMap, g: ChainMap) -> "ComplexConflation":
+        """A conflation of complexes built without ``__post_init__``, for
+        chain maps that are degreewise conflations by construction (the
+        dual of a conflation); the public constructor keeps validating."""
+        c = object.__new__(cls)
+        c.__dict__.update(f=f, g=g)
+        return c
 
     @property
     def sub(self) -> Complex:
@@ -315,37 +358,55 @@ def _sign(n: int) -> int:
 
 
 def dual_complex(x: Complex) -> Complex:
-    """Degreewise dual with degrees negated; differential carries (-1)^(n+1)."""
+    """Degreewise dual with degrees negated; differential carries (-1)^(n+1).
+
+    Trusted: dual(m) = m keeps the window normalized, and (d . d)+ = 0."""
     if x.is_zero:
         return x
     lo = -x.hi
-    comps = tuple(dual(x.component(-n)) for n in range(lo, -x.lo + 1))
+    comps = tuple(dual(m) for m in reversed(x.components))
     diffs = tuple(
-        dual_mor(x.differential(-n - 1)).scaled(_sign(n + 1))
-        for n in range(lo, -x.lo)
+        dual_mor(d).scaled(_sign(n + 1))
+        for n, d in zip(range(lo, -x.lo), reversed(x.differentials))
     )
-    return Complex(x.ring, lo, comps, diffs)
+    return Complex._trusted(x.ring, lo, comps, diffs)
+
+
+def _dual_parts(phi: ChainMap, src: Complex) -> tuple[Morphism, ...]:
+    """The parts of phi+ on the window of src = dual_complex(phi.target)."""
+    return tuple(dual_mor(phi.part(-n)) for n in src.degrees())
 
 
 def dual_chain_map(phi: ChainMap) -> ChainMap:
-    """target+ -> source+, degreewise duals (no extra signs on parts)."""
+    """target+ -> source+, degreewise duals (no extra signs on parts).
+
+    Trusted: (-)+ is a functor, and both dual differentials carry the
+    same sign in each degree."""
     src = dual_complex(phi.target)
-    tgt = dual_complex(phi.source)
-    parts = tuple(dual_mor(phi.part(-n)) for n in src.degrees())
-    return ChainMap(src, tgt, parts)
+    return ChainMap._trusted(src, dual_complex(phi.source), _dual_parts(phi, src))
 
 
 def dual_complex_conflation(c: ComplexConflation) -> ComplexConflation:
-    return ComplexConflation(dual_chain_map(c.g), dual_chain_map(c.f))
+    """0 -> Z+ -> Y+ -> X+ -> 0, dualizing each of X, Y, Z once.
+
+    Trusted: (-)+ is exact, so the dual is a conflation in every degree."""
+    z, y, x = (dual_complex(k) for k in (c.quotient, c.total, c.sub))
+    return ComplexConflation._trusted(
+        ChainMap._trusted(z, y, _dual_parts(c.g, z)),
+        ChainMap._trusted(y, x, _dual_parts(c.f, y)),
+    )
 
 
 def double_dual_complex_iso(x: Complex) -> ChainMap:
-    """The chain isomorphism x -> dual(dual(x)) with parts (-1)^n * lambda."""
+    """The chain isomorphism x -> dual(dual(x)) with parts (-1)^n * lambda.
+
+    Trusted: lambda is natural and the double dual's differentials are
+    -d++, which the signs (-1)^n absorb."""
     dd = dual_complex(dual_complex(x))
     parts = tuple(
-        double_dual_unit(x.component(n)).scaled(_sign(n)) for n in x.degrees()
+        double_dual_unit(m).scaled(_sign(n)) for n, m in zip(x.degrees(), x.components)
     )
-    return ChainMap(x, dd, parts)
+    return ChainMap._trusted(x, dd, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,12 @@ def dual_conflation(c: Conflation) -> Conflation:
     return Conflation(dual_mor(c.g), dual_mor(c.f))
 
 
+@lru_cache(maxsize=64)
 def double_dual_unit(m: FiniteModule) -> Morphism:
-    """The evaluation map M -> M++, x |-> (phi |-> phi(x))."""
+    """The evaluation map M -> M++, x |-> (phi |-> phi(x)).
+
+    Cached: the chain-level checks ask for it on a handful of cyclic
+    modules per modulus, thousands of times."""
     j = m.ring.unit_module()
     h1 = hom_module(m, j)
     h2 = hom_module(h1.module, j)

@@ -12,7 +12,9 @@ maps synthesized outside a window, are the oracle for the residue-row
 checks in Complex and ChainMap.
 """
 
+import inspect
 import itertools
+import sys
 from math import gcd
 
 import pytest
@@ -61,6 +63,7 @@ from modcat.enumeration import (
     enumerate_morphisms,
     flat_disk_cover,
 )
+from modcat.suites import SuiteConfig, run_suite
 
 from helpers import identity_chain_map, multiplication, postcompose_map, precompose_map
 
@@ -250,6 +253,135 @@ def test_dual_chain_map_contravariant():
     di = dual_chain_map(ident)
     assert di.source == dual_complex(x) and di.target == dual_complex(x)
     assert all(p.is_iso() for p in di.parts)
+
+
+# ---------------------------------------------------------------------------
+# trusted duals: the validating constructors, rerun afterwards
+# ---------------------------------------------------------------------------
+
+
+def revalidated(obj):
+    """obj rebuilt through the validating constructors, endpoints included."""
+    if isinstance(obj, Complex):
+        return Complex(obj.ring, obj.lo, obj.components, obj.differentials)
+    if isinstance(obj, ChainMap):
+        return ChainMap(revalidated(obj.source), revalidated(obj.target), obj.parts)
+    return ComplexConflation(revalidated(obj.f), revalidated(obj.g))
+
+
+def trusted_chain_objects(config):
+    """(report, objects, caller names) of a complexes run, recording every
+    Complex, ChainMap and ComplexConflation built through ``_trusted``."""
+    built, callers = set(), set()
+
+    def recording(real):
+        def build(cls, *args):
+            callers.add(sys._getframe(1).f_code.co_name)
+            obj = real(cls, *args)
+            built.add(obj)
+            return obj
+
+        return classmethod(build)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (Complex, ChainMap, ComplexConflation):
+            mp.setattr(cls, "_trusted", recording(cls._trusted.__func__))
+        report = run_suite(SuiteConfig(**config), names=("complexes",))
+    return report, built, callers
+
+
+def source_mutant(fn, old, new):
+    """fn recompiled from its source with the one ``old`` replaced by ``new``."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def test_every_trusted_chain_object_of_a_suite_run_validates():
+    """Every chain object that the dual builders build without validation
+    passes the validating constructors unchanged, ``hi`` included."""
+    report, built, callers = trusted_chain_objects(dict(moduli=(4, 9, 12), max_complex_span=3))
+    assert report.exit_code == 0
+    # The suites dualize chain maps only inside conflations; the fourth
+    # builder, dual_chain_map, is revalidated below on enumerated data.
+    assert callers == {"dual_complex", "dual_complex_conflation", "double_dual_complex_iso"}
+    kinds = {
+        cls: sum(isinstance(obj, cls) for obj in built)
+        for cls in (Complex, ChainMap, ComplexConflation)
+    }
+    assert min(kinds.values()) > 100, kinds
+    for obj in built:
+        again = revalidated(obj)
+        assert again == obj
+        if isinstance(obj, Complex):
+            assert again.hi == obj.hi
+
+
+@pytest.mark.parametrize(
+    "name, old",
+    [
+        ("dual_complex", "dual_mor(d).scaled(_sign(n + 1))"),
+        ("double_dual_complex_iso", "double_dual_unit(m).scaled(_sign(n))"),
+    ],
+)
+def test_revalidation_rejects_a_dual_without_its_sign(monkeypatch, name, old):
+    """Without its sign, a dual builder still builds a complex, but the
+    double-dual unit no longer commutes with the differentials.  The
+    suite's verdicts do not read that; the revalidation does."""
+    import modcat.complexes as mc
+    import modcat.suites as ms
+
+    mutant = source_mutant(getattr(mc, name), old, old.split(".scaled")[0])
+    monkeypatch.setattr(mc, name, mutant)
+    monkeypatch.setattr(ms, name, mutant)
+    _, built, callers = trusted_chain_objects(dict(moduli=(4, 9), max_complex_span=2))
+    assert name in callers
+    rejected = 0
+    for obj in built:
+        try:
+            revalidated(obj)
+        except ValueError as exc:
+            assert "fails to commute" in str(exc), exc
+            rejected += 1
+    assert rejected > 0
+
+
+def test_hi_is_fixed_on_every_construction_path():
+    d = multiplication(Z4, 2)
+    z = R4.zero_module()
+    x = Complex(R4, -1, (z, Z4, Z4, z), (Morphism.zero(z, Z4), d, Morphism.zero(Z4, z)))
+    built = [
+        x,
+        Complex.from_dict(x.to_dict()),
+        zero_complex(R4),
+        single_complex(Z2, degree=-3),
+        two_term_complex(d, degree=5),
+        dual_complex(x),
+        Complex._trusted(R4, 2, (Z4, Z4), (d,)),
+    ]
+    assert (x.lo, x.hi) == (0, 1)
+    for y in built:
+        assert y.hi == y.lo + len(y.components) - 1
+    assert zero_complex(R4).hi == -1
+    assert "hi=" not in repr(x)
+
+
+def test_trusted_duals_equal_their_validated_rebuilds():
+    """Equal, with the same hash and the same serialization, for each of
+    the four dual builders."""
+    family = enumerate_complexes(4, 3)
+    objects = []
+    for x in family:
+        objects += [dual_complex(x), double_dual_complex_iso(x)]
+        for cc in enumerate_complex_conflations_ending_in(x, 4, 3):
+            objects += [dual_chain_map(cc.f), dual_complex_conflation(cc)]
+    assert len(objects) > 200
+    for obj in objects:
+        again = revalidated(obj)
+        assert again == obj and hash(again) == hash(obj)
+        assert again.to_dict() == obj.to_dict()
 
 
 # ---------------------------------------------------------------------------

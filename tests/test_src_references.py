@@ -11,8 +11,9 @@ scanned.  Code that only the tests use belongs under ``tests/``.  An import
 counts as used only when the module's code names it; ``__init__.py``,
 which imports to re-export, is exempt.
 
-A third scan keeps ``Morphism._trusted``, the constructor that skips
-validation, inside an allow-list of functions, and a fourth finds local
+A third scan keeps each ``_trusted`` constructor, which skips validation
+(``Morphism._trusted`` and those of ``Complex``, ``ChainMap`` and
+``ComplexConflation``), inside an allow-list of functions per class, and a fourth finds local
 names that a function binds and never reads (``_`` is exempt).  A fifth
 keeps ``smith_normal_form``, the factorization with transforms, inside
 the canonical form ``_canonical_form``: every subgroup, image and kernel
@@ -155,16 +156,28 @@ def test_the_scan_sees_an_import_nothing_uses(tmp_path):
     assert unused_imports(tmp_path) == ["a.py: least", "a.py: unused_here"]
 
 
-# Morphism._trusted skips validation, so only constructions whose result is
-# well defined and reduced by construction may call it.
+# Each ``_trusted`` constructor skips validation, so only constructions whose
+# result is valid by construction may call it; the allowed callers, by the
+# class whose constructor they call.  Chain objects are trusted in the four
+# dual builders alone: the character dual is an exact anti-equivalence that
+# keeps windows normalized, and a tier-1 test revalidates what they build.
 TRUSTED_CALLERS = {
-    "modules.Morphism.identity",
-    "modules.Morphism.zero",
-    "modules.Morphism.__matmul__",
-    "modules.Morphism.__add__",
-    "modules.Morphism.scaled",
-    "monoidal.HomModule.to_morphism",
-    "purity.dual_mor",
+    "Morphism": {
+        "modules.Morphism.identity",
+        "modules.Morphism.zero",
+        "modules.Morphism.__matmul__",
+        "modules.Morphism.__add__",
+        "modules.Morphism.scaled",
+        "monoidal.HomModule.to_morphism",
+        "purity.dual_mor",
+    },
+    "Complex": {"complexes.dual_complex"},
+    "ChainMap": {
+        "complexes.dual_chain_map",
+        "complexes.dual_complex_conflation",
+        "complexes.double_dual_complex_iso",
+    },
+    "ComplexConflation": {"complexes.dual_complex_conflation"},
 }
 
 
@@ -195,8 +208,33 @@ def uses_outside(src, attr, allowed, names=True):
     return found
 
 
+def _trusted_owners(node, scope=(), cls=None):
+    """(enclosing scope, class) of each ``_trusted`` named under ``node``:
+    ``X._trusted`` belongs to X, ``cls._trusted`` to the enclosing class,
+    and a bare name or any other receiver to no class (None)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
+            inner = child.name if isinstance(child, ast.ClassDef) else cls
+            yield from _trusted_owners(child, scope + (child.name,), inner)
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == "_trusted":
+            owner = child.value.id if isinstance(child.value, ast.Name) else None
+            yield scope, cls if owner == "cls" else owner
+        elif isinstance(child, ast.Name) and child.id == "_trusted":
+            yield scope, None
+        yield from _trusted_owners(child, scope, cls)
+
+
 def trusted_uses(src=SRC, allowed=TRUSTED_CALLERS):
-    return uses_outside(src, "_trusted", allowed)
+    """``module.qualified.name`` of each function that names a ``_trusted``
+    constructor outside the allow-list of its class."""
+    found = []
+    for path in sorted(pathlib.Path(src).glob("*.py")):
+        for scope, owner in _trusted_owners(ast.parse(path.read_text())):
+            name = ".".join((path.stem,) + scope)
+            if name not in allowed.get(owner, ()):
+                found.append(name)
+    return found
 
 
 def test_only_the_allowed_constructions_skip_validation():
@@ -222,6 +260,28 @@ def test_the_scan_sees_a_trusted_call_outside_the_allow_list(tmp_path):
         "modules.Morphism.__post_init__",
         "modules.Morphism.from_dict",
         "modules.Morphism.from_columns",
+    ]
+
+
+def test_the_scan_keeps_each_chain_object_in_its_dual_builders(tmp_path):
+    """A dual builder may call only the constructors it is listed for, and
+    a validating path may call none of them."""
+    (tmp_path / "complexes.py").write_text(
+        "class Complex:\n"
+        "    @classmethod\n    def from_dict(cls, data):\n        return cls._trusted(1, 2, 3, 4)\n\n\n"
+        "def dual_complex(x):\n    return Complex._trusted(1, 2, 3, 4)\n\n\n"
+        "def dual_chain_map(phi):\n"
+        "    return ChainMap._trusted(1, 2, 3), ComplexConflation._trusted(1, 2)\n\n\n"
+        "def dual_complex_conflation(c):\n"
+        "    return ComplexConflation._trusted(ChainMap._trusted(1, 2, 3), c)\n\n\n"
+        "def double_dual_complex_iso(x):\n    return Morphism._trusted(1, 2, 3)\n\n\n"
+        "def splits_as_complexes(c):\n    return type(c)._trusted(1, 2, 3)\n"
+    )
+    assert trusted_uses(tmp_path) == [
+        "complexes.Complex.from_dict",
+        "complexes.dual_chain_map",
+        "complexes.double_dual_complex_iso",
+        "complexes.splits_as_complexes",
     ]
 
 
