@@ -108,16 +108,16 @@ class Complex:
         Only for a window that is normalized, with differentials that
         match their endpoints and compose to zero, by construction (the
         dual of a complex); the public constructor and ``from_dict`` keep
-        validating.
+        validating.  The fields are set one by one, as in
+        ``Morphism._trusted``, so that no instance dict is materialised.
         """
         x = object.__new__(cls)
-        x.__dict__.update(
-            ring=ring,
-            lo=lo,
-            components=components,
-            differentials=differentials,
-            hi=lo + len(components) - 1,
-        )
+        setattr_ = object.__setattr__
+        setattr_(x, "ring", ring)
+        setattr_(x, "lo", lo)
+        setattr_(x, "components", components)
+        setattr_(x, "differentials", differentials)
+        setattr_(x, "hi", lo + len(components) - 1)
         return x
 
     @property
@@ -221,7 +221,10 @@ class ChainMap:
         (a dual, the double-dual unit); the public constructor keeps
         validating."""
         phi = object.__new__(cls)
-        phi.__dict__.update(source=source, target=target, parts=parts)
+        setattr_ = object.__setattr__
+        setattr_(phi, "source", source)
+        setattr_(phi, "target", target)
+        setattr_(phi, "parts", parts)
         return phi
 
     def part(self, n: int) -> Morphism:
@@ -269,7 +272,8 @@ class ComplexConflation:
         chain maps that are degreewise conflations by construction (the
         dual of a conflation); the public constructor keeps validating."""
         c = object.__new__(cls)
-        c.__dict__.update(f=f, g=g)
+        object.__setattr__(c, "f", f)
+        object.__setattr__(c, "g", g)
         return c
 
     @property

@@ -79,7 +79,11 @@ def modules_of_order(n: int, order: int) -> tuple[FiniteModule, ...]:
 
 
 def enumerate_morphisms(dom: FiniteModule, cod: FiniteModule):
-    """All morphisms dom -> cod, entries walked row-major."""
+    """All morphisms dom -> cod, entries walked row-major.
+
+    Entry (j, i) runs over the multiples of e_j / gcd(d_i, e_j) below e_j,
+    which are exactly the reduced, well-defined ones, so each map is built
+    trusted."""
     d = dom.invariant_factors
     e = cod.invariant_factors
     cells = []
@@ -91,7 +95,7 @@ def enumerate_morphisms(dom: FiniteModule, cod: FiniteModule):
     k = len(d)
     for combo in itertools.product(*cells):
         matrix = tuple(combo[j * k : (j + 1) * k] for j in range(len(e)))
-        yield Morphism(dom, cod, matrix)
+        yield Morphism._trusted(dom, cod, matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,13 @@ giving an independent route to the same verdict.
 A pullback is the kernel of [g | -h] on the concatenated coordinates of
 dom g and dom h, a pushout the cokernel of [f; -h] into those of cod f
 and cod h; neither builds the direct sum or composes with its
-injections or projections.  Both validate their defining squares and the
-inflation/deflation stability postconditions at construction time.
+injections or projections.  The legs are row slices of the kernel
+inclusion and of the cokernel projection, reduced and well defined by
+construction, so they are built through ``Morphism._trusted`` without a
+second validation.  What covers them is asserted at construction time:
+the kernel step's check that [g | -h] kills the inclusion, the defining
+square, the order of the fiber product (pushout), and the
+deflation (inflation) stability of the leg opposite g (f).
 """
 
 from __future__ import annotations
@@ -187,8 +192,8 @@ def pullback(g: Morphism, h: Morphism) -> Pullback:
         rg + tuple(-x % ej for x in rh) for rg, rh, ej in zip(g.matrix, h.matrix, e)
     )
     q, incl = _kernel_rows(g.domain.ring, d + h.domain.invariant_factors, e, rows)
-    to_g = Morphism(q, g.domain, incl[: len(d)])
-    to_h = Morphism(q, h.domain, incl[len(d) :])
+    to_g = Morphism._trusted(q, g.domain, incl[: len(d)])
+    to_h = Morphism._trusted(q, h.domain, incl[len(d) :])
     if (g @ to_g).matrix != (h @ to_h).matrix:
         raise AssertionError("pullback square does not commute")
     if q.order * g.codomain.order != g.domain.order * h.domain.order:
@@ -225,8 +230,9 @@ def pushout(f: Morphism, h: Morphism) -> Pushout:
     eh = h.codomain.invariant_factors
     rows = f.matrix + tuple(tuple(-x % ej for x in row) for row, ej in zip(h.matrix, eh))
     q, cols = _cokernel_columns(f.domain.ring, e + eh, rows)
-    from_f = Morphism.from_columns(f.codomain, q, cols[: len(e)])
-    from_h = Morphism.from_columns(h.codomain, q, cols[len(e) :])
+    proj = tuple(zip(*cols))
+    from_f = Morphism._trusted(f.codomain, q, tuple(r[: len(e)] for r in proj))
+    from_h = Morphism._trusted(h.codomain, q, tuple(r[len(e) :] for r in proj))
     if (from_f @ f).matrix != (from_h @ h).matrix:
         raise AssertionError("pushout square does not commute")
     if q.order * f.domain.order != f.codomain.order * h.codomain.order:

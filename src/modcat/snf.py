@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 
 def identity_matrix(m: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    return [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)]
 
 
 @dataclass

@@ -6,11 +6,13 @@ multiplication maps, element orders, the per-term tensor of two
 morphisms as an oracle for the one product, the lattice route to subgroups
 and kernels, an oracle independent of the package's cokernel-and-dual-kernel
 route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
-the walk over their solution cosets that completes middle differentials.
+the walk over their solution cosets that completes middle differentials,
+and package functions recompiled with one source change, as mutants.
 
 The package never calls these, so they live next to the tests.
 """
 
+import inspect
 import random
 from math import gcd
 
@@ -277,3 +279,12 @@ def hom_coordinate_middles(f: Complex, combo) -> list[tuple[Morphism, ...]]:
             new_stacks += [stack + (h.to_morphism(z),) for z in solution_set(system, target)]
         stacks = new_stacks
     return stacks
+
+
+def source_mutant(fn, old, new):
+    """fn recompiled from its source with the one ``old`` replaced by ``new``."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]

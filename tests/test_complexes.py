@@ -12,7 +12,6 @@ maps synthesized outside a window, are the oracle for the residue-row
 checks in Complex and ChainMap.
 """
 
-import inspect
 import itertools
 import sys
 from math import gcd
@@ -65,7 +64,13 @@ from modcat.enumeration import (
 )
 from modcat.suites import SuiteConfig, run_suite
 
-from helpers import identity_chain_map, multiplication, postcompose_map, precompose_map
+from helpers import (
+    identity_chain_map,
+    multiplication,
+    postcompose_map,
+    precompose_map,
+    source_mutant,
+)
 
 
 R4 = RingSpec(4)
@@ -288,15 +293,6 @@ def trusted_chain_objects(config):
             mp.setattr(cls, "_trusted", recording(cls._trusted.__func__))
         report = run_suite(SuiteConfig(**config), names=("complexes",))
     return report, built, callers
-
-
-def source_mutant(fn, old, new):
-    """fn recompiled from its source with the one ``old`` replaced by ``new``."""
-    source = inspect.getsource(fn)
-    assert source.count(old) == 1, old
-    namespace = dict(fn.__globals__)
-    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
-    return namespace[fn.__name__]
 
 
 def test_every_trusted_chain_object_of_a_suite_run_validates():

@@ -46,8 +46,8 @@ from modcat.modules import (
     subgroup_from_lattice,
 )
 from modcat.enumeration import enumerate_modules, enumerate_morphisms
-from modcat.exact import Conflation, splits
-from modcat.suites import SuiteConfig, run_suite
+from modcat.exact import Conflation, pullback, splits
+from modcat.suites import SUITE_ORDER, SuiteConfig, run_suite
 
 from helpers import (
     element_order,
@@ -56,6 +56,7 @@ from helpers import (
     multiplication,
     sample_morphisms,
     smith_solve_mod,
+    source_mutant,
 )
 
 
@@ -517,13 +518,10 @@ def test_hom_decoding_is_reduced():
     assert decoded > 1000
 
 
-def test_every_trusted_morphism_of_a_suite_run_validates(monkeypatch):
-    """Every morphism that a run of all five suites builds through
-    ``Morphism._trusted`` passes the validating constructor unchanged."""
-    from modcat.suites import SuiteConfig, run_suite
-
-    built = set()
-    callers = set()
+def trusted_morphisms(config, names=SUITE_ORDER):
+    """(report, distinct morphisms, caller names) of a run, recording every
+    morphism built through ``Morphism._trusted``."""
+    built, callers = set(), set()
     real = Morphism._trusted.__func__
 
     def recording(cls, dom, cod, rows):
@@ -532,21 +530,99 @@ def test_every_trusted_morphism_of_a_suite_run_validates(monkeypatch):
         built.add(m)
         return m
 
-    monkeypatch.setattr(Morphism, "_trusted", classmethod(recording))
-    config = SuiteConfig(
-        moduli=(4, 9, 12), max_module_order=12, max_kernel_order=4, max_complex_span=2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Morphism, "_trusted", classmethod(recording))
+        report = run_suite(SuiteConfig(**config), names=names)
+    return report, built, callers
+
+
+def rejected_by_revalidation(built) -> int:
+    """How many of ``built`` the validating constructor refuses or rebuilds
+    with other rows (rows that were not reduced)."""
+    rejected = 0
+    for m in built:
+        try:
+            rejected += Morphism(m.domain, m.codomain, m.matrix) != m
+        except ValueError:
+            rejected += 1
+    return rejected
+
+
+def test_every_trusted_morphism_of_a_suite_run_validates():
+    """Every morphism that a run of all five suites builds through
+    ``Morphism._trusted`` passes the validating constructor unchanged."""
+    report, built, callers = trusted_morphisms(
+        dict(moduli=(4, 9, 12), max_module_order=12, max_kernel_order=4, max_complex_span=2)
     )
-    report = run_suite(config)
-    monkeypatch.undo()
     assert report.exit_code == 0
     assert callers == {
-        "__matmul__", "__add__", "scaled", "identity", "zero", "to_morphism", "dual_mor"
+        "__matmul__", "__add__", "scaled", "identity", "zero", "to_morphism", "dual_mor",
+        "pullback", "pushout", "kernel", "cokernel", "enumerate_morphisms",
     }
-    # 2,204 distinct morphisms at this config; pullbacks and pushouts no
-    # longer compose with direct-sum injections and projections.
-    assert len(built) > 2_000
-    for m in built:
-        assert Morphism(m.domain, m.codomain, m.matrix) == m
+    # 5,784 distinct morphisms at this config, most of them enumerated
+    # morphisms and pullback and pushout legs.
+    assert len(built) > 5_000
+    assert rejected_by_revalidation(built) == 0
+
+
+@pytest.mark.parametrize(
+    "builder, old, new",
+    [
+        # Every residue below gcd(d_i, e_j) instead of its multiples of
+        # e_j / gcd(d_i, e_j): maps that are not well defined.
+        (enumerate_morphisms, "step = e[j] // g", "step = 1"),
+        # The first entry of the leg to dom g plus its factor d_0: the same
+        # map, which every assert of the pullback accepts, on rows that are
+        # not reduced.
+        (
+            pullback,
+            "incl[: len(d)])",
+            "tuple(r[:1] and (r[0] + dj,) + r[1:] for r, dj in zip(incl, d[:1]))"
+            " + incl[1 : len(d)])",
+        ),
+    ],
+    ids=["enumerate-step-1", "pullback-unreduced-leg"],
+)
+def test_revalidation_rejects_a_wrong_trusted_leg(monkeypatch, builder, old, new):
+    """A builder that skips validation and builds a wrong or unreduced
+    morphism is caught by the revalidation, whether or not the axioms
+    suite notices."""
+    import modcat.suites as ms
+
+    monkeypatch.setattr(ms, builder.__name__, source_mutant(builder, old, new))
+    _, built, callers = trusted_morphisms(
+        dict(moduli=(4, 12), max_module_order=8, max_kernel_order=4), names=("axioms",)
+    )
+    assert builder.__name__ in callers
+    assert rejected_by_revalidation(built) > 0
+
+
+def test_an_axioms_run_validates_only_at_the_boundary(monkeypatch):
+    """Every ``Morphism`` that the axioms suite builds is well defined by
+    construction, except the maps from the generators of a subgroup that
+    a catalog entry builds on first use: only ``from_columns``, called by
+    ``_generator_map``, runs the validating constructor.  The catalogs
+    start cold, as in a fresh run."""
+    from modcat.enumeration import cyclic_subgroup_catalog, subgroup_catalog
+
+    subgroup_catalog.cache_clear()
+    cyclic_subgroup_catalog.cache_clear()
+    callers = Counter()
+    real = Morphism.__post_init__
+
+    def recording(self):
+        frame = sys._getframe(2)  # past the dataclass __init__
+        callers[frame.f_code.co_name, frame.f_back.f_code.co_name] += 1
+        real(self)
+
+    monkeypatch.setattr(Morphism, "__post_init__", recording)
+    report = run_suite(
+        SuiteConfig(moduli=(4, 9, 12), max_module_order=8, max_kernel_order=4), names=("axioms",)
+    )
+    monkeypatch.undo()
+    assert report.exit_code == 0 and report.suites[0].checked > 1_000
+    assert set(callers) == {("from_columns", "_generator_map")}
+    assert callers["from_columns", "_generator_map"] > 10
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,13 @@ def test_the_scan_sees_an_import_nothing_uses(tmp_path):
 
 # Each ``_trusted`` constructor skips validation, so only constructions whose
 # result is valid by construction may call it; the allowed callers, by the
-# class whose constructor they call.  Chain objects are trusted in the four
-# dual builders alone: the character dual is an exact anti-equivalence that
-# keeps windows normalized, and a tier-1 test revalidates what they build.
+# class whose constructor they call.  Kernel inclusions, cokernel
+# projections, pullback and pushout legs (their slices) and enumerated
+# morphisms are reduced and well defined by construction; maps from
+# user-supplied generators (``_generator_map``) keep validating.  Chain
+# objects are trusted in the four dual builders alone: the character dual is
+# an exact anti-equivalence that keeps windows normalized.  Tier-1 tests
+# revalidate what every trusted builder builds.
 TRUSTED_CALLERS = {
     "Morphism": {
         "modules.Morphism.identity",
@@ -168,6 +172,11 @@ TRUSTED_CALLERS = {
         "modules.Morphism.__matmul__",
         "modules.Morphism.__add__",
         "modules.Morphism.scaled",
+        "modules.kernel",
+        "modules.cokernel",
+        "exact.pullback",
+        "exact.pushout",
+        "enumeration.enumerate_morphisms",
         "monoidal.HomModule.to_morphism",
         "purity.dual_mor",
     },
@@ -253,10 +262,11 @@ def test_the_scan_sees_a_trusted_call_outside_the_allow_list(tmp_path):
     )
     (tmp_path / "enumeration.py").write_text(
         "from .modules import Morphism\n\n\n"
-        "def enumerate_morphisms(dom, cod):\n    yield Morphism._trusted(dom, cod, ())\n"
+        "def enumerate_morphisms(dom, cod):\n    yield Morphism._trusted(dom, cod, ())\n\n\n"
+        "def enumerate_complexes(n, span):\n    return [Morphism._trusted(1, 2, 3)]\n"
     )
     assert trusted_uses(tmp_path) == [
-        "enumeration.enumerate_morphisms",
+        "enumeration.enumerate_complexes",
         "modules.Morphism.__post_init__",
         "modules.Morphism.from_dict",
         "modules.Morphism.from_columns",
