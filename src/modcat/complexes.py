@@ -16,8 +16,11 @@ four dual builders (``dual_complex``, ``dual_chain_map``,
 ``dual_complex_conflation`` and ``double_dual_complex_iso``) build
 through the private ``_trusted`` constructors instead: the character dual
 is an exact anti-equivalence that keeps windows normalized, so their
-identities hold by construction.  A tier-1 test rebuilds every trusted
-object of a suite run through the validating constructors.
+identities hold by construction.  So do the flat disk cover, whose kernel
+``enumeration`` writes in closed form, and the chain maps and conflation
+that ``enumeration.complex_conflation_from_chain_epi`` completes from
+kernel inclusions.  A tier-1 test rebuilds every trusted object of a
+suite run through the validating constructors.
 
 Chain-level questions (does a conflation of complexes split? is a
 complex contractible?) are one exact block system whose unknowns are the
@@ -107,9 +110,10 @@ class Complex:
 
         Only for a window that is normalized, with differentials that
         match their endpoints and compose to zero, by construction (the
-        dual of a complex); the public constructor and ``from_dict`` keep
-        validating.  The fields are set one by one, as in
-        ``Morphism._trusted``, so that no instance dict is materialised.
+        dual of a complex, the disk cover and its kernel); the public
+        constructor and ``from_dict`` keep validating.  The fields are set
+        one by one, as in ``Morphism._trusted``, so that no instance dict
+        is materialised.
         """
         x = object.__new__(cls)
         setattr_ = object.__setattr__
@@ -218,8 +222,9 @@ class ChainMap:
     def _trusted(cls, source: Complex, target: Complex, parts) -> "ChainMap":
         """A chain map built without ``__post_init__``, for parts that match
         their endpoints and commute with the differentials by construction
-        (a dual, the double-dual unit); the public constructor keeps
-        validating."""
+        (a dual, the double-dual unit, the maps of the disk cover, kernel
+        inclusions whose differentials ``factor_through_mono`` checked);
+        the public constructor keeps validating."""
         phi = object.__new__(cls)
         setattr_ = object.__setattr__
         setattr_(phi, "source", source)
@@ -270,7 +275,8 @@ class ComplexConflation:
     def _trusted(cls, f: ChainMap, g: ChainMap) -> "ComplexConflation":
         """A conflation of complexes built without ``__post_init__``, for
         chain maps that are degreewise conflations by construction (the
-        dual of a conflation); the public constructor keeps validating."""
+        dual of a conflation, the disk cover, kernel inclusions of a
+        degreewise epi); the public constructor keeps validating."""
         c = object.__new__(cls)
         object.__setattr__(c, "f", f)
         object.__setattr__(c, "g", g)

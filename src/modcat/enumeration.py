@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .complexes import (
     ChainMap,
@@ -306,51 +307,100 @@ def enumerate_complexes(n: int, span: int) -> tuple[Complex, ...]:
 
 
 def complex_conflation_from_chain_epi(g: ChainMap) -> ComplexConflation:
-    """Complete a degreewise-epi chain map to a conflation of complexes."""
+    """Complete a degreewise-epi chain map to a conflation of complexes.
+
+    Raises ValueError unless every part of g is epi.  The kernel
+    inclusions are mono and killed by g, and ``factor_through_mono``
+    checks that they commute with the differentials, so both chain maps
+    and the conflation are built trusted; the kernel complex validates.
+    """
     y = g.source
+    for n in sorted(set(y.degrees()) | set(g.target.degrees())):
+        if not g.part(n).is_epi():
+            raise ValueError(f"chain map is not epi in degree {n}")
     incl = {n: kernel(g.part(n))[1] for n in y.degrees()}
     diffs = tuple(
         factor_through_mono(y.differential(n) @ incl[n], incl[n + 1]) for n in y.degrees()[:-1]
     )
     x = Complex(y.ring, y.lo, tuple(incl[n].domain for n in y.degrees()), diffs)
-    return ComplexConflation(ChainMap(x, y, tuple(incl[n] for n in x.degrees())), g)
+    f = ChainMap._trusted(x, y, tuple(incl[n] for n in x.degrees()))
+    return ComplexConflation._trusted(f, g)
 
 
 def flat_disk_cover(f: Complex) -> ComplexConflation:
-    """The canonical conflation K -> Q -> f with Q contractible and flat.
+    """The canonical conflation K -> Q -> f with Q contractible and flat,
+    in closed form.
 
     Q is a sum of two-term identity complexes on free modules, one disk
-    per degree of f, written directly as free blocks.  With r_d the rank
-    of f^d (0 outside the window), Q^d is free of rank r_d + r_(d-1),
-    d_Q sends (a, b) to (0, a), and g^d = [I | f.differential(d-1)] maps
-    onto f by (generator cover, boundary of the cover).  Purity of this
-    single conflation already discriminates flat complexes, because a
-    split dual would exhibit dual(f) as a summand of an injective
-    contractible complex.
+    per degree of f, written directly as free blocks.  With f^d = + Z/c_i
+    of rank r_d (0 outside the window) and delta the rows of
+    f.differential(d-1), Q^d is free of rank r_d + r_(d-1) with
+    coordinates (a, b), d_Q sends (a, b) to (0, a), and g^d = [I | delta]
+    maps onto f by (generator cover, boundary of the cover).
+
+    Its kernel K^d = {(a, b) : a = -delta b mod c} is + Z/(n/c_i) over the
+    c_i < n, listed ascending, followed by (Z/n)^(r_(d-1)): the inclusion
+    sends t_i to (c_i e_i, 0) and b_j to (-delta e_j mod n, e_j).  The
+    differential of K is the restriction of d_Q: a generator with
+    Q-coordinates (a, b) goes to b' = a and t'_k = (delta' a)_k / c'_k
+    mod n/c'_k, an exact division because f is well defined and
+    d . d = 0.  Every identity holds by construction, so all of it is
+    built trusted; K's window drops its lowest degree when f^lo is free.
+
+    Purity of this single conflation already discriminates flat
+    complexes, because a split dual would exhibit dual(f) as a summand of
+    an injective contractible complex.
     """
-    ring = f.ring
+    ring, n = f.ring, f.ring.modulus
     if f.is_zero:
         g = ChainMap(zero_complex(ring), f, ())
         return ComplexConflation(g, ChainMap(f, f, ()))
-
-    def unit_rows(count: int, width: int) -> tuple:
-        return tuple(tuple(int(c == j) for c in range(width)) for j in range(count))
-
     window = range(f.lo, f.hi + 2)
-    rank = {d: f.component(d).rank() for d in range(f.lo - 1, f.hi + 2)}
-    comps = [FiniteModule(ring, (ring.modulus,) * (rank[d] + rank[d - 1])) for d in window]
-    diffs = []
-    for i, d in enumerate(window[:-1]):
-        width = comps[i].rank()
-        rows = ((0,) * width,) * rank[d + 1] + unit_rows(rank[d], width)
-        diffs.append(Morphism(comps[i], comps[i + 1], rows))
-    parts = []
-    for i, d in enumerate(window):
-        boundary = f.differential(d - 1).matrix
-        rows = tuple(a + b for a, b in zip(unit_rows(rank[d], rank[d]), boundary))
-        parts.append(Morphism(comps[i], f.component(d), rows))
-    q = Complex(ring, f.lo, tuple(comps), tuple(diffs))
-    return complex_conflation_from_chain_epi(ChainMap(q, f, tuple(parts)))
+    c = {d: f.component(d).invariant_factors for d in range(f.lo - 1, f.hi + 2)}
+    rank = {d: len(c[d]) for d in c}
+    delta = {d: f.differential(d - 1).matrix for d in window}
+    # The t-generators of K^d: the factors c_i < n, by ascending n / c_i.
+    torsion = {d: [i for i in reversed(range(rank[d])) if c[d][i] < n] for d in window}
+
+    def unit(j: int, width: int) -> tuple:
+        return tuple(int(t == j) for t in range(width))
+
+    def transpose(columns, height: int) -> tuple:
+        return tuple(tuple(col[j] for col in columns) for j in range(height))
+
+    qs, ks, gens = {}, {}, {}
+    for d in window:
+        r, r_prev = rank[d], rank[d - 1]
+        qs[d] = FiniteModule(ring, (n,) * (r + r_prev))
+        ks[d] = FiniteModule(ring, tuple(n // c[d][i] for i in torsion[d]) + (n,) * r_prev)
+        # The Q^d-coordinates (a, b) of the generators of K^d, t_i then b_j.
+        gens[d] = [(tuple(c[d][i] * x for x in unit(i, r)), (0,) * r_prev) for i in torsion[d]]
+        gens[d] += [(tuple(-row[j] % n for row in delta[d]), unit(j, r_prev)) for j in range(r_prev)]
+    g_parts, incl_parts, q_diffs, k_diffs = [], [], [], []
+    for d in window:
+        rows = tuple(unit(j, rank[d]) + row for j, row in enumerate(delta[d]))
+        g_parts.append(Morphism._trusted(qs[d], f.component(d), rows))
+        rows = transpose([a + b for a, b in gens[d]], qs[d].rank())
+        incl_parts.append(Morphism._trusted(ks[d], qs[d], rows))
+        if d + 1 not in window:
+            break
+        width = qs[d].rank()
+        rows = ((0,) * width,) * rank[d + 1] + tuple(unit(j, width) for j in range(rank[d]))
+        q_diffs.append(Morphism._trusted(qs[d], qs[d + 1], rows))
+        # d_Q(a, b) = (0, a) is t'_k = (delta' a)_k / c'_k, b' = a in K^(d+1).
+        above, factors = delta[d + 1], c[d + 1]
+        images = [
+            tuple(sum(map(mul, above[k], a)) // factors[k] % (n // factors[k]) for k in torsion[d + 1])
+            + a
+            for a, _ in gens[d]
+        ]
+        k_diffs.append(Morphism._trusted(ks[d], ks[d + 1], transpose(images, ks[d + 1].rank())))
+    q = Complex._trusted(ring, f.lo, tuple(qs.values()), tuple(q_diffs))
+    s = 1 if ks[f.lo].is_zero else 0
+    k = Complex._trusted(ring, f.lo + s, tuple(ks.values())[s:], tuple(k_diffs[s:]))
+    return ComplexConflation._trusted(
+        ChainMap._trusted(k, q, tuple(incl_parts[s:])), ChainMap._trusted(q, f, tuple(g_parts))
+    )
 
 
 def enumerate_complex_conflations_ending_in(

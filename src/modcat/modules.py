@@ -484,11 +484,13 @@ def _cokernel_columns(ring: RingSpec, e: tuple[int, ...], a):
 
 # Small on purpose.  The complexes suite asks for the kernels of a few
 # dozen differentials and chain-map parts over and over (kernel_objects
-# twice per complex, complex_conflation_from_chain_epi per conflation),
-# close together: at moduli 4 and 9, span 4, 64 entries catch all 9,048
-# repeats among 9,108 calls.  Every subgroup or image built is one call
-# that is rarely asked again (prop1 at order 32, kernel 8: 2,069 calls,
-# no repeat): a large cache would only hold them.  Pullbacks and pushouts
+# per complex, complex_conflation_from_chain_epi per family middle; the
+# disk cover writes its kernel in closed form), close together: at moduli
+# 4 and 9, span 4, 4,820 calls ask for 43 distinct kernels (3,757 calls
+# from kernel_objects, 1,056 from the middles), and 64 entries catch all
+# 4,777 repeats.  Every subgroup or image built is one call that is
+# rarely asked again (prop1 at order 32, kernel 8: 2,069 calls, no
+# repeat): a large cache would only hold them.  Pullbacks and pushouts
 # take their kernels and cokernels on rows, not through this cache.
 @lru_cache(maxsize=64)
 def kernel(f: Morphism):

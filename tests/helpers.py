@@ -7,15 +7,19 @@ morphisms as an oracle for the one product, the lattice route to subgroups
 and kernels, an oracle independent of the package's cokernel-and-dual-kernel
 route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
 the walk over their solution cosets that completes middle differentials,
-and package functions recompiled with one source change, as mutants.
+package functions recompiled with one source change, as mutants, and a
+reset of the package's caches.
 
 The package never calls these, so they live next to the tests.
 """
 
+import importlib
 import inspect
+import pkgutil
 import random
 from math import gcd
 
+import modcat
 from modcat.complexes import ChainMap, Complex
 from modcat.enumeration import enumerate_morphisms
 from modcat.exact import Pullback, Pushout
@@ -288,3 +292,14 @@ def source_mutant(fn, old, new):
     namespace = dict(fn.__globals__)
     exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
     return namespace[fn.__name__]
+
+
+def clear_package_caches():
+    """Empty every ``lru_cache`` of every ``modcat`` module, so that a run
+    recorded afterwards sees the same cache misses whatever ran before it
+    in the process."""
+    for info in pkgutil.iter_modules(modcat.__path__):
+        module = importlib.import_module(f"modcat.{info.name}")
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()

@@ -14,7 +14,7 @@ checks in Complex and ChainMap.
 
 import itertools
 import sys
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -56,15 +56,18 @@ from modcat.complexes import (
     zero_complex,
 )
 from modcat.enumeration import (
+    complex_conflation_from_chain_epi,
     cyclic_subgroup_catalog,
     enumerate_complex_conflations_ending_in,
     enumerate_complexes,
+    enumerate_modules,
     enumerate_morphisms,
     flat_disk_cover,
 )
 from modcat.suites import SuiteConfig, run_suite
 
 from helpers import (
+    clear_package_caches,
     identity_chain_map,
     multiplication,
     postcompose_map,
@@ -261,7 +264,7 @@ def test_dual_chain_map_contravariant():
 
 
 # ---------------------------------------------------------------------------
-# trusted duals: the validating constructors, rerun afterwards
+# trusted chain objects: the validating constructors, rerun afterwards
 # ---------------------------------------------------------------------------
 
 
@@ -275,8 +278,10 @@ def revalidated(obj):
 
 
 def trusted_chain_objects(config):
-    """(report, objects, caller names) of a complexes run, recording every
-    Complex, ChainMap and ComplexConflation built through ``_trusted``."""
+    """(report, objects, caller names) of a complexes run from cold caches,
+    recording every Complex, ChainMap and ComplexConflation built through
+    ``_trusted``."""
+    clear_package_caches()
     built, callers = set(), set()
 
     def recording(real):
@@ -296,13 +301,20 @@ def trusted_chain_objects(config):
 
 
 def test_every_trusted_chain_object_of_a_suite_run_validates():
-    """Every chain object that the dual builders build without validation
-    passes the validating constructors unchanged, ``hi`` included."""
+    """Every chain object that the dual builders, the disk cover and the
+    completion of a chain epi build without validation passes the
+    validating constructors unchanged, ``hi`` included."""
     report, built, callers = trusted_chain_objects(dict(moduli=(4, 9, 12), max_complex_span=3))
     assert report.exit_code == 0
     # The suites dualize chain maps only inside conflations; the fourth
-    # builder, dual_chain_map, is revalidated below on enumerated data.
-    assert callers == {"dual_complex", "dual_complex_conflation", "double_dual_complex_iso"}
+    # dual builder, dual_chain_map, is revalidated below on enumerated data.
+    assert callers == {
+        "dual_complex",
+        "dual_complex_conflation",
+        "double_dual_complex_iso",
+        "flat_disk_cover",
+        "complex_conflation_from_chain_epi",
+    }
     kinds = {
         cls: sum(isinstance(obj, cls) for obj in built)
         for cls in (Complex, ChainMap, ComplexConflation)
@@ -342,6 +354,72 @@ def test_revalidation_rejects_a_dual_without_its_sign(monkeypatch, name, old):
             assert "fails to commute" in str(exc), exc
             rejected += 1
     assert rejected > 0
+
+
+def test_revalidation_rejects_a_disk_cover_without_its_minus(monkeypatch):
+    """With +delta instead of -delta in the kernel inclusion, the disk cover
+    is still built, but g no longer kills the inclusion wherever 2 delta is
+    nonzero.  The revalidation rejects those covers (the run itself stops
+    at a crash record)."""
+    import modcat.enumeration as me
+
+    old = "-row[j] % n"
+    monkeypatch.setattr(me, "flat_disk_cover", source_mutant(flat_disk_cover, old, old[1:]))
+    _, built, callers = trusted_chain_objects(dict(moduli=(4, 9), max_complex_span=2))
+    assert "flat_disk_cover" in callers
+    rejected = 0
+    for obj in built:
+        try:
+            revalidated(obj)
+        except ValueError:
+            rejected += 1
+    assert rejected > 0
+
+
+def test_closed_form_cover_on_components_that_are_not_cyclic():
+    """On two-term complexes of modules of order <= 16 with |Hom| <= 32,
+    the closed-form cover revalidates, and its kernel is the one that
+    ``kernel`` takes degree by degree: the same modules, and a comparison
+    map through ``factor_through_mono`` that is a chain isomorphism.  The
+    coordinates differ wherever a component is not cyclic."""
+    covers = differ = 0
+    for n in (4, 6, 8, 9, 12):
+        mods = [m for m in enumerate_modules(n, 16) if not m.is_zero]
+        for a, b in itertools.product(mods, repeat=2):
+            if prod(gcd(x, y) for x in a.invariant_factors for y in b.invariant_factors) > 32:
+                continue
+            for d in enumerate_morphisms(a, b):
+                cover = flat_disk_cover(two_term_complex(d))
+                assert revalidated(cover) == cover
+                routed = complex_conflation_from_chain_epi(cover.g)
+                assert (routed.sub.lo, routed.sub.components) == (
+                    cover.sub.lo,
+                    cover.sub.components,
+                )
+                parts = tuple(
+                    factor_through_mono(cover.f.part(k), routed.f.part(k))
+                    for k in cover.sub.degrees()
+                )
+                assert all(p.is_iso() for p in parts)
+                ChainMap(cover.sub, routed.sub, parts)
+                covers += 1
+                differ += routed != cover
+    assert covers == 2_248
+    assert differ > 1_000
+
+
+def test_completing_a_chain_map_that_is_not_epi_raises():
+    """Not epi inside the source window, and not epi where only the target
+    has a component."""
+    not_onto = ChainMap(single_complex(Z4), single_complex(Z4), (multiplication(Z4, 2),))
+    past_source = ChainMap(
+        single_complex(Z4),
+        two_term_complex(Morphism.zero(Z4, Z2)),
+        (Morphism.identity(Z4),),
+    )
+    for g in (not_onto, past_source):
+        with pytest.raises(ValueError, match="not epi"):
+            complex_conflation_from_chain_epi(g)
 
 
 def test_hi_is_fixed_on_every_construction_path():
@@ -883,8 +961,10 @@ def test_flat_disk_cover_is_a_complex_conflation():
 
 
 def test_chain_validation_composes_no_morphism_and_kernels_are_cached(monkeypatch):
-    """Complex and ChainMap check their identities on residue rows, and each
-    kernel of the disk-cover family is computed once and reused."""
+    """Complex and ChainMap check their identities on residue rows, the
+    disk cover is written in closed form (no composite, no ``kernel`` call),
+    and the cached kernels of its differentials and parts are the uncached
+    ones."""
     import modcat.modules as mm
 
     family = enumerate_complexes(4, 3)
@@ -913,9 +993,9 @@ def test_chain_validation_composes_no_morphism_and_kernels_are_cached(monkeypatc
     covers = [flat_disk_cover(x) for x in family]
     info = mm.kernel.cache_info()
     monkeypatch.undo()
-    assert calls == {"validation": 0, "construction": 478}
+    assert calls == {"validation": 0, "construction": 0}
     assert info.maxsize is not None and 0 < info.maxsize <= 64
-    assert info.hits > 0
+    assert info.hits == info.misses == 0
     for x, cover in zip(family, covers):
         for n in range(x.lo - 1, x.hi + 2):
             d = x.differential(n)

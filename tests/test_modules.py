@@ -50,6 +50,7 @@ from modcat.exact import Conflation, pullback, splits
 from modcat.suites import SUITE_ORDER, SuiteConfig, run_suite
 
 from helpers import (
+    clear_package_caches,
     element_order,
     kernel_lattice_gens,
     lattice_subgroup,
@@ -519,8 +520,9 @@ def test_hom_decoding_is_reduced():
 
 
 def trusted_morphisms(config, names=SUITE_ORDER):
-    """(report, distinct morphisms, caller names) of a run, recording every
-    morphism built through ``Morphism._trusted``."""
+    """(report, distinct morphisms, caller names) of a run from cold caches,
+    recording every morphism built through ``Morphism._trusted``."""
+    clear_package_caches()
     built, callers = set(), set()
     real = Morphism._trusted.__func__
 
@@ -557,7 +559,7 @@ def test_every_trusted_morphism_of_a_suite_run_validates():
     assert report.exit_code == 0
     assert callers == {
         "__matmul__", "__add__", "scaled", "identity", "zero", "to_morphism", "dual_mor",
-        "pullback", "pushout", "kernel", "cokernel", "enumerate_morphisms",
+        "pullback", "pushout", "kernel", "cokernel", "enumerate_morphisms", "flat_disk_cover",
     }
     # 5,784 distinct morphisms at this config, most of them enumerated
     # morphisms and pullback and pushout legs.
@@ -601,12 +603,9 @@ def test_an_axioms_run_validates_only_at_the_boundary(monkeypatch):
     """Every ``Morphism`` that the axioms suite builds is well defined by
     construction, except the maps from the generators of a subgroup that
     a catalog entry builds on first use: only ``from_columns``, called by
-    ``_generator_map``, runs the validating constructor.  The catalogs
+    ``_generator_map``, runs the validating constructor.  The caches
     start cold, as in a fresh run."""
-    from modcat.enumeration import cyclic_subgroup_catalog, subgroup_catalog
-
-    subgroup_catalog.cache_clear()
-    cyclic_subgroup_catalog.cache_clear()
+    clear_package_caches()
     callers = Counter()
     real = Morphism.__post_init__
 

@@ -162,9 +162,13 @@ def test_the_scan_sees_an_import_nothing_uses(tmp_path):
 # projections, pullback and pushout legs (their slices) and enumerated
 # morphisms are reduced and well defined by construction; maps from
 # user-supplied generators (``_generator_map``) keep validating.  Chain
-# objects are trusted in the four dual builders alone: the character dual is
-# an exact anti-equivalence that keeps windows normalized.  Tier-1 tests
-# revalidate what every trusted builder builds.
+# objects are trusted in the four dual builders, because the character dual
+# is an exact anti-equivalence that keeps windows normalized; in the flat
+# disk cover, whose kernel is written in closed form; and in the chain maps
+# and conflation of ``complex_conflation_from_chain_epi``, whose kernel
+# inclusions are mono, killed by an epi and commute by
+# ``factor_through_mono``'s check.  Tier-1 tests revalidate what every
+# trusted builder builds.
 TRUSTED_CALLERS = {
     "Morphism": {
         "modules.Morphism.identity",
@@ -177,16 +181,23 @@ TRUSTED_CALLERS = {
         "exact.pullback",
         "exact.pushout",
         "enumeration.enumerate_morphisms",
+        "enumeration.flat_disk_cover",
         "monoidal.HomModule.to_morphism",
         "purity.dual_mor",
     },
-    "Complex": {"complexes.dual_complex"},
+    "Complex": {"complexes.dual_complex", "enumeration.flat_disk_cover"},
     "ChainMap": {
         "complexes.dual_chain_map",
         "complexes.dual_complex_conflation",
         "complexes.double_dual_complex_iso",
+        "enumeration.complex_conflation_from_chain_epi",
+        "enumeration.flat_disk_cover",
     },
-    "ComplexConflation": {"complexes.dual_complex_conflation"},
+    "ComplexConflation": {
+        "complexes.dual_complex_conflation",
+        "enumeration.complex_conflation_from_chain_epi",
+        "enumeration.flat_disk_cover",
+    },
 }
 
 
