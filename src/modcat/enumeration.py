@@ -156,7 +156,11 @@ class SubgroupEntry:
         return self._projection
 
     def conflation(self) -> Conflation:
-        return Conflation(self.inclusion, self.projection)
+        """inclusion -> ambient -> quotient, built through
+        ``Conflation._trusted``: the inclusion is the kernel of the
+        projection, a cokernel projection, and the build checks both
+        orders against the Smith invariants."""
+        return Conflation._trusted(self.inclusion, self.projection)
 
 
 @lru_cache(maxsize=2048)

@@ -6,7 +6,11 @@ over a finite base these four cheap checks together are equivalent to
 "f is a kernel of g and g is a cokernel of f".  ``make_conflation``
 additionally re-derives both universal properties through the canonical
 kernel and cokernel and checks the comparison maps are isomorphisms,
-giving an independent route to the same verdict.
+giving an independent route to the same verdict.  ``Conflation._trusted``
+skips the four checks for the two pairs that are conflations by
+construction, the character dual of a conflation and a subgroup entry's
+inclusion and projection; every other conflation is checked once, where
+it is built.
 
 A pullback is the kernel of [g | -h] on the concatenated coordinates of
 dom g and dom h, a pushout the cokernel of [f; -h] into those of cod f
@@ -92,6 +96,24 @@ class Conflation:
                 "middle order differs from the product of the end orders",
                 witness=(f.domain.order, f.codomain.order, g.codomain.order),
             )
+
+    @classmethod
+    def _trusted(cls, f: Morphism, g: Morphism) -> "Conflation":
+        """A conflation built without ``__post_init__``.
+
+        Only for pairs that are conflations by construction: the character
+        dual of a conflation (an exact anti-equivalence) and a subgroup
+        entry's kernel inclusion and cokernel projection, whose orders its
+        build checks against the Smith invariants.  The public constructor,
+        ``from_dict`` and the completions ``conflation_from_mono`` and
+        ``conflation_from_epi`` keep validating.  The fields are set as the
+        frozen dataclass's ``__init__`` sets them, so equality and the hash
+        are the validated conflation's.
+        """
+        c = object.__new__(cls)
+        object.__setattr__(c, "f", f)
+        object.__setattr__(c, "g", g)
+        return c
 
     @property
     def sub(self) -> FiniteModule:

@@ -375,11 +375,21 @@ class Canonicalized:
     def combine(self, c) -> tuple[int, ...]:
         """The canonical element presented by sum_i c[i] * generator i;
         the c[i] are any integers."""
+        return self.module.reduce(self._presented_sum(c))
+
+    def _combine(self, c) -> tuple[int, ...]:
+        """``combine`` without its type check, for coefficients the package
+        computed from checked elements (``pure`` checks its factors,
+        ``tensor_mor`` and ``of_morphism`` read morphism entries)."""
+        return tuple(a % d for a, d in zip(self._presented_sum(c), self.module.invariant_factors))
+
+    def _presented_sum(self, c) -> list[int]:
+        """sum_i c[i] * generator image i, not reduced."""
         acc = [0] * self.module.rank()
         for x, img in zip(c, self.generator_images, strict=True):
             if x:
                 acc = [a + x * v for a, v in zip(acc, img)]
-        return self.module.reduce(acc)
+        return acc
 
     def coordinates(self, z) -> list[int]:
         """Integer generator coordinates that ``combine`` maps onto the
@@ -685,7 +695,9 @@ def solve_blocks(blocks: dict, cols, targets) -> tuple | None:
     (B_b / gcd(A_a, B_b)) * c, well defined for every integer c; entry
     (r, s) of row i is one equation mod D_r, and all of them go into one
     ``_solve_mod`` system.  Returns one morphism per column, or None if
-    unsolvable.
+    unsolvable.  Each solution's entries are step * c mod B_b, reduced and
+    well defined by the choice of step, so the morphisms are built through
+    ``Morphism._trusted``.
     """
     unknowns = [
         [(b, a, e // gcd(d, e)) for b, e in enumerate(dst.invariant_factors)
@@ -718,8 +730,8 @@ def solve_blocks(blocks: dict, cols, targets) -> tuple | None:
     for j, (src, dst) in enumerate(cols):
         rows = [[0] * src.rank() for _ in range(dst.rank())]
         for v, (b, a, step) in enumerate(unknowns[j], col_off[j]):
-            rows[b][a] = step * xs[0][v]
-        out.append(Morphism(src, dst, tuple(map(tuple, rows))))
+            rows[b][a] = step * xs[0][v] % dst.invariant_factors[b]
+        out.append(Morphism._trusted(src, dst, tuple(map(tuple, rows))))
     return tuple(out)
 
 

@@ -9,7 +9,11 @@ into a divisor chain.  ``TensorProduct`` and ``HomModule`` are that
 canonical form: its ``combine`` and ``coordinates`` convert between pair
 coordinates and canonical ones, so a pure tensor is one ``combine`` and
 f (x) g sends each source lift through f and g pair by pair and
-combines it in the target.
+combines it in the target.  The package's own callers use ``_combine``,
+which reduces the sum but checks no entry: elements are checked where
+they enter (``pure``, ``coordinates``, ``of_morphism``), and f (x) g is
+reduced and well defined by construction, so it is built without a
+second validation.
 """
 
 from __future__ import annotations
@@ -43,8 +47,13 @@ class TensorProduct(Canonicalized):
     right: FiniteModule
 
     def pure(self, x, y) -> tuple[int, ...]:
-        """The element x (x) y in canonical coordinates."""
-        return self.combine([a * b for a in x for b in y])
+        """The element x (x) y in canonical coordinates.
+
+        x and y are checked against ``left`` and ``right`` here, where they
+        enter: ``_combine`` checks no entry."""
+        self.left._check_rank(x)
+        self.right._check_rank(y)
+        return self._combine([a * b for a in x for b in y])
 
     def expand(self, z) -> list[tuple[int, int, int]]:
         """Write z as a sum of coefficient * (generator pair): [(c, i, j), ...]."""
@@ -73,7 +82,11 @@ def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
     over dom f x dom g; its image is F W G^T (entry f[i'][i] * g[j'][j]
     from pair (i, j) to pair (i', j')) combined in the target.  The lift
     is not reduced mod gcd(d_i, e_j): f and g are well defined, so the
-    image of a pair generator is killed by its order.
+    image of a pair generator is killed by its order.  ``_combine`` reduces
+    each column mod the target factors, and f (x) g is well defined on the
+    pair sum, so the rows (the transpose of the columns, one empty row per
+    target factor when the source is zero) are built through
+    ``Morphism._trusted``.
     """
     src = tensor(f.domain, g.domain)
     dst = tensor(f.codomain, g.codomain)
@@ -82,8 +95,9 @@ def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
     for lift in src.generator_lifts:
         w_cols = [lift[j::l] for j in range(l)]
         fw = [[sum(map(mul, row, col)) for col in w_cols] for row in f.matrix]
-        columns.append(dst.combine([sum(map(mul, r, row)) for r in fw for row in g.matrix]))
-    return Morphism.from_columns(src.module, dst.module, columns)
+        columns.append(dst._combine([sum(map(mul, r, row)) for r in fw for row in g.matrix]))
+    rows = tuple(zip(*columns)) if columns else ((),) * dst.module.rank()
+    return Morphism._trusted(src.module, dst.module, rows)
 
 
 @dataclass(frozen=True)
@@ -115,7 +129,7 @@ class HomModule(Canonicalized):
             if rem:
                 raise AssertionError("well-defined morphism fell outside the hom lattice")
             coeffs.append(c)
-        return self.combine(coeffs)
+        return self._combine(coeffs)
 
 
 @lru_cache(maxsize=16384)

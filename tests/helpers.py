@@ -17,6 +17,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import textwrap
 from math import gcd
 
 import modcat
@@ -286,8 +287,9 @@ def hom_coordinate_middles(f: Complex, combo) -> list[tuple[Morphism, ...]]:
 
 
 def source_mutant(fn, old, new):
-    """fn recompiled from its source with the one ``old`` replaced by ``new``."""
-    source = inspect.getsource(fn)
+    """fn recompiled from its source with the one ``old`` replaced by ``new``;
+    a method comes back as a plain function, to be set on its class."""
+    source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1, old
     namespace = dict(fn.__globals__)
     exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)

@@ -212,12 +212,14 @@ def test_criterion_7_structural_cross_checks():
         for y in enumerate_modules(n, 16):
             for entry in subgroup_catalog(y):
                 checked += 1
+                # the entry and its dual are built trusted, so each is
+                # rebuilt through the validating constructor
                 try:
-                    dc = dual_conflation(entry.conflation())
+                    c = entry.conflation()
+                    dc = dual_conflation(c)
+                    if Conflation(c.f, c.g) != c or Conflation(dc.f, dc.g) != dc:
+                        bad += 1
                 except ValueError:
-                    bad += 1
-                    continue
-                if not isinstance(dc, Conflation):
                     bad += 1
     _verdict(
         7,

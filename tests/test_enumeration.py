@@ -13,7 +13,7 @@ import json
 import pytest
 
 import modcat.enumeration
-from modcat.exact import conflation_from_mono
+from modcat.exact import Conflation, conflation_from_mono
 from modcat.modules import (
     FiniteModule,
     Morphism,
@@ -383,7 +383,8 @@ def test_conflations_ending_in_frozen_count():
     for e in entries:
         assert e.quotient == f
         assert e.sub.order <= 16
-        e.conflation()  # validates
+        c = e.conflation()  # built trusted: the validating constructor rebuilds it
+        assert Conflation(c.f, c.g) == c
     # each middle belongs to one kernel order and each catalog's keys are
     # distinct, so no (middle, key) tag repeats anywhere in the family
     for n in (4, 8, 9, 12):

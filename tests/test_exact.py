@@ -1,5 +1,7 @@
 """Conflations, pullbacks, pushouts, and split witnesses."""
 
+import sys
+
 import pytest
 
 from modcat.modules import (
@@ -29,6 +31,7 @@ from modcat.enumeration import enumerate_modules, enumerate_morphisms, subgroup_
 from modcat.suites import SuiteConfig, run_suite
 
 from helpers import (
+    clear_package_caches,
     direct_sum_pullback,
     direct_sum_pushout,
     multiplication,
@@ -37,6 +40,7 @@ from helpers import (
     pushout_mediate,
     pushout_projection,
     sample_morphisms,
+    source_mutant,
 )
 
 
@@ -389,3 +393,86 @@ def test_section_exists_iff_retraction_exists():
                 for r in enumerate_morphisms(c.total, c.sub)
             )
             assert (splits(c) is not None) == has_retraction
+
+
+# ---------------------------------------------------------------------------
+# conflations built without validation
+# ---------------------------------------------------------------------------
+
+
+def trusted_conflations(config, names=("prop1", "flat-equiv")):
+    """(report, distinct conflations, caller names) of a run from cold
+    caches, recording every conflation built through ``Conflation._trusted``."""
+    clear_package_caches()
+    built, callers = set(), set()
+    real = Conflation._trusted.__func__
+
+    def recording(cls, f, g):
+        callers.add(sys._getframe(1).f_code.co_name)
+        c = real(cls, f, g)
+        built.add(c)
+        return c
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Conflation, "_trusted", classmethod(recording))
+        report = run_suite(SuiteConfig(**config), names=names)
+    return report, built, callers
+
+
+def rejected_conflations(built) -> int:
+    """How many of ``built`` the validating constructor refuses, or rebuilds
+    unequal or with another hash (``suites._entry_pure`` caches on it)."""
+    rejected = 0
+    for c in built:
+        try:
+            again = Conflation(c.f, c.g)
+        except NotAConflation:
+            rejected += 1
+            continue
+        rejected += again != c or hash(again) != hash(c)
+    return rejected
+
+
+def test_every_trusted_conflation_of_a_purity_run_validates():
+    """Every conflation that a prop1 and flat-equiv run builds through
+    ``Conflation._trusted`` (subgroup entries and their duals) passes the
+    validating constructor, equal and with the same hash."""
+    report, built, callers = trusted_conflations(
+        dict(moduli=(4, 8, 9, 12), max_module_order=16, max_kernel_order=8)
+    )
+    assert report.exit_code == 0
+    assert callers == {"conflation", "dual_conflation"}
+    assert len(built) > 500
+    assert rejected_conflations(built) == 0
+
+
+def test_revalidation_rejects_a_dual_conflation_with_mismatched_legs(monkeypatch):
+    """A dual conflation whose legs are f+ then g+ (the wrong way round)
+    is caught by the revalidation; the run itself stops at a crash record."""
+    import modcat.purity as purity
+
+    old = "dual_mor(c.g), dual_mor(c.f)"
+    mutant = source_mutant(purity.dual_conflation, old, "dual_mor(c.f), dual_mor(c.g)")
+    monkeypatch.setattr(purity, "dual_conflation", mutant)
+    report, built, callers = trusted_conflations(
+        dict(moduli=(4,), max_module_order=8, max_kernel_order=4), names=("prop1",)
+    )
+    assert report.exit_code == 3  # a crash record
+    assert "dual_conflation" in callers
+    assert rejected_conflations(built) > 0
+
+
+def test_revalidation_rejects_a_subgroup_entry_whose_inclusion_is_not_mono(monkeypatch):
+    """A subgroup entry whose inclusion is scaled by 2 (still killed by the
+    projection, no longer mono on a subgroup of even order) is caught by
+    the revalidation, although the prop1 run itself passes."""
+    import modcat.enumeration as me
+
+    mutant = source_mutant(me.SubgroupEntry.conflation, "self.inclusion,", "self.inclusion.scaled(2),")
+    monkeypatch.setattr(me.SubgroupEntry, "conflation", mutant)
+    report, built, callers = trusted_conflations(
+        dict(moduli=(4,), max_module_order=8, max_kernel_order=4), names=("prop1",)
+    )
+    assert report.exit_code == 0
+    assert "conflation" in callers
+    assert rejected_conflations(built) > 0

@@ -11,6 +11,7 @@ the package takes the kernel of the projection onto a cokernel.
 """
 
 import hashlib
+import importlib
 import itertools
 import json
 import random
@@ -218,6 +219,8 @@ def test_combine_and_coordinates_change_coordinates_both_ways(n, relations, gens
         assert can.combine(can.coordinates(z)) == z
     with pytest.raises(ValueError):
         can.combine([0] * (gens + 1))
+    with pytest.raises(TypeError):
+        can.combine([0.5] + [1] * (gens - 1))
     with pytest.raises(ValueError):
         can.coordinates((0,) * (m.rank() + 1))
 
@@ -560,6 +563,7 @@ def test_every_trusted_morphism_of_a_suite_run_validates():
     assert callers == {
         "__matmul__", "__add__", "scaled", "identity", "zero", "to_morphism", "dual_mor",
         "pullback", "pushout", "kernel", "cokernel", "enumerate_morphisms", "flat_disk_cover",
+        "tensor_mor", "solve_blocks",
     }
     # 5,784 distinct morphisms at this config, most of them enumerated
     # morphisms and pullback and pushout legs.
@@ -597,6 +601,77 @@ def test_revalidation_rejects_a_wrong_trusted_leg(monkeypatch, builder, old, new
     )
     assert builder.__name__ in callers
     assert rejected_by_revalidation(built) > 0
+
+
+@pytest.mark.parametrize(
+    "module, builder, old, new",
+    [
+        # The columns of f (x) g without the reduction mod the target
+        # factors: the same map, on rows that are not reduced.
+        (
+            "purity",
+            "tensor_mor",
+            "dst._combine(",
+            "(lambda c: tuple(sum(map(mul, c, col)) for col in zip(*dst.generator_images)))(",
+        ),
+        # A section's entries step * c without the reduction mod B_b: over
+        # Z/12 the section Z/6 -> Z/2 + Z/6 of one conflation with a
+        # middle of order 12 gets the entry 3 in its Z/2 row.
+        ("exact", "solve_blocks", " % dst.invariant_factors[b]", ""),
+    ],
+    ids=["tensor-mor-unreduced", "solve-blocks-unreduced"],
+)
+def test_revalidation_rejects_an_unreduced_product_or_solution(
+    monkeypatch, module, builder, old, new
+):
+    """The prop1 suite's trusted products and solutions are caught by the
+    revalidation when their builder skips the reduction, although every
+    verdict of the run stays the same."""
+    target = importlib.import_module(f"modcat.{module}")
+    monkeypatch.setattr(target, builder, source_mutant(getattr(target, builder), old, new))
+    report, built, callers = trusted_morphisms(
+        dict(moduli=(4, 12), max_module_order=16, max_kernel_order=8), names=("prop1",)
+    )
+    assert report.exit_code == 0
+    assert builder in callers
+    assert rejected_by_revalidation(built) > 0
+
+
+def test_a_prop1_run_validates_only_at_the_boundary(monkeypatch):
+    """The prop1 suite validates a ``Morphism`` only where a subgroup entry
+    maps its generators in (``_generator_map``) and where a splitting's
+    retraction is factored through the inflation (``factor_through_mono``,
+    which does not know that its m is mono); the tensored legs and the
+    sections are built trusted.  It validates no ``Conflation``: the
+    subgroup entries' conflations and their duals are built trusted.  The
+    caches start cold."""
+    clear_package_caches()
+    callers = Counter()
+    conflations = Counter()
+    real, real_conflation = Morphism.__post_init__, Conflation.__post_init__
+
+    def recording(self):
+        frame = sys._getframe(2)  # past the dataclass __init__
+        callers[frame.f_code.co_name, frame.f_back.f_code.co_name] += 1
+        real(self)
+
+    def recording_conflation(self):
+        conflations[sys._getframe(2).f_code.co_name] += 1
+        real_conflation(self)
+
+    monkeypatch.setattr(Morphism, "__post_init__", recording)
+    monkeypatch.setattr(Conflation, "__post_init__", recording_conflation)
+    report = run_suite(
+        SuiteConfig(moduli=(4, 9, 12), max_module_order=16, max_kernel_order=4), names=("prop1",)
+    )
+    monkeypatch.undo()
+    assert report.exit_code == 0 and report.suites[0].checked > 100
+    assert set(callers) == {
+        ("from_columns", "_generator_map"),
+        ("from_columns", "factor_through_mono"),
+    }
+    assert min(callers.values()) > 10
+    assert not conflations
 
 
 def test_an_axioms_run_validates_only_at_the_boundary(monkeypatch):

@@ -9,6 +9,7 @@ Two independent oracles:
 """
 
 import itertools
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -197,8 +198,40 @@ def test_tensor_mor_is_the_per_term_tensor(n):
     pairs = [(f, g) for f in small for g in small]
     pairs += [(f, g) for k, f in enumerate(large) for g in large[k % 97 :: 97]]
     assert sum(g != Morphism.identity(g.domain) for _, g in pairs) > len(pairs) // 2
+    # (source tensor zero, target tensor zero, all four ends nonzero): the
+    # rows are the transpose of the columns, so a zero source has one empty
+    # row per target factor and a zero target none.  Over Z/12 the tensor
+    # of two nonzero modules can be zero (Z/3 (x) Z/4).
+    shapes = Counter()
     for f, g in pairs:
-        assert tensor_mor(f, g) == per_term_tensor_mor(f, g)
+        fg = tensor_mor(f, g)
+        assert fg == per_term_tensor_mor(f, g)
+        src, dst = fg.domain, fg.codomain
+        if src.is_zero or dst.is_zero:
+            assert fg.matrix == ((),) * dst.rank()
+        ends = (f.domain, f.codomain, g.domain, g.codomain)
+        shapes[src.is_zero, dst.is_zero, not any(m.is_zero for m in ends)] += 1
+    zero_shapes = {(True, False), (False, True), (True, True)}
+    expected = {(False, False, True)} | {z + (False,) for z in zero_shapes}
+    if n == 12:
+        expected |= {z + (True,) for z in zero_shapes}
+    assert set(shapes) == expected
+
+
+def test_pure_checks_its_factors():
+    """``pure`` checks x against ``left`` and y against ``right`` where they
+    enter, since ``combine`` checks no entry."""
+    r = RingSpec(8)
+    t = tensor(FiniteModule(r, (2, 8)), FiniteModule(r, (4,)))
+    assert t.pure((1, 3), (2,)) == t.combine([2, 6])
+    with pytest.raises(TypeError, match="not an int"):
+        t.pure((1, 1.0), (2,))
+    with pytest.raises(TypeError, match="not an int"):
+        t.pure((1, 1), (2.5,))
+    with pytest.raises(ValueError, match="not the rank 2"):
+        t.pure((1,), (2,))
+    with pytest.raises(ValueError, match="not the rank 1"):
+        t.pure((1, 1), (2, 0))
 
 
 def test_tensor_mor_on_pure_tensors():

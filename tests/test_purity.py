@@ -97,8 +97,11 @@ def test_dual_of_every_catalog_conflation_is_a_conflation(n):
     ring = RingSpec(n)
     for y in enumerate_modules(n, 16):
         for entry in subgroup_catalog(y):
-            dc = dual_conflation(entry.conflation())
-            assert isinstance(dc, Conflation)  # construction re-validates
+            c = entry.conflation()
+            dc = dual_conflation(c)
+            # both are built trusted: the validating constructor rebuilds them
+            assert Conflation(c.f, c.g) == c
+            assert Conflation(dc.f, dc.g) == dc
 
 
 def test_double_dual_unit_is_an_iso_and_triangle_holds():

@@ -12,8 +12,8 @@ counts as used only when the module's code names it; ``__init__.py``,
 which imports to re-export, is exempt.
 
 A third scan keeps each ``_trusted`` constructor, which skips validation
-(``Morphism._trusted`` and those of ``Complex``, ``ChainMap`` and
-``ComplexConflation``), inside an allow-list of functions per class, and a fourth finds local
+(``Morphism._trusted`` and those of ``Conflation``, ``Complex``,
+``ChainMap`` and ``ComplexConflation``), inside an allow-list of functions per class, and a fourth finds local
 names that a function binds and never reads (``_`` is exempt).  A fifth
 keeps ``smith_normal_form``, the factorization with transforms, inside
 the canonical form ``_canonical_form``: every subgroup, image and kernel
@@ -167,8 +167,13 @@ def test_the_scan_sees_an_import_nothing_uses(tmp_path):
 # disk cover, whose kernel is written in closed form; and in the chain maps
 # and conflation of ``complex_conflation_from_chain_epi``, whose kernel
 # inclusions are mono, killed by an epi and commute by
-# ``factor_through_mono``'s check.  Tier-1 tests revalidate what every
-# trusted builder builds.
+# ``factor_through_mono``'s check.  The tensor of two morphisms and the
+# solutions of a block system are reduced and well defined by construction
+# (``combine`` reduces mod the target factors; each unknown entry is a
+# multiple of B_b / gcd(A_a, B_b), reduced mod B_b).  Conflations are
+# trusted in the character dual of a conflation and in a subgroup entry,
+# whose inclusion is the kernel of its cokernel projection.  Tier-1 tests
+# revalidate what every trusted builder builds.
 TRUSTED_CALLERS = {
     "Morphism": {
         "modules.Morphism.identity",
@@ -183,8 +188,11 @@ TRUSTED_CALLERS = {
         "enumeration.enumerate_morphisms",
         "enumeration.flat_disk_cover",
         "monoidal.HomModule.to_morphism",
+        "monoidal.tensor_mor",
+        "modules.solve_blocks",
         "purity.dual_mor",
     },
+    "Conflation": {"purity.dual_conflation", "enumeration.SubgroupEntry.conflation"},
     "Complex": {"complexes.dual_complex", "enumeration.flat_disk_cover"},
     "ChainMap": {
         "complexes.dual_chain_map",
@@ -274,10 +282,18 @@ def test_the_scan_sees_a_trusted_call_outside_the_allow_list(tmp_path):
     (tmp_path / "enumeration.py").write_text(
         "from .modules import Morphism\n\n\n"
         "def enumerate_morphisms(dom, cod):\n    yield Morphism._trusted(dom, cod, ())\n\n\n"
-        "def enumerate_complexes(n, span):\n    return [Morphism._trusted(1, 2, 3)]\n"
+        "def enumerate_complexes(n, span):\n    return [Morphism._trusted(1, 2, 3)]\n\n\n"
+        "class SubgroupEntry:\n"
+        "    def conflation(self):\n        return Conflation._trusted(1, 2)\n"
+    )
+    (tmp_path / "exact.py").write_text(
+        "class Conflation:\n"
+        "    @classmethod\n    def _trusted(cls, f, g):\n        return cls()\n\n\n"
+        "def conflation_from_epi(g):\n    return Conflation._trusted(1, g)\n"
     )
     assert trusted_uses(tmp_path) == [
         "enumeration.enumerate_complexes",
+        "exact.conflation_from_epi",
         "modules.Morphism.__post_init__",
         "modules.Morphism.from_dict",
         "modules.Morphism.from_columns",
