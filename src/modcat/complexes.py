@@ -132,24 +132,24 @@ class Complex:
         return range(self.lo, self.lo + len(self.components))
 
     def component(self, n: int) -> FiniteModule:
-        if self.components and self.lo <= n <= self.hi:
+        if self.lo <= n <= self.hi:
             return self.components[n - self.lo]
         return self.ring.zero_module()
 
     def differential(self, n: int) -> Morphism:
-        if self.components and self.lo <= n < self.hi:
+        if self.lo <= n < self.hi:
             return self.differentials[n - self.lo]
         return Morphism.zero(self.component(n), self.component(n + 1))
 
     def _factors(self, n: int) -> tuple[int, ...]:
         """Invariant factors of the degree-n component (() outside the window)."""
-        if self.components and self.lo <= n <= self.hi:
+        if self.lo <= n <= self.hi:
             return self.components[n - self.lo].invariant_factors
         return ()
 
     def _differential_rows(self, n: int):
         """The matrix of d^n, or None where it is zero outside the window."""
-        if self.components and self.lo <= n < self.hi:
+        if self.lo <= n < self.hi:
             return self.differentials[n - self.lo].matrix
         return None
 
@@ -233,13 +233,13 @@ class ChainMap:
         return phi
 
     def part(self, n: int) -> Morphism:
-        if self.source.components and self.source.lo <= n <= self.source.hi:
+        if self.source.lo <= n <= self.source.hi:
             return self.parts[n - self.source.lo]
         return Morphism.zero(self.source.component(n), self.target.component(n))
 
     def _part_rows(self, n: int):
         """The matrix of f^n, or None where it is zero outside the window."""
-        if self.source.components and self.source.lo <= n <= self.source.hi:
+        if self.source.lo <= n <= self.source.hi:
             return self.parts[n - self.source.lo].matrix
         return None
 
@@ -424,19 +424,15 @@ def double_dual_complex_iso(x: Complex) -> ChainMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainSplitWitness:
-    section: ChainMap
-    retraction: ChainMap
-
-
-def splits_as_complexes(c: ComplexConflation) -> ChainSplitWitness | None:
-    """Chain-level section search: one block system for all degrees at once.
+def splits_as_complexes(c: ComplexConflation) -> ChainMap | None:
+    """A chain section s: Z -> Y of the deflation, or None when c does not
+    chain-split: one block system for all degrees at once.
 
     Unknowns are the degreewise candidate sections s^n: Z^n -> Y^n;
-    constraints are g^n . s^n = id and d_Y . s^n - s^(n+1) . d_Z = 0.  A
-    solution is a chain map, and the retraction is derived from it
-    degreewise (it then commutes with the differentials automatically).
+    constraints are g^n . s^n = id and d_Y . s^n - s^(n+1) . d_Z = 0, so
+    None is a definitive absence.  The solution is validated as a chain
+    map.  It is the whole witness: a retraction of f is factored from
+    id - s . g degreewise and then commutes with the differentials.
     """
     z = c.quotient
     y = c.total
@@ -454,38 +450,13 @@ def splits_as_complexes(c: ComplexConflation) -> ChainSplitWitness | None:
     sol = solve_blocks(blocks, cols, targets)
     if sol is None:
         return None
-    section = ChainMap(z, y, sol)
-    retraction = _derive_chain_retraction(c, section)
-    return ChainSplitWitness(section, retraction)
-
-
-def _derive_chain_retraction(c: ComplexConflation, section: ChainMap) -> ChainMap:
-    x = c.sub
-    y = c.total
-    parts = []
-    for n in x.degrees():
-        ident = Morphism.identity(y.component(n))
-        residual = ident - section.part(n) @ c.g.part(n)
-        parts.append(factor_through_mono(residual, c.f.part(n)))
-    return _chainmap_from_middle(c, tuple(parts))
-
-
-def _chainmap_from_middle(c: ComplexConflation, parts_on_x_window):
-    """Assemble Y -> X from parts indexed by X's window, padding Y's window."""
-    x = c.sub
-    y = c.total
-    by_degree = dict(zip(x.degrees(), parts_on_x_window))
-    full = tuple(
-        by_degree.get(n, Morphism.zero(y.component(n), x.component(n)))
-        for n in y.degrees()
-    )
-    return ChainMap(y, x, full)
+    return ChainMap(z, y, sol)
 
 
 def is_pure_complex_conflation(c: ComplexConflation) -> PurityVerdict:
     """Purity in the complex category: the dual conflation chain-splits."""
-    w = splits_as_complexes(dual_complex_conflation(c))
-    return PurityVerdict(w is not None, "dual-splits", w)
+    section = splits_as_complexes(dual_complex_conflation(c))
+    return PurityVerdict(section is not None, "dual-splits", section)
 
 
 def is_contractible(x: Complex) -> bool:

@@ -269,32 +269,20 @@ def pushout(f: Morphism, h: Morphism) -> Pushout:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitWitness:
-    """A section of the deflation and the matching retraction of the inflation."""
+def splits(c: Conflation) -> Morphism | None:
+    """A section s: M -> B of the deflation g, or None when c does not split.
 
-    section: Morphism
-    retraction: Morphism
-
-
-def splits(c: Conflation) -> SplitWitness | None:
-    """Search for a splitting of the conflation; None is definitive absence.
-
-    The section is the one unknown s: M -> B of the block system
-    g . s = id_M, solved exactly by one ``solve_blocks`` system, so it is
-    the system's one deterministic solution.  The retraction is derived from
-    the section, so a witness always carries both or the conflation does
-    not split at all.
+    s is the one unknown of the block system g . s = id_M, solved exactly
+    by one ``solve_blocks`` system, so None is a definitive absence and s
+    the system's one deterministic solution.  A section is the whole
+    witness: f being monic, id - s . g factors as f . r through
+    ``factor_through_mono``, and that r is a retraction of f.
     """
-    g, f = c.g, c.f
     m = c.quotient
-    sol = solve_blocks({(0, 0): (g, None)}, [(m, c.total)], [Morphism.identity(m)])
+    sol = solve_blocks({(0, 0): (c.g, None)}, [(m, c.total)], [Morphism.identity(m)])
     if sol is None:
         return None
     section = sol[0]
-    retraction = factor_through_mono(Morphism.identity(c.total) - section @ g, f)
-    if (g @ section).matrix != Morphism.identity(m).matrix:
+    if (c.g @ section).matrix != Morphism.identity(m).matrix:
         raise AssertionError("computed section fails g . s = id")
-    if (retraction @ f).matrix != Morphism.identity(c.sub).matrix:
-        raise AssertionError("derived retraction fails r . f = id")
-    return SplitWitness(section, retraction)
+    return section

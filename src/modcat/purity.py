@@ -31,7 +31,6 @@ from math import gcd
 
 from .exact import (
     Conflation,
-    SplitWitness,
     conflation_from_epi,
     conflation_from_mono,
     pullback,
@@ -119,15 +118,19 @@ class TensorFailure:
 
 @dataclass(frozen=True)
 class PurityVerdict:
+    """A purity decision and its witness: on the dual-splits route the
+    section of the dual's deflation (a chain map for complexes), on the
+    tensor-oracle route the first ``TensorFailure``; None when there is none."""
+
     is_pure: bool
     method: str
-    witness: SplitWitness | TensorFailure | None
+    witness: Morphism | TensorFailure | None
 
 
 def is_pure(c: Conflation) -> PurityVerdict:
     """Decide purity by splitting the dual conflation."""
-    w = splits(dual_conflation(c))
-    return PurityVerdict(w is not None, "dual-splits", w)
+    section = splits(dual_conflation(c))
+    return PurityVerdict(section is not None, "dual-splits", section)
 
 
 def conflation_tensor_failure(c: Conflation, w: FiniteModule) -> TensorFailure | None:
@@ -268,12 +271,12 @@ def extract_section(c: Conflation) -> Morphism:
     lam = double_dual_unit(flat_end)
     pb = pullback(b_plus_plus, lam)
     top = conflation_from_epi(pb.to_domh)
-    w = splits(top)
-    if w is None:
+    section = splits(top)
+    if section is None:
         raise InternalInconsistency(
             "top row of the pullback diagram (pure, pure-injective kernel) did not split"
         )
-    g1 = pb.to_domg @ w.section
+    g1 = pb.to_domg @ section
     k = double_dual_unit(dual(c.total))
     r = dual_mor(g1) @ k
     if (r @ b_plus).matrix != Morphism.identity(dual(flat_end)).matrix:

@@ -7,8 +7,10 @@ morphisms as an oracle for the one product, the lattice route to subgroups
 and kernels, an oracle independent of the package's cokernel-and-dual-kernel
 route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
 the walk over their solution cosets that completes middle differentials,
-package functions recompiled with one source change, as mutants, and a
-reset of the package's caches.
+the retraction of a split conflation (of modules or of complexes)
+factored from its section, package functions recompiled with one source
+change, as mutants, a reset of the package's caches, and a recorder of
+what a suite run builds through the private ``_trusted`` constructors.
 
 The package never calls these, so they live next to the tests.
 """
@@ -17,13 +19,16 @@ import importlib
 import inspect
 import pkgutil
 import random
+import sys
 import textwrap
 from math import gcd
 
+import pytest
+
 import modcat
-from modcat.complexes import ChainMap, Complex
+from modcat.complexes import ChainMap, Complex, ComplexConflation
 from modcat.enumeration import enumerate_morphisms
-from modcat.exact import Pullback, Pushout
+from modcat.exact import Conflation, Pullback, Pushout
 from modcat.modules import (
     FiniteModule,
     Morphism,
@@ -39,6 +44,7 @@ from modcat.modules import (
 )
 from modcat.monoidal import _canonical_generators, hom_module, tensor
 from modcat.snf import smith_normal_form
+from modcat.suites import SuiteConfig, run_suite
 
 
 def sample_morphisms(dom: FiniteModule, cod: FiniteModule, count: int, seed: int):
@@ -109,6 +115,30 @@ def direct_sum_pushout(f: Morphism, h: Morphism):
     ds = direct_sum(f.codomain, h.codomain)
     q, project = cokernel(ds.injections[0] @ f - ds.injections[1] @ h)
     return Pushout(q, project @ ds.injections[0], project @ ds.injections[1]), ds, project
+
+
+def retraction(c: Conflation, section: Morphism) -> Morphism:
+    """The retraction of the inflation that a section s of the deflation
+    determines: the r with f . r = id - s . g, so r . f = id."""
+    return factor_through_mono(Morphism.identity(c.total) - section @ c.g, c.f)
+
+
+def chain_retraction(c: ComplexConflation, section: ChainMap) -> ChainMap:
+    """The chain retraction Y -> X of a chain section s, factored degreewise
+    as ``retraction`` does, zero where Y's window passes X's; the chain map
+    is validated, so it commutes with the differentials."""
+    x, y = c.sub, c.total
+    parts = {
+        n: factor_through_mono(
+            Morphism.identity(y.component(n)) - section.part(n) @ c.g.part(n), c.f.part(n)
+        )
+        for n in x.degrees()
+    }
+    return ChainMap(
+        y,
+        x,
+        tuple(parts.get(n, Morphism.zero(y.component(n), x.component(n))) for n in y.degrees()),
+    )
 
 
 def identity_chain_map(x: Complex) -> ChainMap:
@@ -305,3 +335,26 @@ def clear_package_caches():
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
+
+
+def trusted_builds(config, names, classes):
+    """(report, distinct objects, caller names) of a run of the suites
+    ``names`` from cold caches, recording every object built through the
+    ``_trusted`` constructor of one of ``classes``."""
+    clear_package_caches()
+    built, callers = set(), set()
+
+    def recording(real):
+        def build(cls, *args):
+            callers.add(sys._getframe(1).f_code.co_name)
+            obj = real(cls, *args)
+            built.add(obj)
+            return obj
+
+        return classmethod(build)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in classes:
+            mp.setattr(cls, "_trusted", recording(cls._trusted.__func__))
+        report = run_suite(SuiteConfig(**config), names=names)
+    return report, built, callers

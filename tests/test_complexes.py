@@ -13,7 +13,6 @@ checks in Complex and ChainMap.
 """
 
 import itertools
-import sys
 from math import gcd, prod
 
 import pytest
@@ -64,15 +63,14 @@ from modcat.enumeration import (
     enumerate_morphisms,
     flat_disk_cover,
 )
-from modcat.suites import SuiteConfig, run_suite
-
 from helpers import (
-    clear_package_caches,
+    chain_retraction,
     identity_chain_map,
     multiplication,
     postcompose_map,
     precompose_map,
     source_mutant,
+    trusted_builds,
 )
 
 
@@ -277,34 +275,16 @@ def revalidated(obj):
     return ComplexConflation(revalidated(obj.f), revalidated(obj.g))
 
 
-def trusted_chain_objects(config):
-    """(report, objects, caller names) of a complexes run from cold caches,
-    recording every Complex, ChainMap and ComplexConflation built through
-    ``_trusted``."""
-    clear_package_caches()
-    built, callers = set(), set()
-
-    def recording(real):
-        def build(cls, *args):
-            callers.add(sys._getframe(1).f_code.co_name)
-            obj = real(cls, *args)
-            built.add(obj)
-            return obj
-
-        return classmethod(build)
-
-    with pytest.MonkeyPatch.context() as mp:
-        for cls in (Complex, ChainMap, ComplexConflation):
-            mp.setattr(cls, "_trusted", recording(cls._trusted.__func__))
-        report = run_suite(SuiteConfig(**config), names=("complexes",))
-    return report, built, callers
+CHAIN_CLASSES = (Complex, ChainMap, ComplexConflation)
 
 
 def test_every_trusted_chain_object_of_a_suite_run_validates():
     """Every chain object that the dual builders, the disk cover and the
     completion of a chain epi build without validation passes the
     validating constructors unchanged, ``hi`` included."""
-    report, built, callers = trusted_chain_objects(dict(moduli=(4, 9, 12), max_complex_span=3))
+    report, built, callers = trusted_builds(
+        dict(moduli=(4, 9, 12), max_complex_span=3), ("complexes",), CHAIN_CLASSES
+    )
     assert report.exit_code == 0
     # The suites dualize chain maps only inside conflations; the fourth
     # dual builder, dual_chain_map, is revalidated below on enumerated data.
@@ -315,10 +295,7 @@ def test_every_trusted_chain_object_of_a_suite_run_validates():
         "flat_disk_cover",
         "complex_conflation_from_chain_epi",
     }
-    kinds = {
-        cls: sum(isinstance(obj, cls) for obj in built)
-        for cls in (Complex, ChainMap, ComplexConflation)
-    }
+    kinds = {cls: sum(isinstance(obj, cls) for obj in built) for cls in CHAIN_CLASSES}
     assert min(kinds.values()) > 100, kinds
     for obj in built:
         again = revalidated(obj)
@@ -344,7 +321,9 @@ def test_revalidation_rejects_a_dual_without_its_sign(monkeypatch, name, old):
     mutant = source_mutant(getattr(mc, name), old, old.split(".scaled")[0])
     monkeypatch.setattr(mc, name, mutant)
     monkeypatch.setattr(ms, name, mutant)
-    _, built, callers = trusted_chain_objects(dict(moduli=(4, 9), max_complex_span=2))
+    _, built, callers = trusted_builds(
+        dict(moduli=(4, 9), max_complex_span=2), ("complexes",), CHAIN_CLASSES
+    )
     assert name in callers
     rejected = 0
     for obj in built:
@@ -365,7 +344,9 @@ def test_revalidation_rejects_a_disk_cover_without_its_minus(monkeypatch):
 
     old = "-row[j] % n"
     monkeypatch.setattr(me, "flat_disk_cover", source_mutant(flat_disk_cover, old, old[1:]))
-    _, built, callers = trusted_chain_objects(dict(moduli=(4, 9), max_complex_span=2))
+    _, built, callers = trusted_builds(
+        dict(moduli=(4, 9), max_complex_span=2), ("complexes",), CHAIN_CLASSES
+    )
     assert "flat_disk_cover" in callers
     rejected = 0
     for obj in built:
@@ -497,11 +478,12 @@ def test_genuinely_chain_split_conflation():
     f = ChainMap(x, mid, (ds0.injections[0], ds1.injections[0]))
     g = ChainMap(mid, z, (ds0.projections[1], ds1.projections[1]))
     c = ComplexConflation(f, g)
-    w = splits_as_complexes(c)
-    assert w is not None
+    section = splits_as_complexes(c)
+    assert section is not None
+    r = chain_retraction(c, section)
     for n in (0, 1):
-        assert (c.g.part(n) @ w.section.part(n)) == Morphism.identity(z.component(n))
-        assert (w.retraction.part(n) @ c.f.part(n)) == Morphism.identity(x.component(n))
+        assert (c.g.part(n) @ section.part(n)) == Morphism.identity(z.component(n))
+        assert (r.part(n) @ c.f.part(n)) == Morphism.identity(x.component(n))
     assert is_pure_complex_conflation(c).is_pure
 
 
@@ -578,9 +560,11 @@ def test_injective_complex():
 
 
 def test_dual_complex_conflation_validates():
+    """The dual is built trusted; the validating constructors rebuild it
+    unchanged, endpoints included."""
     c = witness_conflation()
     dc = dual_complex_conflation(c)
-    assert isinstance(dc, ComplexConflation)
+    assert revalidated(dc) == dc
     assert dc.sub.component(0).order == 2
 
 
@@ -762,14 +746,19 @@ def test_morphism_unknowns_match_the_hom_module_route():
                 contractible += got
             for cc in enumerate_complex_conflations_ending_in(f, 4, 6):
                 for c in (cc, dual_complex_conflation(cc)):
-                    w = splits_as_complexes(c)
-                    assert (w is not None) == hom_route_chain_splits(c), c
+                    section = splits_as_complexes(c)
+                    assert (section is not None) == hom_route_chain_splits(c), c
                     conflations += 1
-                    if w is not None:
+                    if section is not None:
                         chain_split += 1
                         for d in c.quotient.degrees():
-                            assert c.g.part(d) @ w.section.part(d) == Morphism.identity(
+                            assert c.g.part(d) @ section.part(d) == Morphism.identity(
                                 c.quotient.component(d)
+                            )
+                        r = chain_retraction(c, section)
+                        for d in c.sub.degrees():
+                            assert r.part(d) @ c.f.part(d) == Morphism.identity(
+                                c.sub.component(d)
                             )
     assert (verdicts, contractible) == (486, 50)
     assert (conflations, chain_split) == (3358, 1998)

@@ -1,6 +1,4 @@
-"""Conflations, pullbacks, pushouts, and split witnesses."""
-
-import sys
+"""Conflations, pullbacks, pushouts, and split sections."""
 
 import pytest
 
@@ -31,7 +29,6 @@ from modcat.enumeration import enumerate_modules, enumerate_morphisms, subgroup_
 from modcat.suites import SuiteConfig, run_suite
 
 from helpers import (
-    clear_package_caches,
     direct_sum_pullback,
     direct_sum_pushout,
     multiplication,
@@ -39,8 +36,10 @@ from helpers import (
     pullback_mediate,
     pushout_mediate,
     pushout_projection,
+    retraction,
     sample_morphisms,
     source_mutant,
+    trusted_builds,
 )
 
 
@@ -362,10 +361,10 @@ def brute_has_section(c: Conflation) -> bool:
 def test_split_witness_on_direct_sum():
     ds = direct_sum(Z2, Z4)
     c = make_conflation(ds.injections[0], ds.projections[1])
-    w = splits(c)
-    assert w is not None
-    assert w.retraction @ c.f == Morphism.identity(c.sub)
-    assert c.g @ w.section == Morphism.identity(c.quotient)
+    section = splits(c)
+    assert section is not None
+    assert c.g @ section == Morphism.identity(c.quotient)
+    assert retraction(c, section) @ c.f == Morphism.identity(c.sub)
 
 
 def test_nonsplit_witnessed_by_brute_scan():
@@ -383,7 +382,8 @@ def test_splits_agrees_with_brute_scan_over_small_catalog():
 
 
 def test_section_exists_iff_retraction_exists():
-    # not a general categorical fact, but here splits() must find both at once
+    # f is mono, so a section s gives the retraction r with f . r = id - s . g
+    # (tests/helpers.py), and a retraction gives a section the same way
     for factors in [(2, 4), (2, 2)]:
         y = FiniteModule(R4, factors)
         for entry in subgroup_catalog(y):
@@ -398,25 +398,6 @@ def test_section_exists_iff_retraction_exists():
 # ---------------------------------------------------------------------------
 # conflations built without validation
 # ---------------------------------------------------------------------------
-
-
-def trusted_conflations(config, names=("prop1", "flat-equiv")):
-    """(report, distinct conflations, caller names) of a run from cold
-    caches, recording every conflation built through ``Conflation._trusted``."""
-    clear_package_caches()
-    built, callers = set(), set()
-    real = Conflation._trusted.__func__
-
-    def recording(cls, f, g):
-        callers.add(sys._getframe(1).f_code.co_name)
-        c = real(cls, f, g)
-        built.add(c)
-        return c
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Conflation, "_trusted", classmethod(recording))
-        report = run_suite(SuiteConfig(**config), names=names)
-    return report, built, callers
 
 
 def rejected_conflations(built) -> int:
@@ -437,8 +418,10 @@ def test_every_trusted_conflation_of_a_purity_run_validates():
     """Every conflation that a prop1 and flat-equiv run builds through
     ``Conflation._trusted`` (subgroup entries and their duals) passes the
     validating constructor, equal and with the same hash."""
-    report, built, callers = trusted_conflations(
-        dict(moduli=(4, 8, 9, 12), max_module_order=16, max_kernel_order=8)
+    report, built, callers = trusted_builds(
+        dict(moduli=(4, 8, 9, 12), max_module_order=16, max_kernel_order=8),
+        ("prop1", "flat-equiv"),
+        (Conflation,),
     )
     assert report.exit_code == 0
     assert callers == {"conflation", "dual_conflation"}
@@ -454,8 +437,8 @@ def test_revalidation_rejects_a_dual_conflation_with_mismatched_legs(monkeypatch
     old = "dual_mor(c.g), dual_mor(c.f)"
     mutant = source_mutant(purity.dual_conflation, old, "dual_mor(c.f), dual_mor(c.g)")
     monkeypatch.setattr(purity, "dual_conflation", mutant)
-    report, built, callers = trusted_conflations(
-        dict(moduli=(4,), max_module_order=8, max_kernel_order=4), names=("prop1",)
+    report, built, callers = trusted_builds(
+        dict(moduli=(4,), max_module_order=8, max_kernel_order=4), ("prop1",), (Conflation,)
     )
     assert report.exit_code == 3  # a crash record
     assert "dual_conflation" in callers
@@ -470,8 +453,8 @@ def test_revalidation_rejects_a_subgroup_entry_whose_inclusion_is_not_mono(monke
 
     mutant = source_mutant(me.SubgroupEntry.conflation, "self.inclusion,", "self.inclusion.scaled(2),")
     monkeypatch.setattr(me.SubgroupEntry, "conflation", mutant)
-    report, built, callers = trusted_conflations(
-        dict(moduli=(4,), max_module_order=8, max_kernel_order=4), names=("prop1",)
+    report, built, callers = trusted_builds(
+        dict(moduli=(4,), max_module_order=8, max_kernel_order=4), ("prop1",), (Conflation,)
     )
     assert report.exit_code == 0
     assert "conflation" in callers

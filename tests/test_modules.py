@@ -47,6 +47,14 @@ from modcat.modules import (
     subgroup_from_lattice,
 )
 from modcat.enumeration import enumerate_modules, enumerate_morphisms
+from modcat.complexes import (
+    ChainMap,
+    Complex,
+    ComplexConflation,
+    single_complex,
+    splits_as_complexes,
+    two_term_complex,
+)
 from modcat.exact import Conflation, pullback, splits
 from modcat.suites import SUITE_ORDER, SuiteConfig, run_suite
 
@@ -59,6 +67,7 @@ from helpers import (
     sample_morphisms,
     smith_solve_mod,
     source_mutant,
+    trusted_builds,
 )
 
 
@@ -522,25 +531,6 @@ def test_hom_decoding_is_reduced():
     assert decoded > 1000
 
 
-def trusted_morphisms(config, names=SUITE_ORDER):
-    """(report, distinct morphisms, caller names) of a run from cold caches,
-    recording every morphism built through ``Morphism._trusted``."""
-    clear_package_caches()
-    built, callers = set(), set()
-    real = Morphism._trusted.__func__
-
-    def recording(cls, dom, cod, rows):
-        callers.add(sys._getframe(1).f_code.co_name)
-        m = real(cls, dom, cod, rows)
-        built.add(m)
-        return m
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Morphism, "_trusted", classmethod(recording))
-        report = run_suite(SuiteConfig(**config), names=names)
-    return report, built, callers
-
-
 def rejected_by_revalidation(built) -> int:
     """How many of ``built`` the validating constructor refuses or rebuilds
     with other rows (rows that were not reduced)."""
@@ -556,8 +546,10 @@ def rejected_by_revalidation(built) -> int:
 def test_every_trusted_morphism_of_a_suite_run_validates():
     """Every morphism that a run of all five suites builds through
     ``Morphism._trusted`` passes the validating constructor unchanged."""
-    report, built, callers = trusted_morphisms(
-        dict(moduli=(4, 9, 12), max_module_order=12, max_kernel_order=4, max_complex_span=2)
+    report, built, callers = trusted_builds(
+        dict(moduli=(4, 9, 12), max_module_order=12, max_kernel_order=4, max_complex_span=2),
+        SUITE_ORDER,
+        (Morphism,),
     )
     assert report.exit_code == 0
     assert callers == {
@@ -596,8 +588,8 @@ def test_revalidation_rejects_a_wrong_trusted_leg(monkeypatch, builder, old, new
     import modcat.suites as ms
 
     monkeypatch.setattr(ms, builder.__name__, source_mutant(builder, old, new))
-    _, built, callers = trusted_morphisms(
-        dict(moduli=(4, 12), max_module_order=8, max_kernel_order=4), names=("axioms",)
+    _, built, callers = trusted_builds(
+        dict(moduli=(4, 12), max_module_order=8, max_kernel_order=4), ("axioms",), (Morphism,)
     )
     assert builder.__name__ in callers
     assert rejected_by_revalidation(built) > 0
@@ -629,8 +621,8 @@ def test_revalidation_rejects_an_unreduced_product_or_solution(
     verdict of the run stays the same."""
     target = importlib.import_module(f"modcat.{module}")
     monkeypatch.setattr(target, builder, source_mutant(getattr(target, builder), old, new))
-    report, built, callers = trusted_morphisms(
-        dict(moduli=(4, 12), max_module_order=16, max_kernel_order=8), names=("prop1",)
+    report, built, callers = trusted_builds(
+        dict(moduli=(4, 12), max_module_order=16, max_kernel_order=8), ("prop1",), (Morphism,)
     )
     assert report.exit_code == 0
     assert builder in callers
@@ -639,12 +631,10 @@ def test_revalidation_rejects_an_unreduced_product_or_solution(
 
 def test_a_prop1_run_validates_only_at_the_boundary(monkeypatch):
     """The prop1 suite validates a ``Morphism`` only where a subgroup entry
-    maps its generators in (``_generator_map``) and where a splitting's
-    retraction is factored through the inflation (``factor_through_mono``,
-    which does not know that its m is mono); the tensored legs and the
-    sections are built trusted.  It validates no ``Conflation``: the
-    subgroup entries' conflations and their duals are built trusted.  The
-    caches start cold."""
+    maps its generators in (``_generator_map``); the tensored legs and the
+    sections are built trusted, and no retraction is factored.  It
+    validates no ``Conflation``: the subgroup entries' conflations and
+    their duals are built trusted.  The caches start cold."""
     clear_package_caches()
     callers = Counter()
     conflations = Counter()
@@ -666,11 +656,8 @@ def test_a_prop1_run_validates_only_at_the_boundary(monkeypatch):
     )
     monkeypatch.undo()
     assert report.exit_code == 0 and report.suites[0].checked > 100
-    assert set(callers) == {
-        ("from_columns", "_generator_map"),
-        ("from_columns", "factor_through_mono"),
-    }
-    assert min(callers.values()) > 10
+    assert set(callers) == {("from_columns", "_generator_map")}
+    assert callers["from_columns", "_generator_map"] > 10
     assert not conflations
 
 
@@ -1119,9 +1106,11 @@ def test_factorizations_take_one_local_elimination_per_prime_power(
     "n,per_solve,top,bottom", [(8, 1, 4, 2), (12, 2, 12, 6)], ids=["8", "12"]
 )
 def test_splits_takes_one_local_elimination_per_prime_power(monkeypatch, n, per_solve, top, bottom):
-    """The section and the retraction are one system each.  The non-split
+    """A split search is one system, for the section alone, and factors no
+    retraction, for modules and for complexes.  The non-split
     Z/2 -> Z/top -> Z/bottom has no section mod 2, its first prime, so at
-    n = 12 the 3-part is not tried."""
+    n = 12 the 3-part is not tried; nor has the disk on Z/2 read as a
+    conflation of its ends a chain section."""
     r = RingSpec(n)
     z2 = FiniteModule(r, (2,))
     quotient = FiniteModule(r, (2, n))
@@ -1130,11 +1119,45 @@ def test_splits_takes_one_local_elimination_per_prime_power(monkeypatch, n, per_
     split = Conflation(ds.injections[0], ds.projections[1])
     y, z = FiniteModule(r, (top,)), FiniteModule(r, (bottom,))
     non_split = Conflation(Morphism(z2, y, ((top // 2,),)), Morphism(y, z, ((1,),)))
+    # the disk Z/n -> Z/n plus the quotient in degree 1, and the disk on
+    # Z/2 over its ends Z/2 in degree 1 and Z/2 in degree 0
+    zn = FiniteModule(r, (n,))
+    disk = two_term_complex(Morphism.identity(zn))
+    ends = direct_sum(zn, quotient)
+    middle = Complex(r, 0, (zn, ends.module), (ends.injections[0],))
+    to_zero = Morphism.zero(zn, r.zero_module())
+    chain_split = ComplexConflation(
+        ChainMap(disk, middle, (Morphism.identity(zn), ends.injections[0])),
+        ChainMap(middle, single_complex(quotient, 1), (to_zero, ends.projections[1])),
+    )
+    z2_disk = two_term_complex(Morphism.identity(z2))
+    z2_parts = (Morphism.identity(z2), Morphism.zero(z2, r.zero_module()))
+    chain_non_split = ComplexConflation(
+        ChainMap(single_complex(z2, 1), z2_disk, (Morphism.identity(z2),)),
+        ChainMap(z2_disk, single_complex(z2, 0), z2_parts),
+    )
+    assert splits(chain_split.degreewise(0)) is not None
+    assert splits(chain_non_split.degreewise(0)) is not None
+
+    import modcat.complexes as mc
+    import modcat.exact as me
+
+    def refuse(h, m):
+        raise AssertionError("a split search factored a retraction")
+
+    for module in (me, mc):
+        monkeypatch.setattr(module, "factor_through_mono", refuse)
     calls = counting_local_eliminations(monkeypatch)
     assert splits(split) is not None
-    assert len(calls) == 2 * per_solve  # the section and the retraction
+    assert len(calls) == per_solve  # the section alone
     calls.clear()
     assert splits(non_split) is None
+    assert calls == [2]
+    calls.clear()
+    assert splits_as_complexes(chain_split) is not None
+    assert len(calls) == per_solve
+    calls.clear()
+    assert splits_as_complexes(chain_non_split) is None
     assert calls == [2]
 
 
