@@ -17,6 +17,16 @@ small, and single-generator (cyclic) subgroups — enumerable by walking
 elements — with no cap on the middle.  Together they are discriminating:
 a non-flat end always admits a non-pure conflation with cyclic prime
 kernel, middle = end order times p.
+
+Both subgroup walks depend only on a module's invariant factors d, not
+on the modulus: a subgroup is a lattice between the relation lattice and
+Z^k, and the elements are the same tuples over every Z/n that d divides.
+So each walk runs once per invariant-factor tuple, together with one
+Smith diagonal per subgroup for its quotient, and is shared by every
+ring; the catalogs wrap the shared keys in per-ring entries, whose
+builds stay per ring.  Enumerated complexes are built trusted, since
+their differentials are enumerated morphisms whose composites the walk
+has just read as zero.
 """
 
 from __future__ import annotations
@@ -110,7 +120,8 @@ class SubgroupEntry:
     ``key`` is the canonical Hermite basis of the subgroup's lattice, the
     ambient relations included, and ``rows`` generate the subgroup.  The
     two invariants the filters read, ``quotient`` and ``sub_order``, come
-    from one Smith diagonal of ``key`` up front.  ``sub``, ``inclusion``
+    from ``factors``, the quotient's invariant factors, which the shared
+    walk read off one Smith diagonal of ``key``.  ``sub``, ``inclusion``
     and ``projection`` are built from ``rows`` on first use and cached,
     because a run usually checks only a few entries of each catalog it
     walks; building checks them against the two invariants.
@@ -120,8 +131,7 @@ class SubgroupEntry:
         "ambient", "key", "quotient", "sub_order", "_rows", "_sub", "_inclusion", "_projection"
     )
 
-    def __init__(self, ambient: FiniteModule, key: tuple, rows):
-        factors = tuple(x for x in snf_diagonal([list(r) for r in key]) if x > 1)
+    def __init__(self, ambient: FiniteModule, key: tuple, rows, factors: tuple[int, ...]):
         self.ambient = ambient
         self.key = key
         self.quotient = FiniteModule(ambient.ring, factors)
@@ -163,23 +173,29 @@ class SubgroupEntry:
         return Conflation._trusted(self.inclusion, self.projection)
 
 
+def _quotient_factors(key: tuple) -> tuple[int, ...]:
+    """The invariant factors of Z^k modulo the lattice with basis ``key``,
+    from one Smith diagonal."""
+    return tuple(x for x in snf_diagonal(key) if x > 1)
+
+
 @lru_cache(maxsize=2048)
-def subgroup_catalog(y: FiniteModule) -> tuple[SubgroupEntry, ...]:
-    """Every subgroup of y, via the complete Hermite-basis walk.
+def _subgroup_walk(d: tuple[int, ...]) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+    """(key, quotient factors) of every subgroup of the module with
+    invariant factors d, via the complete Hermite-basis walk.
 
     Rows are chosen bottom-up.  Whether row i's ambient relation
     d_i * e_i lies in the lattice depends only on rows i..k-1, so each
     partial choice is checked immediately and dead branches are cut
     before the walk ever touches the rows above them.
     """
-    d = y.invariant_factors
     k = len(d)
-    entries = []
+    found = []
 
     def walk(i: int, below: list[list[int]]):
         if i < 0:
             key = tuple(tuple(r) for r in below)
-            entries.append(SubgroupEntry(y, key, key))
+            found.append((key, _quotient_factors(key)))
             return
         pivots = {j: below[j - i - 1][j] for j in range(i + 1, k)}
         for h in range(1, d[i] + 1):
@@ -192,21 +208,30 @@ def subgroup_catalog(y: FiniteModule) -> tuple[SubgroupEntry, ...]:
                     walk(i - 1, cand)
 
     walk(k - 1, [])
-    return tuple(entries)
+    return tuple(found)
+
+
+@lru_cache(maxsize=2048)
+def subgroup_catalog(y: FiniteModule) -> tuple[SubgroupEntry, ...]:
+    """Every subgroup of y, via the complete Hermite-basis walk, which is
+    shared by every module with y's invariant factors (``_subgroup_walk``);
+    each entry's rows are its key."""
+    return tuple(
+        SubgroupEntry(y, key, key, factors) for key, factors in _subgroup_walk(y.invariant_factors)
+    )
 
 
 @lru_cache(maxsize=4096)
-def cyclic_subgroup_catalog(y: FiniteModule, order: int) -> tuple[SubgroupEntry, ...]:
-    """Every cyclic subgroup of y of the given order, one Hermite form each.
+def _cyclic_subgroup_walk(d: tuple[int, ...], order: int) -> tuple[tuple, ...]:
+    """(key, lex-first generator, quotient factors) of every cyclic
+    subgroup of the given order of the module with invariant factors d.
 
     The generators of a cyclic group of order o are exactly u*x with u a
-    unit mod o.  Elements are walked in lexicographic order, so the first
-    element of order ``order`` not yet covered is the lex-first generator of
-    its subgroup; marking its unit multiples covers the subgroup's other
-    generators.  Entries come in the order of their lex-first generators,
-    with that generator as the single row.
+    unit mod o.  Elements are walked in lexicographic order, as
+    ``FiniteModule.elements`` walks them, so the first element of order
+    ``order`` not yet covered is the lex-first generator of its subgroup;
+    marking its unit multiples covers the subgroup's other generators.
     """
-    d = y.invariant_factors
     k = len(d)
     if (d[-1] if d else 1) % order:
         return ()
@@ -214,16 +239,29 @@ def cyclic_subgroup_catalog(y: FiniteModule, order: int) -> tuple[SubgroupEntry,
     units = [u for u in range(order) if gcd(u, order) == 1]
     covered = set()
     keys = set()
-    entries = []
-    for x in y.elements():
+    found = []
+    for x in itertools.product(*(range(di) for di in d)):
         if x in covered or lcm(*(di // gcd(xi, di) for xi, di in zip(x, d))) != order:
             continue
         covered.update(tuple(u * xi % di for xi, di in zip(x, d)) for u in units)
         key = tuple(tuple(r) for r in hermite_normal_form([list(x)] + relations, k))
         assert key not in keys, "two unit orbits gave one subgroup"
         keys.add(key)
-        entries.append(SubgroupEntry(y, key, (x,)))
-    return tuple(entries)
+        found.append((key, x, _quotient_factors(key)))
+    return tuple(found)
+
+
+@lru_cache(maxsize=4096)
+def cyclic_subgroup_catalog(y: FiniteModule, order: int) -> tuple[SubgroupEntry, ...]:
+    """Every cyclic subgroup of y of the given order, one Hermite form each,
+    from the unit-orbit walk shared by every module with y's invariant
+    factors (``_cyclic_subgroup_walk``).  Entries come in the order of
+    their lex-first generators, with that generator as the single row.
+    """
+    return tuple(
+        SubgroupEntry(y, key, (x,), factors)
+        for key, x, factors in _cyclic_subgroup_walk(y.invariant_factors, order)
+    )
 
 
 def conflations_ending_in(
@@ -296,7 +334,10 @@ def enumerate_complexes(n: int, span: int) -> tuple[Complex, ...]:
     Interior slots may be zero (edges never are — windows are normalized).
     For each tuple of components every level's morphisms are enumerated
     once, and ``_differential_stacks`` keeps the stacks with vanishing
-    composites.
+    composites.  So each complex is built through ``Complex._trusted``:
+    its edges are nonzero cyclics, each differential comes from
+    ``enumerate_morphisms`` between consecutive components, and d . d = 0
+    was just read on the residue rows.
     """
     ring = RingSpec(n)
     cyclics = [m for m in enumerate_modules(n, n) if m.rank() == 1]
@@ -306,7 +347,8 @@ def enumerate_complexes(n: int, span: int) -> tuple[Complex, ...]:
         universes = [cyclics if pos in (0, s - 1) else inner for pos in range(s)]
         for comps in itertools.product(*universes):
             levels = [tuple(enumerate_morphisms(a, b)) for a, b in zip(comps, comps[1:])]
-            out += (Complex(ring, 0, comps, stack) for stack in _differential_stacks(levels))
+            for stack in _differential_stacks(levels):
+                out.append(Complex._trusted(ring, 0, comps, stack))
     return tuple(out)
 
 

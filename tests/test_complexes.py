@@ -279,9 +279,10 @@ CHAIN_CLASSES = (Complex, ChainMap, ComplexConflation)
 
 
 def test_every_trusted_chain_object_of_a_suite_run_validates():
-    """Every chain object that the dual builders, the disk cover and the
-    completion of a chain epi build without validation passes the
-    validating constructors unchanged, ``hi`` included."""
+    """Every chain object that the dual builders, the disk cover, the
+    completion of a chain epi and the complex enumeration build without
+    validation passes the validating constructors unchanged, ``hi``
+    included."""
     report, built, callers = trusted_builds(
         dict(moduli=(4, 9, 12), max_complex_span=3), ("complexes",), CHAIN_CLASSES
     )
@@ -294,6 +295,7 @@ def test_every_trusted_chain_object_of_a_suite_run_validates():
         "double_dual_complex_iso",
         "flat_disk_cover",
         "complex_conflation_from_chain_epi",
+        "enumerate_complexes",
     }
     kinds = {cls: sum(isinstance(obj, cls) for obj in built) for cls in CHAIN_CLASSES}
     assert min(kinds.values()) > 100, kinds
@@ -302,6 +304,32 @@ def test_every_trusted_chain_object_of_a_suite_run_validates():
         assert again == obj
         if isinstance(obj, Complex):
             assert again.hi == obj.hi
+
+
+def assert_complexes_revalidate(family):
+    for x in family:
+        again = Complex(x.ring, x.lo, x.components, x.differentials)
+        assert again == x
+        assert again.hi == x.hi
+
+
+@pytest.mark.parametrize("n", [4, 9, 12])
+def test_every_enumerated_complex_validates(n):
+    """``enumerate_complexes`` builds its complexes trusted; each passes
+    the validating constructor unchanged, ``hi`` included."""
+    assert_complexes_revalidate(enumerate_complexes(n, 3))
+
+
+def test_revalidation_rejects_stacks_whose_composite_is_not_zero(monkeypatch):
+    """A stack filter that keeps every stack enumerates complexes whose
+    differentials do not compose to zero; the validating constructor
+    rejects them."""
+    import modcat.enumeration as me
+
+    mutant = source_mutant(me._differential_stacks, "continue", "pass")
+    monkeypatch.setattr(me, "_differential_stacks", mutant)
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        assert_complexes_revalidate(me.enumerate_complexes.__wrapped__(4, 3))
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from modcat.modules import (
     direct_sum,
     kernel,
 )
-from modcat.snf import hermite_normal_form, lattice_member
+from modcat.snf import hermite_normal_form, lattice_member, snf_diagonal
 from modcat.suites import COMPLEX_FAMILY_CAP, COMPLEX_KERNEL_CAP, SuiteConfig, run_suite
 from modcat.monoidal import hom_module
 from modcat.purity import is_flat
@@ -52,11 +52,13 @@ from modcat.enumeration import (
 )
 
 from helpers import (
+    clear_package_caches,
     enumerate_monos,
     hom_coordinate_middles,
     lattice_subgroup,
     multiplication,
     sample_morphisms,
+    source_mutant,
 )
 
 
@@ -347,6 +349,73 @@ def test_sample_mode_builds_at_most_the_sampled_entries(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# walks shared across moduli
+# ---------------------------------------------------------------------------
+
+
+def test_subgroup_walks_are_shared_across_moduli():
+    """A module's full and cyclic catalogs depend on its invariant factors
+    only: over every modulus they carry equal keys, rows and quotient
+    factors, the very same key objects, and each quotient is the Smith
+    diagonal of its key.  A prop1 run walks each tuple once."""
+    moduli, bound = (4, 8, 12), 32
+    clear_package_caches()
+    groups = {}
+    for y in (y for n in moduli for y in enumerate_modules(n, bound)):
+        groups.setdefault(y.invariant_factors, []).append(y)
+    shared = {d: ys for d, ys in groups.items() if len(ys) > 1}
+    assert len(shared) >= 10, sorted(shared)
+    for d, (first, *rest) in shared.items():
+        orders = range(1, (d[-1] if d else 1) + 1)
+        walks = [subgroup_catalog]
+        walks += [functools.partial(cyclic_subgroup_catalog, order=o) for o in orders]
+        for catalog in walks:
+            want = catalog(first)
+            for e in want:
+                assert e.quotient.invariant_factors == tuple(x for x in snf_diagonal(e.key) if x > 1)
+            for y in rest:
+                got = catalog(y)
+                assert [e.key for e in got] == [e.key for e in want]
+                assert all(a.key is b.key for a, b in zip(got, want))
+                # read before any entry is built, which drops its rows
+                assert [e._rows for e in got] == [e._rows for e in want]
+                assert [e.quotient.invariant_factors for e in got] == [
+                    e.quotient.invariant_factors for e in want
+                ]
+                assert all(e.ambient == y and e.quotient.ring == y.ring for e in got)
+
+    clear_package_caches()
+    config = SuiteConfig(moduli=moduli, max_module_order=bound, max_kernel_order=8)
+    assert run_suite(config, names=("prop1",)).exit_code == 0
+    info = modcat.enumeration._subgroup_walk.cache_info()
+    assert info.misses == len(groups)
+    assert info.hits == sum(len(ys) for ys in groups.values()) - len(groups)
+
+
+def test_a_shared_walk_with_wrong_quotients_crashes_the_build(monkeypatch):
+    """A shared walk that stores each key's Hermite pivots instead of its
+    Smith diagonal gives entries whose quotient is wrong (the key with
+    rows (2, 1), (0, 2) in (Z/4)^2 has pivots 2, 2 but quotient Z/4);
+    building one fails the check against the Smith invariants, which the
+    run records as a crash.  (The Smith diagonal of the transposed key
+    would be no mutant: a matrix and its transpose have one Smith form.)"""
+    import modcat.enumeration as me
+
+    pivots = "tuple(sorted(r[i] for i, r in enumerate(key) if r[i] > 1))"
+    mutant = source_mutant(me._subgroup_walk.__wrapped__, "_quotient_factors(key)", pivots)
+    monkeypatch.setattr(me, "_subgroup_walk", mutant)
+    clear_package_caches()
+    config = SuiteConfig(moduli=(4,), max_module_order=16, max_kernel_order=4)
+    report = run_suite(config, names=("prop1",))
+    monkeypatch.undo()
+    clear_package_caches()
+    assert report.exit_code == 3
+    [record] = report.suites[0].counterexamples
+    assert record["check"] == "crash"
+    assert record["data"]["message"] == "built subgroup disagrees with its Smith invariants"
+
+
+# ---------------------------------------------------------------------------
 # extensions and conflation families
 # ---------------------------------------------------------------------------
 
@@ -408,7 +477,10 @@ def test_conflations_beyond_the_middle_bound_match_the_whole_catalog_filter():
                 for k_ord in range(1, 17)
                 if end.order * k_ord > 32 and n % k_ord == 0
                 for y in modules_of_order(n, end.order * k_ord)
-                for e in (SubgroupEntry(y, key, (x,)) for key, x in first_generators(y))
+                for e in (
+                    SubgroupEntry(y, key, (x,), tuple(q for q in snf_diagonal(key) if q > 1))
+                    for key, x in first_generators(y)
+                )
                 if e.sub_order == k_ord and e.quotient == end
             ]
             assert got == want, end

@@ -193,7 +193,11 @@ TRUSTED_CALLERS = {
         "purity.dual_mor",
     },
     "Conflation": {"purity.dual_conflation", "enumeration.SubgroupEntry.conflation"},
-    "Complex": {"complexes.dual_complex", "enumeration.flat_disk_cover"},
+    "Complex": {
+        "complexes.dual_complex",
+        "enumeration.enumerate_complexes",
+        "enumeration.flat_disk_cover",
+    },
     "ChainMap": {
         "complexes.dual_chain_map",
         "complexes.dual_complex_conflation",
