@@ -227,10 +227,13 @@ def _cyclic_subgroup_walk(d: tuple[int, ...], order: int) -> tuple[tuple, ...]:
     subgroup of the given order of the module with invariant factors d.
 
     The generators of a cyclic group of order o are exactly u*x with u a
-    unit mod o.  Elements are walked in lexicographic order, as
-    ``FiniteModule.elements`` walks them, so the first element of order
-    ``order`` not yet covered is the lex-first generator of its subgroup;
-    marking its unit multiples covers the subgroup's other generators.
+    unit mod o.  Only the ``order``-torsion is walked, coordinate i over
+    the multiples of d_i / gcd(d_i, order); it holds every element of
+    order ``order`` and comes in the lexicographic order in which
+    ``FiniteModule.elements`` walks the whole module, so the first element
+    of order ``order`` not yet covered is the lex-first generator of its
+    subgroup; marking its unit multiples covers the subgroup's other
+    generators.
     """
     k = len(d)
     if (d[-1] if d else 1) % order:
@@ -240,7 +243,7 @@ def _cyclic_subgroup_walk(d: tuple[int, ...], order: int) -> tuple[tuple, ...]:
     covered = set()
     keys = set()
     found = []
-    for x in itertools.product(*(range(di) for di in d)):
+    for x in itertools.product(*(range(0, di, di // gcd(di, order)) for di in d)):
         if x in covered or lcm(*(di // gcd(xi, di) for xi, di in zip(x, d))) != order:
             continue
         covered.update(tuple(u * xi % di for xi, di in zip(x, d)) for u in units)

@@ -19,9 +19,12 @@ injections or projections.  The legs are row slices of the kernel
 inclusion and of the cokernel projection, reduced and well defined by
 construction, so they are built through ``Morphism._trusted`` without a
 second validation.  What covers them is asserted at construction time:
-the kernel step's check that [g | -h] kills the inclusion, the defining
-square, the order of the fiber product (pushout), and the
-deflation (inflation) stability of the leg opposite g (f).
+the commuting square, once, as two products of residue rows read off the
+given maps and the legs (g . to_g == h . to_h, from_f . f == from_h . h),
+with no ``Morphism`` composite and none of the stacked rows the kernel or
+cokernel was taken of, so a wrong sign in those rows is caught here; the
+order of the fiber product (pushout); and the deflation (inflation)
+stability of the leg opposite g (f).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .modules import (
     FiniteModule,
     Morphism,
     _cokernel_columns,
+    _compose_rows,
     _kernel_rows,
     cokernel,
     factor_through_epi,
@@ -200,9 +204,11 @@ def pullback(g: Morphism, h: Morphism) -> Pullback:
     The fiber product is the kernel of [g | -h] on dom g + dom h in the
     concatenated coordinates, factors d_g then d_h; the first len(d_g)
     rows of its inclusion are the projection to dom g, the rest the one
-    to dom h.  The projection opposite g (to dom h) is again a deflation;
-    this and the commuting square are asserted, as is the fiber-product
-    order |Q| = |dom g| * |dom h| / |cod g|.
+    to dom h.  The square g . to_g == h . to_h is asserted on the rows of
+    g, h and the two legs; it is also what puts the inclusion in the
+    kernel, which ``_kernel_rows`` leaves to its caller.  The projection
+    opposite g (to dom h) is again a deflation; this is asserted, as is
+    the fiber-product order |Q| = |dom g| * |dom h| / |cod g|.
     """
     if g.codomain != h.codomain:
         raise ValueError("pullback legs must share a codomain")
@@ -216,7 +222,8 @@ def pullback(g: Morphism, h: Morphism) -> Pullback:
     q, incl = _kernel_rows(g.domain.ring, d + h.domain.invariant_factors, e, rows)
     to_g = Morphism._trusted(q, g.domain, incl[: len(d)])
     to_h = Morphism._trusted(q, h.domain, incl[len(d) :])
-    if (g @ to_g).matrix != (h @ to_h).matrix:
+    k = q.rank()
+    if _compose_rows(g.matrix, to_g.matrix, e, k) != _compose_rows(h.matrix, to_h.matrix, e, k):
         raise AssertionError("pullback square does not commute")
     if q.order * g.codomain.order != g.domain.order * h.domain.order:
         raise AssertionError("fiber product has the wrong order")
@@ -240,9 +247,10 @@ def pushout(f: Morphism, h: Morphism) -> Pushout:
     The pushout is the cokernel of [f; -h] into cod f + cod h in the
     concatenated coordinates, factors e_f then e_h; the first len(e_f)
     columns of its projection are the coprojection from cod f, the rest
-    the one from cod h.  The coprojection opposite f (from cod h) is
-    again an inflation; asserted together with the square and the
-    quotient order.
+    the one from cod h.  The square from_f . f == from_h . h is asserted
+    on the rows of the two coprojections, f and h.  The coprojection
+    opposite f (from cod h) is again an inflation; asserted together
+    with the quotient order.
     """
     if f.domain != h.domain:
         raise ValueError("pushout legs must share a domain")
@@ -255,7 +263,9 @@ def pushout(f: Morphism, h: Morphism) -> Pushout:
     proj = tuple(zip(*cols))
     from_f = Morphism._trusted(f.codomain, q, tuple(r[: len(e)] for r in proj))
     from_h = Morphism._trusted(h.codomain, q, tuple(r[len(e) :] for r in proj))
-    if (from_f @ f).matrix != (from_h @ h).matrix:
+    eq, k = q.invariant_factors, f.domain.rank()
+    via_f = _compose_rows(from_f.matrix, f.matrix, eq, k)
+    if via_f != _compose_rows(from_h.matrix, h.matrix, eq, k):
         raise AssertionError("pushout square does not commute")
     if q.order * f.domain.order != f.codomain.order * h.codomain.order:
         raise AssertionError("pushout has the wrong order")

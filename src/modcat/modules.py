@@ -465,16 +465,19 @@ def _kernel_rows(ring: RingSpec, d: tuple[int, ...], e: tuple[int, ...], a):
     Uses ker f = (coker f^+)^+ for the character dual (-)^+ = Hom(-, Z/n),
     which is exact on finite Z/n-modules because Z/n is self-injective.
     The columns of f^+ and diag(d) present coker f^+; the inclusion is the
-    dual of the projection onto it.  Both duals are ``_dual_rows``, taken
-    summand by summand, so d and e are any cyclic decompositions, divisor
-    chains or not.
+    dual of the projection onto it.  Both duals are taken summand by
+    summand, as ``_dual_rows`` takes them, so d and e are any cyclic
+    decompositions, divisor chains or not, and each is written in the
+    orientation it is read in, without a transpose: relation j of
+    coker f^+ is (a[j][i] * d_i / e_j)_i, row i of the inclusion is
+    (images[i][t] * d_i / c_t)_t.  Nothing is checked here: each caller
+    checks that its own map kills the rows, ``kernel`` as f . rows == 0,
+    ``exact.pullback`` as its square g . to_g == h . to_h read off g and h.
     """
-    rel = list(zip(*_dual_rows(d, e, a)))
+    rel = [[x * di // ej for x, di in zip(row, d)] for row, ej in zip(a, e)]
     ker, images = _canonical_form(ring, len(d), rel + _diagonal_rows(d))
     c = ker.invariant_factors
-    rows = _dual_rows(d, c, list(zip(*images)))
-    if any(map(any, _compose_rows(a, rows, e, len(c)))):
-        raise AssertionError("kernel inclusion is not killed by the morphism")
+    rows = tuple(tuple(x * di // ct for x, ct in zip(img, c)) for img, di in zip(images, d))
     return ker, rows
 
 
@@ -507,10 +510,11 @@ def kernel(f: Morphism):
     """(kernel module, inclusion into the domain), in one Smith form: the
     dual of the projection onto the cokernel of the dual map.  Its rows
     are reduced and well defined as duals of reduced images, so the
-    inclusion is built trusted."""
-    ker, rows = _kernel_rows(
-        f.domain.ring, f.domain.invariant_factors, f.codomain.invariant_factors, f.matrix
-    )
+    inclusion is built trusted once f . inclusion == 0 is checked."""
+    e = f.codomain.invariant_factors
+    ker, rows = _kernel_rows(f.domain.ring, f.domain.invariant_factors, e, f.matrix)
+    if any(map(any, _compose_rows(f.matrix, rows, e, ker.rank()))):
+        raise AssertionError("kernel inclusion is not killed by the morphism")
     return ker, Morphism._trusted(ker, f.domain, rows)
 
 

@@ -78,7 +78,7 @@ from .exact import (
     pullback,
     pushout,
 )
-from .modules import FiniteModule, Morphism, RingSpec, _prime_factors, cyclic
+from .modules import FiniteModule, Morphism, RingSpec, _compose_rows, _prime_factors, cyclic
 from .purity import (
     double_dual_unit,
     extract_section,
@@ -337,16 +337,31 @@ def _composition_check(first: Morphism, second: Morphism, inflations: bool):
 
 
 def _pullback_check(g: Morphism, h: Morphism):
+    """The leg opposite g is a deflation and the square commutes, read as
+    one product built here: [g | -h] . [to_g; to_h] == 0 mod cod g."""
     pb = pullback(g, h)
-    if is_deflation(pb.to_domh) and (g @ pb.to_domg == h @ pb.to_domh):
+    e = g.codomain.invariant_factors
+    span = tuple(rg + tuple(-x % ej for x in rh) for rg, rh, ej in zip(g.matrix, h.matrix, e))
+    legs = pb.to_domg.matrix + pb.to_domh.matrix
+    if is_deflation(pb.to_domh) and not any(
+        map(any, _compose_rows(span, legs, e, pb.module.rank()))
+    ):
         return None
     reason = "pullback of a deflation is not a commuting deflation square"
     return reason, {"deflation": g.to_dict(), "along": h.to_dict()}
 
 
 def _pushout_check(f: Morphism, h: Morphism):
+    """The coprojection opposite f is an inflation and the square
+    commutes, read as one product built here: [from_f | from_h] . [f; -h]
+    == 0 mod the pushout's factors."""
     po = pushout(f, h)
-    if is_inflation(po.from_codh) and (po.from_codf @ f == po.from_codh @ h):
+    eh = h.codomain.invariant_factors
+    cospan = f.matrix + tuple(tuple(-x % ej for x in row) for row, ej in zip(h.matrix, eh))
+    copair = tuple(a + b for a, b in zip(po.from_codf.matrix, po.from_codh.matrix))
+    if is_inflation(po.from_codh) and not any(
+        map(any, _compose_rows(copair, cospan, po.module.invariant_factors, f.domain.rank()))
+    ):
         return None
     reason = "pushout of an inflation is not a commuting inflation square"
     return reason, {"inflation": f.to_dict(), "along": h.to_dict()}

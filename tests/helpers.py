@@ -8,7 +8,8 @@ and kernels, an oracle independent of the package's cokernel-and-dual-kernel
 route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
 the walk over their solution cosets that completes middle differentials,
 the retraction of a split conflation (of modules or of complexes)
-factored from its section, package functions recompiled with one source
+factored from its section, the cyclic-subgroup walk over every element
+of the module, package functions recompiled with one source
 change, as mutants, a reset of the package's caches, and a recorder of
 what a suite run builds through the private ``_trusted`` constructors.
 
@@ -17,17 +18,18 @@ The package never calls these, so they live next to the tests.
 
 import importlib
 import inspect
+import itertools
 import pkgutil
 import random
 import sys
 import textwrap
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 import modcat
 from modcat.complexes import ChainMap, Complex, ComplexConflation
-from modcat.enumeration import enumerate_morphisms
+from modcat.enumeration import _quotient_factors, enumerate_morphisms
 from modcat.exact import Conflation, Pullback, Pushout
 from modcat.modules import (
     FiniteModule,
@@ -43,7 +45,7 @@ from modcat.modules import (
     solution_set,
 )
 from modcat.monoidal import _canonical_generators, hom_module, tensor
-from modcat.snf import smith_normal_form
+from modcat.snf import hermite_normal_form, smith_normal_form
 from modcat.suites import SuiteConfig, run_suite
 
 
@@ -314,6 +316,25 @@ def hom_coordinate_middles(f: Complex, combo) -> list[tuple[Morphism, ...]]:
             new_stacks += [stack + (h.to_morphism(z),) for z in solution_set(system, target)]
         stacks = new_stacks
     return stacks
+
+
+def full_cyclic_subgroup_walk(d: tuple[int, ...], order: int) -> tuple[tuple, ...]:
+    """(key, lex-first generator, quotient factors) of every cyclic
+    subgroup of the given order of the module with invariant factors d,
+    walking every element of the module in ``FiniteModule.elements``
+    order: the oracle for the package's walk over the ``order``-torsion."""
+    k = len(d)
+    relations = [[d[i] if c == i else 0 for c in range(k)] for i in range(k)]
+    units = [u for u in range(order) if gcd(u, order) == 1]
+    covered = set()
+    found = []
+    for x in itertools.product(*(range(di) for di in d)):
+        if x in covered or lcm(*(di // gcd(xi, di) for xi, di in zip(x, d))) != order:
+            continue
+        covered.update(tuple(u * xi % di for xi, di in zip(x, d)) for u in units)
+        key = tuple(tuple(r) for r in hermite_normal_form([list(x)] + relations, k))
+        found.append((key, x, _quotient_factors(key)))
+    return tuple(found)
 
 
 def source_mutant(fn, old, new):

@@ -54,6 +54,7 @@ from modcat.enumeration import (
 from helpers import (
     clear_package_caches,
     enumerate_monos,
+    full_cyclic_subgroup_walk,
     hom_coordinate_middles,
     lattice_subgroup,
     multiplication,
@@ -228,6 +229,21 @@ def test_cyclic_catalogs_over_all_orders_are_every_cyclic_subgroup(n, factors):
             got.append(members)
     assert len(set(got)) == len(got)  # no subgroup twice, across orders too
     assert set(got) == brute_cyclic_subgroup_sets(y)
+
+
+@pytest.mark.parametrize("n,bound", [(4, 64), (8, 64), (9, 64), (12, 64), (30, 120)])
+def test_the_cyclic_walk_over_the_torsion_matches_the_walk_over_every_element(n, bound):
+    """Walking only the elements killed by ``order`` gives the same keys,
+    lex-first generators and quotients, in the same order, as walking the
+    whole module; every order up to the exponent, divisors or not."""
+    walks = 0
+    for y in enumerate_modules(n, bound):
+        d = y.invariant_factors
+        for order in range(1, (d[-1] if d else 1) + 1):
+            walk = modcat.enumeration._cyclic_subgroup_walk.__wrapped__(d, order)
+            assert walk == full_cyclic_subgroup_walk(d, order), (d, order)
+            walks += bool(walk)
+    assert walks > len(enumerate_modules(n, bound))
 
 
 # ---------------------------------------------------------------------------

@@ -784,6 +784,24 @@ def test_kernel_takes_one_smith_form_per_call(monkeypatch):
         assert ker.order == kernel_order(f)
 
 
+def test_kernel_asserts_that_the_map_kills_its_inclusion(monkeypatch):
+    # ``_kernel_rows`` checks nothing; ``kernel`` checks f . incl == 0
+    # itself, so rows outside the kernel are an assertion, not a map.
+    import modcat.modules as mm
+
+    real = mm._kernel_rows
+
+    def unit_rows(ring, d, e, a):
+        ker, rows = real(ring, d, e, a)
+        return ker, tuple(tuple(1 for _ in row) for row in rows)
+
+    monkeypatch.setattr(mm, "_kernel_rows", unit_rows)
+    r = RingSpec(12)
+    f = Morphism(cyclic(r, 12), cyclic(r, 12), ((2,),))
+    with pytest.raises(AssertionError, match="not killed"):
+        mm.kernel.__wrapped__(f)
+
+
 def _mangled(vectors, wrong):
     """Doubled or zeroed integer vectors."""
     return tuple(tuple(2 * x if wrong == "doubled" else 0 for x in v) for v in vectors)

@@ -8,6 +8,7 @@ are restored.
 """
 
 import json
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +27,7 @@ from modcat.suites import (
     run_suite,
 )
 
-from helpers import direct_sum_pullback, direct_sum_pushout
+from helpers import direct_sum_pullback, direct_sum_pushout, source_mutant
 
 
 TINY = SuiteConfig(
@@ -308,6 +309,99 @@ def test_wrong_sign_pullback_is_caught_by_the_square_check(monkeypatch):
     monkeypatch.undo()
     for ce in ces:
         assert not replay_counterexample(ce)
+
+
+@pytest.mark.parametrize("name", ["pullback", "pushout"])
+def test_a_construction_that_negates_the_wrong_leg_fails_its_own_square(monkeypatch, name):
+    """A construction that negates the wrong leg (``x % ej`` for
+    ``-x % ej``) takes the kernel or cokernel of the wrong stacked rows;
+    its square, read off the given maps and the legs rather than those
+    rows, does not commute, so the run is a crash record, not a
+    counterexample to the axioms."""
+    import modcat.exact as ex
+    import modcat.suites as ms
+
+    mutant = source_mutant(getattr(ex, name), "-x % ej", "x % ej")
+    monkeypatch.setattr(ms, name, mutant)
+    report = run_suite(TINY, names=("axioms",))
+    assert report.exit_code == 3
+    records = report.suites[0].counterexamples
+    assert records and all(ce["check"] == "crash" for ce in records)
+    assert records[0]["data"]["exception"] == "AssertionError"
+    assert "square does not commute" in records[0]["reason"]
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [("_pullback_check", "pullback-stability"), ("_pushout_check", "pushout-stability")],
+)
+def test_the_checks_own_square_product_is_not_vacuous(monkeypatch, name, kind):
+    """The check's own product [g | -h] . [to_g; to_h] (or
+    [from_f | from_h] . [f; -h]) is evaluated, not trusted to the
+    construction: the same flip of sign in the check fails honest
+    constructions, with counterexamples that replay under the mutant and
+    not under the honest check."""
+    import modcat.suites as ms
+
+    monkeypatch.setattr(ms, name, source_mutant(getattr(ms, name), "-x % ej", "x % ej"))
+    report = run_suite(TINY, names=("axioms",))
+    ces = [json.loads(json.dumps(ce)) for ce in report.suites[0].counterexamples]
+    assert report.exit_code == 1
+    assert ces and {ce["check"] for ce in ces} == {kind}
+    for ce in ces:
+        assert replay_counterexample(ce)
+    monkeypatch.undo()
+    for ce in ces:
+        assert not replay_counterexample(ce)
+
+
+def test_each_square_is_evaluated_once_in_its_construction_and_once_in_its_check(monkeypatch):
+    """A pullback or pushout check composes no morphism: its square is
+    evaluated once by the construction, as the two residue products of
+    its sides, and once by the check, as one stacked product."""
+    import modcat.exact as ex
+    import modcat.modules as mm
+    import modcat.suites as ms
+
+    matmul_callers = []
+    real_matmul = Morphism.__matmul__
+
+    def recording_matmul(self, other):
+        matmul_callers.append(sys._getframe(1).f_code.co_name)
+        return real_matmul(self, other)
+
+    products = []
+    real_compose = mm._compose_rows
+
+    def counting_compose(*args):
+        products[-1] += 1
+        return real_compose(*args)
+
+    per_check = {"_pullback_check": [], "_pushout_check": []}
+
+    def counted(name):
+        check = getattr(ms, name)
+
+        def wrapper(*args):
+            products.append(0)
+            result = check(*args)
+            per_check[name].append(products.pop())
+            return result
+
+        return wrapper
+
+    products.append(0)  # the products outside the two checks
+    monkeypatch.setattr(Morphism, "__matmul__", recording_matmul)
+    for module in (mm, ex, ms):
+        monkeypatch.setattr(module, "_compose_rows", counting_compose)
+    for name in per_check:
+        monkeypatch.setattr(ms, name, counted(name))
+    report = run_suite(TINY, names=("axioms",))
+    assert report.exit_code == 0
+    assert "_composition_check" in matmul_callers
+    assert not {"_pullback_check", "_pushout_check"} & set(matmul_callers)
+    for counts in per_check.values():
+        assert counts and set(counts) == {3}
 
 
 def _raise(*args):
