@@ -48,7 +48,6 @@ from .modules import (
 )
 from .monoidal import tensor, tensor_mor
 from .purity import (
-    PurityVerdict,
     dual,
     dual_mor,
     double_dual_unit,
@@ -453,10 +452,9 @@ def splits_as_complexes(c: ComplexConflation) -> ChainMap | None:
     return ChainMap(z, y, sol)
 
 
-def is_pure_complex_conflation(c: ComplexConflation) -> PurityVerdict:
+def is_pure_complex_conflation(c: ComplexConflation) -> bool:
     """Purity in the complex category: the dual conflation chain-splits."""
-    section = splits_as_complexes(dual_complex_conflation(c))
-    return PurityVerdict(section is not None, "dual-splits", section)
+    return splits_as_complexes(dual_complex_conflation(c)) is not None
 
 
 def is_contractible(x: Complex) -> bool:

@@ -25,7 +25,6 @@ exist to demonstrate that on enumerated data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -108,58 +107,33 @@ def triangle_identity_check(m: FiniteModule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorFailure:
-    """Tensoring with Z/divisor broke the recorded conflation property."""
-
-    divisor: int
-    position: str
-
-
-@dataclass(frozen=True)
-class PurityVerdict:
-    """A purity decision and its witness: on the dual-splits route the
-    section of the dual's deflation (a chain map for complexes), on the
-    tensor-oracle route the first ``TensorFailure``; None when there is none."""
-
-    is_pure: bool
-    method: str
-    witness: Morphism | TensorFailure | None
-
-
-def is_pure(c: Conflation) -> PurityVerdict:
+def is_pure(c: Conflation) -> bool:
     """Decide purity by splitting the dual conflation."""
-    section = splits(dual_conflation(c))
-    return PurityVerdict(section is not None, "dual-splits", section)
+    return splits(dual_conflation(c)) is not None
 
 
-def conflation_tensor_failure(c: Conflation, w: FiniteModule) -> TensorFailure | None:
-    """First conflation property broken by tensoring c with w, if any."""
+def conflation_tensor_failure(c: Conflation, w: FiniteModule) -> str | None:
+    """The first conflation property broken by tensoring c with w, if any."""
     ident = Morphism.identity(w)
     f2 = tensor_mor(c.f, ident)
     g2 = tensor_mor(c.g, ident)
-    tag = w.order
     if not f2.is_mono():
-        return TensorFailure(tag, "inflation leg loses injectivity")
+        return "inflation leg loses injectivity"
     if not g2.is_epi():
-        return TensorFailure(tag, "deflation leg loses surjectivity")
+        return "deflation leg loses surjectivity"
     if not (g2 @ f2).is_zero_morphism:
-        return TensorFailure(tag, "legs no longer compose to zero")
+        return "legs no longer compose to zero"
     if f2.codomain.order != f2.domain.order * g2.codomain.order:
-        return TensorFailure(tag, "middle order no longer multiplies")
+        return "middle order no longer multiplies"
     return None
 
 
-def is_pure_oracle(c: Conflation) -> PurityVerdict:
+def is_pure_oracle(c: Conflation) -> bool:
     """Decide purity by tensoring with Z/d for every divisor d | n, d > 1."""
     ring = c.sub.ring
-    for d in ring.divisors():
-        if d == 1:
-            continue
-        failure = conflation_tensor_failure(c, cyclic(ring, d))
-        if failure is not None:
-            return PurityVerdict(False, "tensor-oracle", failure)
-    return PurityVerdict(True, "tensor-oracle", None)
+    return all(
+        conflation_tensor_failure(c, cyclic(ring, d)) is None for d in ring.divisors() if d > 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +218,7 @@ def is_pure_injective(m: FiniteModule, bound: int) -> bool:
     from .enumeration import conflations_with_sub
 
     for c in conflations_with_sub(m, bound):
-        if is_pure(c).is_pure and splits(c) is None:
+        if is_pure(c) and splits(c) is None:
             return False
     return True
 

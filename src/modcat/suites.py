@@ -24,21 +24,26 @@ Each check kind (``identity-inflation-deflation``, ``deflation-composition``,
 ``inflation-composition``, ``pullback-stability``, ``pushout-stability``,
 ``purity-agreement``, ``flat-equiv``, ``extract-section``, ``enough-pi``,
 ``complex-witness``, ``complex-four-way``, ``lambda-degreewise``) is one
-function that returns None when the check passes and ``(reason, data)``
-when it fails.  The suite runner records the result with
-``SuiteResult.check``; ``replay_counterexample`` decodes a record's
-``data`` and calls the same function.  An exception inside a suite becomes
-one ``crash`` record for that suite, whose replay reruns the suite; the
-remaining suites still run.
+entry of ``CHECKS``: a function that takes the record's inputs as its
+parameters and returns ``{route name: bool}``, and a policy, under which
+either every verdict must hold or all verdicts must agree.
+``SuiteResult.check`` evaluates a check, and only when it fails writes a
+record whose ``data`` holds the encoded inputs and the ``verdicts``;
+``replay_counterexample`` decodes those inputs by field name and evaluates
+the same entry.  An exception inside a suite becomes one ``crash`` record
+for that suite, whose replay reruns the suite; the remaining suites still
+run.
 
 ``run_suite(config, names)`` and ``replay_counterexample(record)`` take
-nothing else: the checks call the routes they test (``pullback``,
-``pushout``, ``is_pure_oracle``, ...) by their names in this module at call
-time, so patching such a name substitutes a fake for a run and its replay.
+nothing else: the table names each check, and the checks call the routes
+they test (``pullback``, ``pushout``, ``is_pure_oracle``, ...), by their
+names in this module at call time, so patching such a name substitutes a
+fake for a run and its replay.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import random
@@ -106,7 +111,7 @@ COMPLEX_KERNEL_CAP = 4
 COMPLEX_FAMILY_CAP = 6
 
 # Version of the JSON report layout; bump it when a field changes meaning.
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -206,15 +211,21 @@ class SuiteResult:
     failed: int = 0
     counterexamples: list = field(default_factory=list)
 
-    def check(self, kind: str, modulus: int | None, failure: tuple[str, dict] | None):
-        """Count one check of ``kind``; ``failure`` is None or its (reason, data)."""
+    def check(self, kind: str, modulus: int, *inputs) -> bool:
+        """Evaluate one check of ``kind`` on ``inputs``, given in the order of
+        its parameters, and record it when it fails; True when it passes."""
+        name, policy, fields = CHECKS[kind]
+        verdicts = globals()[name](*inputs)
         self.checked += 1
-        if failure is not None:
-            self.failed += 1
-            reason, data = failure
-            self.counterexamples.append(
-                {"check": kind, "modulus": modulus, "reason": reason, "data": data}
-            )
+        values = verdicts.values()
+        if all(values) if policy == "hold" else len(set(values)) == 1:
+            return True
+        self.failed += 1
+        data = {f: x.to_dict() if hasattr(x, "to_dict") else x for f, x in zip(fields, inputs)}
+        data["verdicts"] = verdicts
+        reason = f"verdicts must {policy}: {verdicts}"
+        self.counterexamples.append(dict(check=kind, modulus=modulus, reason=reason, data=data))
+        return False
 
     def to_dict(self) -> dict:
         return {
@@ -272,7 +283,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _crash_failure(suite: str, config: SuiteConfig, exc: Exception) -> tuple[str, dict]:
+def _crash_record(suite: str, config: SuiteConfig, exc: Exception) -> dict:
     import traceback
 
     # Frames as "file.py:line in function", without directories, so the
@@ -288,7 +299,7 @@ def _crash_failure(suite: str, config: SuiteConfig, exc: Exception) -> tuple[str
         "traceback": frames,
         "config": config.to_dict(),
     }
-    return f"{type(exc).__name__}: {exc}", data
+    return dict(check="crash", modulus=None, reason=f"{type(exc).__name__}: {exc}", data=data)
 
 
 def _select(items, config: SuiteConfig, salt: str) -> list:
@@ -303,154 +314,121 @@ def _select(items, config: SuiteConfig, salt: str) -> list:
 
 @lru_cache(maxsize=1 << 17)
 def _entry_pure(conflation: Conflation) -> bool:
-    return is_pure(conflation).is_pure
+    return is_pure(conflation)
 
 
 # ---------------------------------------------------------------------------
-# the checks: each returns None when it passes and (reason, data) when it
-# fails; its runner and replay_counterexample both call it
+# the checks: each takes its record's inputs as its parameters and returns
+# {verdict name: bool}; CHECKS below says which verdicts must hold or agree
 # ---------------------------------------------------------------------------
 
 
-def _identity_check(m: FiniteModule):
-    ident = Morphism.identity(m)
-    if is_inflation(ident) and is_deflation(ident):
-        return None
-    reason = f"identity of {m.invariant_factors} is not both an inflation and a deflation"
-    return reason, {"module": m.to_dict()}
+def _identity_check(module: FiniteModule):
+    ident = Morphism.identity(module)
+    return {"inflation": is_inflation(ident), "deflation": is_deflation(ident)}
 
 
-def _composition_check(first: Morphism, second: Morphism, inflations: bool):
-    """``second @ first`` is again an inflation (or deflation) with a conflation."""
-    if inflations:
-        is_kind, complete, kind = is_inflation, conflation_from_mono, "inflation"
-    else:
-        is_kind, complete, kind = is_deflation, conflation_from_epi, "deflation"
+def _composition_check(first: Morphism, second: Morphism, is_kind, complete) -> bool:
+    """``second @ first`` is again an inflation (or deflation), which
+    ``complete`` completes to a conflation."""
     comp = second @ first
-    if is_kind(comp):
-        # completing an epi / mono can only fail by an internal error,
-        # which must surface as a crash, not as a counterexample
-        complete(comp)
-        return None
-    reason = f"composite of two {kind}s is not {'an' if inflations else 'a'} {kind}"
-    return reason, {"first": first.to_dict(), "second": second.to_dict()}
+    if not is_kind(comp):
+        return False
+    # completing an epi / mono can only fail by an internal error,
+    # which must surface as a crash, not as a counterexample
+    complete(comp)
+    return True
 
 
-def _pullback_check(g: Morphism, h: Morphism):
+def _deflation_composition_check(first: Morphism, second: Morphism):
+    return {"deflation": _composition_check(first, second, is_deflation, conflation_from_epi)}
+
+
+def _inflation_composition_check(first: Morphism, second: Morphism):
+    return {"inflation": _composition_check(first, second, is_inflation, conflation_from_mono)}
+
+
+def _pullback_check(deflation: Morphism, along: Morphism):
     """The leg opposite g is a deflation and the square commutes, read as
     one product built here: [g | -h] . [to_g; to_h] == 0 mod cod g."""
+    g, h = deflation, along
     pb = pullback(g, h)
     e = g.codomain.invariant_factors
     span = tuple(rg + tuple(-x % ej for x in rh) for rg, rh, ej in zip(g.matrix, h.matrix, e))
     legs = pb.to_domg.matrix + pb.to_domh.matrix
-    if is_deflation(pb.to_domh) and not any(
-        map(any, _compose_rows(span, legs, e, pb.module.rank()))
-    ):
-        return None
-    reason = "pullback of a deflation is not a commuting deflation square"
-    return reason, {"deflation": g.to_dict(), "along": h.to_dict()}
+    return {
+        "deflation": is_deflation(pb.to_domh),
+        "commutes": not any(map(any, _compose_rows(span, legs, e, pb.module.rank()))),
+    }
 
 
-def _pushout_check(f: Morphism, h: Morphism):
+def _pushout_check(inflation: Morphism, along: Morphism):
     """The coprojection opposite f is an inflation and the square
     commutes, read as one product built here: [from_f | from_h] . [f; -h]
     == 0 mod the pushout's factors."""
+    f, h = inflation, along
     po = pushout(f, h)
     eh = h.codomain.invariant_factors
     cospan = f.matrix + tuple(tuple(-x % ej for x in row) for row, ej in zip(h.matrix, eh))
     copair = tuple(a + b for a, b in zip(po.from_codf.matrix, po.from_codh.matrix))
-    if is_inflation(po.from_codh) and not any(
-        map(any, _compose_rows(copair, cospan, po.module.invariant_factors, f.domain.rank()))
-    ):
-        return None
-    reason = "pushout of an inflation is not a commuting inflation square"
-    return reason, {"inflation": f.to_dict(), "along": h.to_dict()}
+    product = _compose_rows(copair, cospan, po.module.invariant_factors, f.domain.rank())
+    return {"inflation": is_inflation(po.from_codh), "commutes": not any(map(any, product))}
 
 
-def _purity_check(c: Conflation):
-    primary = _entry_pure(c)
-    oracle = is_pure_oracle(c).is_pure
-    if primary == oracle:
-        return None
-    reason = f"dual-splits says {primary}, tensor oracle says {oracle}"
-    return reason, {"conflation": c.to_dict()}
+def _purity_check(conflation: Conflation):
+    return {"dual_splits": _entry_pure(conflation), "tensor_oracle": is_pure_oracle(conflation)}
 
 
-def _flat_equiv_check(m: FiniteModule, entries, max_kernel_order: int, max_module_order: int):
-    """Four flatness routes agree.  ``entries`` are the subgroup entries of
-    the conflations ending in m within the two bounds; the purity leg walks
-    them up to the first impure one."""
-    verdicts = {
-        "tensor_route": is_flat_tensor_route(m),
-        "dual_injective": is_flat(m),
-        "structural": flat_structural_oracle(m),
+def _flat_equiv_check(module: FiniteModule, max_kernel_order: int, max_module_order: int,
+                      entries=None):
+    """Four flatness routes agree.  The purity leg walks the subgroup entries
+    of the conflations ending in the module within the two bounds (the
+    runner passes the ``entries`` it has walked) up to the first impure one."""
+    _check_kernel_bound((module.ring.modulus,), max_module_order, max_kernel_order)
+    if entries is None:
+        entries = conflations_ending_in(module, max_kernel_order, max_module_order)
+    return {
+        "tensor_route": is_flat_tensor_route(module),
+        "dual_injective": is_flat(module),
+        "structural": flat_structural_oracle(module),
+        "all_ending_pure": all(_entry_pure(e.conflation()) for e in entries),
     }
-    witness = next((e for e in entries if not _entry_pure(e.conflation())), None)
-    verdicts["all_ending_pure"] = witness is None
-    if len(set(verdicts.values())) == 1:
-        return None
-    data = {
-        "module": m.to_dict(),
-        "verdicts": verdicts,
-        "max_kernel_order": max_kernel_order,
-        "max_module_order": max_module_order,
-    }
-    if witness is not None:
-        data["witness_conflation"] = witness.conflation().to_dict()
-    return "flatness routes disagree: " + repr(verdicts), data
 
 
-def _extract_section_check(c: Conflation):
+def _extract_section_check(conflation: Conflation):
     try:
-        extract_section(c)
-    except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-        return f"section extraction failed on a flat end: {exc}", {"conflation": c.to_dict()}
-    return None
+        extract_section(conflation)
+    except Exception:  # noqa: BLE001 - recorded, not hidden; extract_section raises it again
+        return {"section_extracted": False}
+    return {"section_extracted": True}
 
 
-def _enough_pi_check(m: FiniteModule, bound: int):
-    lam = double_dual_unit(m)
-    legs = {
+def _enough_pi_check(module: FiniteModule, bound: int):
+    lam = double_dual_unit(module)
+    return {
         "lambda_mono": lam.is_mono(),
-        "embedding_pure": is_pure(pure_embedding_conflation(m)).is_pure,
+        "embedding_pure": is_pure(pure_embedding_conflation(module)),
         "double_dual_pure_injective": is_pure_injective(lam.codomain, bound),
-        "triangle": triangle_identity_check(m),
+        "triangle": triangle_identity_check(module),
     }
-    if all(legs.values()):
-        return None
-    reason = "embedding package failed: " + ", ".join(k for k, v in legs.items() if not v)
-    return reason, {"module": m.to_dict(), "legs": legs, "bound": bound}
 
 
-def _four_way_check(f: Complex):
-    flat_kernels = all(is_flat(k) for k in kernel_objects(f).values())
-    legs = {
-        "flat_complex": is_flat_complex(f),
-        "dual_injective_complex": is_injective_complex(dual_complex(f)),
-        "pure_acyclic_flat_kernels": is_pure_acyclic(f) and flat_kernels,
-        "all_ending_pure": all(
-            is_pure_complex_conflation(cc).is_pure
-            for cc in enumerate_complex_conflations_ending_in(
-                f, COMPLEX_KERNEL_CAP, COMPLEX_FAMILY_CAP
-            )
-        ),
+def _four_way_check(complex: Complex, kernel_cap: int, family_cap: int):
+    flat_kernels = all(is_flat(k) for k in kernel_objects(complex).values())
+    family = enumerate_complex_conflations_ending_in(complex, kernel_cap, family_cap)
+    return {
+        "flat_complex": is_flat_complex(complex),
+        "dual_injective_complex": is_injective_complex(dual_complex(complex)),
+        "pure_acyclic_flat_kernels": is_pure_acyclic(complex) and flat_kernels,
+        "all_ending_pure": all(is_pure_complex_conflation(cc) for cc in family),
     }
-    if len(set(legs.values())) == 1:
-        return None
-    data = {
-        "complex": f.to_dict(),
-        "legs": legs,
-        "kernel_cap": COMPLEX_KERNEL_CAP,
-        "family_cap": COMPLEX_FAMILY_CAP,
-    }
-    return "flat-complex conditions disagree: " + repr(legs), data
 
 
-def _witness_check(ring: RingSpec):
+def _witness_check(modulus: int):
     """The componentwise-split, non-chain-split conflation: sphere at
     degree 1 into the two-term identity disk onto the sphere at degree 0."""
-    p = _prime_factors(ring.modulus)[0]
-    s = cyclic(ring, p)
+    ring = RingSpec(modulus)
+    s = cyclic(ring, _prime_factors(modulus)[0])
     disk = two_term_complex(Morphism.identity(s), degree=0)
     x = single_complex(s, 1)
     z = single_complex(s, 0)
@@ -458,21 +436,63 @@ def _witness_check(ring: RingSpec):
         ChainMap(x, disk, (Morphism.identity(s),)),
         ChainMap(disk, z, (Morphism.identity(s), Morphism.zero(s, ring.zero_module()))),
     )
-    data = {
-        "prime": p,
-        "degreewise_pure": all(is_pure(cc.degreewise(m)).is_pure for m in disk.degrees()),
-        "chain_split": splits_as_complexes(cc) is not None,
-        "complex_pure": is_pure_complex_conflation(cc).is_pure,
+    return {
+        "degreewise_pure": all(is_pure(cc.degreewise(m)) for m in disk.degrees()),
+        "not_chain_split": splits_as_complexes(cc) is None,
+        "not_pure": not is_pure_complex_conflation(cc),
     }
-    if data["degreewise_pure"] and not data["chain_split"] and not data["complex_pure"]:
-        return None
-    return "componentwise-split witness misclassified: " + repr(data), data
 
 
-def _lambda_degreewise_check(f: Complex):
-    if all(part.is_iso() for part in double_dual_complex_iso(f).parts):
-        return None
-    return "double-dual comparison map is not a degreewise isomorphism", {"complex": f.to_dict()}
+def _lambda_degreewise_check(complex: Complex):
+    return {"degreewise_iso": all(part.is_iso() for part in double_dual_complex_iso(complex).parts)}
+
+
+def _fields(check) -> tuple[str, ...]:
+    """A check's record fields: its parameters without a default (one with
+    a default takes what the runner has already computed from them)."""
+    params = inspect.signature(check).parameters.values()
+    return tuple(p.name for p in params if p.default is p.empty)
+
+
+# check kind -> (name of its function in this module, policy, record
+# fields); under "hold" every verdict must be True, under "agree" all
+# verdicts must be equal.  The function is looked up by name at call time.
+CHECKS = {
+    kind: (check.__name__, policy, _fields(check))
+    for kind, check, policy in (
+        ("identity-inflation-deflation", _identity_check, "hold"),
+        ("deflation-composition", _deflation_composition_check, "hold"),
+        ("inflation-composition", _inflation_composition_check, "hold"),
+        ("pullback-stability", _pullback_check, "hold"),
+        ("pushout-stability", _pushout_check, "hold"),
+        ("purity-agreement", _purity_check, "agree"),
+        ("flat-equiv", _flat_equiv_check, "agree"),
+        ("extract-section", _extract_section_check, "hold"),
+        ("enough-pi", _enough_pi_check, "hold"),
+        ("complex-witness", _witness_check, "hold"),
+        ("complex-four-way", _four_way_check, "agree"),
+        ("lambda-degreewise", _lambda_degreewise_check, "hold"),
+    )
+}
+
+# record field -> the type its value decodes to
+FIELD_TYPES = {
+    "module": FiniteModule,
+    "conflation": Conflation,
+    "complex": Complex,
+    **dict.fromkeys(("first", "second", "deflation", "inflation", "along"), Morphism),
+    **dict.fromkeys(("modulus", "bound", "kernel_cap", "family_cap"), int),
+    **dict.fromkeys(("max_kernel_order", "max_module_order"), int),
+}
+
+
+def _decode(name: str, value):
+    kind = FIELD_TYPES[name]
+    if kind is not int:
+        return kind.from_dict(value)
+    if type(value) is not int:
+        raise TypeError(f"record field {name} must be an int, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -486,22 +506,20 @@ def run_axioms(config: SuiteConfig) -> SuiteResult:
         mid_cap = min(config.max_module_order, AXIOM_MIDDLE_CAP)
         part_cap = min(config.max_module_order, AXIOM_PARTNER_CAP)
         for m in enumerate_modules(n, config.max_module_order):
-            res.check("identity-inflation-deflation", n, _identity_check(m))
+            res.check("identity-inflation-deflation", n, m)
         for y in enumerate_modules(n, mid_cap):
             for e in subgroup_catalog(y):
                 f, g = e.inclusion, e.projection
                 for e2 in subgroup_catalog(e.quotient):
-                    failure = _composition_check(g, e2.projection, inflations=False)
-                    res.check("deflation-composition", n, failure)
+                    res.check("deflation-composition", n, g, e2.projection)
                 for e2 in subgroup_catalog(e.sub):
-                    failure = _composition_check(e2.inclusion, f, inflations=True)
-                    res.check("inflation-composition", n, failure)
+                    res.check("inflation-composition", n, e2.inclusion, f)
                 for w in enumerate_modules(n, part_cap):
                     salt = f"{n}:{y.invariant_factors}:{e.key}:{w.invariant_factors}"
                     for h in _select(enumerate_morphisms(w, e.quotient), config, f"ax-pb:{salt}"):
-                        res.check("pullback-stability", n, _pullback_check(g, h))
+                        res.check("pullback-stability", n, g, h)
                     for h in _select(enumerate_morphisms(e.sub, w), config, f"ax-po:{salt}"):
-                        res.check("pushout-stability", n, _pushout_check(f, h))
+                        res.check("pushout-stability", n, f, h)
     return res
 
 
@@ -516,7 +534,7 @@ def run_prop1(config: SuiteConfig) -> SuiteResult:
                 f"prop1:{n}:{y.invariant_factors}",
             )
             for e in entries:
-                res.check("purity-agreement", n, _purity_check(e.conflation()))
+                res.check("purity-agreement", n, e.conflation())
     return res
 
 
@@ -529,11 +547,9 @@ def run_flat_equiv(config: SuiteConfig) -> SuiteResult:
             # The purity leg quantifies over every ending conflation, in
             # sample mode too; only section extraction below is sampled.
             entries = list(conflations_ending_in(m, k, o))
-            failure = _flat_equiv_check(m, entries, k, o)
-            res.check("flat-equiv", n, failure)
-            if failure is None and is_flat(m):
+            if res.check("flat-equiv", n, m, k, o, entries) and is_flat(m):
                 for e in _select(entries, config, f"flat:{n}:{m.invariant_factors}"):
-                    res.check("extract-section", n, _extract_section_check(e.conflation()))
+                    res.check("extract-section", n, e.conflation())
     return res
 
 
@@ -542,7 +558,7 @@ def run_enough_pi(config: SuiteConfig) -> SuiteResult:
     res = SuiteResult("enough-pi")
     for n in config.moduli:
         for m in _select(enumerate_modules(n, config.max_module_order), config, f"epi:{n}"):
-            res.check("enough-pi", n, _enough_pi_check(m, config.max_kernel_order))
+            res.check("enough-pi", n, m, config.max_kernel_order)
     return res
 
 
@@ -551,10 +567,10 @@ def run_complexes(config: SuiteConfig) -> SuiteResult:
     double-dual check on every enumerated complex."""
     res = SuiteResult("complexes")
     for n in config.moduli:
-        res.check("complex-witness", n, _witness_check(RingSpec(n)))
+        res.check("complex-witness", n, n)
         for f in _select(enumerate_complexes(n, config.max_complex_span), config, f"cpx:{n}"):
-            res.check("complex-four-way", n, _four_way_check(f))
-            res.check("lambda-degreewise", n, _lambda_degreewise_check(f))
+            res.check("complex-four-way", n, f, COMPLEX_KERNEL_CAP, COMPLEX_FAMILY_CAP)
+            res.check("lambda-degreewise", n, f)
     return res
 
 
@@ -594,9 +610,7 @@ def run_suite(config: SuiteConfig, names=SUITE_ORDER) -> Report:
         try:
             suites.append(runners[name](config))
         except Exception as exc:  # noqa: BLE001 - becomes a crash record; the other suites still run
-            crashed = SuiteResult(name)
-            crashed.check("crash", None, _crash_failure(name, config, exc))
-            suites.append(crashed)
+            suites.append(SuiteResult(name, 1, 1, [_crash_record(name, config, exc)]))
     elapsed = int((time.monotonic() - start) * 1000)
     return Report(config, suites, elapsed)
 
@@ -605,47 +619,21 @@ def replay_counterexample(ce: dict) -> bool:
     """Re-run the check a counterexample came from; True = failure reproduces.
 
     A ``crash`` record reruns its suite; every other record decodes its
-    data and calls the same check function the suite called.
+    inputs by field name and evaluates the same ``CHECKS`` entry the suite
+    evaluated.  A record whose ``data`` is not its kind's fields plus
+    ``verdicts`` raises ``ValueError``.
     """
-    check = ce["check"]
-    data = ce["data"]
-    if check == "crash":
+    kind, data = ce["check"], ce["data"]
+    if kind == "crash":
         report = run_suite(SuiteConfig(**data["config"]), names=(data["suite"],))
         return report.exit_code == 3
-
-    def mor(key):
-        return Morphism.from_dict(data[key])
-
-    def flat_equiv():
-        m = FiniteModule.from_dict(data["module"])
-        k, o = data["max_kernel_order"], data["max_module_order"]
-        _check_kernel_bound((ce["modulus"],), o, k)
-        return _flat_equiv_check(m, conflations_ending_in(m, k, o), k, o)
-
-    replays = {
-        "identity-inflation-deflation": lambda: _identity_check(
-            FiniteModule.from_dict(data["module"])
-        ),
-        "deflation-composition": lambda: _composition_check(
-            mor("first"), mor("second"), inflations=False
-        ),
-        "inflation-composition": lambda: _composition_check(
-            mor("first"), mor("second"), inflations=True
-        ),
-        "pullback-stability": lambda: _pullback_check(mor("deflation"), mor("along")),
-        "pushout-stability": lambda: _pushout_check(mor("inflation"), mor("along")),
-        "purity-agreement": lambda: _purity_check(Conflation.from_dict(data["conflation"])),
-        "flat-equiv": flat_equiv,
-        "extract-section": lambda: _extract_section_check(Conflation.from_dict(data["conflation"])),
-        "enough-pi": lambda: _enough_pi_check(
-            FiniteModule.from_dict(data["module"]), data["bound"]
-        ),
-        "complex-four-way": lambda: _four_way_check(Complex.from_dict(data["complex"])),
-        "complex-witness": lambda: _witness_check(RingSpec(ce["modulus"])),
-        "lambda-degreewise": lambda: _lambda_degreewise_check(
-            Complex.from_dict(data["complex"])
-        ),
-    }
-    if check not in replays:
-        raise ValueError(f"unknown counterexample kind: {check!r}")
-    return replays[check]() is not None
+    if kind not in CHECKS:
+        raise ValueError(f"unknown counterexample kind: {kind!r}")
+    fields = CHECKS[kind][2] + ("verdicts",)
+    if sorted(data) != sorted(fields):
+        raise ValueError(
+            f"a {kind} record's data must have the fields {', '.join(fields)}, "
+            f"not {', '.join(data)}"
+        )
+    inputs = [_decode(name, data[name]) for name in fields[:-1]]
+    return not SuiteResult(kind).check(kind, ce["modulus"], *inputs)

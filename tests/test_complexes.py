@@ -490,9 +490,9 @@ def test_witness_degreewise_split_but_not_chain_split():
 
     for n in (0, 1):
         assert splits(c.degreewise(n)) is not None
-        assert is_pure(c.degreewise(n)).is_pure
+        assert is_pure(c.degreewise(n))
     assert splits_as_complexes(c) is None
-    assert not is_pure_complex_conflation(c).is_pure
+    assert not is_pure_complex_conflation(c)
 
 
 def test_genuinely_chain_split_conflation():
@@ -512,7 +512,7 @@ def test_genuinely_chain_split_conflation():
     for n in (0, 1):
         assert (c.g.part(n) @ section.part(n)) == Morphism.identity(z.component(n))
         assert (r.part(n) @ c.f.part(n)) == Morphism.identity(x.component(n))
-    assert is_pure_complex_conflation(c).is_pure
+    assert is_pure_complex_conflation(c)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,26 @@ counterexamples that replay, and stay green when the honest implementations
 are restored.
 """
 
+import inspect
+import itertools
 import json
+import pathlib
+import re
 import sys
 from types import SimpleNamespace
 
 import pytest
 
 import modcat
+from modcat.complexes import single_complex
 from modcat.modules import Morphism, RingSpec, cyclic
 from modcat.exact import Pullback, Pushout
-from modcat.purity import PurityVerdict, conflation_tensor_failure, dual_mor
+from modcat.purity import conflation_tensor_failure, dual_mor
 from modcat.suites import (
+    CHECKS,
+    COMPLEX_FAMILY_CAP,
+    COMPLEX_KERNEL_CAP,
+    FIELD_TYPES,
     ConfigError,
     Report,
     SuiteConfig,
@@ -40,16 +49,15 @@ TINY = SuiteConfig(
 # ---------------------------------------------------------------------------
 
 
-def broken_oracle(c) -> PurityVerdict:
+def broken_oracle(c) -> bool:
     """Tensor-scan purity that never tests the divisor 2."""
     ring = c.total.ring
     for d in ring.divisors():
         if d == 2:
             continue
-        w = cyclic(ring, d)
-        if conflation_tensor_failure(c, w) is not None:
-            return PurityVerdict(False, "tensor-scan-broken", w.to_dict())
-    return PurityVerdict(True, "tensor-scan-broken", None)
+        if conflation_tensor_failure(c, cyclic(ring, d)) is not None:
+            return False
+    return True
 
 
 def bad_pullback(g, h) -> Pullback:
@@ -184,6 +192,12 @@ def test_replay_rejects_a_flat_equiv_record_below_the_kernel_bound():
             "module": cyclic(RingSpec(9), 3).to_dict(),
             "max_kernel_order": 2,
             "max_module_order": 8,
+            "verdicts": {
+                "tensor_route": False,
+                "dual_injective": False,
+                "structural": False,
+                "all_ending_pure": True,
+            },
         },
     }
     with pytest.raises(ConfigError, match="modulus 9.*at least 3"):
@@ -218,7 +232,7 @@ def test_report_rendering():
     assert text.startswith("verification report")
     assert "axioms" in text and "[ok]" in text
     payload = json.loads(report.to_json())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["suites"][0]["name"] == "axioms"
     assert payload["config"]["moduli"] == [4]
 
@@ -228,7 +242,7 @@ def test_determinism_modulo_elapsed():
     b = run_suite(TINY, names=("prop1", "flat-equiv")).to_dict()
     a.pop("elapsed_ms")
     b.pop("elapsed_ms")
-    assert a["schema_version"] == 1
+    assert a["schema_version"] == 2
     assert a == b
 
 
@@ -510,10 +524,90 @@ def test_every_check_kind_replays_its_failures(monkeypatch, suites, kinds, patch
         assert not replay_counterexample(ce), ce["check"]
 
 
+def test_every_check_kind_has_a_replay_scenario():
+    covered = set().union(*(kinds for _, _, kinds, _ in REPLAY_SCENARIOS))
+    assert covered == set(CHECKS)
+
+
+def test_the_readme_lists_each_check_kinds_record_fields():
+    """The README's record table lists, for each check kind, exactly the
+    parameters of its check function (those without a default) and
+    ``verdicts``; every such field has a decoder."""
+    import modcat.suites as ms
+
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    lines = readme[readme.index("| suite | check kind | `data` fields |"):].splitlines()[2:]
+    listed = {}
+    for row in itertools.takewhile(lambda line: line.startswith("|"), lines):
+        _, kinds, fields = row.strip("|").split("|")
+        for kind in re.findall(r"`([\w-]+)`", kinds):
+            listed[kind] = re.findall(r"`(\w+)`", fields)
+    assert listed.pop("crash") == ["suite", "exception", "message", "traceback", "config"]
+    assert listed.keys() == CHECKS.keys()
+    for kind, (name, _, _) in CHECKS.items():
+        params = inspect.signature(getattr(ms, name)).parameters.values()
+        inputs = [p.name for p in params if p.default is p.empty]
+        assert listed[kind] == inputs + ["verdicts"], kind
+        assert set(inputs) <= FIELD_TYPES.keys(), kind
+
+
+def test_four_way_replay_reads_its_recorded_caps(monkeypatch):
+    """The run passes the family caps to the four-way check, and a record
+    replays its family under the caps it recorded, not the constants."""
+    import modcat.suites as ms
+
+    real = ms.enumerate_complex_conflations_ending_in
+    caps = []
+
+    def recording(f, kernel_cap, max_count):
+        caps.append((kernel_cap, max_count))
+        return real(f, kernel_cap, max_count)
+
+    monkeypatch.setattr(ms, "enumerate_complex_conflations_ending_in", recording)
+    assert run_suite(TINY, names=("complexes",)).exit_code == 0
+    assert caps and set(caps) == {(COMPLEX_KERNEL_CAP, COMPLEX_FAMILY_CAP)}
+    caps.clear()
+    record = {
+        "check": "complex-four-way",
+        "modulus": 4,
+        "reason": "verdicts must agree",
+        "data": {
+            "complex": single_complex(cyclic(RingSpec(4), 2), 0).to_dict(),
+            "kernel_cap": 0,
+            "family_cap": 0,
+            "verdicts": {},
+        },
+    }
+    replay_counterexample(record)
+    assert caps == [(0, 0)]
+
+
+def test_replay_rejects_a_record_whose_data_is_not_its_checks_inputs():
+    module = cyclic(RingSpec(4), 2).to_dict()
+    verdicts = {
+        "lambda_mono": True,
+        "embedding_pure": True,
+        "double_dual_pure_injective": False,
+        "triangle": True,
+    }
+
+    def record(**data):
+        return {"check": "enough-pi", "modulus": 4, "reason": "", "data": data}
+
+    schema_1 = record(module=module, legs=verdicts, bound=4)
+    for malformed in (schema_1, record(module=module, verdicts=verdicts)):
+        with pytest.raises(ValueError, match="module, bound, verdicts"):
+            replay_counterexample(malformed)
+    for bound in ("4", 4.0, True):
+        with pytest.raises(TypeError, match="bound must be an int"):
+            replay_counterexample(record(module=module, bound=bound, verdicts=verdicts))
+    assert not replay_counterexample(record(module=module, bound=4, verdicts=verdicts))
+
+
 def test_the_pure_injective_leg_fails_where_is_pure_and_splits_disagree(monkeypatch):
     """At finite scale every module is pure-injective, so the leg can fail
     only when a conflation starting at M++ is called pure and does not split."""
-    monkeypatch.setattr("modcat.purity.is_pure", lambda c: PurityVerdict(True, "forced", None))
+    monkeypatch.setattr("modcat.purity.is_pure", lambda c: True)
     config = SuiteConfig(moduli=(4,), max_module_order=4, max_kernel_order=4)
     report = run_suite(config, names=("enough-pi",))
     ces = [json.loads(json.dumps(ce)) for ce in report.suites[0].counterexamples]
@@ -521,9 +615,9 @@ def test_the_pure_injective_leg_fails_where_is_pure_and_splits_disagree(monkeypa
     assert ces
     for ce in ces:
         assert ce["check"] == "enough-pi"
-        legs = ce["data"]["legs"]
-        assert legs["double_dual_pure_injective"] is False
-        assert [leg for leg, ok in legs.items() if not ok] == ["double_dual_pure_injective"]
+        verdicts = ce["data"]["verdicts"]
+        assert verdicts["double_dual_pure_injective"] is False
+        assert [v for v, ok in verdicts.items() if not ok] == ["double_dual_pure_injective"]
         assert replay_counterexample(ce)
     monkeypatch.undo()
     for ce in ces:
