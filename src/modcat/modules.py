@@ -228,9 +228,7 @@ class Morphism:
 
     @classmethod
     def identity(cls, m: FiniteModule) -> "Morphism":
-        k = m.rank()
-        rows = tuple(tuple(1 if i == j else 0 for i in range(k)) for j in range(k))
-        return cls._trusted(m, m, rows)
+        return cls._trusted(m, m, tuple(_diagonal_rows((1,) * m.rank())))
 
     @classmethod
     def zero(cls, dom: FiniteModule, cod: FiniteModule) -> "Morphism":
@@ -380,7 +378,7 @@ class Canonicalized:
     def _combine(self, c) -> tuple[int, ...]:
         """``combine`` without its type check, for coefficients the package
         computed from checked elements (``pure`` checks its factors,
-        ``tensor_mor`` and ``of_morphism`` read morphism entries)."""
+        ``of_morphism`` reads morphism entries)."""
         return tuple(a % d for a, d in zip(self._presented_sum(c), self.module.invariant_factors))
 
     def _presented_sum(self, c) -> list[int]:
@@ -425,16 +423,17 @@ def _canonical_form(ring: RingSpec, g: int, rows):
     n times the identity, so the Smith form runs without those g rows.
     """
     form = smith_normal_form(rows)
-    diag = form.diagonal
     n = ring.modulus
-    kept = [i for i in range(g) if diag[i] > 1]
-    for i in range(g):
-        if diag[i] == 0 or n % diag[i]:
+    if len(form.diagonal) != g:
+        raise AssertionError("relation lattice must have full rank with factors dividing n")
+    kept = []
+    for j, x in enumerate(form.diagonal):
+        if x == 0 or n % x:
             raise AssertionError("relation lattice must have full rank with factors dividing n")
-    factors = tuple(diag[i] for i in kept)
-    module = FiniteModule(ring, factors)
-    v = form.right
-    return module, tuple(tuple(v[i][j] % diag[j] for j in kept) for i in range(g))
+        if x > 1:
+            kept.append((j, x))
+    module = FiniteModule(ring, tuple([x for _, x in kept]))
+    return module, tuple([tuple([r[j] % x for j, x in kept]) for r in form.right])
 
 
 def _canonicalized(ring: RingSpec, g: int, rows) -> Canonicalized:

@@ -7,13 +7,15 @@ generate a cyclic group of order gcd(d_i, e_j), and the whole object
 is the direct sum over all pairs (i major, j minor), re-canonicalized
 into a divisor chain.  ``TensorProduct`` and ``HomModule`` are that
 canonical form: its ``combine`` and ``coordinates`` convert between pair
-coordinates and canonical ones, so a pure tensor is one ``combine`` and
-f (x) g sends each source lift through f and g pair by pair and
-combines it in the target.  The package's own callers use ``_combine``,
-which reduces the sum but checks no entry: elements are checked where
-they enter (``pure``, ``coordinates``, ``of_morphism``), and f (x) g is
-reduced and well defined by construction, so it is built without a
-second validation.
+coordinates and canonical ones, so a pure tensor is one ``combine``.
+f (x) g is two products of integer matrices: the Kronecker product of f
+and g on pair coordinates, taken to the target's canonical coordinates
+through its generator images, and then applied to the source's generator
+lifts, reduced mod the target factors.  The package's own callers of
+``combine`` use ``_combine``, which reduces the sum but checks no entry:
+elements are checked where they enter (``pure``, ``coordinates``,
+``of_morphism``), and f (x) g is reduced and well defined by
+construction, so it is built without a second validation.
 """
 
 from __future__ import annotations
@@ -76,27 +78,31 @@ def tensor(m: FiniteModule, n: FiniteModule) -> TensorProduct:
 
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
-    """f (x) g on the canonical tensor modules, one product per column.
+    """f (x) g on the canonical tensor modules, as two products.
 
-    The lift of a source generator, in pair coordinates, is a matrix W
-    over dom f x dom g; its image is F W G^T (entry f[i'][i] * g[j'][j]
-    from pair (i, j) to pair (i', j')) combined in the target.  The lift
-    is not reduced mod gcd(d_i, e_j): f and g are well defined, so the
-    image of a pair generator is killed by its order.  ``_combine`` reduces
-    each column mod the target factors, and f (x) g is well defined on the
-    pair sum, so the rows (the transpose of the columns, one empty row per
-    target factor when the source is zero) are built through
-    ``Morphism._trusted``.
+    K = f (x) g on pair coordinates has entry f[i'][i] * g[j'][j] at
+    ((i', j'), (i, j)); L = (target generator images)^T . K, unreduced,
+    sends a pair of the source to its image in the target's canonical
+    coordinates; the rows are L . (source generator lifts), reduced mod
+    the target factors.  These are the sums of combining F W G^T in the
+    target for each lift W, reassociated in exact integers.  The lifts
+    are not reduced mod gcd(d_i, e_j): f and g are well defined, so the
+    image of a pair generator is killed by its order.  f (x) g is well
+    defined on the pair sum, so the rows (one empty row per target factor
+    when the source is zero) are built through ``Morphism._trusted``.
     """
     src = tensor(f.domain, g.domain)
     dst = tensor(f.codomain, g.codomain)
-    l = g.domain.rank()
-    columns = []
-    for lift in src.generator_lifts:
-        w_cols = [lift[j::l] for j in range(l)]
-        fw = [[sum(map(mul, row, col)) for col in w_cols] for row in f.matrix]
-        columns.append(dst._combine([sum(map(mul, r, row)) for r in fw for row in g.matrix]))
-    rows = tuple(zip(*columns)) if columns else ((),) * dst.module.rank()
+    k = [[a * b for a in fr for b in gr] for fr in f.matrix for gr in g.matrix]
+    k_cols = list(zip(*k))
+    l = [[sum(map(mul, ir, kc)) for kc in k_cols] for ir in zip(*dst.generator_images)]
+    lifts = src.generator_lifts
+    rows = tuple(
+        [
+            tuple([sum(map(mul, lr, lift)) % d for lift in lifts])
+            for lr, d in zip(l, dst.module.invariant_factors)
+        ]
+    )
     return Morphism._trusted(src.module, dst.module, rows)
 
 

@@ -72,7 +72,9 @@ def _smith(matrix: list[list[int]], track: bool, carry=()):
     are searched in A only, so the diagonal depends on neither.
 
     Deterministic: the pivot is the smallest nonzero absolute value (first
-    occurrence wins), so identical inputs give identical transforms.
+    occurrence wins), so identical inputs give identical transforms.  A
+    unit pivot leaves no remainder and divides every entry, so the loop
+    moves on without scanning the trailing block for an offender.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -118,6 +120,8 @@ def _smith(matrix: list[list[int]], track: bool, carry=()):
                         dirty = True
             if dirty:
                 continue
+            if p == 1:
+                break
             # Pivot must divide every remaining entry for the divisor chain.
             offender = None
             for r in range(t + 1, rows):

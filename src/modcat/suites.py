@@ -85,6 +85,8 @@ from .exact import (
 )
 from .modules import FiniteModule, Morphism, RingSpec, _compose_rows, _prime_factors, cyclic
 from .purity import (
+    InternalInconsistency,
+    NotFlat,
     double_dual_unit,
     extract_section,
     flat_structural_oracle,
@@ -398,7 +400,7 @@ def _flat_equiv_check(module: FiniteModule, max_kernel_order: int, max_module_or
 def _extract_section_check(conflation: Conflation):
     try:
         extract_section(conflation)
-    except Exception:  # noqa: BLE001 - recorded, not hidden; extract_section raises it again
+    except (NotFlat, InternalInconsistency):
         return {"section_extracted": False}
     return {"section_extracted": True}
 

@@ -3,8 +3,8 @@ the direct-sum embedding of a pullback and projection onto a pushout,
 their mediating morphisms, the direct-sum route to pullbacks and pushouts
 as an oracle for the concatenated-coordinate one, identity chain maps,
 multiplication maps, element orders, the per-term tensor of two
-morphisms as an oracle for the one product, the lattice route to subgroups
-and kernels, an oracle independent of the package's cokernel-and-dual-kernel
+morphisms as an oracle for the products of ``tensor_mor``, the lattice
+route to subgroups and kernels, an oracle independent of the package's cokernel-and-dual-kernel
 route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
 the walk over their solution cosets that completes middle differentials,
 the retraction of a split conflation (of modules or of complexes)
@@ -247,8 +247,8 @@ def kernel_lattice_gens(f: Morphism) -> list[list[int]]:
 def per_term_tensor_mor(f: Morphism, g: Morphism) -> Morphism:
     """f (x) g term by term: each canonical generator of the source is
     expanded into reduced pure-tensor terms c * x_i (x) y_j, and each term
-    adds c * f(x_i) (x) g(y_j) in the target.  The oracle for the one
-    product of ``monoidal.tensor_mor``."""
+    adds c * f(x_i) (x) g(y_j) in the target.  The oracle for the
+    products of ``monoidal.tensor_mor``."""
     src = tensor(f.domain, g.domain)
     dst = tensor(f.codomain, g.codomain)
     fcols = [

@@ -598,14 +598,10 @@ def test_revalidation_rejects_a_wrong_trusted_leg(monkeypatch, builder, old, new
 @pytest.mark.parametrize(
     "module, builder, old, new",
     [
-        # The columns of f (x) g without the reduction mod the target
-        # factors: the same map, on rows that are not reduced.
-        (
-            "purity",
-            "tensor_mor",
-            "dst._combine(",
-            "(lambda c: tuple(sum(map(mul, c, col)) for col in zip(*dst.generator_images)))(",
-        ),
+        # The rows of f (x) g, the second product, without the reduction
+        # mod the target factors: the same map, on rows that are not
+        # reduced.
+        ("purity", "tensor_mor", " % d", ""),
         # A section's entries step * c without the reduction mod B_b: over
         # Z/12 the section Z/6 -> Z/2 + Z/6 of one conflation with a
         # middle of order 12 gets the entry 3 in its Z/2 row.
@@ -1017,6 +1013,18 @@ def test_canonical_forms_are_pinned():
         can = canonicalize(Presentation(RingSpec(n), g, relations))
         out.append([can.module.to_dict(), can.generator_images, can.generator_lifts])
     assert digest(out) == "c21d0822be4909d3552a4d9344de9dd0b6980dc8c607fe795bf39459ad276729"
+
+
+def test_canonical_images_left_unreduced_fail_the_pinned_forms(monkeypatch):
+    """The canonical form reduces each generator image mod its factor as
+    it reads it off R; without that reduction the images are the same
+    elements in other residues, and the pinned digest moves."""
+    import modcat.modules as mm
+
+    mutant = source_mutant(mm._canonical_form, "r[j] % x for", "r[j] for")
+    monkeypatch.setattr(mm, "_canonical_form", mutant)
+    with pytest.raises(AssertionError):
+        test_canonical_forms_are_pinned()
 
 
 @pytest.mark.parametrize(

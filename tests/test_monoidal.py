@@ -26,7 +26,7 @@ from modcat.monoidal import (
     uncurry,
 )
 from modcat.snf import snf_diagonal
-from modcat.enumeration import enumerate_modules, enumerate_morphisms
+from modcat.enumeration import enumerate_modules, enumerate_morphisms, subgroup_catalog
 
 from helpers import (
     multiplication,
@@ -34,6 +34,7 @@ from helpers import (
     postcompose_map,
     precompose_map,
     sample_morphisms,
+    source_mutant,
 )
 
 
@@ -216,6 +217,73 @@ def test_tensor_mor_is_the_per_term_tensor(n):
     if n == 12:
         expected |= {z + (True,) for z in zero_shapes}
     assert set(shapes) == expected
+
+
+def test_a_tensor_mor_with_k_transposed_fails_the_per_term_test(monkeypatch):
+    """K's rows and columns swapped: the products read the transpose of
+    f (x) g, cut to the lengths of their factors, which gives f (x) g only
+    by accident.  The per-term comparison catches it."""
+    mutant = source_mutant(tensor_mor, "k_cols = list(zip(*k))", "k_cols = k")
+    monkeypatch.setitem(globals(), "tensor_mor", mutant)
+    with pytest.raises(AssertionError):
+        test_tensor_mor_is_the_per_term_tensor(4)
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_tensor_mor_with_a_zero_end(n):
+    """f (x) g where one end of f is the zero module: the source tensor is
+    zero (one empty row per target factor) or the target tensor is (no
+    rows), and both match the per-term tensor, on either side of g."""
+    zero = RingSpec(n).zero_module()
+    mods = [m for m in enumerate_modules(n, 12) if not m.is_zero]
+    for m in mods:
+        for f in (Morphism.zero(zero, m), Morphism.zero(m, zero)):
+            for w in mods:
+                for g in (Morphism.identity(w), multiplication(w, n - 1)):
+                    for a, b in ((f, g), (g, f)):
+                        ab = tensor_mor(a, b)
+                        assert ab == per_term_tensor_mor(a, b)
+                        assert ab.domain.is_zero or ab.codomain.is_zero
+                        assert ab.matrix == ((),) * ab.codomain.rank()
+
+
+def test_tensor_mor_over_pairs_of_order_one():
+    """Over Z/12 a pair of coprime factors, as in Z/3 (x) Z/4 = 0, is a
+    generator of order 1 of the pair sum, which the canonical form drops:
+    its image and lift still enter the two products.  Every morphism
+    between modules with 3- and 2-parts, tensored with every morphism
+    between Z/3, Z/4 and Z/2 + Z/6, matches the per-term tensor."""
+    r = RingSpec(12)
+    pool = [FiniteModule(r, d) for d in ((3,), (4,), (2, 6), (6,), (12,), (2, 12))]
+    fs = [f for a in pool for b in pool for f in enumerate_morphisms(a, b)]
+    gs = [g for a in pool[:3] for b in pool[:3] for g in enumerate_morphisms(a, b)]
+    coprime = Counter()
+    for f in fs:
+        for g in gs:
+            fg = tensor_mor(f, g)
+            assert fg == per_term_tensor_mor(f, g)
+            for side, a, b in (("src", f.domain, g.domain), ("dst", f.codomain, g.codomain)):
+                d, e = a.invariant_factors, b.invariant_factors
+                if 1 in [gcd(x, y) for x in d for y in e]:
+                    coprime[side, tensor(a, b).module.is_zero] += 1
+    assert set(coprime) == {("src", True), ("src", False), ("dst", True), ("dst", False)}
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12])
+def test_tensor_mor_on_the_purity_oracles_shape(n):
+    """The purity oracle tensors each conflation with Z/d for every d | n:
+    f (x) id_{Z/d} for every inclusion and projection of the subgroup
+    catalog of every module of order <= 32 matches the per-term tensor."""
+    ring = RingSpec(n)
+    ids = [Morphism.identity(cyclic(ring, d)) for d in ring.divisors() if d > 1]
+    count = 0
+    for y in enumerate_modules(n, 32):
+        for entry in subgroup_catalog(y):
+            for f in (entry.inclusion, entry.projection):
+                for i in ids:
+                    assert tensor_mor(f, i) == per_term_tensor_mor(f, i)
+                    count += 1
+    assert count > 100
 
 
 def test_pure_checks_its_factors():

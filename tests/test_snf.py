@@ -21,7 +21,7 @@ from modcat.snf import (
     snf_diagonal,
 )
 
-from helpers import mat_vec
+from helpers import mat_vec, source_mutant
 
 
 def mat_mul(a, b):
@@ -155,6 +155,21 @@ def test_smith_diagonal_chain_and_oracle(a):
         assert x >= 0 and y >= 0
         if y != 0:
             assert x != 0 and y % x == 0
+
+
+def test_a_unit_pivot_exit_widened_to_two_fails_the_chain_test(monkeypatch):
+    """The Smith loop stops scanning for a remainder only after a unit
+    pivot, which divides everything.  Stopping after a pivot 2 as well
+    leaves diag(2, 3) unchained, and the chain-and-oracle test fails."""
+    import modcat.snf as snf
+
+    monkeypatch.setattr(snf, "_smith", source_mutant(snf._smith, "if p == 1:", "if p <= 2:"))
+    a = [[2, 0], [0, 3]]
+    assert snf_diagonal(a) == [2, 3]
+    with pytest.raises(AssertionError):
+        test_smith_diagonal_chain_and_oracle.hypothesis.inner_test(a)
+    monkeypatch.undo()
+    test_smith_diagonal_chain_and_oracle.hypothesis.inner_test(a)
 
 
 @given(small_matrix())

@@ -21,7 +21,7 @@ import modcat
 from modcat.complexes import single_complex
 from modcat.modules import Morphism, RingSpec, cyclic
 from modcat.exact import Pullback, Pushout
-from modcat.purity import conflation_tensor_failure, dual_mor
+from modcat.purity import InternalInconsistency, conflation_tensor_failure, dual_mor
 from modcat.suites import (
     CHECKS,
     COMPLEX_FAMILY_CAP,
@@ -422,6 +422,10 @@ def _raise(*args):
     raise RuntimeError("mutated to raise")
 
 
+def _inconsistent(*args):
+    raise InternalInconsistency("mutated to fail")
+
+
 def _zero_double_dual(x):
     return SimpleNamespace(
         parts=tuple(Morphism.zero(x.component(n), x.component(n)) for n in x.degrees())
@@ -470,7 +474,7 @@ REPLAY_SCENARIOS = [
         "extract-section-raises",
         ("flat-equiv",),
         {"extract-section"},
-        {"modcat.suites.extract_section": _raise},
+        {"modcat.suites.extract_section": _inconsistent},
     ),
     (
         "triangle-fails",
@@ -522,6 +526,19 @@ def test_every_check_kind_replays_its_failures(monkeypatch, suites, kinds, patch
     monkeypatch.undo()
     for ce in ces:
         assert not replay_counterexample(ce), ce["check"]
+
+
+def test_a_programming_error_in_section_extraction_is_a_crash(monkeypatch):
+    """The extract-section check records the route's own failures
+    (``NotFlat``, ``InternalInconsistency``) as verdicts; any other
+    exception escapes the check and ends the run as a crash."""
+    monkeypatch.setattr("modcat.suites.extract_section", _raise)
+    report = run_suite(TINY, names=("flat-equiv",))
+    assert report.exit_code == 3
+    records = report.suites[0].counterexamples
+    assert records and all(ce["check"] == "crash" for ce in records)
+    assert records[0]["data"]["exception"] == "RuntimeError"
+    assert records[0]["reason"] == "RuntimeError: mutated to raise"
 
 
 def test_every_check_kind_has_a_replay_scenario():
