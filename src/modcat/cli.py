@@ -1,9 +1,10 @@
 """Command-line entry point for the verification suites.
 
 Exit codes: 0 all checks passed, 1 at least one counterexample,
-2 usage or configuration error, 3 crash.  An ``--out`` directory that is
-missing or not writable is a usage error, found before any suite runs; a
-report that still cannot be written exits 3.  A suite that raises is recorded
+2 usage or configuration error, 3 crash.  An ``--out`` path that is a
+directory, or whose directory is missing or not writable, is a usage
+error, found before any suite runs; a report that still cannot be
+written exits 3.  A suite that raises is recorded
 in the report as a ``crash`` failure and the other suites still run; an
 exception that escapes the run itself prints its traceback to stderr and
 writes no report.
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sample size per quantifier in sample mode (default %(default)s)")
     parent.add_argument("--seed", type=int,
                         help="seed for sample mode (required there)")
-    parent.add_argument("--format", choices=("text", "json"), default=SuiteConfig.output_format,
+    parent.add_argument("--format", choices=("text", "json"), default="text",
                         help="(default %(default)s)")
     parent.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
@@ -80,15 +81,16 @@ def main(argv=None) -> int:
             mode=args.mode,
             sample_count=args.samples,
             seed=args.seed,
-            output_format=args.format,
-            output_path=args.out,
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.output_path:
+    if args.out:
         # Checked before the run, which can take minutes at default bounds.
-        out_dir = os.path.dirname(os.path.abspath(config.output_path))
+        if os.path.isdir(args.out):
+            print(f"error: --out {args.out} is a directory", file=sys.stderr)
+            return 2
+        out_dir = os.path.dirname(os.path.abspath(args.out))
         if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
             print(f"error: --out directory {out_dir} does not exist or is not writable",
                   file=sys.stderr)
@@ -102,10 +104,10 @@ def main(argv=None) -> int:
     except Exception:  # a crash must not look like a counterexample
         traceback.print_exc()
         return 3
-    rendered = report.to_json() if config.output_format == "json" else report.to_text()
-    if config.output_path:
+    rendered = report.to_json() if args.format == "json" else report.to_text()
+    if args.out:
         try:
-            with open(config.output_path, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(rendered)
         except OSError as exc:
             print(f"error: cannot write the report: {exc}", file=sys.stderr)

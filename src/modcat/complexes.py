@@ -40,6 +40,8 @@ from .modules import (
     _compose_rows,
     cokernel,
     cyclic,
+    dual,
+    dual_mor,
     factor_through_mono,
     image_order,
     kernel,
@@ -47,13 +49,7 @@ from .modules import (
     solve_blocks,
 )
 from .monoidal import tensor, tensor_mor
-from .purity import (
-    dual,
-    dual_mor,
-    double_dual_unit,
-    is_flat,
-    is_injective,
-)
+from .purity import double_dual_unit, is_flat, is_injective
 
 
 def _strip(lo: int, components: tuple, differentials: tuple):

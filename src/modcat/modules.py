@@ -19,6 +19,11 @@ already imply n times the identity, so their canonical form leaves those
 rows out.  Only the canonical form takes that factorization: a cokernel
 is one canonicalized presentation, a kernel the dual of one, and a
 subgroup or an image the kernel of the projection onto a cokernel.
+The character dual M+ = Hom(M, Z/n) is M on the same generators, and f+
+the transpose of f rescaled by d_i / e_j (``dual``, ``dual_mor``); it is
+an exact anti-equivalence, so the mirror image of a construction is read
+through it: a kernel is the dual of a cokernel, and factoring through an
+epi e is factoring h+ through the mono e+.
 Linear systems are solved in each local ring Z/p^K of Z/n, by
 elimination on pivots of least p-adic valuation, and joined by the
 Chinese remainder theorem.  Kernels and cokernels are taken on residue
@@ -361,9 +366,10 @@ class Canonicalized:
     presentation generators mapping onto the t-th canonical generator, the
     solver's solution of that equation.  ``combine`` and ``coordinates``
     are the one change of coordinates between the presentation generators
-    and the canonical module; the tensor and hom modules extend this class
-    over their pair sums.  Kernels and cokernels read only the images, so
-    they take ``_canonical_form`` and build no lifts.
+    and the canonical module, and both check what they are given; the
+    tensor and hom modules extend this class over their pair sums.
+    Kernels and cokernels read only the images, so they take
+    ``_canonical_form`` and build no lifts.
     """
 
     module: FiniteModule
@@ -373,21 +379,11 @@ class Canonicalized:
     def combine(self, c) -> tuple[int, ...]:
         """The canonical element presented by sum_i c[i] * generator i;
         the c[i] are any integers."""
-        return self.module.reduce(self._presented_sum(c))
-
-    def _combine(self, c) -> tuple[int, ...]:
-        """``combine`` without its type check, for coefficients the package
-        computed from checked elements (``pure`` checks its factors,
-        ``of_morphism`` reads morphism entries)."""
-        return tuple(a % d for a, d in zip(self._presented_sum(c), self.module.invariant_factors))
-
-    def _presented_sum(self, c) -> list[int]:
-        """sum_i c[i] * generator image i, not reduced."""
         acc = [0] * self.module.rank()
         for x, img in zip(c, self.generator_images, strict=True):
             if x:
                 acc = [a + x * v for a, v in zip(acc, img)]
-        return acc
+        return self.module.reduce(acc)
 
     def coordinates(self, z) -> list[int]:
         """Integer generator coordinates that ``combine`` maps onto the
@@ -485,6 +481,19 @@ def _dual_rows(d: tuple[int, ...], e: tuple[int, ...], a) -> tuple[tuple[int, ..
     + Z/e_j: entry a[j][i] * d[i] // e[j] at (i, j), exact and in [0, d_i)
     as f is well defined."""
     return tuple(tuple(a[j][i] * d[i] // e[j] for j in range(len(e))) for i in range(len(d)))
+
+
+def dual(m: FiniteModule) -> FiniteModule:
+    """M+ = Hom(M, Z/n), identified with M: generator i is x_i |-> n/d_i."""
+    return m
+
+
+def dual_mor(f: Morphism) -> Morphism:
+    """f+ = - . f: N+ -> M+; entry (i, j) is a[j][i] d_i / e_j, exact as f is well defined.
+
+    Each entry lies in [0, d_i), so f+ is built without validation."""
+    rows = _dual_rows(f.domain.invariant_factors, f.codomain.invariant_factors, f.matrix)
+    return Morphism._trusted(f.codomain, f.domain, rows)
 
 
 def _cokernel_columns(ring: RingSpec, e: tuple[int, ...], a):
@@ -771,23 +780,19 @@ def factor_through_mono(h: Morphism, m: Morphism) -> Morphism:
 def factor_through_epi(h: Morphism, e: Morphism) -> Morphism:
     """The unique phi with phi @ e == h, when h kills the kernel of e.
 
-    Raises ValueError when no factorization exists.
+    The dual of ``factor_through_mono``: e+ is mono exactly when e is epi,
+    and phi @ e == h exactly when e+ @ phi+ == h+, as (-)+ is a faithful
+    anti-equivalence with f++ == f.  Raises ValueError when e is not
+    surjective or no factorization exists.
     """
     if h.domain != e.domain:
         raise ValueError("domain mismatch")
-    l = e.codomain.rank()
-    gens = [[1 if s == t else 0 for s in range(l)] for t in range(l)]
-    ys = _solve_mod(e.matrix, e.codomain.invariant_factors, gens, e.domain.rank())
-    if ys is None:
+    if not e.is_epi():
         raise ValueError("the would-be epi is not surjective onto its codomain")
-    columns = [h.apply(e.domain.reduce(y)) for y in ys]
     try:
-        phi = Morphism.from_columns(e.codomain, h.codomain, columns)
-    except ValueError as exc:
-        raise ValueError(f"morphism does not descend along the epi: {exc}") from None
-    if (phi @ e).matrix != h.matrix:
-        raise ValueError("factorization through epi failed")
-    return phi
+        return dual_mor(factor_through_mono(dual_mor(h), dual_mor(e)))
+    except ValueError:
+        raise ValueError("morphism does not descend along the epi") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,8 @@ coordinates and canonical ones, so a pure tensor is one ``combine``.
 f (x) g is two products of integer matrices: the Kronecker product of f
 and g on pair coordinates, taken to the target's canonical coordinates
 through its generator images, and then applied to the source's generator
-lifts, reduced mod the target factors.  The package's own callers of
-``combine`` use ``_combine``, which reduces the sum but checks no entry:
-elements are checked where they enter (``pure``, ``coordinates``,
-``of_morphism``), and f (x) g is reduced and well defined by
-construction, so it is built without a second validation.
+lifts, reduced mod the target factors.  f (x) g is reduced and well
+defined by construction, so it is built without a second validation.
 """
 
 from __future__ import annotations
@@ -49,13 +46,11 @@ class TensorProduct(Canonicalized):
     right: FiniteModule
 
     def pure(self, x, y) -> tuple[int, ...]:
-        """The element x (x) y in canonical coordinates.
-
-        x and y are checked against ``left`` and ``right`` here, where they
-        enter: ``_combine`` checks no entry."""
+        """The element x (x) y in canonical coordinates; x and y are checked
+        against ``left`` and ``right``."""
         self.left._check_rank(x)
         self.right._check_rank(y)
-        return self._combine([a * b for a in x for b in y])
+        return self.combine([a * b for a in x for b in y])
 
     def expand(self, z) -> list[tuple[int, int, int]]:
         """Write z as a sum of coefficient * (generator pair): [(c, i, j), ...]."""
@@ -135,7 +130,7 @@ class HomModule(Canonicalized):
             if rem:
                 raise AssertionError("well-defined morphism fell outside the hom lattice")
             coeffs.append(c)
-        return self._combine(coeffs)
+        return self.combine(coeffs)
 
 
 @lru_cache(maxsize=16384)

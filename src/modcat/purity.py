@@ -3,8 +3,10 @@
 The dualizing object is the ring itself: M+ = Hom(M, Z/n).  As
 Hom(Z/d, Z/n) is cyclic of order d, generated by x |-> (n/d) x, M+ = M
 on the same generators and f+ is the transpose of f rescaled by d_i / e_j.
-The unit M -> M++ alone is built through ``hom_module``, so the triangle
-identity keeps testing that closed form against the internal hom.
+``dual`` and ``dual_mor`` are defined in ``modules``, whose kernels and
+epi factorizations read through them, and exported from here.  The unit
+M -> M++ alone is built through ``hom_module``, so the triangle identity
+keeps testing that closed form against the internal hom.
 
 Purity of a conflation is decided by whether its dual splits; an independent oracle
 re-decides it by tensoring with Z/d for every divisor d of n (cyclic
@@ -35,7 +37,7 @@ from .exact import (
     pullback,
     splits,
 )
-from .modules import FiniteModule, Morphism, RingSpec, _dual_rows, _prime_factors, cyclic
+from .modules import FiniteModule, Morphism, RingSpec, _prime_factors, cyclic, dual, dual_mor
 from .monoidal import hom_module, tensor_mor
 
 
@@ -52,19 +54,6 @@ class InternalInconsistency(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def dual(m: FiniteModule) -> FiniteModule:
-    """M+ = Hom(M, Z/n), identified with M: generator i is x_i |-> n/d_i."""
-    return m
-
-
-def dual_mor(f: Morphism) -> Morphism:
-    """f+ = - . f: N+ -> M+; entry (i, j) is a[j][i] d_i / e_j, exact as f is well defined.
-
-    Each entry lies in [0, d_i), so f+ is built without validation."""
-    rows = _dual_rows(f.domain.invariant_factors, f.codomain.invariant_factors, f.matrix)
-    return Morphism._trusted(f.codomain, f.domain, rows)
-
-
 def dual_conflation(c: Conflation) -> Conflation:
     """Dualize a conflation: (g+, f+).
 
@@ -77,8 +66,10 @@ def dual_conflation(c: Conflation) -> Conflation:
 def double_dual_unit(m: FiniteModule) -> Morphism:
     """The evaluation map M -> M++, x |-> (phi |-> phi(x)).
 
-    Cached: the chain-level checks ask for it on a handful of cyclic
-    modules per modulus, thousands of times."""
+    Cached: enough-pi asks for it on every module it walks, section
+    extraction on the ends and middles of its conflations, and the
+    complexes suite on the components of every complex, over and over.  A
+    ``modcat all`` at default bounds made 165 misses and 62,479 hits."""
     j = m.ring.unit_module()
     h1 = hom_module(m, j)
     h2 = hom_module(h1.module, j)

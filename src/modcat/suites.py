@@ -20,19 +20,15 @@ Five suites, matching the CLI subcommands:
 All walks are deterministic; identical configs yield identical reports
 (modulo the wall-time field).
 
-Each check kind (``identity-inflation-deflation``, ``deflation-composition``,
-``inflation-composition``, ``pullback-stability``, ``pushout-stability``,
-``purity-agreement``, ``flat-equiv``, ``extract-section``, ``enough-pi``,
-``complex-witness``, ``complex-four-way``, ``lambda-degreewise``) is one
-entry of ``CHECKS``: a function that takes the record's inputs as its
-parameters and returns ``{route name: bool}``, and a policy, under which
-either every verdict must hold or all verdicts must agree.
-``SuiteResult.check`` evaluates a check, and only when it fails writes a
-record whose ``data`` holds the encoded inputs and the ``verdicts``;
-``replay_counterexample`` decodes those inputs by field name and evaluates
-the same entry.  An exception inside a suite becomes one ``crash`` record
-for that suite, whose replay reruns the suite; the remaining suites still
-run.
+Each check kind is one entry of ``CHECKS``: a function that takes the
+record's inputs as its parameters and returns ``{route name: bool}``, and
+a policy, under which either every verdict must hold or all verdicts must
+agree.  ``SuiteResult.check`` evaluates a check, and only when it fails
+writes a record whose ``data`` holds the encoded inputs and the
+``verdicts``; ``replay_counterexample`` decodes those inputs by field name,
+as the function's annotations type them, and evaluates the same entry.
+An exception inside a suite becomes one ``crash`` record for that suite,
+whose replay reruns the suite; the remaining suites still run.
 
 ``run_suite(config, names)`` and ``replay_counterexample(record)`` take
 nothing else: the table names each check, and the checks call the routes
@@ -48,6 +44,7 @@ import json
 import os
 import random
 import time
+import typing
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -113,7 +110,7 @@ COMPLEX_KERNEL_CAP = 4
 COMPLEX_FAMILY_CAP = 6
 
 # Version of the JSON report layout; bump it when a field changes meaning.
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -154,8 +151,6 @@ class SuiteConfig:
     mode: str = "exhaustive"
     sample_count: int = 200
     seed: int | None = None
-    output_format: str = "text"
-    output_path: str | None = None
 
     def __post_init__(self):
         try:
@@ -189,8 +184,6 @@ class SuiteConfig:
                 raise ConfigError("sample mode requires a seed")
             if self.sample_count <= 0:
                 raise ConfigError("sample mode requires a positive sample count")
-        if self.output_format not in ("text", "json"):
-            raise ConfigError(f"format must be 'text' or 'json', got {self.output_format!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -201,8 +194,6 @@ class SuiteConfig:
             "mode": self.mode,
             "sample_count": self.sample_count,
             "seed": self.seed,
-            "output_format": self.output_format,
-            "output_path": self.output_path,
         }
 
 
@@ -449,16 +440,19 @@ def _lambda_degreewise_check(complex: Complex):
     return {"degreewise_iso": all(part.is_iso() for part in double_dual_complex_iso(complex).parts)}
 
 
-def _fields(check) -> tuple[str, ...]:
-    """A check's record fields: its parameters without a default (one with
-    a default takes what the runner has already computed from them)."""
+def _fields(check) -> dict:
+    """A check's record fields, each with the type it decodes to: its
+    parameters without a default (one with a default takes what the runner
+    has already computed from them), as annotated."""
+    hints = typing.get_type_hints(check)
     params = inspect.signature(check).parameters.values()
-    return tuple(p.name for p in params if p.default is p.empty)
+    return {p.name: hints[p.name] for p in params if p.default is p.empty}
 
 
 # check kind -> (name of its function in this module, policy, record
-# fields); under "hold" every verdict must be True, under "agree" all
-# verdicts must be equal.  The function is looked up by name at call time.
+# fields and their types); under "hold" every verdict must be True, under
+# "agree" all verdicts must be equal.  The function is looked up by name
+# at call time.
 CHECKS = {
     kind: (check.__name__, policy, _fields(check))
     for kind, check, policy in (
@@ -477,21 +471,10 @@ CHECKS = {
     )
 }
 
-# record field -> the type its value decodes to
-FIELD_TYPES = {
-    "module": FiniteModule,
-    "conflation": Conflation,
-    "complex": Complex,
-    **dict.fromkeys(("first", "second", "deflation", "inflation", "along"), Morphism),
-    **dict.fromkeys(("modulus", "bound", "kernel_cap", "family_cap"), int),
-    **dict.fromkeys(("max_kernel_order", "max_module_order"), int),
-}
 
-
-def _decode(name: str, value):
-    kind = FIELD_TYPES[name]
-    if kind is not int:
-        return kind.from_dict(value)
+def _decode(name: str, cls: type, value):
+    if cls is not int:
+        return cls.from_dict(value)
     if type(value) is not int:
         raise TypeError(f"record field {name} must be an int, got {value!r}")
     return value
@@ -623,19 +606,22 @@ def replay_counterexample(ce: dict) -> bool:
     A ``crash`` record reruns its suite; every other record decodes its
     inputs by field name and evaluates the same ``CHECKS`` entry the suite
     evaluated.  A record whose ``data`` is not its kind's fields plus
-    ``verdicts`` raises ``ValueError``.
+    ``verdicts``, or a crash record whose ``config`` is not the fields of
+    ``SuiteConfig``, raises ``ValueError``.
     """
     kind, data = ce["check"], ce["data"]
     if kind == "crash":
+        _expect_fields("crash record's config", data["config"], list(SuiteConfig().to_dict()))
         report = run_suite(SuiteConfig(**data["config"]), names=(data["suite"],))
         return report.exit_code == 3
     if kind not in CHECKS:
         raise ValueError(f"unknown counterexample kind: {kind!r}")
-    fields = CHECKS[kind][2] + ("verdicts",)
-    if sorted(data) != sorted(fields):
-        raise ValueError(
-            f"a {kind} record's data must have the fields {', '.join(fields)}, "
-            f"not {', '.join(data)}"
-        )
-    inputs = [_decode(name, data[name]) for name in fields[:-1]]
+    types = CHECKS[kind][2]
+    _expect_fields(f"{kind} record's data", data, [*types, "verdicts"])
+    inputs = [_decode(name, t, data[name]) for name, t in types.items()]
     return not SuiteResult(kind).check(kind, ce["modulus"], *inputs)
+
+
+def _expect_fields(what: str, data: dict, names) -> None:
+    if sorted(data) != sorted(names):
+        raise ValueError(f"a {what} must have the fields {', '.join(names)}, not {', '.join(data)}")

@@ -50,10 +50,18 @@ def test_unwritable_out_path(monkeypatch, tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "r.txt"
     assert main(["prop1", *TINY, "--out", str(missing)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # The path is itself a directory, which open would refuse after the run.
+    assert main(["prop1", *TINY, "--out", str(tmp_path)]) == 2
+    assert "is a directory" in capsys.readouterr().err
     monkeypatch.undo()
-    # The directory exists, but the path is itself a directory: open fails.
-    assert main(["prop1", *TINY, "--out", str(tmp_path)]) == 3
-    assert "cannot write the report" in capsys.readouterr().err
+
+    def failing_open(*args, **kwargs):
+        raise OSError("disk full")
+
+    # A write that fails after the run still exits 3.
+    monkeypatch.setattr("modcat.cli.open", failing_open, raising=False)
+    assert main(["prop1", *TINY, "--out", str(tmp_path / "r.txt")]) == 3
+    assert "cannot write the report: disk full" in capsys.readouterr().err
 
 
 def test_repeated_modulus_flag(capsys):
@@ -92,10 +100,11 @@ def test_order_bound_of_zero_is_a_config_error(flag, bound, capsys):
     assert f"{bound} must be >= 1" in captured.err
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["axioms", "--format", "yaml"])
     assert exc.value.code == 2
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["no-such-suite"])
     assert exc.value.code == 2

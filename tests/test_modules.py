@@ -46,7 +46,7 @@ from modcat.modules import (
     solve,
     subgroup_from_lattice,
 )
-from modcat.enumeration import enumerate_modules, enumerate_morphisms
+from modcat.enumeration import enumerate_modules, enumerate_morphisms, subgroup_catalog
 from modcat.complexes import (
     ChainMap,
     Complex,
@@ -1078,8 +1078,25 @@ def test_factor_through_epi_recovers_the_unique_factor():
     for u in sample_morphisms(cok, FiniteModule(r, (6,)), 4, seed=31):
         h = u @ e
         assert factor_through_epi(h, e) == u
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not descend along the epi"):
         factor_through_epi(Morphism.identity(y), e)  # does not kill ker(e)
+    with pytest.raises(ValueError, match="surjective"):
+        factor_through_epi(f, f)  # multiplication by 2 is not onto Z/2 + Z/12
+    # every catalog projection of a module of order <= 16, against every
+    # map u out of its quotient into a module of order <= 4
+    count = 0
+    for n in (4, 8, 9, 12):
+        targets = list(enumerate_modules(n, 4))
+        for y in enumerate_modules(n, 16):
+            for entry in subgroup_catalog(y):
+                e = entry.projection
+                for w in targets:
+                    for u in enumerate_morphisms(entry.quotient, w):
+                        h = u @ e
+                        phi = factor_through_epi(h, e)
+                        assert phi @ e == h and phi == u
+                        count += 1
+    assert count == 12430
 
 
 def counting_local_eliminations(monkeypatch):

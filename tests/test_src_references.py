@@ -29,12 +29,15 @@ operations, anywhere in the package: only the tests' Smith-form oracles
 read them.  A ninth keeps
 ``.generator_lifts``, the solver's lifts of the canonical generators, with
 the change of coordinates ``Canonicalized.coordinates``, ``tensor_mor``
-and ``direct_sum_many``.
+and ``direct_sum_many``.  Last, every file parses under the grammar of
+the oldest Python that ``pyproject.toml`` admits.
 """
 
 import ast
 import pathlib
 import re
+
+import pytest
 
 import modcat
 
@@ -169,7 +172,7 @@ def test_the_scan_sees_an_import_nothing_uses(tmp_path):
 # inclusions are mono, killed by an epi and commute by
 # ``factor_through_mono``'s check.  The tensor of two morphisms and the
 # solutions of a block system are reduced and well defined by construction
-# (``combine`` reduces mod the target factors; each unknown entry is a
+# (the tensor's rows are reduced mod the target factors; each unknown entry is a
 # multiple of B_b / gcd(A_a, B_b), reduced mod B_b).  Conflations are
 # trusted in the character dual of a conflation and in a subgroup entry,
 # whose inclusion is the kernel of its cokernel projection.  Tier-1 tests
@@ -190,7 +193,7 @@ TRUSTED_CALLERS = {
         "monoidal.HomModule.to_morphism",
         "monoidal.tensor_mor",
         "modules.solve_blocks",
-        "purity.dual_mor",
+        "modules.dual_mor",
     },
     "Conflation": {"purity.dual_conflation", "enumeration.SubgroupEntry.conflation"},
     "Complex": {
@@ -583,3 +586,23 @@ def test_the_scan_sees_a_local_import_with_a_top_level_twin(tmp_path):
         "suites.check: .purity",
         "suites.Runner.run.inner: .exact",
     ]
+
+
+def oldest_python():
+    """(major, minor) of ``requires-python`` in pyproject.toml."""
+    pyproject = (pathlib.Path(__file__).parent.parent / "pyproject.toml").read_text()
+    return tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+
+
+def test_src_parses_at_the_oldest_supported_python():
+    floor = oldest_python()
+    assert floor == (3, 10)
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
+def test_the_parse_at_the_floor_sees_newer_syntax():
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # 3.11
+    ast.parse(newer)
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=oldest_python())
