@@ -1,14 +1,16 @@
 """Finite modules over Z/n as a symmetric monoidal closed exact category,
 with exhaustively verified purity, flatness, and duality structure.
 
-The layers build bottom-up:
+The layers build bottom-up, each importing only from the layers before it:
 
+- ``snf``          Smith and Hermite normal forms over Z
 - ``modules``      invariant-factor modules, morphisms, (co)kernels, duals
 - ``monoidal``     tensor, internal hom, currying, evaluation
 - ``exact``        conflations, pullback/pushout, splittings
-- ``purity``       double-dual unit, purity, flatness, pure-injectivity
+- ``purity``       double-dual unit, purity, flatness
 - ``complexes``    bounded complexes and the chain-level analogues
-- ``enumeration``  deterministic walks over all objects at desk scale
+- ``enumeration``  deterministic walks over all objects at desk scale, and
+                   pure-injectivity over the conflations they walk
 - ``suites``       the verification suites behind the ``modcat`` CLI
 """
 
@@ -53,7 +55,6 @@ from .purity import (
     is_flat,
     is_injective,
     is_pure,
-    is_pure_injective,
     is_pure_oracle,
     pure_embedding_conflation,
 )
@@ -74,6 +75,7 @@ from .complexes import (
     two_term_complex,
     zero_complex,
 )
+from .enumeration import is_pure_injective
 from .suites import Report, SuiteConfig, replay_counterexample, run_suite
 
 __all__ = [

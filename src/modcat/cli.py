@@ -1,9 +1,9 @@
 """Command-line entry point for the verification suites.
 
 Exit codes: 0 all checks passed, 1 at least one counterexample,
-2 usage or configuration error, 3 crash.  An ``--out`` path that is a
-directory, or whose directory is missing or not writable, is a usage
-error, found before any suite runs; a report that still cannot be
+2 usage or configuration error, 3 crash.  An ``--out`` path that is
+empty or a directory, or whose directory is missing or not writable, is
+a usage error, found before any suite runs; a report that still cannot be
 written exits 3.  A suite that raises is recorded
 in the report as a ``crash`` failure and the other suites still run; an
 exception that escapes the run itself prints its traceback to stderr and
@@ -17,16 +17,7 @@ import os
 import sys
 import traceback
 
-from .suites import SUITE_ORDER, ConfigError, SuiteConfig, run_suite
-
-_SUITE_HELP = {
-    "axioms": "exact-structure closure axioms (identities, composition, pullback/pushout stability)",
-    "prop1": "purity via dual-splits against the tensor oracle",
-    "flat-equiv": "flatness equivalences and section extraction",
-    "enough-pi": "double-dual pure-injective embedding",
-    "complexes": "four-way flat-complex equivalence",
-    "all": "run every suite",
-}
+from .suites import SUITE_ORDER, SUITES, ConfigError, SuiteConfig, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,8 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
         "purity, flatness, and complex-level properties of finite modules over Z/n.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*SUITE_ORDER, "all"):
-        sub.add_parser(name, parents=[parent], help=_SUITE_HELP[name])
+    for name, (_, help_) in SUITES.items():
+        sub.add_parser(name, parents=[parent], help=help_)
+    sub.add_parser("all", parents=[parent], help="run every suite")
     return parser
 
 
@@ -85,8 +77,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
+    if args.out is not None:
         # Checked before the run, which can take minutes at default bounds.
+        if not args.out:
+            print("error: --out needs a path", file=sys.stderr)
+            return 2
         if os.path.isdir(args.out):
             print(f"error: --out {args.out} is a directory", file=sys.stderr)
             return 2

@@ -12,15 +12,15 @@ chain map, exactness in every degree of a conflation of complexes) are
 checked by the public constructors and ``from_dict``, on the residue rows
 of the composites: no composite morphism and no synthesized zero map is
 built for them, and degrees outside a window read as zero matrices.  The
-four dual builders (``dual_complex``, ``dual_chain_map``,
-``dual_complex_conflation`` and ``double_dual_complex_iso``) build
-through the private ``_trusted`` constructors instead: the character dual
-is an exact anti-equivalence that keeps windows normalized, so their
-identities hold by construction.  So do the flat disk cover, whose kernel
-``enumeration`` writes in closed form, and the chain maps and conflation
-that ``enumeration.complex_conflation_from_chain_epi`` completes from
-kernel inclusions.  A tier-1 test rebuilds every trusted object of a
-suite run through the validating constructors.
+three dual builders (``dual_complex``, ``dual_complex_conflation`` and
+``double_dual_complex_iso``) build through the private ``_trusted``
+constructors instead: the character dual is an exact anti-equivalence
+that keeps windows normalized, so their identities hold by construction.
+So do the flat disk cover, whose kernel ``enumeration`` writes in closed
+form, and the chain maps and conflation that
+``enumeration.complex_conflation_from_chain_epi`` completes from kernel
+inclusions.  A tier-1 test rebuilds every trusted object of a suite run
+through the validating constructors.
 
 Chain-level questions (does a conflation of complexes split? is a
 complex contractible?) are one exact block system whose unknowns are the
@@ -378,17 +378,11 @@ def dual_complex(x: Complex) -> Complex:
 
 
 def _dual_parts(phi: ChainMap, src: Complex) -> tuple[Morphism, ...]:
-    """The parts of phi+ on the window of src = dual_complex(phi.target)."""
+    """The parts of phi+: target+ -> source+ on the window of
+    src = dual_complex(phi.target), degreewise duals with no extra signs:
+    (-)+ is a functor, and both dual differentials carry the same sign in
+    each degree."""
     return tuple(dual_mor(phi.part(-n)) for n in src.degrees())
-
-
-def dual_chain_map(phi: ChainMap) -> ChainMap:
-    """target+ -> source+, degreewise duals (no extra signs on parts).
-
-    Trusted: (-)+ is a functor, and both dual differentials carry the
-    same sign in each degree."""
-    src = dual_complex(phi.target)
-    return ChainMap._trusted(src, dual_complex(phi.source), _dual_parts(phi, src))
 
 
 def dual_complex_conflation(c: ComplexConflation) -> ComplexConflation:

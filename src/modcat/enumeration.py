@@ -16,7 +16,8 @@ complementary families: the full subgroup walk while the middle stays
 small, and single-generator (cyclic) subgroups — enumerable by walking
 elements — with no cap on the middle.  Together they are discriminating:
 a non-flat end always admits a non-pure conflation with cyclic prime
-kernel, middle = end order times p.
+kernel, middle = end order times p.  Pure-injectivity is decided here,
+over the conflations that start at a module (``is_pure_injective``).
 
 Both subgroup walks depend only on a module's invariant factors d, not
 on the modulus: a subgroup is a lattice between the relation lattice and
@@ -42,7 +43,7 @@ from .complexes import (
     ComplexConflation,
     zero_complex,
 )
-from .exact import Conflation
+from .exact import Conflation, splits
 from .modules import (
     FiniteModule,
     Morphism,
@@ -54,6 +55,7 @@ from .modules import (
     kernel,
     solve_blocks,
 )
+from .purity import is_pure
 from .snf import hermite_normal_form, lattice_member, snf_diagonal
 
 
@@ -303,6 +305,11 @@ def conflations_with_sub(m: FiniteModule, middle_bound: int):
         for entry in subgroup_catalog(y):
             if entry.sub_order == m.order and entry.sub == m:
                 yield entry.conflation()
+
+
+def is_pure_injective(m: FiniteModule, bound: int) -> bool:
+    """Every pure conflation starting at m with middle order <= bound splits."""
+    return all(splits(c) is not None for c in conflations_with_sub(m, bound) if is_pure(c))
 
 
 # ---------------------------------------------------------------------------

@@ -70,26 +70,22 @@ class Conflation:
             raise NotAConflation("inflation codomain differs from deflation domain")
         comp = g @ f
         if not comp.is_zero_morphism:
-            for t in range(f.domain.rank()):
-                gen = tuple(1 if s == t else 0 for s in range(f.domain.rank()))
+            for gen in f.domain.generators():
                 if any(comp.apply(gen)):
                     raise NotAConflation(
                         "composite of the two legs is nonzero", witness=gen
                     )
         if not f.is_mono():
             ker, incl = kernel(f)
-            gen = tuple(1 if s == 0 else 0 for s in range(ker.rank()))
             raise NotAConflation(
                 "first leg is not a kernel of the second (not monic)",
-                witness=incl.apply(gen),
+                witness=incl.apply(ker.generators()[0]),
             )
         if not g.is_epi():
             # The lexicographically first element outside the image: the
             # last unit vector outside it, since every element before that
             # one lies in the span of the later unit vectors.
-            k = g.codomain.rank()
-            for t in reversed(range(k)):
-                y = tuple(1 if s == t else 0 for s in range(k))
+            for y in reversed(g.codomain.generators()):
                 if solve(g, y) is None:
                     raise NotAConflation(
                         "second leg is not a cokernel of the first (not epic)",

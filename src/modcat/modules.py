@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
-from .snf import identity_matrix, smith_normal_form, snf_diagonal
+from .snf import smith_normal_form, snf_diagonal
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,10 @@ class FiniteModule:
 
     def zero_element(self) -> tuple[int, ...]:
         return (0,) * len(self.invariant_factors)
+
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical generators, as unit vectors."""
+        return tuple(_diagonal_rows((1,) * len(self.invariant_factors)))
 
     def _check_rank(self, *vecs) -> None:
         """Raise ValueError for a vector whose length is not the rank, TypeError for a non-int."""
@@ -233,7 +237,7 @@ class Morphism:
 
     @classmethod
     def identity(cls, m: FiniteModule) -> "Morphism":
-        return cls._trusted(m, m, tuple(_diagonal_rows((1,) * m.rank())))
+        return cls._trusted(m, m, m.generators())
 
     @classmethod
     def zero(cls, dom: FiniteModule, cod: FiniteModule) -> "Morphism":
@@ -436,9 +440,7 @@ def _canonicalized(ring: RingSpec, g: int, rows) -> Canonicalized:
     """``_canonical_form`` with generator lifts: the t-th lift solves
     images @ x == t-th unit, so ``_solve_mod`` checks each one."""
     module, images = _canonical_form(ring, g, rows)
-    k = module.rank()
-    units = [[1 if s == t else 0 for s in range(k)] for t in range(k)]
-    lifts = _solve_mod(list(zip(*images)), module.invariant_factors, units, g)
+    lifts = _solve_mod(list(zip(*images)), module.invariant_factors, module.generators(), g)
     return Canonicalized(module, images, tuple(map(tuple, lifts)))
 
 
@@ -588,17 +590,21 @@ def kernel_order(f: Morphism) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _prime_factors(n: int) -> list[int]:
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, p^k) with p^k exactly dividing n, p increasing: Z/n is
+    the product of the local rings Z/p^k."""
     out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            out.append(p)
+            q = 1
             while n % p == 0:
                 n //= p
+                q *= p
+            out.append((p, q))
         p += 1
     if n > 1:
-        out.append(n)
+        out.append((n, n))
     return out
 
 
@@ -669,11 +675,8 @@ def _solve_mod(a, e: tuple[int, ...], targets, k: int) -> list[list[int]] | None
         return []
     n = lcm(*e)
     solutions = [[0] * k for _ in targets]
-    for p in _prime_factors(n):
-        m = n
-        while m % p == 0:
-            m //= p
-        q = n // m
+    for _, q in _prime_powers(n):
+        m = n // q
         local = _solve_local(a, e, targets, k, q)
         if local is None:
             return None
@@ -726,8 +729,8 @@ def solve_blocks(blocks: dict, cols, targets) -> tuple | None:
         r_ends = (src, src) if r is None else (r.domain, r.codomain)
         if l_ends != (dst, t.codomain) or r_ends != (t.domain, src):
             raise ValueError(f"block ({i}, {j}) has mismatched endpoints")
-        left = identity_matrix(dst.rank()) if l is None else l.matrix
-        right = identity_matrix(src.rank()) if r is None else r.matrix
+        left = dst.generators() if l is None else l.matrix
+        right = src.generators() if r is None else r.matrix
         for v, (b, a, step) in enumerate(unknowns[j], col_off[j]):
             for row, lrow in enumerate(left):
                 if lrow[b]:

@@ -142,11 +142,6 @@ def hom_module(m: FiniteModule, n: FiniteModule) -> HomModule:
     return HomModule(**vars(can), source=m, target=n, multipliers=mult)
 
 
-def _canonical_generators(m: FiniteModule):
-    k = m.rank()
-    return [tuple(1 if s == t else 0 for s in range(k)) for t in range(k)]
-
-
 # ---------------------------------------------------------------------------
 # closed structure: currying and evaluation
 # ---------------------------------------------------------------------------
@@ -159,15 +154,9 @@ def curry(f: Morphism, m: FiniteModule, n: FiniteModule) -> Morphism:
         raise ValueError("morphism domain is not the tensor of the given factors")
     k = f.codomain
     h = hom_module(n, k)
-    d = m.invariant_factors
-    e = n.invariant_factors
     columns = []
-    for i in range(len(d)):
-        xi = tuple(1 if s == i else 0 for s in range(len(d)))
-        cols = []
-        for j in range(len(e)):
-            yj = tuple(1 if s == j else 0 for s in range(len(e)))
-            cols.append(f.apply(t.pure(xi, yj)))
+    for xi in m.generators():
+        cols = [f.apply(t.pure(xi, yj)) for yj in n.generators()]
         slice_mor = Morphism.from_columns(n, k, cols)
         columns.append(h.of_morphism(slice_mor))
     return Morphism.from_columns(m, h.module, columns)
@@ -179,14 +168,13 @@ def uncurry(g: Morphism, m: FiniteModule, n: FiniteModule, k: FiniteModule) -> M
     if g.domain != m or g.codomain != h.module:
         raise ValueError("morphism is not of shape M -> Hom(N, K)")
     t = tensor(m, n)
+    xs, ys = m.generators(), n.generators()
     columns = []
-    for z in _canonical_generators(t.module):
+    for z in t.module.generators():
         acc = k.zero_element()
         for c, i, j in t.expand(z):
-            xi = tuple(1 if s == i else 0 for s in range(m.rank()))
-            slice_mor = h.to_morphism(g.apply(xi))
-            yj = tuple(1 if s == j else 0 for s in range(n.rank()))
-            acc = k.add(acc, k.scale(c, slice_mor.apply(yj)))
+            slice_mor = h.to_morphism(g.apply(xs[i]))
+            acc = k.add(acc, k.scale(c, slice_mor.apply(ys[j])))
         columns.append(acc)
     return Morphism.from_columns(t.module, k, columns)
 

@@ -1,4 +1,4 @@
-"""Character duality, purity, flatness, and pure-injective embeddings.
+"""Character duality, purity, flatness, and the pure embedding into M++.
 
 The dualizing object is the ring itself: M+ = Hom(M, Z/n).  As
 Hom(Z/d, Z/n) is cyclic of order d, generated by x |-> (n/d) x, M+ = M
@@ -23,6 +23,9 @@ tensoring the ideal conflations dZ/n -> Z/n -> Z/d preserves
 conflation-ness; a structural oracle inspects p-primary invariant
 factors directly.  The three must always agree — the verification suites
 exist to demonstrate that on enumerated data.
+
+Pure-injectivity quantifies over the conflations that start at a module,
+so ``enumeration.is_pure_injective`` decides it, next to that walk.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .exact import (
     pullback,
     splits,
 )
-from .modules import FiniteModule, Morphism, RingSpec, _prime_factors, cyclic, dual, dual_mor
+from .modules import FiniteModule, Morphism, RingSpec, _prime_powers, cyclic, dual, dual_mor
 from .monoidal import hom_module, tensor_mor
 
 
@@ -73,14 +76,9 @@ def double_dual_unit(m: FiniteModule) -> Morphism:
     j = m.ring.unit_module()
     h1 = hom_module(m, j)
     h2 = hom_module(h1.module, j)
-    h1_gens = [
-        tuple(1 if s == a else 0 for s in range(h1.module.rank()))
-        for a in range(h1.module.rank())
-    ]
     columns = []
-    for t in range(m.rank()):
-        x = tuple(1 if s == t else 0 for s in range(m.rank()))
-        ev_cols = [h1.to_morphism(z).apply(x) for z in h1_gens]
+    for x in m.generators():
+        ev_cols = [h1.to_morphism(z).apply(x) for z in h1.module.generators()]
         ev = Morphism.from_columns(h1.module, j, ev_cols)
         columns.append(h2.of_morphism(ev))
     return Morphism.from_columns(m, h2.module, columns)
@@ -160,20 +158,11 @@ def flat_structural_oracle(m: FiniteModule) -> bool:
     """Independent flatness check on invariant factors directly.
 
     Flat modules over Z/n are exactly the sums of cyclics whose p-primary
-    parts are each either trivial or the full p-power of n.
+    parts are each either trivial or the full p-power of n: the p-part of
+    an invariant factor d is gcd(d, p^k) for p^k exactly dividing n.
     """
-    n = m.ring.modulus
-    for d in m.invariant_factors:
-        for p in _prime_factors(n):
-            full = 1
-            while n % (full * p) == 0:
-                full *= p
-            part = 1
-            while d % (part * p) == 0:
-                part *= p
-            if part != 1 and part != full:
-                return False
-    return True
+    powers = [q for _, q in _prime_powers(m.ring.modulus)]
+    return all(gcd(d, q) in (1, q) for d in m.invariant_factors for q in powers)
 
 
 def ideal_conflation(ring: RingSpec, d: int) -> Conflation:
@@ -200,18 +189,8 @@ def is_flat_tensor_route(m: FiniteModule) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pure injectivity and the section-extraction diagram
+# the section-extraction diagram
 # ---------------------------------------------------------------------------
-
-
-def is_pure_injective(m: FiniteModule, bound: int) -> bool:
-    """Every pure conflation starting at m with middle order <= bound splits."""
-    from .enumeration import conflations_with_sub
-
-    for c in conflations_with_sub(m, bound):
-        if is_pure(c) and splits(c) is None:
-            return False
-    return True
 
 
 def extract_section(c: Conflation) -> Morphism:

@@ -1,6 +1,7 @@
 """Verification suites: every headline property re-checked over enumerated data.
 
-Five suites, matching the CLI subcommands:
+Five suites, matching the CLI subcommands; ``SUITES`` names each one's
+runner and its CLI help, in run order:
 
 - ``axioms``     exact-structure closure: identities, composition of
                  inflations/deflations, pullback/pushout stability with
@@ -31,10 +32,10 @@ An exception inside a suite becomes one ``crash`` record for that suite,
 whose replay reruns the suite; the remaining suites still run.
 
 ``run_suite(config, names)`` and ``replay_counterexample(record)`` take
-nothing else: the table names each check, and the checks call the routes
-they test (``pullback``, ``pushout``, ``is_pure_oracle``, ...), by their
-names in this module at call time, so patching such a name substitutes a
-fake for a run and its replay.
+nothing else: ``SUITES`` names each runner, ``CHECKS`` each check, and the
+checks call the routes they test (``pullback``, ``pushout``,
+``is_pure_oracle``, ...), by their names in this module at call time, so
+patching such a name substitutes a fake for a run and its replay.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import os
 import random
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .complexes import (
@@ -69,6 +70,7 @@ from .enumeration import (
     enumerate_complex_conflations_ending_in,
     enumerate_modules,
     enumerate_morphisms,
+    is_pure_injective,
     subgroup_catalog,
 )
 from .exact import (
@@ -80,7 +82,7 @@ from .exact import (
     pullback,
     pushout,
 )
-from .modules import FiniteModule, Morphism, RingSpec, _compose_rows, _prime_factors, cyclic
+from .modules import FiniteModule, Morphism, RingSpec, _compose_rows, _prime_powers, cyclic
 from .purity import (
     InternalInconsistency,
     NotFlat,
@@ -90,7 +92,6 @@ from .purity import (
     is_flat,
     is_flat_tensor_route,
     is_pure,
-    is_pure_injective,
     is_pure_oracle,
     pure_embedding_conflation,
     triangle_identity_check,
@@ -131,7 +132,7 @@ def _check_kernel_bound(moduli, max_module_order: int, max_kernel_order: int):
     """
     for n in moduli:
         needed = max(
-            (p for p in _prime_factors(n) if n % (p * p) == 0 and p <= max_module_order),
+            (p for p, q in _prime_powers(n) if q > p and p <= max_module_order),
             default=0,
         )
         if max_kernel_order < needed:
@@ -186,15 +187,7 @@ class SuiteConfig:
                 raise ConfigError("sample mode requires a positive sample count")
 
     def to_dict(self) -> dict:
-        return {
-            "moduli": list(self.moduli),
-            "max_module_order": self.max_module_order,
-            "max_kernel_order": self.max_kernel_order,
-            "max_complex_span": self.max_complex_span,
-            "mode": self.mode,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"moduli": list(self.moduli)}
 
 
 @dataclass
@@ -207,14 +200,14 @@ class SuiteResult:
     def check(self, kind: str, modulus: int, *inputs) -> bool:
         """Evaluate one check of ``kind`` on ``inputs``, given in the order of
         its parameters, and record it when it fails; True when it passes."""
-        name, policy, fields = CHECKS[kind]
+        name, policy, types = CHECKS[kind]
         verdicts = globals()[name](*inputs)
         self.checked += 1
         values = verdicts.values()
         if all(values) if policy == "hold" else len(set(values)) == 1:
             return True
         self.failed += 1
-        data = {f: x.to_dict() if hasattr(x, "to_dict") else x for f, x in zip(fields, inputs)}
+        data = {f: x.to_dict() if hasattr(x, "to_dict") else x for f, x in zip(types, inputs)}
         data["verdicts"] = verdicts
         reason = f"verdicts must {policy}: {verdicts}"
         self.counterexamples.append(dict(check=kind, modulus=modulus, reason=reason, data=data))
@@ -421,7 +414,7 @@ def _witness_check(modulus: int):
     """The componentwise-split, non-chain-split conflation: sphere at
     degree 1 into the two-term identity disk onto the sphere at degree 0."""
     ring = RingSpec(modulus)
-    s = cyclic(ring, _prime_factors(modulus)[0])
+    s = cyclic(ring, _prime_powers(modulus)[0][0])
     disk = two_term_complex(Morphism.identity(s), degree=0)
     x = single_complex(s, 1)
     z = single_complex(s, 0)
@@ -564,21 +557,26 @@ def run_complexes(config: SuiteConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-SUITE_ORDER = ("axioms", "prop1", "flat-equiv", "enough-pi", "complexes")
+# suite name -> (name of its runner in this module, CLI help), in run
+# order.  The runner is looked up by name at call time, so a runner
+# patched or wrapped in this module after import is the one that runs.
+SUITES = {
+    name: (runner.__name__, help_)
+    for name, runner, help_ in (
+        ("axioms", run_axioms,
+         "exact-structure closure axioms (identities, composition, pullback/pushout stability)"),
+        ("prop1", run_prop1, "purity via dual-splits against the tensor oracle"),
+        ("flat-equiv", run_flat_equiv, "flatness equivalences and section extraction"),
+        ("enough-pi", run_enough_pi, "double-dual pure-injective embedding"),
+        ("complexes", run_complexes, "four-way flat-complex equivalence"),
+    )
+}
+SUITE_ORDER = tuple(SUITES)
 
 
 def run_suite(config: SuiteConfig, names=SUITE_ORDER) -> Report:
     start = time.monotonic()
-    # Built per call, so that a name patched or wrapped in this module
-    # after import is the one that runs.
-    runners = {
-        "axioms": run_axioms,
-        "prop1": run_prop1,
-        "flat-equiv": run_flat_equiv,
-        "enough-pi": run_enough_pi,
-        "complexes": run_complexes,
-    }
-    unknown = [x for x in names if x not in runners]
+    unknown = [x for x in names if x not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suite name(s): {', '.join(unknown)}")
     if "flat-equiv" in names:
@@ -589,11 +587,11 @@ def run_suite(config: SuiteConfig, names=SUITE_ORDER) -> Report:
             "with a kernel of order at most the bound"
         )
     suites = []
-    for name in SUITE_ORDER:
+    for name, (runner, _) in SUITES.items():
         if name not in names:
             continue
         try:
-            suites.append(runners[name](config))
+            suites.append(globals()[runner](config))
         except Exception as exc:  # noqa: BLE001 - becomes a crash record; the other suites still run
             suites.append(SuiteResult(name, 1, 1, [_crash_record(name, config, exc)]))
     elapsed = int((time.monotonic() - start) * 1000)
@@ -611,7 +609,7 @@ def replay_counterexample(ce: dict) -> bool:
     """
     kind, data = ce["check"], ce["data"]
     if kind == "crash":
-        _expect_fields("crash record's config", data["config"], list(SuiteConfig().to_dict()))
+        _expect_fields("crash record's config", data["config"], [f.name for f in fields(SuiteConfig)])
         report = run_suite(SuiteConfig(**data["config"]), names=(data["suite"],))
         return report.exit_code == 3
     if kind not in CHECKS:

@@ -2,8 +2,8 @@
 the direct-sum embedding of a pullback and projection onto a pushout,
 their mediating morphisms, the direct-sum route to pullbacks and pushouts
 as an oracle for the concatenated-coordinate one, identity chain maps,
-multiplication maps, element orders, the per-term tensor of two
-morphisms as an oracle for the products of ``tensor_mor``, the lattice
+the dual of a chain map, multiplication maps, element orders, the
+per-term tensor of two morphisms as an oracle for the products of ``tensor_mor``, the lattice
 route to subgroups and kernels, an oracle independent of the package's cokernel-and-dual-kernel
 route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
 the walk over their solution cosets that completes middle differentials,
@@ -28,7 +28,7 @@ from math import gcd, lcm
 import pytest
 
 import modcat
-from modcat.complexes import ChainMap, Complex, ComplexConflation
+from modcat.complexes import ChainMap, Complex, ComplexConflation, _dual_parts, dual_complex
 from modcat.enumeration import _quotient_factors, enumerate_morphisms
 from modcat.exact import Conflation, Pullback, Pushout
 from modcat.modules import (
@@ -44,7 +44,7 @@ from modcat.modules import (
     kernel,
     solution_set,
 )
-from modcat.monoidal import _canonical_generators, hom_module, tensor
+from modcat.monoidal import hom_module, tensor
 from modcat.snf import hermite_normal_form, smith_normal_form
 from modcat.suites import SuiteConfig, run_suite
 
@@ -145,6 +145,13 @@ def chain_retraction(c: ComplexConflation, section: ChainMap) -> ChainMap:
 
 def identity_chain_map(x: Complex) -> ChainMap:
     return ChainMap(x, x, tuple(Morphism.identity(m) for m in x.components))
+
+
+def dual_chain_map(phi: ChainMap) -> ChainMap:
+    """target+ -> source+, the degreewise duals, through the validating
+    constructor."""
+    src = dual_complex(phi.target)
+    return ChainMap(src, dual_complex(phi.source), _dual_parts(phi, src))
 
 
 def multiplication(m: FiniteModule, c: int) -> Morphism:
@@ -260,7 +267,7 @@ def per_term_tensor_mor(f: Morphism, g: Morphism) -> Morphism:
         for i in range(g.domain.rank())
     ]
     columns = []
-    for z in _canonical_generators(src.module):
+    for z in src.module.generators():
         acc = dst.module.zero_element()
         for c, i, j in src.expand(z):
             acc = dst.module.add(acc, dst.module.scale(c, dst.pure(fcols[i], gcols[j])))
@@ -274,7 +281,7 @@ def postcompose_map(g: Morphism, source: FiniteModule) -> Morphism:
     h_out = hom_module(source, g.codomain)
     columns = [
         h_out.of_morphism(g @ h_in.to_morphism(z))
-        for z in _canonical_generators(h_in.module)
+        for z in h_in.module.generators()
     ]
     return Morphism.from_columns(h_in.module, h_out.module, columns)
 
@@ -285,7 +292,7 @@ def precompose_map(f: Morphism, target: FiniteModule) -> Morphism:
     h_out = hom_module(f.domain, target)
     columns = [
         h_out.of_morphism(h_in.to_morphism(z) @ f)
-        for z in _canonical_generators(h_in.module)
+        for z in h_in.module.generators()
     ]
     return Morphism.from_columns(h_in.module, h_out.module, columns)
 

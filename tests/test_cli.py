@@ -1,13 +1,14 @@
 """Command-line interface: exit codes, formats, output destinations."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from modcat.cli import main
-from modcat.suites import Report, SuiteConfig
+from modcat.cli import build_parser, main
+from modcat.suites import SUITE_ORDER, SUITES, Report, SuiteConfig
 
 
 TINY = ["--modulus", "4", "--max-order", "4", "--max-kernel", "2", "--span", "1"]
@@ -21,6 +22,10 @@ def test_passing_run_exits_zero(capsys):
 
 
 def test_all_subcommand_runs_every_suite(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == (*SUITE_ORDER, "all")
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    assert helps == {name: help_ for name, (_, help_) in SUITES.items()} | {"all": "run every suite"}
     assert main(["all", *TINY]) == 0
     out = capsys.readouterr().out
     for name in ("axioms", "prop1", "flat-equiv", "enough-pi", "complexes"):
@@ -53,6 +58,10 @@ def test_unwritable_out_path(monkeypatch, tmp_path, capsys):
     # The path is itself a directory, which open would refuse after the run.
     assert main(["prop1", *TINY, "--out", str(tmp_path)]) == 2
     assert "is a directory" in capsys.readouterr().err
+    # An empty path names no file; it must not fall back to stdout.
+    assert main(["prop1", *TINY, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
     monkeypatch.undo()
 
     def failing_open(*args, **kwargs):

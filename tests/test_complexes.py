@@ -38,7 +38,6 @@ from modcat.complexes import (
     ComplexConflation,
     cohomology,
     double_dual_complex_iso,
-    dual_chain_map,
     dual_complex,
     dual_complex_conflation,
     is_acyclic,
@@ -65,6 +64,7 @@ from modcat.enumeration import (
 )
 from helpers import (
     chain_retraction,
+    dual_chain_map,
     identity_chain_map,
     multiplication,
     postcompose_map,
@@ -287,8 +287,7 @@ def test_every_trusted_chain_object_of_a_suite_run_validates():
         dict(moduli=(4, 9, 12), max_complex_span=3), ("complexes",), CHAIN_CLASSES
     )
     assert report.exit_code == 0
-    # The suites dualize chain maps only inside conflations; the fourth
-    # dual builder, dual_chain_map, is revalidated below on enumerated data.
+    # The suites dualize chain maps only inside conflations.
     assert callers == {
         "dual_complex",
         "dual_complex_conflation",
@@ -453,13 +452,13 @@ def test_hi_is_fixed_on_every_construction_path():
 
 def test_trusted_duals_equal_their_validated_rebuilds():
     """Equal, with the same hash and the same serialization, for each of
-    the four dual builders."""
+    the three dual builders."""
     family = enumerate_complexes(4, 3)
     objects = []
     for x in family:
         objects += [dual_complex(x), double_dual_complex_iso(x)]
         for cc in enumerate_complex_conflations_ending_in(x, 4, 3):
-            objects += [dual_chain_map(cc.f), dual_complex_conflation(cc)]
+            objects.append(dual_complex_conflation(cc))
     assert len(objects) > 200
     for obj in objects:
         again = revalidated(obj)

@@ -131,8 +131,10 @@ def test_ring_and_module_basics():
     assert r.divisors() == (1, 2, 3, 4, 6, 12)
     assert r.unit_module().invariant_factors == (12,)
     assert r.zero_module().order == 1 and r.zero_module().is_zero
+    assert r.zero_module().generators() == ()
     m = FiniteModule(r, (2, 6))
     assert m.order == 12 and m.rank() == 2
+    assert m.generators() == ((1, 0), (0, 1))
     assert m.reduce((5, 7)) == (1, 1)
     assert len(list(m.elements())) == 12
     assert element_order(m, (1, 0)) == 2

@@ -29,7 +29,6 @@ from modcat.purity import (
     is_flat_tensor_route,
     is_injective,
     is_pure,
-    is_pure_injective,
     is_pure_oracle,
     pure_embedding_conflation,
     triangle_identity_check,
@@ -37,6 +36,7 @@ from modcat.purity import (
 from modcat.enumeration import (
     enumerate_modules,
     enumerate_morphisms,
+    is_pure_injective,
     subgroup_catalog,
 )
 
@@ -224,7 +224,7 @@ def test_frozen_injectivity_facts():
     assert is_injective(RingSpec(12).zero_module())
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 18, 36])
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 18, 22, 27, 36, 50])
 def test_flat_routes_agree(n):
     for m in enumerate_modules(n, 32):
         a = is_flat(m)

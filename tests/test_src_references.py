@@ -3,10 +3,9 @@ of those classes, has a user there, and every name a module of the
 package imports is used by its code.
 
 A definition counts as used when some code in the package outside its
-own body names it (as a name or an attribute), when a docstring or other
-string in the package names it (the public entry points that no package
-code calls are documented that way), or when ``modcat.__all__`` exports
-it.  Dunder methods are called by the language itself and are not
+own body names it (as a name or an attribute), or when ``modcat.__all__``
+exports it; a name that only a docstring or other string mentions does
+not count.  Dunder methods are called by the language itself and are not
 scanned.  Code that only the tests use belongs under ``tests/``.  An import
 counts as used only when the module's code names it; ``__init__.py``,
 which imports to re-export, is exempt.
@@ -29,8 +28,11 @@ operations, anywhere in the package: only the tests' Smith-form oracles
 read them.  A ninth keeps
 ``.generator_lifts``, the solver's lifts of the canonical generators, with
 the change of coordinates ``Canonicalized.coordinates``, ``tensor_mor``
-and ``direct_sum_many``.  Last, every file parses under the grammar of
-the oldest Python that ``pyproject.toml`` admits.
+and ``direct_sum_many``.  A tenth keeps the layers in order: no relative
+import, at the top of a file or inside a function, names a layer at or
+above its own, in the order the ``modcat`` docstring lists them, with
+``cli`` last.  Last, every file parses under the grammar of the oldest
+Python that ``pyproject.toml`` admits.
 """
 
 import ast
@@ -55,8 +57,6 @@ def _names_outside(tree, skip):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.update(re.findall(r"\w+", node.value))
         stack.extend(ast.iter_child_nodes(node))
     return found
 
@@ -103,7 +103,11 @@ def test_the_scan_sees_a_definition_nothing_uses(tmp_path):
         "class Helper:\n    pass\n"
     )
     (tmp_path / "b.py").write_text("from .a import Helper\n")
-    assert unreferenced_definitions(tmp_path, ["exported"]) == ["a.recursive", "a.Helper"]
+    assert unreferenced_definitions(tmp_path, ["exported"]) == [
+        "a.recursive",
+        "a.documented_entry",
+        "a.Helper",
+    ]
 
 
 def test_the_scan_sees_a_method_nothing_uses(tmp_path):
@@ -122,7 +126,11 @@ def test_the_scan_sees_a_method_nothing_uses(tmp_path):
         "from .a import Shape\n\n\n"
         "def area(s: Shape):\n    return s.size\n"
     )
-    assert unreferenced_definitions(tmp_path, ["exported"]) == ["a.Shape.unused", "b.area"]
+    assert unreferenced_definitions(tmp_path, ["exported"]) == [
+        "a.Shape.documented",
+        "a.Shape.unused",
+        "b.area",
+    ]
 
 
 def unused_imports(src=SRC):
@@ -165,7 +173,7 @@ def test_the_scan_sees_an_import_nothing_uses(tmp_path):
 # projections, pullback and pushout legs (their slices) and enumerated
 # morphisms are reduced and well defined by construction; maps from
 # user-supplied generators (``_generator_map``) keep validating.  Chain
-# objects are trusted in the four dual builders, because the character dual
+# objects are trusted in the three dual builders, because the character dual
 # is an exact anti-equivalence that keeps windows normalized; in the flat
 # disk cover, whose kernel is written in closed form; and in the chain maps
 # and conflation of ``complex_conflation_from_chain_epi``, whose kernel
@@ -202,7 +210,6 @@ TRUSTED_CALLERS = {
         "enumeration.flat_disk_cover",
     },
     "ChainMap": {
-        "complexes.dual_chain_map",
         "complexes.dual_complex_conflation",
         "complexes.double_dual_complex_iso",
         "enumeration.complex_conflation_from_chain_epi",
@@ -313,16 +320,18 @@ def test_the_scan_keeps_each_chain_object_in_its_dual_builders(tmp_path):
     (tmp_path / "complexes.py").write_text(
         "class Complex:\n"
         "    @classmethod\n    def from_dict(cls, data):\n        return cls._trusted(1, 2, 3, 4)\n\n\n"
-        "def dual_complex(x):\n    return Complex._trusted(1, 2, 3, 4)\n\n\n"
-        "def dual_chain_map(phi):\n"
-        "    return ChainMap._trusted(1, 2, 3), ComplexConflation._trusted(1, 2)\n\n\n"
+        "def dual_complex(x):\n"
+        "    return Complex._trusted(1, 2, 3, 4), Morphism._trusted(1, 2, 3)\n\n\n"
+        "def dual_chain_map(phi):\n    return ChainMap._trusted(1, 2, 3)\n\n\n"
         "def dual_complex_conflation(c):\n"
         "    return ComplexConflation._trusted(ChainMap._trusted(1, 2, 3), c)\n\n\n"
-        "def double_dual_complex_iso(x):\n    return Morphism._trusted(1, 2, 3)\n\n\n"
+        "def double_dual_complex_iso(x):\n"
+        "    return ChainMap._trusted(1, 2, 3), ComplexConflation._trusted(1, 2)\n\n\n"
         "def splits_as_complexes(c):\n    return type(c)._trusted(1, 2, 3)\n"
     )
     assert trusted_uses(tmp_path) == [
         "complexes.Complex.from_dict",
+        "complexes.dual_complex",
         "complexes.dual_chain_map",
         "complexes.double_dual_complex_iso",
         "complexes.splits_as_complexes",
@@ -585,6 +594,61 @@ def test_the_scan_sees_a_local_import_with_a_top_level_twin(tmp_path):
     assert redundant_local_imports(tmp_path) == [
         "suites.check: .purity",
         "suites.Runner.run.inner: .exact",
+    ]
+
+
+def layers(src=SRC):
+    """The package's modules, bottom layer first: those the ``modcat``
+    docstring lists, in its order, then ``cli``."""
+    doc = ast.get_docstring(ast.parse((pathlib.Path(src) / "__init__.py").read_text()))
+    return re.findall(r"^- ``(\w+)``", doc, re.MULTILINE) + ["cli"]
+
+
+def upward_imports(src=SRC):
+    """``module: .x`` of each relative import, at the top of a file or
+    inside a function, of a layer x at or above the module's own, and
+    ``module: unlisted`` for a module the layer order leaves out;
+    ``__init__.py``, which imports every layer to re-export it, is exempt."""
+    rank = {name: i for i, name in enumerate(layers(src))}
+    found = []
+    for path in sorted(pathlib.Path(src).glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        if path.stem not in rank:
+            found.append(f"{path.stem}: unlisted")
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                for name in names:
+                    if rank.get(name.split(".")[0], len(rank)) >= rank[path.stem]:
+                        found.append(f"{path.stem}: .{name}")
+    return found
+
+
+def test_no_module_imports_a_layer_at_or_above_its_own():
+    assert layers()[0] == "snf" and layers()[-2:] == ["suites", "cli"]
+    assert upward_imports() == []
+
+
+def test_the_scan_sees_an_import_from_a_layer_at_or_above(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        '"""Layers.\n\n- ``low``   first\n- ``mid``   second\n- ``high``  third\n"""\n\n'
+        "from .cli import main\n"
+    )
+    (tmp_path / "low.py").write_text("from .mid import helper\n")
+    (tmp_path / "mid.py").write_text(
+        "from .low import base\n\n\n"
+        "def check(m):\n    from .high import walk\n\n    return walk(base(m))\n"
+    )
+    (tmp_path / "high.py").write_text("from . import cli, low\nfrom .mid import check\n")
+    (tmp_path / "cli.py").write_text("from .high import check\n")
+    (tmp_path / "extra.py").write_text("from .low import base\n")
+    assert upward_imports(tmp_path) == [
+        "extra: unlisted",
+        "high: .cli",
+        "low: .mid",
+        "mid: .high",
     ]
 
 

@@ -631,7 +631,7 @@ def test_replay_rejects_a_record_whose_data_is_not_its_checks_inputs():
 def test_the_pure_injective_leg_fails_where_is_pure_and_splits_disagree(monkeypatch):
     """At finite scale every module is pure-injective, so the leg can fail
     only when a conflation starting at M++ is called pure and does not split."""
-    monkeypatch.setattr("modcat.purity.is_pure", lambda c: True)
+    monkeypatch.setattr("modcat.enumeration.is_pure", lambda c: True)
     config = SuiteConfig(moduli=(4,), max_module_order=4, max_kernel_order=4)
     report = run_suite(config, names=("enough-pi",))
     ces = [json.loads(json.dumps(ce)) for ce in report.suites[0].counterexamples]
