@@ -24,8 +24,10 @@ on the modulus: a subgroup is a lattice between the relation lattice and
 Z^k, and the elements are the same tuples over every Z/n that d divides.
 So each walk runs once per invariant-factor tuple, together with one
 Smith diagonal per subgroup for its quotient, and is shared by every
-ring; the catalogs wrap the shared keys in per-ring entries, whose
-builds stay per ring.  Enumerated complexes are built trusted, since
+ring; the catalogs wrap the shared keys in per-ring entries.  An entry's
+build (sub, inclusion, projection) is ring-free too: the first ring to
+build it stores the rows with the walk, and every other ring wraps them
+(``SubgroupEntry``).  Enumerated complexes are built trusted, since
 their differentials are enumerated morphisms whose composites the walk
 has just read as zero.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .complexes import (
@@ -116,38 +118,72 @@ def enumerate_morphisms(dom: FiniteModule, cod: FiniteModule):
 # ---------------------------------------------------------------------------
 
 
+class _SharedSubgroup:
+    """A subgroup as a shared walk finds it, for every module with the
+    walked invariant factors d: its ``key``, the ``rows`` that generate it
+    and ``factors``, the quotient's invariant factors.  ``built`` is None
+    until the first ``SubgroupEntry`` over it is built, then the ring-free
+    result of that build: (sub factors, quotient factors, inclusion rows,
+    projection rows).
+    """
+
+    __slots__ = ("key", "rows", "factors", "built")
+
+    def __init__(self, key: tuple, rows, factors: tuple[int, ...]):
+        self.key = key
+        self.rows = rows
+        self.factors = factors
+        self.built = None
+
+
 class SubgroupEntry:
     """A subgroup of a fixed ambient module with its conflation data.
 
     ``key`` is the canonical Hermite basis of the subgroup's lattice, the
-    ambient relations included, and ``rows`` generate the subgroup.  The
-    two invariants the filters read, ``quotient`` and ``sub_order``, come
-    from ``factors``, the quotient's invariant factors, which the shared
-    walk read off one Smith diagonal of ``key``.  ``sub``, ``inclusion``
-    and ``projection`` are built from ``rows`` on first use and cached,
-    because a run usually checks only a few entries of each catalog it
-    walks; building checks them against the two invariants.
+    ambient relations included.  The two invariants the filters read,
+    ``quotient`` and ``sub_order``, come from the quotient's invariant
+    factors, which the shared walk read off one Smith diagonal of
+    ``key``.  ``sub``, ``inclusion`` and ``projection`` are built on first
+    use and cached, because a run usually checks only a few entries of
+    each catalog it walks.
+
+    The build is shared, as the walk is, by every modulus that the
+    ambient factors d divide.  The first ring to build an entry over a
+    walked subgroup takes the cokernel of the map from its rows and the
+    kernel of that projection, and stores both modules' factors and both
+    row tuples with the walked subgroup; every ring wraps the stored rows.
+    That is sound because the build reads only d, the rows and Smith
+    forms of residue rows (``_canonical_form`` / ``_kernel_rows``): the
+    ring enters only as the ``FiniteModule`` wrapper and the check that
+    the factors divide n, which holds for every n that d's factors
+    divide.  Every ring's wrap checks the stored build against this
+    entry's two invariants, a tuple comparison.
     """
 
     __slots__ = (
-        "ambient", "key", "quotient", "sub_order", "_rows", "_sub", "_inclusion", "_projection"
+        "ambient", "key", "quotient", "sub_order", "_shared", "_sub", "_inclusion", "_projection"
     )
 
-    def __init__(self, ambient: FiniteModule, key: tuple, rows, factors: tuple[int, ...]):
+    def __init__(self, ambient: FiniteModule, shared: _SharedSubgroup):
         self.ambient = ambient
-        self.key = key
-        self.quotient = FiniteModule(ambient.ring, factors)
+        self.key = shared.key
+        self.quotient = FiniteModule(ambient.ring, shared.factors)
         self.sub_order = ambient.order // self.quotient.order
-        self._rows = rows
+        self._shared = shared
         self._sub = None
 
     def _build(self) -> None:
-        quot, proj = cokernel(_generator_map(self.ambient, self._rows))
-        sub, incl = kernel(proj)
-        if quot != self.quotient or sub.order != self.sub_order:
+        shared = self._shared
+        if shared.built is None:
+            quot, proj = cokernel(_generator_map(self.ambient, shared.rows))
+            sub, incl = kernel(proj)
+            shared.built = sub.invariant_factors, quot.invariant_factors, incl.matrix, proj.matrix
+        sub_factors, quot_factors, incl_rows, proj_rows = shared.built
+        if quot_factors != self.quotient.invariant_factors or prod(sub_factors) != self.sub_order:
             raise AssertionError("built subgroup disagrees with its Smith invariants")
-        self._sub, self._inclusion, self._projection = sub, incl, proj
-        self._rows = None
+        self._sub = FiniteModule(self.ambient.ring, sub_factors)
+        self._inclusion = Morphism._trusted(self._sub, self.ambient, incl_rows)
+        self._projection = Morphism._trusted(self.ambient, self.quotient, proj_rows)
 
     @property
     def sub(self) -> FiniteModule:
@@ -182,9 +218,9 @@ def _quotient_factors(key: tuple) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=2048)
-def _subgroup_walk(d: tuple[int, ...]) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
-    """(key, quotient factors) of every subgroup of the module with
-    invariant factors d, via the complete Hermite-basis walk.
+def _subgroup_walk(d: tuple[int, ...]) -> tuple[_SharedSubgroup, ...]:
+    """Every subgroup of the module with invariant factors d, via the
+    complete Hermite-basis walk; each one's rows are its key.
 
     Rows are chosen bottom-up.  Whether row i's ambient relation
     d_i * e_i lies in the lattice depends only on rows i..k-1, so each
@@ -197,7 +233,7 @@ def _subgroup_walk(d: tuple[int, ...]) -> tuple[tuple[tuple, tuple[int, ...]], .
     def walk(i: int, below: list[list[int]]):
         if i < 0:
             key = tuple(tuple(r) for r in below)
-            found.append((key, _quotient_factors(key)))
+            found.append(_SharedSubgroup(key, key, _quotient_factors(key)))
             return
         pivots = {j: below[j - i - 1][j] for j in range(i + 1, k)}
         for h in range(1, d[i] + 1):
@@ -218,15 +254,13 @@ def subgroup_catalog(y: FiniteModule) -> tuple[SubgroupEntry, ...]:
     """Every subgroup of y, via the complete Hermite-basis walk, which is
     shared by every module with y's invariant factors (``_subgroup_walk``);
     each entry's rows are its key."""
-    return tuple(
-        SubgroupEntry(y, key, key, factors) for key, factors in _subgroup_walk(y.invariant_factors)
-    )
+    return tuple(SubgroupEntry(y, shared) for shared in _subgroup_walk(y.invariant_factors))
 
 
 @lru_cache(maxsize=4096)
-def _cyclic_subgroup_walk(d: tuple[int, ...], order: int) -> tuple[tuple, ...]:
-    """(key, lex-first generator, quotient factors) of every cyclic
-    subgroup of the given order of the module with invariant factors d.
+def _cyclic_subgroup_walk(d: tuple[int, ...], order: int) -> tuple[_SharedSubgroup, ...]:
+    """Every cyclic subgroup of the given order of the module with
+    invariant factors d, its lex-first generator its single row.
 
     The generators of a cyclic group of order o are exactly u*x with u a
     unit mod o.  Only the ``order``-torsion is walked, coordinate i over
@@ -252,7 +286,7 @@ def _cyclic_subgroup_walk(d: tuple[int, ...], order: int) -> tuple[tuple, ...]:
         key = tuple(tuple(r) for r in hermite_normal_form([list(x)] + relations, k))
         assert key not in keys, "two unit orbits gave one subgroup"
         keys.add(key)
-        found.append((key, x, _quotient_factors(key)))
+        found.append(_SharedSubgroup(key, (x,), _quotient_factors(key)))
     return tuple(found)
 
 
@@ -264,8 +298,7 @@ def cyclic_subgroup_catalog(y: FiniteModule, order: int) -> tuple[SubgroupEntry,
     their lex-first generators, with that generator as the single row.
     """
     return tuple(
-        SubgroupEntry(y, key, (x,), factors)
-        for key, x, factors in _cyclic_subgroup_walk(y.invariant_factors, order)
+        SubgroupEntry(y, shared) for shared in _cyclic_subgroup_walk(y.invariant_factors, order)
     )
 
 

@@ -357,7 +357,8 @@ def source_mutant(fn, old, new):
 def clear_package_caches():
     """Empty every ``lru_cache`` of every ``modcat`` module, so that a run
     recorded afterwards sees the same cache misses whatever ran before it
-    in the process."""
+    in the process.  The subgroup walks' caches hold the catalog builds
+    that every modulus shares, so those go too."""
     for info in pkgutil.iter_modules(modcat.__path__):
         module = importlib.import_module(f"modcat.{info.name}")
         for obj in vars(module).values():

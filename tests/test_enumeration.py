@@ -9,6 +9,8 @@ import functools
 import hashlib
 import itertools
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -37,6 +39,8 @@ from modcat.complexes import (
 )
 from modcat.enumeration import (
     SubgroupEntry,
+    _SharedSubgroup,
+    _quotient_factors,
     _complete_differentials,
     complex_conflation_from_chain_epi,
     conflations_ending_in,
@@ -241,7 +245,8 @@ def test_the_cyclic_walk_over_the_torsion_matches_the_walk_over_every_element(n,
         d = y.invariant_factors
         for order in range(1, (d[-1] if d else 1) + 1):
             walk = modcat.enumeration._cyclic_subgroup_walk.__wrapped__(d, order)
-            assert walk == full_cyclic_subgroup_walk(d, order), (d, order)
+            got = tuple((s.key, *s.rows, s.factors) for s in walk)
+            assert got == full_cyclic_subgroup_walk(d, order), (d, order)
             walks += bool(walk)
     assert walks > len(enumerate_modules(n, bound))
 
@@ -353,9 +358,9 @@ def test_sample_mode_builds_at_most_the_sampled_entries(monkeypatch):
         return real(ambient, gens)
 
     monkeypatch.setattr(modcat.enumeration, "_generator_map", counting)
-    subgroup_catalog.cache_clear()
+    clear_package_caches()
     report = run_suite(cfg, names=("prop1",))
-    subgroup_catalog.cache_clear()
+    clear_package_caches()
     assert report.exit_code == 0
     middles = [y for n in cfg.moduli for y in enumerate_modules(n, cfg.max_module_order)]
     for y in middles:
@@ -371,9 +376,10 @@ def test_sample_mode_builds_at_most_the_sampled_entries(monkeypatch):
 
 def test_subgroup_walks_are_shared_across_moduli():
     """A module's full and cyclic catalogs depend on its invariant factors
-    only: over every modulus they carry equal keys, rows and quotient
-    factors, the very same key objects, and each quotient is the Smith
-    diagonal of its key.  A prop1 run walks each tuple once."""
+    only: over every modulus they carry equal keys and quotient factors,
+    the very same key objects and walked subgroups (whose rows and build
+    they share), and each quotient is the Smith diagonal of its key.  A
+    prop1 run walks each tuple once."""
     moduli, bound = (4, 8, 12), 32
     clear_package_caches()
     groups = {}
@@ -393,8 +399,7 @@ def test_subgroup_walks_are_shared_across_moduli():
                 got = catalog(y)
                 assert [e.key for e in got] == [e.key for e in want]
                 assert all(a.key is b.key for a, b in zip(got, want))
-                # read before any entry is built, which drops its rows
-                assert [e._rows for e in got] == [e._rows for e in want]
+                assert all(a._shared is b._shared for a, b in zip(got, want))
                 assert [e.quotient.invariant_factors for e in got] == [
                     e.quotient.invariant_factors for e in want
                 ]
@@ -414,7 +419,10 @@ def test_a_shared_walk_with_wrong_quotients_crashes_the_build(monkeypatch):
     rows (2, 1), (0, 2) in (Z/4)^2 has pivots 2, 2 but quotient Z/4);
     building one fails the check against the Smith invariants, which the
     run records as a crash.  (The Smith diagonal of the transposed key
-    would be no mutant: a matrix and its transpose have one Smith form.)"""
+    would be no mutant: a matrix and its transpose have one Smith form.)
+    The check runs on every ring's wrap of the shared build: built first
+    at n = 4, the entry fails again at n = 8 without a build of its own,
+    and a run at n = 8 records the crash too."""
     import modcat.enumeration as me
 
     pivots = "tuple(sorted(r[i] for i, r in enumerate(key) if r[i] > 1))"
@@ -422,13 +430,105 @@ def test_a_shared_walk_with_wrong_quotients_crashes_the_build(monkeypatch):
     monkeypatch.setattr(me, "_subgroup_walk", mutant)
     clear_package_caches()
     config = SuiteConfig(moduli=(4,), max_module_order=16, max_kernel_order=4)
-    report = run_suite(config, names=("prop1",))
+    reports = [run_suite(config, names=("prop1",))]
+    message = "built subgroup disagrees with its Smith invariants"
+    for n in (4, 8):
+        [entry] = [
+            e for e in subgroup_catalog(FiniteModule(RingSpec(n), (4, 4)))
+            if e.key == ((2, 1), (0, 2))
+        ]
+        with monkeypatch.context() as mp:
+            if n == 8:
+                mp.setattr(me, "_generator_map", None)  # a build of its own would fail otherwise
+            with pytest.raises(AssertionError, match=message):
+                entry.sub
+    reports.append(run_suite(replace(config, moduli=(8,)), names=("prop1",)))
     monkeypatch.undo()
     clear_package_caches()
-    assert report.exit_code == 3
-    [record] = report.suites[0].counterexamples
-    assert record["check"] == "crash"
-    assert record["data"]["message"] == "built subgroup disagrees with its Smith invariants"
+    for report in reports:
+        assert report.exit_code == 3
+        [record] = report.suites[0].counterexamples
+        assert record["check"] == "crash"
+        assert record["data"]["message"] == message
+
+
+def _fresh_build(e):
+    """(sub, inclusion, projection) of a catalog entry, built over its own
+    ring as the first build of a walked subgroup is."""
+    quot, proj = cokernel(modcat.enumeration._generator_map(e.ambient, e._shared.rows))
+    sub, incl = kernel(proj)
+    return sub, incl, proj
+
+
+def _entries(n, d):
+    y = FiniteModule(RingSpec(n), d)
+    orders = range(1, (d[-1] if d else 1) + 1)
+    return subgroup_catalog(y) + sum((cyclic_subgroup_catalog(y, o) for o in orders), ())
+
+
+def test_an_entry_built_at_one_modulus_is_wrapped_at_every_other(monkeypatch):
+    """At moduli 4, 8 and 12, an entry over a module whose factors divide 4,
+    once built at n = 4, takes no Smith form and no map from its
+    generators at n = 8 or 12: it wraps the rows its walked subgroup
+    stores.  Those equal a fresh build over each ring, and the validating
+    constructor keeps them as they are."""
+    import modcat.modules as mm
+
+    clear_package_caches()
+    tuples = [m.invariant_factors for m in enumerate_modules(4, 32)]
+    catalogs = {(n, d): _entries(n, d) for n in (4, 8, 12) for d in tuples}
+    for d in tuples:
+        for e in catalogs[4, d]:
+            e.sub
+    calls = Counter()
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mm, "smith_normal_form", counting("smith", mm.smith_normal_form))
+        real = modcat.enumeration._generator_map
+        mp.setattr(modcat.enumeration, "_generator_map", counting("generators", real))
+        wrapped = [e for n in (8, 12) for d in tuples for e in catalogs[n, d]]
+        for e in wrapped:
+            e.sub
+    assert not calls
+    assert len(wrapped) > 300
+    for (n, d), entries in catalogs.items():
+        for e in entries:
+            assert (e.sub, e.inclusion, e.projection) == _fresh_build(e), (n, d, e.key)
+            for m in (e.inclusion, e.projection):
+                assert Morphism(m.domain, m.codomain, m.matrix).matrix == m.matrix
+
+
+def test_the_shared_build_does_not_depend_on_which_modulus_builds_first(monkeypatch):
+    """Building every entry at n = 12 first and then at n = 4 gives the same
+    modules and rows as the opposite order, and a reset of the package's
+    caches drops the shared builds."""
+    tuples = [m.invariant_factors for m in enumerate_modules(4, 32)]
+    built = {}
+    for moduli in ((4, 12), (12, 4)):
+        clear_package_caches()
+        built[moduli] = {
+            (n, d, e.key, e.sub_order): (e.sub, e.inclusion, e.projection)
+            for n in moduli
+            for d in tuples
+            for e in _entries(n, d)
+        }
+    assert built[4, 12] == built[12, 4]
+    assert len(built[4, 12]) > 600
+    # after the reset an entry built at n = 4 above is built afresh
+    clear_package_caches()
+    real, gens = modcat.enumeration._generator_map, []
+    monkeypatch.setattr(
+        modcat.enumeration, "_generator_map", lambda *args: gens.append(args) or real(*args)
+    )
+    _entries(8, (2, 4))[0].sub
+    assert len(gens) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +594,7 @@ def test_conflations_beyond_the_middle_bound_match_the_whole_catalog_filter():
                 if end.order * k_ord > 32 and n % k_ord == 0
                 for y in modules_of_order(n, end.order * k_ord)
                 for e in (
-                    SubgroupEntry(y, key, (x,), tuple(q for q in snf_diagonal(key) if q > 1))
+                    SubgroupEntry(y, _SharedSubgroup(key, (x,), _quotient_factors(key)))
                     for key, x in first_generators(y)
                 )
                 if e.sub_order == k_ord and e.quotient == end

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modcat.suites
 from modcat.modules import (
     DirectSum,
     FiniteModule,
@@ -46,7 +47,12 @@ from modcat.modules import (
     solve,
     subgroup_from_lattice,
 )
-from modcat.enumeration import enumerate_modules, enumerate_morphisms, subgroup_catalog
+from modcat.enumeration import (
+    SubgroupEntry,
+    enumerate_modules,
+    enumerate_morphisms,
+    subgroup_catalog,
+)
 from modcat.complexes import (
     ChainMap,
     Complex,
@@ -557,7 +563,7 @@ def test_every_trusted_morphism_of_a_suite_run_validates():
     assert callers == {
         "__matmul__", "__add__", "scaled", "identity", "zero", "to_morphism", "dual_mor",
         "pullback", "pushout", "kernel", "cokernel", "enumerate_morphisms", "flat_disk_cover",
-        "tensor_mor", "solve_blocks",
+        "tensor_mor", "solve_blocks", "_build",
     }
     # 5,784 distinct morphisms at this config, most of them enumerated
     # morphisms and pullback and pushout legs.
@@ -566,30 +572,39 @@ def test_every_trusted_morphism_of_a_suite_run_validates():
 
 
 @pytest.mark.parametrize(
-    "builder, old, new",
+    "owner, builder, old, new",
     [
         # Every residue below gcd(d_i, e_j) instead of its multiples of
         # e_j / gcd(d_i, e_j): maps that are not well defined.
-        (enumerate_morphisms, "step = e[j] // g", "step = 1"),
+        (modcat.suites, enumerate_morphisms, "step = e[j] // g", "step = 1"),
         # The first entry of the leg to dom g plus its factor d_0: the same
         # map, which every assert of the pullback accepts, on rows that are
         # not reduced.
         (
+            modcat.suites,
             pullback,
             "incl[: len(d)])",
             "tuple(r[:1] and (r[0] + dj,) + r[1:] for r, dj in zip(incl, d[:1]))"
             " + incl[1 : len(d)])",
         ),
+        # Each row of a subgroup entry's shared inclusion, as every ring
+        # wraps it, with its first entry plus the ambient factor: the same
+        # map on rows that are not reduced.
+        (
+            SubgroupEntry,
+            SubgroupEntry._build,
+            "self.ambient, incl_rows)",
+            "self.ambient, tuple(r[:1] and (r[0] + dj,) + r[1:]"
+            " for r, dj in zip(incl_rows, self.ambient.invariant_factors)))",
+        ),
     ],
-    ids=["enumerate-step-1", "pullback-unreduced-leg"],
+    ids=["enumerate-step-1", "pullback-unreduced-leg", "shared-inclusion-unreduced"],
 )
-def test_revalidation_rejects_a_wrong_trusted_leg(monkeypatch, builder, old, new):
+def test_revalidation_rejects_a_wrong_trusted_leg(monkeypatch, owner, builder, old, new):
     """A builder that skips validation and builds a wrong or unreduced
     morphism is caught by the revalidation, whether or not the axioms
     suite notices."""
-    import modcat.suites as ms
-
-    monkeypatch.setattr(ms, builder.__name__, source_mutant(builder, old, new))
+    monkeypatch.setattr(owner, builder.__name__, source_mutant(builder, old, new))
     _, built, callers = trusted_builds(
         dict(moduli=(4, 12), max_module_order=8, max_kernel_order=4), ("axioms",), (Morphism,)
     )

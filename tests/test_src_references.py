@@ -171,7 +171,9 @@ def test_the_scan_sees_an_import_nothing_uses(tmp_path):
 # result is valid by construction may call it; the allowed callers, by the
 # class whose constructor they call.  Kernel inclusions, cokernel
 # projections, pullback and pushout legs (their slices) and enumerated
-# morphisms are reduced and well defined by construction; maps from
+# morphisms are reduced and well defined by construction, and so are a
+# subgroup entry's inclusion and projection, which every ring wraps from the
+# kernel and cokernel rows its walked subgroup stores; maps from
 # user-supplied generators (``_generator_map``) keep validating.  Chain
 # objects are trusted in the three dual builders, because the character dual
 # is an exact anti-equivalence that keeps windows normalized; in the flat
@@ -202,6 +204,7 @@ TRUSTED_CALLERS = {
         "monoidal.tensor_mor",
         "modules.solve_blocks",
         "modules.dual_mor",
+        "enumeration.SubgroupEntry._build",
     },
     "Conflation": {"purity.dual_conflation", "enumeration.SubgroupEntry.conflation"},
     "Complex": {
