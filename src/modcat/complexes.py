@@ -12,15 +12,14 @@ chain map, exactness in every degree of a conflation of complexes) are
 checked by the public constructors and ``from_dict``, on the residue rows
 of the composites: no composite morphism and no synthesized zero map is
 built for them, and degrees outside a window read as zero matrices.  The
-three dual builders (``dual_complex``, ``dual_complex_conflation`` and
-``double_dual_complex_iso``) build through the private ``_trusted``
+duals (``dual_complex``, ``double_dual_complex_iso`` and the f+ of
+``is_pure_complex_conflation``) build through the private ``_trusted``
 constructors instead: the character dual is an exact anti-equivalence
 that keeps windows normalized, so their identities hold by construction.
 So do the flat disk cover, whose kernel ``enumeration`` writes in closed
-form, and the chain maps and conflation that
-``enumeration.complex_conflation_from_chain_epi`` completes from kernel
-inclusions.  A tier-1 test rebuilds every trusted object of a suite run
-through the validating constructors.
+form, and the family middles that ``enumeration._middle`` reads off
+subgroup-catalog entries.  A tier-1 test rebuilds every trusted object of
+a suite run through the validating constructors.
 
 Chain-level questions (does a conflation of complexes split? is a
 complex contractible?) are one exact block system whose unknowns are the
@@ -104,8 +103,8 @@ class Complex:
         """A complex built without ``__post_init__``.
 
         Only for a window that is normalized, with differentials that
-        match their endpoints and compose to zero, by construction (the
-        dual of a complex, the disk cover and its kernel); the public
+        match their endpoints and compose to zero, by construction (a
+        dual, the disk cover and its kernel, a family middle); the public
         constructor and ``from_dict`` keep validating.  The fields are set
         one by one, as in ``Morphism._trusted``, so that no instance dict
         is materialised.
@@ -217,8 +216,8 @@ class ChainMap:
     def _trusted(cls, source: Complex, target: Complex, parts) -> "ChainMap":
         """A chain map built without ``__post_init__``, for parts that match
         their endpoints and commute with the differentials by construction
-        (a dual, the double-dual unit, the maps of the disk cover, kernel
-        inclusions whose differentials ``factor_through_mono`` checked);
+        (a dual, the double-dual unit, the maps of the disk cover and of a
+        family middle, whose inclusions ``factor_through_mono`` checked);
         the public constructor keeps validating."""
         phi = object.__new__(cls)
         setattr_ = object.__setattr__
@@ -270,8 +269,8 @@ class ComplexConflation:
     def _trusted(cls, f: ChainMap, g: ChainMap) -> "ComplexConflation":
         """A conflation of complexes built without ``__post_init__``, for
         chain maps that are degreewise conflations by construction (the
-        dual of a conflation, the disk cover, kernel inclusions of a
-        degreewise epi); the public constructor keeps validating."""
+        disk cover, a family middle over subgroup-catalog entries); the
+        public constructor keeps validating."""
         c = object.__new__(cls)
         object.__setattr__(c, "f", f)
         object.__setattr__(c, "g", g)
@@ -385,17 +384,6 @@ def _dual_parts(phi: ChainMap, src: Complex) -> tuple[Morphism, ...]:
     return tuple(dual_mor(phi.part(-n)) for n in src.degrees())
 
 
-def dual_complex_conflation(c: ComplexConflation) -> ComplexConflation:
-    """0 -> Z+ -> Y+ -> X+ -> 0, dualizing each of X, Y, Z once.
-
-    Trusted: (-)+ is exact, so the dual is a conflation in every degree."""
-    z, y, x = (dual_complex(k) for k in (c.quotient, c.total, c.sub))
-    return ComplexConflation._trusted(
-        ChainMap._trusted(z, y, _dual_parts(c.g, z)),
-        ChainMap._trusted(y, x, _dual_parts(c.f, y)),
-    )
-
-
 def double_dual_complex_iso(x: Complex) -> ChainMap:
     """The chain isomorphism x -> dual(dual(x)) with parts (-1)^n * lambda.
 
@@ -414,22 +402,26 @@ def double_dual_complex_iso(x: Complex) -> ChainMap:
 
 
 def splits_as_complexes(c: ComplexConflation) -> ChainMap | None:
-    """A chain section s: Z -> Y of the deflation, or None when c does not
-    chain-split: one block system for all degrees at once.
+    """A chain section s: Z -> Y of the deflation (``_chain_section``), or
+    None when c does not chain-split.  It is the whole witness: a
+    retraction of f is factored from id - s . g degreewise and then
+    commutes with the differentials."""
+    return _chain_section(c.g)
 
-    Unknowns are the degreewise candidate sections s^n: Z^n -> Y^n;
-    constraints are g^n . s^n = id and d_Y . s^n - s^(n+1) . d_Z = 0, so
-    None is a definitive absence.  The solution is validated as a chain
-    map.  It is the whole witness: a retraction of f is factored from
-    id - s . g degreewise and then commutes with the differentials.
-    """
-    z = c.quotient
-    y = c.total
+
+def _chain_section(g: ChainMap) -> ChainMap | None:
+    """A chain map s: Z -> Y with g . s = id, or None: one block system
+    for all degrees at once, whose unknowns are the degreewise candidate
+    sections s^n: Z^n -> Y^n and whose constraints are g^n . s^n = id and
+    d_Y . s^n - s^(n+1) . d_Z = 0, so None is a definitive absence.  The
+    solution is validated as a chain map."""
+    z = g.target
+    y = g.source
     window = list(z.degrees())
     k = len(window)
     blocks = {}
     for i, n in enumerate(window):
-        blocks[i, i] = (c.g.part(n), None)
+        blocks[i, i] = (g.part(n), None)
         blocks[k + i, i] = (y.differential(n), None)
         if i + 1 < k:
             blocks[k + i, i + 1] = (None, -z.differential(n))
@@ -443,8 +435,12 @@ def splits_as_complexes(c: ComplexConflation) -> ChainMap | None:
 
 
 def is_pure_complex_conflation(c: ComplexConflation) -> bool:
-    """Purity in the complex category: the dual conflation chain-splits."""
-    return splits_as_complexes(dual_complex_conflation(c)) is not None
+    """Purity in the complex category: the dual conflation chain-splits.
+    That reads only its deflation f+: Y+ -> X+, the one dual built
+    (trusted, as (-)+ is an exact functor); Z+ and g+ are never needed."""
+    y = dual_complex(c.total)
+    f_dual = ChainMap._trusted(y, dual_complex(c.sub), _dual_parts(c.f, y))
+    return _chain_section(f_dual) is not None
 
 
 def is_contractible(x: Complex) -> bool:

@@ -29,7 +29,8 @@ build (sub, inclusion, projection) is ring-free too: the first ring to
 build it stores the rows with the walk, and every other ring wraps them
 (``SubgroupEntry``).  Enumerated complexes are built trusted, since
 their differentials are enumerated morphisms whose composites the walk
-has just read as zero.
+has just read as zero; so are the family middles, read off subgroup
+catalog entries that carry their kernels (``_middle``).
 """
 
 from __future__ import annotations
@@ -395,27 +396,6 @@ def enumerate_complexes(n: int, span: int) -> tuple[Complex, ...]:
     return tuple(out)
 
 
-def complex_conflation_from_chain_epi(g: ChainMap) -> ComplexConflation:
-    """Complete a degreewise-epi chain map to a conflation of complexes.
-
-    Raises ValueError unless every part of g is epi.  The kernel
-    inclusions are mono and killed by g, and ``factor_through_mono``
-    checks that they commute with the differentials, so both chain maps
-    and the conflation are built trusted; the kernel complex validates.
-    """
-    y = g.source
-    for n in sorted(set(y.degrees()) | set(g.target.degrees())):
-        if not g.part(n).is_epi():
-            raise ValueError(f"chain map is not epi in degree {n}")
-    incl = {n: kernel(g.part(n))[1] for n in y.degrees()}
-    diffs = tuple(
-        factor_through_mono(y.differential(n) @ incl[n], incl[n + 1]) for n in y.degrees()[:-1]
-    )
-    x = Complex(y.ring, y.lo, tuple(incl[n].domain for n in y.degrees()), diffs)
-    f = ChainMap._trusted(x, y, tuple(incl[n] for n in x.degrees()))
-    return ComplexConflation._trusted(f, g)
-
-
 def flat_disk_cover(f: Complex) -> ComplexConflation:
     """The canonical conflation K -> Q -> f with Q contractible and flat,
     in closed form.
@@ -510,18 +490,33 @@ def enumerate_complex_conflations_ending_in(
         for comp in f.components
     ]
     middles = (
-        complex_conflation_from_chain_epi(
-            ChainMap(
-                Complex(f.ring, f.lo, tuple(e.ambient for e in combo), diffs),
-                f,
-                tuple(e.projection for e in combo),
-            )
-        )
+        _middle(f, combo, stack)
         for combo in itertools.product(*per_degree)
         if any(e.sub_order > 1 for e in combo)
-        for diffs in _complete_differentials(f, combo)
+        for stack in _complete_differentials(f, combo)
     )
     yield from itertools.islice(middles, max_count)
+
+
+def _middle(f: Complex, combo, stack) -> ComplexConflation:
+    """The conflation X -> Y -> f over the subgroup entries ``combo``, one
+    per degree of f, with middle differentials ``stack``.
+
+    Y, g and the inclusion are built trusted: the stack walk read
+    D . D = 0 and each D lifts d_f, and each entry's inclusion is the
+    kernel of its projection.  X's differentials factor D . i through the
+    next inclusion (``factor_through_mono`` checks it), and the validating
+    ``Complex`` strips X's zero edges.
+    """
+    y = Complex._trusted(f.ring, f.lo, tuple(e.ambient for e in combo), stack)
+    g = ChainMap._trusted(y, f, tuple(e.projection for e in combo))
+    diffs = tuple(
+        factor_through_mono(d @ here.inclusion, there.inclusion)
+        for d, here, there in zip(stack, combo, combo[1:])
+    )
+    x = Complex(f.ring, f.lo, tuple(e.sub for e in combo), diffs)
+    incl = ChainMap._trusted(x, y, tuple(combo[n - f.lo].inclusion for n in x.degrees()))
+    return ComplexConflation._trusted(incl, g)
 
 
 def _complete_differentials(f: Complex, combo):

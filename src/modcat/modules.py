@@ -506,12 +506,12 @@ def _cokernel_columns(ring: RingSpec, e: tuple[int, ...], a):
 
 
 # Small on purpose.  The complexes suite asks for the kernels of a few
-# dozen differentials and chain-map parts over and over (kernel_objects
-# per complex, complex_conflation_from_chain_epi per family middle; the
-# disk cover writes its kernel in closed form), close together: at moduli
-# 4 and 9, span 4, 4,820 calls ask for 43 distinct kernels (3,757 calls
-# from kernel_objects, 1,056 from the middles), and 64 entries catch all
-# 4,777 repeats.  Every subgroup or image built is one call that is
+# dozen differentials over and over, all from kernel_objects (the disk
+# cover writes its kernel in closed form, and a family middle reads its
+# kernel off its subgroup-catalog entries), close together: at moduli 4
+# and 9, span 4, 3,764 calls ask for 43 distinct kernels (3,757 calls
+# from kernel_objects, 7 from catalog builds), and 64 entries catch all
+# 3,721 repeats.  Every subgroup or image built is one call that is
 # rarely asked again (prop1 at moduli 4 8 9 12, order 32, kernel 8: 785
 # calls, no repeat; a catalog entry is built once for all the moduli its
 # factors divide): a large cache would only hold them.  Pullbacks and

@@ -603,12 +603,15 @@ def replay_counterexample(ce: dict) -> bool:
 
     A ``crash`` record reruns its suite; every other record decodes its
     inputs by field name and evaluates the same ``CHECKS`` entry the suite
-    evaluated.  A record whose ``data`` is not its kind's fields plus
-    ``verdicts``, or a crash record whose ``config`` is not the fields of
-    ``SuiteConfig``, raises ``ValueError``.
+    evaluated.  A record without ``check``, ``modulus`` or ``data``, a
+    record whose ``data`` is not a dict of its kind's fields plus
+    ``verdicts``, or a crash record whose ``data`` lacks ``suite`` or whose
+    ``config`` is not the fields of ``SuiteConfig``, raises ``ValueError``.
     """
+    _expect_fields("counterexample record", ce, ("check", "modulus", "data"), exact=False)
     kind, data = ce["check"], ce["data"]
     if kind == "crash":
+        _expect_fields("crash record's data", data, ("suite", "config"), exact=False)
         _expect_fields("crash record's config", data["config"], [f.name for f in fields(SuiteConfig)])
         report = run_suite(SuiteConfig(**data["config"]), names=(data["suite"],))
         return report.exit_code == 3
@@ -620,6 +623,8 @@ def replay_counterexample(ce: dict) -> bool:
     return not SuiteResult(kind).check(kind, ce["modulus"], *inputs)
 
 
-def _expect_fields(what: str, data: dict, names) -> None:
-    if sorted(data) != sorted(names):
+def _expect_fields(what: str, data, names, exact: bool = True) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be a dict, not {type(data).__name__}")
+    if any(name not in data for name in names) or (exact and len(data) != len(names)):
         raise ValueError(f"a {what} must have the fields {', '.join(names)}, not {', '.join(data)}")

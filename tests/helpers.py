@@ -2,8 +2,11 @@
 the direct-sum embedding of a pullback and projection onto a pushout,
 their mediating morphisms, the direct-sum route to pullbacks and pushouts
 as an oracle for the concatenated-coordinate one, identity chain maps,
-the dual of a chain map, multiplication maps, element orders, the
-per-term tensor of two morphisms as an oracle for the products of ``tensor_mor``, the lattice
+the dual of a chain map and of a conflation of complexes (the oracle for
+chain-level purity), the completion of a chain epi to a conflation of
+complexes (the oracle for the family middles), multiplication maps,
+element orders, the per-term tensor of two morphisms as an oracle for the
+products of ``tensor_mor``, the lattice
 route to subgroups and kernels, an oracle independent of the package's cokernel-and-dual-kernel
 route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
 the walk over their solution cosets that completes middle differentials,
@@ -152,6 +155,34 @@ def dual_chain_map(phi: ChainMap) -> ChainMap:
     constructor."""
     src = dual_complex(phi.target)
     return ChainMap(src, dual_complex(phi.source), _dual_parts(phi, src))
+
+
+def dual_complex_conflation(c: ComplexConflation) -> ComplexConflation:
+    """0 -> Z+ -> Y+ -> X+ -> 0, the duals of g and f, through the
+    validating constructors: the oracle for purity, which dualizes f
+    alone."""
+    return ComplexConflation(dual_chain_map(c.g), dual_chain_map(c.f))
+
+
+def complex_conflation_from_chain_epi(g: ChainMap) -> ComplexConflation:
+    """Complete a degreewise-epi chain map to a conflation of complexes,
+    through the validating constructors: the kernel of g in every degree,
+    its differentials factored through the next kernel inclusion.  The
+    oracle for the family middles, which read their kernels off their
+    subgroup-catalog entries.
+
+    Raises ValueError unless every part of g is epi.
+    """
+    y = g.source
+    for n in sorted(set(y.degrees()) | set(g.target.degrees())):
+        if not g.part(n).is_epi():
+            raise ValueError(f"chain map is not epi in degree {n}")
+    incl = {n: kernel(g.part(n))[1] for n in y.degrees()}
+    diffs = tuple(
+        factor_through_mono(y.differential(n) @ incl[n], incl[n + 1]) for n in y.degrees()[:-1]
+    )
+    x = Complex(y.ring, y.lo, tuple(incl[n].domain for n in y.degrees()), diffs)
+    return ComplexConflation(ChainMap(x, y, tuple(incl[n] for n in x.degrees())), g)
 
 
 def multiplication(m: FiniteModule, c: int) -> Morphism:

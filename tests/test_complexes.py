@@ -39,7 +39,6 @@ from modcat.complexes import (
     cohomology,
     double_dual_complex_iso,
     dual_complex,
-    dual_complex_conflation,
     is_acyclic,
     is_contractible,
     is_flat_complex,
@@ -54,7 +53,6 @@ from modcat.complexes import (
     zero_complex,
 )
 from modcat.enumeration import (
-    complex_conflation_from_chain_epi,
     cyclic_subgroup_catalog,
     enumerate_complex_conflations_ending_in,
     enumerate_complexes,
@@ -64,7 +62,9 @@ from modcat.enumeration import (
 )
 from helpers import (
     chain_retraction,
+    complex_conflation_from_chain_epi,
     dual_chain_map,
+    dual_complex_conflation,
     identity_chain_map,
     multiplication,
     postcompose_map,
@@ -279,21 +279,21 @@ CHAIN_CLASSES = (Complex, ChainMap, ComplexConflation)
 
 
 def test_every_trusted_chain_object_of_a_suite_run_validates():
-    """Every chain object that the dual builders, the disk cover, the
-    completion of a chain epi and the complex enumeration build without
-    validation passes the validating constructors unchanged, ``hi``
-    included."""
+    """Every chain object that the dual builders, the dual inflation of
+    purity, the disk cover, the family middles and the complex enumeration
+    build without validation passes the validating constructors unchanged,
+    ``hi`` included."""
     report, built, callers = trusted_builds(
         dict(moduli=(4, 9, 12), max_complex_span=3), ("complexes",), CHAIN_CLASSES
     )
     assert report.exit_code == 0
-    # The suites dualize chain maps only inside conflations.
+    # The suites dualize a chain map only as the inflation of a conflation.
     assert callers == {
         "dual_complex",
-        "dual_complex_conflation",
+        "is_pure_complex_conflation",
         "double_dual_complex_iso",
         "flat_disk_cover",
-        "complex_conflation_from_chain_epi",
+        "_middle",
         "enumerate_complexes",
     }
     kinds = {cls: sum(isinstance(obj, cls) for obj in built) for cls in CHAIN_CLASSES}
@@ -384,6 +384,54 @@ def test_revalidation_rejects_a_disk_cover_without_its_minus(monkeypatch):
     assert rejected > 0
 
 
+def test_revalidation_rejects_a_middle_with_its_inclusion_at_the_wrong_degree(monkeypatch):
+    """Read at X's degree offset instead of Y's, a family middle's
+    inclusion takes the wrong entry's inclusion wherever X's window is
+    narrower than Y's.  The revalidation rejects those middles (the run
+    itself stops at a crash record)."""
+    import modcat.enumeration as me
+
+    old = "combo[n - f.lo].inclusion"
+    monkeypatch.setattr(me, "_middle", source_mutant(me._middle, old, "combo[n - x.lo].inclusion"))
+    _, built, callers = trusted_builds(
+        dict(moduli=(4, 9), max_complex_span=2), ("complexes",), CHAIN_CLASSES
+    )
+    assert "_middle" in callers
+    rejected = 0
+    for obj in built:
+        try:
+            revalidated(obj)
+        except ValueError:
+            rejected += 1
+    assert rejected > 0
+
+
+def test_revalidation_rejects_a_dual_inflation_on_the_wrong_window(monkeypatch):
+    """With its parts read on the window of X+ instead of Y+, the f+ that
+    purity builds has the wrong number of parts wherever the two windows
+    differ.  The suite's verdicts do not read that; the revalidation
+    does."""
+    import modcat.complexes as mc
+    import modcat.suites as ms
+
+    old = "_dual_parts(c.f, y)"
+    mutant = source_mutant(mc.is_pure_complex_conflation, old, "_dual_parts(c.f, dual_complex(c.sub))")
+    monkeypatch.setattr(mc, "is_pure_complex_conflation", mutant)
+    monkeypatch.setattr(ms, "is_pure_complex_conflation", mutant)
+    _, built, callers = trusted_builds(
+        dict(moduli=(4, 9), max_complex_span=2), ("complexes",), CHAIN_CLASSES
+    )
+    assert "is_pure_complex_conflation" in callers
+    rejected = 0
+    for obj in built:
+        try:
+            revalidated(obj)
+        except ValueError as exc:
+            assert "one part per source-window degree" in str(exc), exc
+            rejected += 1
+    assert rejected > 0
+
+
 def test_closed_form_cover_on_components_that_are_not_cyclic():
     """On two-term complexes of modules of order <= 16 with |Hom| <= 32,
     the closed-form cover revalidates, and its kernel is the one that
@@ -452,13 +500,11 @@ def test_hi_is_fixed_on_every_construction_path():
 
 def test_trusted_duals_equal_their_validated_rebuilds():
     """Equal, with the same hash and the same serialization, for each of
-    the three dual builders."""
-    family = enumerate_complexes(4, 3)
+    the two dual builders."""
     objects = []
-    for x in family:
-        objects += [dual_complex(x), double_dual_complex_iso(x)]
-        for cc in enumerate_complex_conflations_ending_in(x, 4, 3):
-            objects.append(dual_complex_conflation(cc))
+    for n in (4, 9):
+        for x in enumerate_complexes(n, 3):
+            objects += [dual_complex(x), double_dual_complex_iso(x)]
     assert len(objects) > 200
     for obj in objects:
         again = revalidated(obj)
@@ -586,13 +632,38 @@ def test_injective_complex():
         assert hom_exactness_oracle(cc, x)
 
 
-def test_dual_complex_conflation_validates():
-    """The dual is built trusted; the validating constructors rebuild it
-    unchanged, endpoints included."""
-    c = witness_conflation()
-    dc = dual_complex_conflation(c)
-    assert revalidated(dc) == dc
-    assert dc.sub.component(0).order == 2
+def test_purity_dualizes_the_inflation_alone(monkeypatch):
+    """``is_pure_complex_conflation`` dualizes the middle and the sub of a
+    conflation, once each and never its quotient, and hands
+    ``_chain_section`` their dual f+, which equals the deflation of the
+    dual conflation that the validating constructors build: on the witness
+    and on every capped family at n = 4, span 3."""
+    import modcat.complexes as mc
+
+    dualized, sections = [], []
+
+    def recording(real, seen):
+        def call(x):
+            seen.append(x)
+            return real(x)
+
+        return call
+
+    monkeypatch.setattr(mc, "dual_complex", recording(dual_complex, dualized))
+    monkeypatch.setattr(mc, "_chain_section", recording(mc._chain_section, sections))
+    family = [witness_conflation()] + [
+        cc for x in enumerate_complexes(4, 3) for cc in enumerate_complex_conflations_ending_in(x, 4, 3)
+    ]
+    assert dual_complex_conflation(family[0]).sub.component(0).order == 2
+    for cc in family:
+        dualized.clear()
+        sections.clear()
+        pure = is_pure_complex_conflation(cc)
+        assert [id(x) for x in dualized] == [id(cc.total), id(cc.sub)]
+        dc = dual_complex_conflation(cc)
+        assert sections == [dc.g]
+        assert pure == (splits_as_complexes(dc) is not None)
+    assert len(family) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -772,9 +843,12 @@ def test_morphism_unknowns_match_the_hom_module_route():
                 verdicts += 1
                 contractible += got
             for cc in enumerate_complex_conflations_ending_in(f, 4, 6):
-                for c in (cc, dual_complex_conflation(cc)):
+                dual = dual_complex_conflation(cc)
+                for c in (cc, dual):
                     section = splits_as_complexes(c)
                     assert (section is not None) == hom_route_chain_splits(c), c
+                    if c is dual:
+                        assert is_pure_complex_conflation(cc) == (section is not None), cc
                     conflations += 1
                     if section is not None:
                         chain_split += 1

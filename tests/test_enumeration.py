@@ -42,7 +42,6 @@ from modcat.enumeration import (
     _SharedSubgroup,
     _quotient_factors,
     _complete_differentials,
-    complex_conflation_from_chain_epi,
     conflations_ending_in,
     conflations_with_sub,
     cyclic_subgroup_catalog,
@@ -57,6 +56,7 @@ from modcat.enumeration import (
 
 from helpers import (
     clear_package_caches,
+    complex_conflation_from_chain_epi,
     enumerate_monos,
     full_cyclic_subgroup_walk,
     hom_coordinate_middles,
@@ -887,14 +887,15 @@ def test_uncapped_middles_match_the_hom_coordinate_route():
 @pytest.mark.parametrize(
     "n,span,count,digest",
     [
-        (4, 3, 365, "221749295690bc1256953a5c8c5b758b969487b58df3871339736f86867cb656"),
-        (9, 3, 725, "5014bb023e8a081fb42aaf9e263cd2cc4d2722535632561fcae416348343334b"),
-        (12, 2, 589, "bccc3852b8346a0792fc9e524920cb44206ce1577fe9b724951660c478965d59"),
+        (4, 3, 365, "c2e6b49eaea3e753a63b2bc42d75221d1940541ebaab2ff82a215891c4873fbc"),
+        (9, 3, 725, "08d0510f87059c02dd2c1bd923d71035acf02559525a58c30bf52237e1bd4fba"),
+        (12, 2, 589, "267a36cf7a7efe71cc84001bbd16373facefa1eeadc0a5fa5f6e225324fcbfbc"),
     ],
     ids=["4-3", "9-3", "12-2"],
 )
 def test_capped_complex_families_are_pinned(n, span, count, digest):
-    """The chain epis of the capped families the complexes suite checks.
+    """The capped families the complexes suite checks, both halves of
+    each conflation.
 
     Under COMPLEX_FAMILY_CAP the walk order decides which conflations are
     checked: combos in product order over the per-degree catalogs, then
@@ -903,11 +904,17 @@ def test_capped_complex_families_are_pinned(n, span, count, digest):
     basis anywhere under it (a lift, a kernel inclusion) would silently
     change the suite's coverage.  A change that means to choose the family
     differently updates these pins.
+
+    Every middle after the disk cover is read off its catalog entries; it
+    equals the completion of its deflation through ``kernel`` and the
+    validating constructors.
     """
-    seq = [
-        cc.g.to_dict()
-        for x in enumerate_complexes(n, span)
-        for cc in enumerate_complex_conflations_ending_in(x, COMPLEX_KERNEL_CAP, COMPLEX_FAMILY_CAP)
-    ]
+    seq = []
+    for x in enumerate_complexes(n, span):
+        family = enumerate_complex_conflations_ending_in(x, COMPLEX_KERNEL_CAP, COMPLEX_FAMILY_CAP)
+        for i, cc in enumerate(family):
+            if i:
+                assert cc == complex_conflation_from_chain_epi(cc.g)
+            seq.append(cc.to_dict())
     assert len(seq) == count
     assert hashlib.sha256(json.dumps(seq, sort_keys=True).encode()).hexdigest() == digest

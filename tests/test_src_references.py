@@ -175,12 +175,15 @@ def test_the_scan_sees_an_import_nothing_uses(tmp_path):
 # subgroup entry's inclusion and projection, which every ring wraps from the
 # kernel and cokernel rows its walked subgroup stores; maps from
 # user-supplied generators (``_generator_map``) keep validating.  Chain
-# objects are trusted in the three dual builders, because the character dual
-# is an exact anti-equivalence that keeps windows normalized; in the flat
-# disk cover, whose kernel is written in closed form; and in the chain maps
-# and conflation of ``complex_conflation_from_chain_epi``, whose kernel
-# inclusions are mono, killed by an epi and commute by
-# ``factor_through_mono``'s check.  The tensor of two morphisms and the
+# objects are trusted in the two dual builders and in the dual f+ of an
+# inflation that purity builds, because the character dual is an exact
+# anti-equivalence that keeps windows normalized; in the flat disk cover,
+# whose kernel is written in closed form; and in a family middle
+# (``_middle``), whose differentials the stack walk read as composing to
+# zero and lifting d_f, whose deflation is the catalog entries'
+# projections, and whose inclusions are the entries' kernel inclusions,
+# which commute by ``factor_through_mono``'s check (its kernel complex
+# validates).  The tensor of two morphisms and the
 # solutions of a block system are reduced and well defined by construction
 # (the tensor's rows are reduced mod the target factors; each unknown entry is a
 # multiple of B_b / gcd(A_a, B_b), reduced mod B_b).  Conflations are
@@ -211,16 +214,16 @@ TRUSTED_CALLERS = {
         "complexes.dual_complex",
         "enumeration.enumerate_complexes",
         "enumeration.flat_disk_cover",
+        "enumeration._middle",
     },
     "ChainMap": {
-        "complexes.dual_complex_conflation",
+        "complexes.is_pure_complex_conflation",
         "complexes.double_dual_complex_iso",
-        "enumeration.complex_conflation_from_chain_epi",
+        "enumeration._middle",
         "enumeration.flat_disk_cover",
     },
     "ComplexConflation": {
-        "complexes.dual_complex_conflation",
-        "enumeration.complex_conflation_from_chain_epi",
+        "enumeration._middle",
         "enumeration.flat_disk_cover",
     },
 }
@@ -318,16 +321,17 @@ def test_the_scan_sees_a_trusted_call_outside_the_allow_list(tmp_path):
 
 
 def test_the_scan_keeps_each_chain_object_in_its_dual_builders(tmp_path):
-    """A dual builder may call only the constructors it is listed for, and
-    a validating path may call none of them."""
+    """A dual builder, or purity's dual of an inflation, may call only the
+    constructors it is listed for, and a validating path may call none of
+    them."""
     (tmp_path / "complexes.py").write_text(
         "class Complex:\n"
         "    @classmethod\n    def from_dict(cls, data):\n        return cls._trusted(1, 2, 3, 4)\n\n\n"
         "def dual_complex(x):\n"
         "    return Complex._trusted(1, 2, 3, 4), Morphism._trusted(1, 2, 3)\n\n\n"
         "def dual_chain_map(phi):\n    return ChainMap._trusted(1, 2, 3)\n\n\n"
-        "def dual_complex_conflation(c):\n"
-        "    return ComplexConflation._trusted(ChainMap._trusted(1, 2, 3), c)\n\n\n"
+        "def is_pure_complex_conflation(c):\n"
+        "    return ChainMap._trusted(1, 2, 3), ComplexConflation._trusted(1, c)\n\n\n"
         "def double_dual_complex_iso(x):\n"
         "    return ChainMap._trusted(1, 2, 3), ComplexConflation._trusted(1, 2)\n\n\n"
         "def splits_as_complexes(c):\n    return type(c)._trusted(1, 2, 3)\n"
@@ -336,6 +340,7 @@ def test_the_scan_keeps_each_chain_object_in_its_dual_builders(tmp_path):
         "complexes.Complex.from_dict",
         "complexes.dual_complex",
         "complexes.dual_chain_map",
+        "complexes.is_pure_complex_conflation",
         "complexes.double_dual_complex_iso",
         "complexes.splits_as_complexes",
     ]

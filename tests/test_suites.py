@@ -626,6 +626,19 @@ def test_replay_rejects_a_record_whose_data_is_not_its_checks_inputs():
              "config": dict(TINY.to_dict(), output_format="text", output_path=None)}
     with pytest.raises(ValueError, match="not moduli, .*output_format, output_path"):
         replay_counterexample({"check": "crash", "modulus": None, "reason": "", "data": crash})
+    # A record without one of its keys, or with data that is not a dict,
+    # names what is wrong instead of escaping as a KeyError or TypeError.
+    valid = record(module=module, bound=4, verdicts=verdicts)
+    no_suite = {"check": "crash", "modulus": None, "reason": "",
+                "data": {k: v for k, v in crash.items() if k != "suite"} | {"config": TINY.to_dict()}}
+    for malformed, match in (
+        ({k: v for k, v in valid.items() if k != "modulus"}, "check, modulus, data, not check, reason"),
+        ({k: v for k, v in valid.items() if k != "check"}, "check, modulus, data, not modulus, reason"),
+        (no_suite, "suite, config, not exception, message, traceback, config"),
+        (dict(valid, data=[module, 4, verdicts]), "data must be a dict, not list"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            replay_counterexample(malformed)
 
 
 def test_the_pure_injective_leg_fails_where_is_pure_and_splits_disagree(monkeypatch):
