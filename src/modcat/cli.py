@@ -36,7 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
     parent.add_argument("--max-kernel", type=int, default=SuiteConfig.max_kernel_order, metavar="B",
                         help="largest kernel order in conflation walks (default %(default)s); "
                         "flat-equiv needs at least the largest prime p with p^2 | N "
-                        "and p <= --max-order, for each modulus N, and prop1 at least 1")
+                        "and p <= --max-order, for each modulus N, and prop1 at least 1; "
+                        "enough-pi reads it as the largest middle order of the "
+                        "conflations starting at M++")
     parent.add_argument("--span", type=int, default=SuiteConfig.max_complex_span, metavar="K",
                         help="largest complex window span (default %(default)s)")
     parent.add_argument("--mode", choices=("exhaustive", "sample"), default=SuiteConfig.mode,

@@ -21,10 +21,10 @@ form, and the family middles that ``enumeration._middle`` reads off
 subgroup-catalog entries.  A tier-1 test rebuilds every trusted object of
 a suite run through the validating constructors.
 
-Chain-level questions (does a conflation of complexes split? is a
-complex contractible?) are one exact block system whose unknowns are the
-degreewise morphisms themselves (``solve_blocks``), so every "no" is a
-definitive absence, not a search failure.
+Chain-level questions (does a chain deflation, such as the f+ of purity,
+split? is a complex contractible?) are one exact block system whose
+unknowns are the degreewise morphisms themselves (``solve_blocks``), so
+every "no" is a definitive absence, not a search failure.
 """
 
 from __future__ import annotations
@@ -401,20 +401,15 @@ def double_dual_complex_iso(x: Complex) -> ChainMap:
 # ---------------------------------------------------------------------------
 
 
-def splits_as_complexes(c: ComplexConflation) -> ChainMap | None:
-    """A chain section s: Z -> Y of the deflation (``_chain_section``), or
-    None when c does not chain-split.  It is the whole witness: a
-    retraction of f is factored from id - s . g degreewise and then
-    commutes with the differentials."""
-    return _chain_section(c.g)
-
-
-def _chain_section(g: ChainMap) -> ChainMap | None:
-    """A chain map s: Z -> Y with g . s = id, or None: one block system
-    for all degrees at once, whose unknowns are the degreewise candidate
-    sections s^n: Z^n -> Y^n and whose constraints are g^n . s^n = id and
-    d_Y . s^n - s^(n+1) . d_Z = 0, so None is a definitive absence.  The
-    solution is validated as a chain map."""
+def splits_as_complexes(g: ChainMap) -> ChainMap | None:
+    """A chain section s: Z -> Y of the chain deflation g: Y -> Z, or None
+    when g has none: one block system for all degrees at once, whose
+    unknowns are the degreewise candidate sections s^n: Z^n -> Y^n and
+    whose constraints are g^n . s^n = id and d_Y . s^n - s^(n+1) . d_Z = 0,
+    so None is a definitive absence.  The solution is validated as a chain
+    map.  It is the whole witness: a retraction of a kernel f of g is
+    factored from id - s . g degreewise and then commutes with the
+    differentials."""
     z = g.target
     y = g.source
     window = list(z.degrees())
@@ -440,7 +435,7 @@ def is_pure_complex_conflation(c: ComplexConflation) -> bool:
     (trusted, as (-)+ is an exact functor); Z+ and g+ are never needed."""
     y = dual_complex(c.total)
     f_dual = ChainMap._trusted(y, dual_complex(c.sub), _dual_parts(c.f, y))
-    return _chain_section(f_dual) is not None
+    return splits_as_complexes(f_dual) is not None
 
 
 def is_contractible(x: Complex) -> bool:

@@ -52,6 +52,7 @@ from .modules import (
     Morphism,
     RingSpec,
     _compose_rows,
+    _diagonal_rows,
     _generator_map,
     cokernel,
     factor_through_mono,
@@ -73,7 +74,7 @@ def enumerate_modules(n: int, max_order: int) -> tuple[FiniteModule, ...]:
     if max_order < 1:
         return ()
     ring = RingSpec(n)
-    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    divisors = ring.divisors()[1:]
     chains = [()]
 
     def extend(chain: tuple[int, ...], product: int):
@@ -229,6 +230,7 @@ def _subgroup_walk(d: tuple[int, ...]) -> tuple[_SharedSubgroup, ...]:
     before the walk ever touches the rows above them.
     """
     k = len(d)
+    relations = _diagonal_rows(d)
     found = []
 
     def walk(i: int, below: list[list[int]]):
@@ -243,7 +245,7 @@ def _subgroup_walk(d: tuple[int, ...]) -> tuple[_SharedSubgroup, ...]:
             for tail in itertools.product(*[range(pivots[j]) for j in range(i + 1, k)]):
                 row = [0] * i + [h] + list(tail)
                 cand = [row] + below
-                if lattice_member(cand, [d[i] if c == i else 0 for c in range(k)]):
+                if lattice_member(cand, relations[i]):
                     walk(i - 1, cand)
 
     walk(k - 1, [])
@@ -275,7 +277,7 @@ def _cyclic_subgroup_walk(d: tuple[int, ...], order: int) -> tuple[_SharedSubgro
     k = len(d)
     if (d[-1] if d else 1) % order:
         return ()
-    relations = [[d[i] if c == i else 0 for c in range(k)] for i in range(k)]
+    relations = _diagonal_rows(d)
     units = [u for u in range(order) if gcd(u, order) == 1]
     covered = set()
     keys = set()
@@ -343,7 +345,7 @@ def conflations_with_sub(m: FiniteModule, middle_bound: int):
 
 def is_pure_injective(m: FiniteModule, bound: int) -> bool:
     """Every pure conflation starting at m with middle order <= bound splits."""
-    return all(splits(c) is not None for c in conflations_with_sub(m, bound) if is_pure(c))
+    return all(splits(c.g) is not None for c in conflations_with_sub(m, bound) if is_pure(c))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ over a finite base these four cheap checks together are equivalent to
 additionally re-derives both universal properties through the canonical
 kernel and cokernel and checks the comparison maps are isomorphisms,
 giving an independent route to the same verdict.  ``Conflation._trusted``
-skips the four checks for the two pairs that are conflations by
-construction, the character dual of a conflation and a subgroup entry's
-inclusion and projection; every other conflation is checked once, where
-it is built.
+skips the four checks for the one pair that is a conflation by
+construction, a subgroup entry's inclusion and projection; every other
+conflation is checked once, where it is built.
 
 A pullback is the kernel of [g | -h] on the concatenated coordinates of
 dom g and dom h, a pushout the cokernel of [f; -h] into those of cod f
@@ -24,7 +23,8 @@ given maps and the legs (g . to_g == h . to_h, from_f . f == from_h . h),
 with no ``Morphism`` composite and none of the stacked rows the kernel or
 cokernel was taken of, so a wrong sign in those rows is caught here; the
 order of the fiber product (pushout); and the deflation (inflation)
-stability of the leg opposite g (f).
+stability of the leg opposite g (f).  A conflation splits exactly when
+its deflation has a section, so ``splits`` takes the deflation alone.
 """
 
 from __future__ import annotations
@@ -101,14 +101,13 @@ class Conflation:
     def _trusted(cls, f: Morphism, g: Morphism) -> "Conflation":
         """A conflation built without ``__post_init__``.
 
-        Only for pairs that are conflations by construction: the character
-        dual of a conflation (an exact anti-equivalence) and a subgroup
+        Only for a pair that is a conflation by construction: a subgroup
         entry's kernel inclusion and cokernel projection, whose orders its
         build checks against the Smith invariants.  The public constructor,
-        ``from_dict`` and the completions ``conflation_from_mono`` and
-        ``conflation_from_epi`` keep validating.  The fields are set as the
-        frozen dataclass's ``__init__`` sets them, so equality and the hash
-        are the validated conflation's.
+        ``from_dict``, ``conflation_from_mono``, ``conflation_from_epi`` and
+        ``purity.dual_conflation`` keep validating.  The fields are set as
+        the frozen dataclass's ``__init__`` sets them, so equality and the
+        hash are the validated conflation's.
         """
         c = object.__new__(cls)
         object.__setattr__(c, "f", f)
@@ -275,20 +274,20 @@ def pushout(f: Morphism, h: Morphism) -> Pushout:
 # ---------------------------------------------------------------------------
 
 
-def splits(c: Conflation) -> Morphism | None:
-    """A section s: M -> B of the deflation g, or None when c does not split.
+def splits(g: Morphism) -> Morphism | None:
+    """A section s: M -> B of the deflation g: B -> M, or None if none.
 
     s is the one unknown of the block system g . s = id_M, solved exactly
     by one ``solve_blocks`` system, so None is a definitive absence and s
     the system's one deterministic solution.  A section is the whole
-    witness: f being monic, id - s . g factors as f . r through
-    ``factor_through_mono``, and that r is a retraction of f.
+    witness: with f: A -> B a kernel of g, id - s . g factors as f . r
+    through ``factor_through_mono``, and that r is a retraction of f.
     """
-    m = c.quotient
-    sol = solve_blocks({(0, 0): (c.g, None)}, [(m, c.total)], [Morphism.identity(m)])
+    m = g.codomain
+    sol = solve_blocks({(0, 0): (g, None)}, [(m, g.domain)], [Morphism.identity(m)])
     if sol is None:
         return None
     section = sol[0]
-    if (c.g @ section).matrix != Morphism.identity(m).matrix:
+    if (g @ section).matrix != Morphism.identity(m).matrix:
         raise AssertionError("computed section fails g . s = id")
     return section

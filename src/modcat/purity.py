@@ -8,13 +8,14 @@ epi factorizations read through them, and exported from here.  The unit
 M -> M++ alone is built through ``hom_module``, so the triangle identity
 keeps testing that closed form against the internal hom.
 
-Purity of a conflation is decided by whether its dual splits; an independent oracle
-re-decides it by tensoring with Z/d for every divisor d of n (cyclic
-test objects suffice, since every finite module is a sum of cyclics and
-tensoring distributes over direct sums).  The dual conflation and the
-tensored legs are built without a second validation: (-)+ is an exact
-anti-equivalence, and f (x) Z/d is well defined by construction; what
-the oracle decides is whether the tensored legs are still a conflation.
+Purity of a conflation is decided by whether its dual splits, that is,
+whether f+: Y+ -> X+, the dual of its inflation, has a section; nothing
+else of the dual conflation is built.  An independent oracle re-decides
+it by tensoring with Z/d for every divisor d of n (cyclic test objects
+suffice, since every finite module is a sum of cyclics and tensoring
+distributes over direct sums).  The tensored legs are built without a
+second validation, as f (x) Z/d is well defined by construction; what
+the oracle decides is whether they are still a conflation.
 
 Flatness comes in three inter-verifiable routes: the primary decision is
 "the dual is injective" (injectivity via the Baer criterion over Z/n,
@@ -33,13 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .exact import (
-    Conflation,
-    conflation_from_epi,
-    conflation_from_mono,
-    pullback,
-    splits,
-)
+from .exact import Conflation, conflation_from_mono, pullback, splits
 from .modules import FiniteModule, Morphism, RingSpec, _prime_powers, cyclic, dual, dual_mor
 from .monoidal import hom_module, tensor_mor
 
@@ -58,11 +53,11 @@ class InternalInconsistency(RuntimeError):
 
 
 def dual_conflation(c: Conflation) -> Conflation:
-    """Dualize a conflation: (g+, f+).
+    """Dualize a conflation: (g+, f+), validated as any conflation is.
 
-    (-)+ is an exact anti-equivalence, so the dual of a conflation is one;
-    it is built through ``Conflation._trusted``, without a second check."""
-    return Conflation._trusted(dual_mor(c.g), dual_mor(c.f))
+    Purity reads f+ alone and never builds this pair; it is the whole dual
+    for callers that want one."""
+    return Conflation(dual_mor(c.g), dual_mor(c.f))
 
 
 @lru_cache(maxsize=64)
@@ -97,8 +92,9 @@ def triangle_identity_check(m: FiniteModule) -> bool:
 
 
 def is_pure(c: Conflation) -> bool:
-    """Decide purity by splitting the dual conflation."""
-    return splits(dual_conflation(c)) is not None
+    """Decide purity by splitting the dual conflation, that is, its
+    deflation f+: Y+ -> X+, the dual of the inflation."""
+    return splits(dual_mor(c.f)) is not None
 
 
 def conflation_tensor_failure(c: Conflation, w: FiniteModule) -> str | None:
@@ -198,7 +194,8 @@ def extract_section(c: Conflation) -> Morphism:
 
     Runs the constructive diagram rather than a direct split search:
     dualize the deflation twice, pull the double dual back along the
-    evaluation unit of the flat end, split the resulting top row, and
+    evaluation unit of the flat end, split the deflation of the resulting
+    top row (the pullback leg, which ``pullback`` asserts is one), and
     assemble the retraction r = (g . t')+ . k where k is the evaluation
     unit of B+.  The identity r . b+ = id is verified exactly before
     returning.
@@ -214,8 +211,7 @@ def extract_section(c: Conflation) -> Morphism:
     b_plus_plus = dual_mor(b_plus)
     lam = double_dual_unit(flat_end)
     pb = pullback(b_plus_plus, lam)
-    top = conflation_from_epi(pb.to_domh)
-    section = splits(top)
+    section = splits(pb.to_domh)
     if section is None:
         raise InternalInconsistency(
             "top row of the pullback diagram (pure, pure-injective kernel) did not split"

@@ -424,7 +424,7 @@ def _witness_check(modulus: int):
     )
     return {
         "degreewise_pure": all(is_pure(cc.degreewise(m)) for m in disk.degrees()),
-        "not_chain_split": splits_as_complexes(cc) is None,
+        "not_chain_split": splits_as_complexes(cc.g) is None,
         "not_pure": not is_pure_complex_conflation(cc),
     }
 
@@ -467,7 +467,12 @@ CHECKS = {
 
 def _decode(name: str, cls: type, value):
     if cls is not int:
-        return cls.from_dict(value)
+        if not isinstance(value, dict):
+            raise ValueError(f"record field {name} must be a dict, not {type(value).__name__}")
+        try:
+            return cls.from_dict(value)
+        except KeyError as exc:
+            raise ValueError(f"record field {name} lacks the key {exc.args[0]!r}") from exc
     if type(value) is not int:
         raise TypeError(f"record field {name} must be an int, got {value!r}")
     return value
@@ -532,7 +537,10 @@ def run_flat_equiv(config: SuiteConfig) -> SuiteResult:
 
 
 def run_enough_pi(config: SuiteConfig) -> SuiteResult:
-    """The double-dual embedding package."""
+    """The double-dual embedding package.  Its pure-injective leg reads
+    ``max_kernel_order`` as the largest *middle* order of the conflations
+    starting at M++: at default bounds 53 of the 76 modules have no
+    nontrivial one (38 none, as |M| > 16; 15 only M++ -> M++ -> 0)."""
     res = SuiteResult("enough-pi")
     for n in config.moduli:
         for m in _select(enumerate_modules(n, config.max_module_order), config, f"epi:{n}"):
@@ -605,8 +613,10 @@ def replay_counterexample(ce: dict) -> bool:
     inputs by field name and evaluates the same ``CHECKS`` entry the suite
     evaluated.  A record without ``check``, ``modulus`` or ``data``, a
     record whose ``data`` is not a dict of its kind's fields plus
-    ``verdicts``, or a crash record whose ``data`` lacks ``suite`` or whose
-    ``config`` is not the fields of ``SuiteConfig``, raises ``ValueError``.
+    ``verdicts``, a field that is not a dict or lacks a key at any depth,
+    or a crash record whose ``data`` lacks ``suite`` or whose ``config`` is
+    not the fields of ``SuiteConfig``, raises ``ValueError``; a modulus or
+    an int field that is not an int raises ``TypeError``.
     """
     _expect_fields("counterexample record", ce, ("check", "modulus", "data"), exact=False)
     kind, data = ce["check"], ce["data"]
@@ -620,7 +630,7 @@ def replay_counterexample(ce: dict) -> bool:
     types = CHECKS[kind][2]
     _expect_fields(f"{kind} record's data", data, [*types, "verdicts"])
     inputs = [_decode(name, t, data[name]) for name, t in types.items()]
-    return not SuiteResult(kind).check(kind, ce["modulus"], *inputs)
+    return not SuiteResult(kind).check(kind, _decode("modulus", int, ce["modulus"]), *inputs)
 
 
 def _expect_fields(what: str, data, names, exact: bool = True) -> None:

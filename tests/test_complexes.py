@@ -534,9 +534,9 @@ def test_witness_degreewise_split_but_not_chain_split():
     from modcat.purity import is_pure
 
     for n in (0, 1):
-        assert splits(c.degreewise(n)) is not None
+        assert splits(c.degreewise(n).g) is not None
         assert is_pure(c.degreewise(n))
-    assert splits_as_complexes(c) is None
+    assert splits_as_complexes(c.g) is None
     assert not is_pure_complex_conflation(c)
 
 
@@ -551,7 +551,7 @@ def test_genuinely_chain_split_conflation():
     f = ChainMap(x, mid, (ds0.injections[0], ds1.injections[0]))
     g = ChainMap(mid, z, (ds0.projections[1], ds1.projections[1]))
     c = ComplexConflation(f, g)
-    section = splits_as_complexes(c)
+    section = splits_as_complexes(c.g)
     assert section is not None
     r = chain_retraction(c, section)
     for n in (0, 1):
@@ -616,7 +616,7 @@ def test_contractible_iff_acyclic_with_split_kernels():
             ker_mod, incl = kernel(x.differential(n))
             if ker_mod.order in (1, x.component(n).order):
                 continue
-            if splits(conflation_from_mono(incl)) is None:
+            if splits(conflation_from_mono(incl).g) is None:
                 expected = False
                 break
         assert got == expected, x
@@ -635,7 +635,7 @@ def test_injective_complex():
 def test_purity_dualizes_the_inflation_alone(monkeypatch):
     """``is_pure_complex_conflation`` dualizes the middle and the sub of a
     conflation, once each and never its quotient, and hands
-    ``_chain_section`` their dual f+, which equals the deflation of the
+    ``splits_as_complexes`` their dual f+, which equals the deflation of the
     dual conflation that the validating constructors build: on the witness
     and on every capped family at n = 4, span 3."""
     import modcat.complexes as mc
@@ -650,7 +650,7 @@ def test_purity_dualizes_the_inflation_alone(monkeypatch):
         return call
 
     monkeypatch.setattr(mc, "dual_complex", recording(dual_complex, dualized))
-    monkeypatch.setattr(mc, "_chain_section", recording(mc._chain_section, sections))
+    monkeypatch.setattr(mc, "splits_as_complexes", recording(splits_as_complexes, sections))
     family = [witness_conflation()] + [
         cc for x in enumerate_complexes(4, 3) for cc in enumerate_complex_conflations_ending_in(x, 4, 3)
     ]
@@ -662,7 +662,7 @@ def test_purity_dualizes_the_inflation_alone(monkeypatch):
         assert [id(x) for x in dualized] == [id(cc.total), id(cc.sub)]
         dc = dual_complex_conflation(cc)
         assert sections == [dc.g]
-        assert pure == (splits_as_complexes(dc) is not None)
+        assert pure == (splits_as_complexes(dc.g) is not None)
     assert len(family) > 100
 
 
@@ -845,7 +845,7 @@ def test_morphism_unknowns_match_the_hom_module_route():
             for cc in enumerate_complex_conflations_ending_in(f, 4, 6):
                 dual = dual_complex_conflation(cc)
                 for c in (cc, dual):
-                    section = splits_as_complexes(c)
+                    section = splits_as_complexes(c.g)
                     assert (section is not None) == hom_route_chain_splits(c), c
                     if c is dual:
                         assert is_pure_complex_conflation(cc) == (section is not None), cc

@@ -29,6 +29,7 @@ from modcat.enumeration import enumerate_modules, enumerate_morphisms, subgroup_
 from modcat.suites import SuiteConfig, run_suite
 
 from helpers import (
+    clear_package_caches,
     direct_sum_pullback,
     direct_sum_pushout,
     multiplication,
@@ -373,7 +374,7 @@ def brute_has_section(c: Conflation) -> bool:
 def test_split_witness_on_direct_sum():
     ds = direct_sum(Z2, Z4)
     c = make_conflation(ds.injections[0], ds.projections[1])
-    section = splits(c)
+    section = splits(c.g)
     assert section is not None
     assert c.g @ section == Morphism.identity(c.quotient)
     assert retraction(c, section) @ c.f == Morphism.identity(c.sub)
@@ -381,7 +382,7 @@ def test_split_witness_on_direct_sum():
 
 def test_nonsplit_witnessed_by_brute_scan():
     c = two_in_four()
-    assert splits(c) is None
+    assert splits(c.g) is None
     assert not brute_has_section(c)
 
 
@@ -390,7 +391,7 @@ def test_splits_agrees_with_brute_scan_over_small_catalog():
         y = FiniteModule(R4, factors)
         for entry in subgroup_catalog(y):
             c = entry.conflation()
-            assert (splits(c) is not None) == brute_has_section(c)
+            assert (splits(c.g) is not None) == brute_has_section(c)
 
 
 def test_section_exists_iff_retraction_exists():
@@ -404,7 +405,7 @@ def test_section_exists_iff_retraction_exists():
                 r @ c.f == Morphism.identity(c.sub)
                 for r in enumerate_morphisms(c.total, c.sub)
             )
-            assert (splits(c) is not None) == has_retraction
+            assert (splits(c.g) is not None) == has_retraction
 
 
 # ---------------------------------------------------------------------------
@@ -428,33 +429,42 @@ def rejected_conflations(built) -> int:
 
 def test_every_trusted_conflation_of_a_purity_run_validates():
     """Every conflation that a prop1 and flat-equiv run builds through
-    ``Conflation._trusted`` (subgroup entries and their duals) passes the
-    validating constructor, equal and with the same hash."""
+    ``Conflation._trusted`` (subgroup entries; purity builds no dual
+    conflation) passes the validating constructor, equal and with the same
+    hash."""
     report, built, callers = trusted_builds(
         dict(moduli=(4, 8, 9, 12), max_module_order=16, max_kernel_order=8),
         ("prop1", "flat-equiv"),
         (Conflation,),
     )
     assert report.exit_code == 0
-    assert callers == {"conflation", "dual_conflation"}
+    assert callers == {"conflation"}
     assert len(built) > 500
     assert rejected_conflations(built) == 0
 
 
 def test_revalidation_rejects_a_dual_conflation_with_mismatched_legs(monkeypatch):
     """A dual conflation whose legs are f+ then g+ (the wrong way round)
-    is caught by the revalidation; the run itself stops at a crash record."""
+    is rejected by the validating constructor it is built through; and a
+    purity that splits g+, the dual of the deflation, instead of f+ fails
+    the prop1 agreement checks."""
     import modcat.purity as purity
 
     old = "dual_mor(c.g), dual_mor(c.f)"
-    mutant = source_mutant(purity.dual_conflation, old, "dual_mor(c.f), dual_mor(c.g)")
-    monkeypatch.setattr(purity, "dual_conflation", mutant)
-    report, built, callers = trusted_builds(
-        dict(moduli=(4,), max_module_order=8, max_kernel_order=4), ("prop1",), (Conflation,)
+    swapped = source_mutant(purity.dual_conflation, old, "dual_mor(c.f), dual_mor(c.g)")
+    with pytest.raises(NotAConflation):
+        swapped(two_in_four())
+    monkeypatch.setattr(
+        "modcat.suites.is_pure", source_mutant(purity.is_pure, "dual_mor(c.f)", "dual_mor(c.g)")
     )
-    assert report.exit_code == 3  # a crash record
-    assert "dual_conflation" in callers
-    assert rejected_conflations(built) > 0
+    clear_package_caches()
+    report = run_suite(
+        SuiteConfig(moduli=(4,), max_module_order=8, max_kernel_order=4), names=("prop1",)
+    )
+    prop1 = report.suites[0]
+    kinds = [ce["check"] for ce in prop1.counterexamples]
+    assert (prop1.checked, prop1.failed) == (33, 24)
+    assert set(kinds) == {"purity-agreement"}
 
 
 def test_revalidation_rejects_a_subgroup_entry_whose_inclusion_is_not_mono(monkeypatch):

@@ -55,6 +55,8 @@ def test_traced_prop1_run_reports_per_layer_metrics():
     assert values["suites.prop1.wall_s"] > 0
     assert values["purity.is_pure_oracle.calls"] > 0
     assert values["exact.splits.calls"] > 0
+    # purity splits f+ alone and builds no dual conflation
+    assert values["purity.dual_conflation.calls"] == 0
     assert values["snf.smith_normal_form.calls"] > 0
     assert values["snf.snf_diagonal.calls"] > 0
     # split search takes one deterministic solution and walks no coset
@@ -82,3 +84,6 @@ def test_traced_complexes_run_completes_differentials_over_morphisms():
     assert values["modules.solution_set.yielded"] == 0
     assert values["modules.direct_sum_many.calls"] == 0
     assert values["enumeration.enumerate_morphisms.yielded"] > 0
+    # chain purity splits f+ through the public splits_as_complexes, so
+    # the family's chain splits count beside the witness check's one call
+    assert values["complexes.splits_as_complexes.calls"] > 1

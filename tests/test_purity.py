@@ -99,7 +99,8 @@ def test_dual_of_every_catalog_conflation_is_a_conflation(n):
         for entry in subgroup_catalog(y):
             c = entry.conflation()
             dc = dual_conflation(c)
-            # both are built trusted: the validating constructor rebuilds them
+            # c is built trusted, dc validated: the validating constructor
+            # rebuilds both equal
             assert Conflation(c.f, c.g) == c
             assert Conflation(dc.f, dc.g) == dc
 
@@ -338,4 +339,6 @@ def test_pure_conflations_split_at_desk_scale():
     for y in enumerate_modules(4, 16):
         for entry in subgroup_catalog(y):
             c = entry.conflation()
-            assert is_pure(c) == (splits(c) is not None)
+            assert is_pure(c) == (splits(c.g) is not None)
+            # the validating whole dual is the oracle for the f+-alone route
+            assert is_pure(c) == (splits(dual_conflation(c).g) is not None)

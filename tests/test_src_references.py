@@ -187,8 +187,8 @@ def test_the_scan_sees_an_import_nothing_uses(tmp_path):
 # solutions of a block system are reduced and well defined by construction
 # (the tensor's rows are reduced mod the target factors; each unknown entry is a
 # multiple of B_b / gcd(A_a, B_b), reduced mod B_b).  Conflations are
-# trusted in the character dual of a conflation and in a subgroup entry,
-# whose inclusion is the kernel of its cokernel projection.  Tier-1 tests
+# trusted only in a subgroup entry, whose inclusion is the kernel of its
+# cokernel projection.  Tier-1 tests
 # revalidate what every trusted builder builds.
 TRUSTED_CALLERS = {
     "Morphism": {
@@ -209,7 +209,7 @@ TRUSTED_CALLERS = {
         "modules.dual_mor",
         "enumeration.SubgroupEntry._build",
     },
-    "Conflation": {"purity.dual_conflation", "enumeration.SubgroupEntry.conflation"},
+    "Conflation": {"enumeration.SubgroupEntry.conflation"},
     "Complex": {
         "complexes.dual_complex",
         "enumeration.enumerate_complexes",

@@ -602,6 +602,7 @@ def test_four_way_replay_reads_its_recorded_caps(monkeypatch):
 
 def test_replay_rejects_a_record_whose_data_is_not_its_checks_inputs():
     module = cyclic(RingSpec(4), 2).to_dict()
+    identity = Morphism.identity(cyclic(RingSpec(4), 2)).to_dict()
     verdicts = {
         "lambda_mono": True,
         "embedding_pure": True,
@@ -636,9 +637,19 @@ def test_replay_rejects_a_record_whose_data_is_not_its_checks_inputs():
         ({k: v for k, v in valid.items() if k != "check"}, "check, modulus, data, not modulus, reason"),
         (no_suite, "suite, config, not exception, message, traceback, config"),
         (dict(valid, data=[module, 4, verdicts]), "data must be a dict, not list"),
+        # ... and so does a field inside the data, at any depth.
+        (record(module={"factors": [2]}, bound=4, verdicts=verdicts), "field module lacks the key 'n'"),
+        (record(module=[2], bound=4, verdicts=verdicts), "field module must be a dict, not list"),
+        ({"check": "deflation-composition", "modulus": 4, "reason": "",
+          "data": {"first": {"cod": module, "matrix": [[1]]}, "second": identity, "verdicts": {}}},
+         "field first lacks the key 'dom'"),
     ):
         with pytest.raises(ValueError, match=match):
             replay_counterexample(malformed)
+    # A record's modulus decodes as an int, as its int fields do.
+    with pytest.raises(TypeError, match="modulus must be an int"):
+        replay_counterexample(dict(valid, modulus="x"))
+    assert not replay_counterexample(valid)
 
 
 def test_the_pure_injective_leg_fails_where_is_pure_and_splits_disagree(monkeypatch):
