@@ -217,8 +217,8 @@ class ChainMap:
         """A chain map built without ``__post_init__``, for parts that match
         their endpoints and commute with the differentials by construction
         (a dual, the double-dual unit, the maps of the disk cover and of a
-        family middle, whose inclusions ``factor_through_mono`` checked);
-        the public constructor keeps validating."""
+        family middle, whose squares i . phi = D . i ``factor_through_mono``
+        checked); the public constructor keeps validating."""
         phi = object.__new__(cls)
         setattr_ = object.__setattr__
         setattr_(phi, "source", source)

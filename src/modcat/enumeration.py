@@ -507,8 +507,8 @@ def _middle(f: Complex, combo, stack) -> ComplexConflation:
     Y, g and the inclusion are built trusted: the stack walk read
     D . D = 0 and each D lifts d_f, and each entry's inclusion is the
     kernel of its projection.  X's differentials factor D . i through the
-    next inclusion (``factor_through_mono`` checks it), and the validating
-    ``Complex`` strips X's zero edges.
+    next inclusion, a ``solve_blocks`` unknown that ``factor_through_mono``
+    checks, and the validating ``Complex`` strips X's zero edges.
     """
     y = Complex._trusted(f.ring, f.lo, tuple(e.ambient for e in combo), stack)
     g = ChainMap._trusted(y, f, tuple(e.projection for e in combo))

@@ -766,16 +766,16 @@ def solution_set(f: Morphism, target):
 def factor_through_mono(h: Morphism, m: Morphism) -> Morphism:
     """The unique phi with m @ phi == h, when the image of h lies in m.
 
-    Raises ValueError when no factorization exists.
+    phi is the one unknown of the block system m . phi = h, solved by one
+    ``solve_blocks`` system, as ``splits`` solves g . s = id.  Raises
+    ValueError when no factorization exists.
     """
     if h.codomain != m.codomain:
         raise ValueError("codomain mismatch")
-    targets = [[row[i] for row in h.matrix] for i in range(h.domain.rank())]
-    xs = _solve_mod(m.matrix, m.codomain.invariant_factors, targets, m.domain.rank())
-    if xs is None:
+    sol = solve_blocks({(0, 0): (m, None)}, [(h.domain, m.domain)], [h])
+    if sol is None:
         raise ValueError("morphism does not factor through the given mono")
-    columns = [m.domain.reduce(x) for x in xs]
-    phi = Morphism.from_columns(h.domain, m.domain, columns)
+    phi = sol[0]
     if (m @ phi).matrix != h.matrix:
         raise ValueError("factorization through mono failed")
     return phi

@@ -365,14 +365,12 @@ def _purity_check(conflation: Conflation):
     return {"dual_splits": _entry_pure(conflation), "tensor_oracle": is_pure_oracle(conflation)}
 
 
-def _flat_equiv_check(module: FiniteModule, max_kernel_order: int, max_module_order: int,
-                      entries=None):
+def _flat_equiv_check(module: FiniteModule, max_kernel_order: int, max_module_order: int):
     """Four flatness routes agree.  The purity leg walks the subgroup entries
-    of the conflations ending in the module within the two bounds (the
-    runner passes the ``entries`` it has walked) up to the first impure one."""
+    of the conflations ending in the module within the two bounds lazily,
+    up to the first impure one."""
     _check_kernel_bound((module.ring.modulus,), max_module_order, max_kernel_order)
-    if entries is None:
-        entries = conflations_ending_in(module, max_kernel_order, max_module_order)
+    entries = conflations_ending_in(module, max_kernel_order, max_module_order)
     return {
         "tensor_route": is_flat_tensor_route(module),
         "dual_injective": is_flat(module),
@@ -435,11 +433,9 @@ def _lambda_degreewise_check(complex: Complex):
 
 def _fields(check) -> dict:
     """A check's record fields, each with the type it decodes to: its
-    parameters without a default (one with a default takes what the runner
-    has already computed from them), as annotated."""
+    parameters, as annotated."""
     hints = typing.get_type_hints(check)
-    params = inspect.signature(check).parameters.values()
-    return {p.name: hints[p.name] for p in params if p.default is p.empty}
+    return {name: hints[name] for name in inspect.signature(check).parameters}
 
 
 # check kind -> (name of its function in this module, policy, record
@@ -473,6 +469,8 @@ def _decode(name: str, cls: type, value):
             return cls.from_dict(value)
         except KeyError as exc:
             raise ValueError(f"record field {name} lacks the key {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise ValueError(f"record field {name} is malformed: {exc}") from exc
     if type(value) is not int:
         raise TypeError(f"record field {name} must be an int, got {value!r}")
     return value
@@ -527,11 +525,12 @@ def run_flat_equiv(config: SuiteConfig) -> SuiteResult:
     k, o = config.max_kernel_order, config.max_module_order
     for n in config.moduli:
         for m in enumerate_modules(n, o):
-            # The purity leg quantifies over every ending conflation, in
-            # sample mode too; only section extraction below is sampled.
-            entries = list(conflations_ending_in(m, k, o))
-            if res.check("flat-equiv", n, m, k, o, entries) and is_flat(m):
-                for e in _select(entries, config, f"flat:{n}:{m.invariant_factors}"):
+            # The purity leg walks the ending conflations up to the first
+            # impure one, in sample mode too; only section extraction
+            # below, which walks them again for a flat end, is sampled.
+            if res.check("flat-equiv", n, m, k, o) and is_flat(m):
+                salt = f"flat:{n}:{m.invariant_factors}"
+                for e in _select(conflations_ending_in(m, k, o), config, salt):
                     res.check("extract-section", n, e.conflation())
     return res
 
@@ -613,10 +612,11 @@ def replay_counterexample(ce: dict) -> bool:
     inputs by field name and evaluates the same ``CHECKS`` entry the suite
     evaluated.  A record without ``check``, ``modulus`` or ``data``, a
     record whose ``data`` is not a dict of its kind's fields plus
-    ``verdicts``, a field that is not a dict or lacks a key at any depth,
-    or a crash record whose ``data`` lacks ``suite`` or whose ``config`` is
-    not the fields of ``SuiteConfig``, raises ``ValueError``; a modulus or
-    an int field that is not an int raises ``TypeError``.
+    ``verdicts``, a field that is not a dict or that lacks a key or holds
+    a value of the wrong type at any depth, or a crash record whose
+    ``data`` lacks ``suite`` or whose ``config`` is not the fields of
+    ``SuiteConfig``, raises ``ValueError``; a record's modulus or an int
+    field that is not an int raises ``TypeError``.
     """
     _expect_fields("counterexample record", ce, ("check", "modulus", "data"), exact=False)
     kind, data = ce["check"], ce["data"]

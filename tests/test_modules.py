@@ -1075,13 +1075,26 @@ def test_solution_set_is_a_kernel_coset():
 # ---------------------------------------------------------------------------
 
 
-def test_factor_through_mono_recovers_the_unique_factor():
+def test_factor_through_mono_recovers_the_unique_factor(monkeypatch):
+    """The factor is the one ``solve_blocks`` unknown, built trusted: no
+    ``Morphism`` is validated inside ``factor_through_mono``."""
     r = RingSpec(8)
     y = FiniteModule(r, (2, 8))
     sub, m = subgroup_from_lattice(y, [[0, 2], [1, 0]])
+    validated = []
+    real = Morphism.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        real(self)
+
     for u in sample_morphisms(FiniteModule(r, (4,)), sub, 4, seed=29):
         h = m @ u
-        assert factor_through_mono(h, m) == u
+        monkeypatch.setattr(Morphism, "__post_init__", counting)
+        phi = factor_through_mono(h, m)
+        monkeypatch.undo()
+        assert phi == u
+    assert validated == []
     bad = Morphism.from_columns(r.unit_module(), y, [(0, 1)])
     with pytest.raises(ValueError):
         factor_through_mono(bad, m)  # (0,1) is not in the subgroup

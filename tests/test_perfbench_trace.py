@@ -87,3 +87,7 @@ def test_traced_complexes_run_completes_differentials_over_morphisms():
     # chain purity splits f+ through the public splits_as_complexes, so
     # the family's chain splits count beside the witness check's one call
     assert values["complexes.splits_as_complexes.calls"] > 1
+    # the family middles factor their kernel differentials through
+    # solve_blocks, built trusted; what still validates is the double-dual
+    # unit and the subgroup generators (from_columns)
+    assert values["modules.morphism.constructions"] == 8

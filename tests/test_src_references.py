@@ -25,10 +25,12 @@ such a name cannot be patched on the module that uses it, while a
 top-level import is the seam every route of ``modcat.suites`` offers.  An
 eighth finds ``.carried``, the columns a Smith form carries through its row
 operations, anywhere in the package: only the tests' Smith-form oracles
-read them.  A ninth keeps
+read them.  A ninth keeps the solver ``_solve_mod`` inside
+``_canonicalized``, ``solve`` and ``solve_blocks``: every unknown
+morphism is one ``solve_blocks`` system.  A tenth keeps
 ``.generator_lifts``, the solver's lifts of the canonical generators, with
 the change of coordinates ``Canonicalized.coordinates``, ``tensor_mor``
-and ``direct_sum_many``.  A tenth keeps the layers in order: no relative
+and ``direct_sum_many``.  An eleventh keeps the layers in order: no relative
 import, at the top of a file or inside a function, names a layer at or
 above its own, in the order the ``modcat`` docstring lists them, with
 ``cli`` last.  Last, every file parses under the grammar of the oldest
@@ -384,6 +386,35 @@ def test_the_scan_sees_a_smith_form_outside_the_allow_list(tmp_path):
         "modules.subgroup_from_lattice",
         "modules.kernel",
     ]
+
+
+# One way to solve a linear system: ``_solve_mod`` is called by the
+# canonical form's generator lifts (``_canonicalized``), by ``solve`` for
+# one element and by ``solve_blocks`` for morphism unknowns.  Every other
+# unknown morphism (a section, a factor through a mono or an epi, a
+# contraction) is a ``solve_blocks`` system.
+SOLVE_MOD_CALLERS = {"modules._canonicalized", "modules.solve", "modules.solve_blocks"}
+
+
+def solve_mod_uses(src=SRC, allowed=SOLVE_MOD_CALLERS):
+    return uses_outside(src, "_solve_mod", allowed)
+
+
+def test_only_the_canonical_form_solve_and_the_block_solver_call_the_solver():
+    assert solve_mod_uses() == []
+
+
+def test_the_scan_sees_a_solver_call_outside_the_allow_list(tmp_path):
+    (tmp_path / "modules.py").write_text(
+        "def _solve_mod(a, e, targets, k):\n    return [a]\n\n\n"
+        "def solve(f, t):\n    return _solve_mod(f, (), [t], 1)\n\n\n"
+        "def factor_through_mono(h, m):\n    return _solve_mod(m, (), h, 1)\n"
+    )
+    (tmp_path / "exact.py").write_text(
+        "from . import modules\n\n\n"
+        "class Witness:\n    def find(self, g):\n        return modules._solve_mod(g, (), [], 0)\n"
+    )
+    assert solve_mod_uses(tmp_path) == ["exact.Witness.find", "modules.factor_through_mono"]
 
 
 # L @ t for columns t, the only part of the left transform a Smith form

@@ -22,7 +22,7 @@ import modcat
 from modcat.complexes import single_complex
 from modcat.modules import Morphism, RingSpec, cyclic
 from modcat.exact import Pullback, Pushout
-from modcat.purity import InternalInconsistency, conflation_tensor_failure, dual_mor
+from modcat.purity import InternalInconsistency, conflation_tensor_failure, dual_mor, is_flat
 from modcat.suites import (
     CHECKS,
     COMPLEX_FAMILY_CAP,
@@ -282,6 +282,39 @@ def test_sample_mode_flat_equiv_checks_every_ending_conflation():
     ).suites[0]
     assert exhaustive.failed == 0
     assert sampled.checked < exhaustive.checked
+
+
+def test_the_flat_equiv_purity_leg_stops_at_the_first_impure_conflation(monkeypatch):
+    """The check walks the conflations ending in its module lazily: for a
+    non-flat end it pulls them up to its first impure one and no further,
+    and for a flat end the runner walks them once more for sections."""
+    import modcat.suites as ms
+
+    walks = []
+    real_walk, real_pure = ms.conflations_ending_in, ms._entry_pure
+
+    def walk(module, kernel_bound, middle_bound):
+        pulled, verdicts = [], []
+        walks.append((module, pulled, verdicts))
+        for entry in real_walk(module, kernel_bound, middle_bound):
+            pulled.append(entry)
+            yield entry
+
+    def entry_pure(conflation):
+        verdict = real_pure(conflation)
+        walks[-1][2].append(verdict)
+        return verdict
+
+    monkeypatch.setattr(ms, "conflations_ending_in", walk)
+    monkeypatch.setattr(ms, "_entry_pure", entry_pure)
+    assert run_suite(TINY, names=("flat-equiv",)).exit_code == 0
+    modules = [module for module, _, _ in walks]
+    assert all(is_flat(m) for m in modules if modules.count(m) > 1)
+    non_flat = [(pulled, verdicts) for module, pulled, verdicts in walks if not is_flat(module)]
+    assert non_flat
+    for pulled, verdicts in non_flat:
+        assert len(pulled) == len(verdicts) and verdicts == [True] * (len(verdicts) - 1) + [False]
+    assert sum(len(pulled) for _, pulled, _ in walks) == 34
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +579,9 @@ def test_every_check_kind_has_a_replay_scenario():
 
 def test_the_readme_lists_each_check_kinds_record_fields():
     """The README's record table lists, for each check kind, exactly the
-    parameters of its check function (those without a default) and
-    ``verdicts``; each such field is annotated with a type the replay can
-    decode: ``int``, or a class with ``from_dict``."""
+    parameters of its check function and ``verdicts``; each such field is
+    annotated with a type the replay can decode: ``int``, or a class with
+    ``from_dict``."""
     import modcat.suites as ms
 
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
@@ -561,8 +594,7 @@ def test_the_readme_lists_each_check_kinds_record_fields():
     assert listed.pop("crash") == ["suite", "exception", "message", "traceback", "config"]
     assert listed.keys() == CHECKS.keys()
     for kind, (name, _, _) in CHECKS.items():
-        params = inspect.signature(getattr(ms, name)).parameters.values()
-        inputs = [p.name for p in params if p.default is p.empty]
+        inputs = list(inspect.signature(getattr(ms, name)).parameters)
         assert listed[kind] == inputs + ["verdicts"], kind
         hints = typing.get_type_hints(getattr(ms, name))
         for field in inputs:
@@ -643,6 +675,12 @@ def test_replay_rejects_a_record_whose_data_is_not_its_checks_inputs():
         ({"check": "deflation-composition", "modulus": 4, "reason": "",
           "data": {"first": {"cod": module, "matrix": [[1]]}, "second": identity, "verdicts": {}}},
          "field first lacks the key 'dom'"),
+        # ... and a value of the wrong type inside a field is malformed.
+        *(({"check": "deflation-composition", "modulus": 4, "reason": "",
+            "data": {"first": dict(identity, **bad), "second": identity, "verdicts": {}}},
+           "field first is malformed")
+          for bad in ({"dom": [2]}, {"dom": {"n": 4, "factors": 2}}, {"matrix": 5},
+                      {"matrix": [["1"]]})),
     ):
         with pytest.raises(ValueError, match=match):
             replay_counterexample(malformed)
