@@ -10,16 +10,17 @@ edge), which makes structural equality meaningful.
 The chain identities (d . d = 0 in a complex, d_T . f = f . d_S for a
 chain map, exactness in every degree of a conflation of complexes) are
 checked by the public constructors and ``from_dict``, on the residue rows
-of the composites: no composite morphism and no synthesized zero map is
-built for them, and degrees outside a window read as zero matrices.  The
-duals (``dual_complex``, ``double_dual_complex_iso`` and the f+ of
-``is_pure_complex_conflation``) build through the private ``_trusted``
-constructors instead: the character dual is an exact anti-equivalence
-that keeps windows normalized, so their identities hold by construction.
-So do the flat disk cover, whose kernel ``enumeration`` writes in closed
-form, and the family middles that ``enumeration._middle`` reads off
-subgroup-catalog entries.  A tier-1 test rebuilds every trusted object of
-a suite run through the validating constructors.
+of the composites, with no composite morphism built.  A chain map reads
+every degree through ``component``, ``differential`` and ``part``, so a
+degree outside a window reads as the ring's one zero module and zero maps
+on it.  The duals (``dual_complex``, ``double_dual_complex_iso`` and the
+f+ of ``is_pure_complex_conflation``) build through the private
+``_trusted`` constructors instead: the character dual is an exact
+anti-equivalence that keeps windows normalized, so their identities hold
+by construction.  So do the flat disk cover, whose kernel ``enumeration``
+writes in closed form, and the family middles that ``enumeration._middle``
+reads off subgroup-catalog entries.  A tier-1 test rebuilds every trusted
+object of a suite run through the validating constructors.
 
 Chain-level questions (does a chain deflation, such as the f+ of purity,
 split? is a complex contractible?) are one exact block system whose
@@ -135,18 +136,6 @@ class Complex:
             return self.differentials[n - self.lo]
         return Morphism.zero(self.component(n), self.component(n + 1))
 
-    def _factors(self, n: int) -> tuple[int, ...]:
-        """Invariant factors of the degree-n component (() outside the window)."""
-        if self.lo <= n <= self.hi:
-            return self.components[n - self.lo].invariant_factors
-        return ()
-
-    def _differential_rows(self, n: int):
-        """The matrix of d^n, or None where it is zero outside the window."""
-        if self.lo <= n < self.hi:
-            return self.differentials[n - self.lo].matrix
-        return None
-
     def to_dict(self) -> dict:
         return {
             "n": self.ring.modulus,
@@ -199,18 +188,9 @@ class ChainMap:
             n = self.source.lo + i
             if p.domain != self.source.component(n) or p.codomain != self.target.component(n):
                 raise ValueError(f"part at degree {n} has mismatched endpoints")
-        src, tgt = self.source, self.target
-        windows = [x.degrees() for x in (src, tgt) if x.components]
-        if not windows:
-            return
-        lo = min(w.start for w in windows)
-        hi = max(w.stop for w in windows)
-        for n in range(lo - 1, hi):
-            e, k = tgt._factors(n + 1), len(src._factors(n))
-            lhs = _compose_rows(tgt._differential_rows(n), self._part_rows(n), e, k)
-            rhs = _compose_rows(self._part_rows(n + 1), src._differential_rows(n), e, k)
-            if lhs != rhs:
-                raise ValueError(f"chain map fails to commute with differentials at degree {n}")
+        n = self.noncommuting_degree()
+        if n is not None:
+            raise ValueError(f"chain map fails to commute with differentials at degree {n}")
 
     @classmethod
     def _trusted(cls, source: Complex, target: Complex, parts) -> "ChainMap":
@@ -231,10 +211,17 @@ class ChainMap:
             return self.parts[n - self.source.lo]
         return Morphism.zero(self.source.component(n), self.target.component(n))
 
-    def _part_rows(self, n: int):
-        """The matrix of f^n, or None where it is zero outside the window."""
-        if self.source.lo <= n <= self.source.hi:
-            return self.parts[n - self.source.lo].matrix
+    def noncommuting_degree(self) -> int | None:
+        """The first degree n with d_T . f^n != f^(n+1) . d_S, compared on
+        the residue rows of the two composites, or None for a chain map.
+        Outside the source window f^n = 0 and d_S^n = 0, so both sides are 0."""
+        src, tgt = self.source, self.target
+        for n in src.degrees():
+            e, k = tgt.component(n + 1).invariant_factors, src.component(n).rank()
+            lhs = _compose_rows(tgt.differential(n).matrix, self.part(n).matrix, e, k)
+            rhs = _compose_rows(self.part(n + 1).matrix, src.differential(n).matrix, e, k)
+            if lhs != rhs:
+                return n
         return None
 
     def to_dict(self) -> dict:

@@ -53,11 +53,11 @@ from .modules import (
     RingSpec,
     _compose_rows,
     _diagonal_rows,
+    _factor,
     _generator_map,
     cokernel,
     factor_through_mono,
     kernel,
-    solve_blocks,
 )
 from .purity import is_pure
 from .snf import hermite_normal_form, lattice_member, snf_diagonal
@@ -526,20 +526,19 @@ def _complete_differentials(f: Complex, combo):
     p of ``combo``, lazily.
 
     A middle differential D: Y^n -> Y^(n+1) over d_f has p . D = d_f . p,
-    so it is D_0 + i . E for one lift D_0 and a unique E: Y^n -> X^(n+1),
-    i the inclusion of the kernel X^(n+1) of p.  The lifts do not depend on
-    the stack: if one level has none, the combo has no middle.  Each level's
-    candidates D_0 + i . E, E in ``enumerate_morphisms`` order, are built
-    once, and ``_differential_stacks`` keeps the stacks with D . D_prev == 0.
+    so it is D_0 + i . E for one lift D_0 (``_factor``, checked) and a
+    unique E: Y^n -> X^(n+1), i the inclusion of the kernel X^(n+1) of p.
+    The lifts do not depend on the stack: if one level has none, the combo
+    has no middle.  Each level's candidates D_0 + i . E, E in
+    ``enumerate_morphisms`` order, are built once, and
+    ``_differential_stacks`` keeps the stacks with D . D_prev == 0.
     """
     lifts = []
     for n, (here, there) in enumerate(zip(combo, combo[1:]), f.lo):
-        target = f.differential(n) @ here.projection
-        cols = [(here.ambient, there.ambient)]
-        sol = solve_blocks({(0, 0): (there.projection, None)}, cols, [target])
-        if sol is None:
+        lift = _factor(f.differential(n) @ here.projection, there.projection)
+        if lift is None:
             return
-        lifts.append(sol[0])
+        lifts.append(lift)
     levels = [
         tuple(lift + there.inclusion @ e for e in enumerate_morphisms(here.ambient, there.sub))
         for lift, here, there in zip(lifts, combo, combo[1:])

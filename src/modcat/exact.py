@@ -36,13 +36,13 @@ from .modules import (
     Morphism,
     _cokernel_columns,
     _compose_rows,
+    _factor,
     _kernel_rows,
     cokernel,
     factor_through_epi,
     factor_through_mono,
     kernel,
     solve,
-    solve_blocks,
 )
 
 
@@ -277,17 +277,9 @@ def pushout(f: Morphism, h: Morphism) -> Pushout:
 def splits(g: Morphism) -> Morphism | None:
     """A section s: M -> B of the deflation g: B -> M, or None if none.
 
-    s is the one unknown of the block system g . s = id_M, solved exactly
-    by one ``solve_blocks`` system, so None is a definitive absence and s
-    the system's one deterministic solution.  A section is the whole
-    witness: with f: A -> B a kernel of g, id - s . g factors as f . r
-    through ``factor_through_mono``, and that r is a retraction of f.
+    s is the factor of id_M through g (``_factor``), so None is a definitive
+    absence.  A section is the whole witness: with f: A -> B a kernel of g,
+    id - s . g factors as f . r through ``factor_through_mono``, and that r
+    is a retraction of f.
     """
-    m = g.codomain
-    sol = solve_blocks({(0, 0): (g, None)}, [(m, g.domain)], [Morphism.identity(m)])
-    if sol is None:
-        return None
-    section = sol[0]
-    if (g @ section).matrix != Morphism.identity(m).matrix:
-        raise AssertionError("computed section fails g . s = id")
-    return section
+    return _factor(Morphism.identity(g.codomain), g)

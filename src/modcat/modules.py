@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -63,6 +63,11 @@ class RingSpec:
         return FiniteModule(self, (self.modulus,))
 
     def zero_module(self) -> "FiniteModule":
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> "FiniteModule":
+        """One zero module per ring, read in every degree outside a complex's window."""
         return FiniteModule(self, ())
 
     def to_dict(self) -> dict:
@@ -154,7 +159,7 @@ class FiniteModule:
 def cyclic(ring: RingSpec, d: int) -> FiniteModule:
     """Z/d as a Z/n-module (d | n); d == 1 gives the zero module."""
     if d == 1:
-        return FiniteModule(ring, ())
+        return ring.zero_module()
     return FiniteModule(ring, (d,))
 
 
@@ -344,13 +349,12 @@ class Morphism:
 def _compose_rows(a, b, e: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
     """The rows of a . b reduced mod the codomain factors e, with k columns.
 
-    ``a`` and ``b`` are residue matrices (rows of a morphism); None stands
-    for the zero matrix of the right shape.  Nothing is validated: the
-    rows of a composite of two morphisms are well defined and reduced, so
-    ``Morphism.__matmul__`` builds it through ``Morphism._trusted``, and
-    the chain-level identity checks compare the rows directly.
+    ``a`` and ``b`` are residue matrices (rows of a morphism).  Nothing is
+    validated: the rows of a composite of two morphisms are well defined
+    and reduced, so ``Morphism.__matmul__`` builds it through
+    ``Morphism._trusted``, and the chain identity checks compare the rows.
     """
-    if a is None or b is None or not b:
+    if not b:
         return tuple((0,) * k for _ in e)
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) % d for col in cols) for row, d in zip(a, e))
@@ -763,21 +767,28 @@ def solution_set(f: Morphism, target):
         yield dom.add(x0, incl.apply(coeffs))
 
 
-def factor_through_mono(h: Morphism, m: Morphism) -> Morphism:
-    """The unique phi with m @ phi == h, when the image of h lies in m.
-
-    phi is the one unknown of the block system m . phi = h, solved by one
-    ``solve_blocks`` system, as ``splits`` solves g . s = id.  Raises
-    ValueError when no factorization exists.
-    """
-    if h.codomain != m.codomain:
-        raise ValueError("codomain mismatch")
+def _factor(h: Morphism, m: Morphism) -> Morphism | None:
+    """The one deterministic phi with m @ phi == h, checked, or None: phi
+    is the one unknown of one ``solve_blocks`` system, so None is a
+    definitive absence.  Behind ``splits`` (g . s = id),
+    ``factor_through_mono`` and the family lifts (p . D_0 = d_f . p)."""
     sol = solve_blocks({(0, 0): (m, None)}, [(h.domain, m.domain)], [h])
     if sol is None:
-        raise ValueError("morphism does not factor through the given mono")
+        return None
     phi = sol[0]
     if (m @ phi).matrix != h.matrix:
-        raise ValueError("factorization through mono failed")
+        raise AssertionError("solved factor fails m . phi = h")
+    return phi
+
+
+def factor_through_mono(h: Morphism, m: Morphism) -> Morphism:
+    """The unique phi with m @ phi == h (``_factor``), when the image of h
+    lies in m.  Raises ValueError when no factorization exists."""
+    if h.codomain != m.codomain:
+        raise ValueError("codomain mismatch")
+    phi = _factor(h, m)
+    if phi is None:
+        raise ValueError("morphism does not factor through the given mono")
     return phi
 
 

@@ -135,8 +135,6 @@ def _smith(matrix: list[list[int]], track: bool, carry=()):
             if offender is None:
                 break
             m[t] = [a + b for a, b in zip(mt, m[offender])]
-        if m[t][t] < 0:
-            m[t] = [-v for v in m[t]]
     return [m[i][i] for i in range(min(rows, cols))], m
 
 

@@ -15,8 +15,8 @@ runner and its CLI help, in run order:
 - ``enough-pi``  the double-dual embedding: lambda mono, embedding pure,
                  double dual pure-injective, triangle identity.
 - ``complexes``  the four-way flat-complex equivalence, the
-                 componentwise-split witness, and the degreewise
-                 double-dual spot check.
+                 componentwise-split witness, and the double-dual
+                 check: lambda is an iso in each degree and a chain map.
 
 All walks are deterministic; identical configs yield identical reports
 (modulo the wall-time field).
@@ -428,7 +428,11 @@ def _witness_check(modulus: int):
 
 
 def _lambda_degreewise_check(complex: Complex):
-    return {"degreewise_iso": all(part.is_iso() for part in double_dual_complex_iso(complex).parts)}
+    lam = double_dual_complex_iso(complex)
+    return {
+        "degreewise_iso": all(part.is_iso() for part in lam.parts),
+        "chain_map": lam.noncommuting_degree() is None,
+    }
 
 
 def _fields(check) -> dict:
@@ -548,8 +552,8 @@ def run_enough_pi(config: SuiteConfig) -> SuiteResult:
 
 
 def run_complexes(config: SuiteConfig) -> SuiteResult:
-    """The witness case, then the four-way equivalence and the degreewise
-    double-dual check on every enumerated complex."""
+    """The witness case, then the four-way equivalence and the double-dual
+    check on every enumerated complex."""
     res = SuiteResult("complexes")
     for n in config.moduli:
         res.check("complex-witness", n, n)

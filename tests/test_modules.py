@@ -152,6 +152,19 @@ def test_ring_and_module_basics():
         FiniteModule(r, (5,))  # 5 does not divide 12
 
 
+def test_each_ring_has_one_zero_module():
+    """Every degree outside a complex's window reads one zero module per
+    ring; it is no dataclass field, so ==, hash, repr and to_dict of the
+    ring are those of a ring that never built it."""
+    r = RingSpec(4)
+    assert r.zero_module() is r.zero_module()
+    assert cyclic(r, 1) is r.zero_module()
+    fresh = RingSpec(4)
+    assert r == fresh and hash(r) == hash(fresh)
+    assert repr(r) == repr(fresh) and r.to_dict() == fresh.to_dict()
+    assert r.zero_module() == fresh.zero_module()
+
+
 def test_ring_and_module_reject_non_int_input():
     r = RingSpec(8)
     m = FiniteModule(r, [2, 4])
@@ -622,7 +635,7 @@ def test_revalidation_rejects_a_wrong_trusted_leg(monkeypatch, owner, builder, o
         # A section's entries step * c without the reduction mod B_b: over
         # Z/12 the section Z/6 -> Z/2 + Z/6 of one conflation with a
         # middle of order 12 gets the entry 3 in its Z/2 row.
-        ("exact", "solve_blocks", " % dst.invariant_factors[b]", ""),
+        ("modules", "solve_blocks", " % dst.invariant_factors[b]", ""),
     ],
     ids=["tensor-mor-unreduced", "solve-blocks-unreduced"],
 )

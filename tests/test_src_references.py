@@ -27,7 +27,9 @@ eighth finds ``.carried``, the columns a Smith form carries through its row
 operations, anywhere in the package: only the tests' Smith-form oracles
 read them.  A ninth keeps the solver ``_solve_mod`` inside
 ``_canonicalized``, ``solve`` and ``solve_blocks``: every unknown
-morphism is one ``solve_blocks`` system.  A tenth keeps
+morphism is one ``solve_blocks`` system; and ``solve_blocks`` inside the
+one-unknown factorization ``modules._factor`` and the two chain-level
+systems of ``complexes``.  A tenth keeps
 ``.generator_lifts``, the solver's lifts of the canonical generators, with
 the change of coordinates ``Canonicalized.coordinates``, ``tensor_mor``
 and ``direct_sum_many``.  An eleventh keeps the layers in order: no relative
@@ -415,6 +417,43 @@ def test_the_scan_sees_a_solver_call_outside_the_allow_list(tmp_path):
         "class Witness:\n    def find(self, g):\n        return modules._solve_mod(g, (), [], 0)\n"
     )
     assert solve_mod_uses(tmp_path) == ["exact.Witness.find", "modules.factor_through_mono"]
+
+
+# One way to solve for one unknown morphism: a section (g . s = id), a
+# factor through a mono and a lift of a family differential
+# (p . D_0 = d_f . p) are all ``modules._factor``, which checks its answer.
+# Only the chain-level systems, whose unknowns are one morphism per degree,
+# pose their own blocks.
+SOLVE_BLOCKS_CALLERS = {
+    "modules._factor",
+    "complexes.splits_as_complexes",
+    "complexes.is_contractible",
+}
+
+
+def solve_blocks_uses(src=SRC, allowed=SOLVE_BLOCKS_CALLERS):
+    return uses_outside(src, "solve_blocks", allowed)
+
+
+def test_only_the_factorization_and_the_chain_systems_call_the_block_solver():
+    assert solve_blocks_uses() == []
+
+
+def test_the_scan_sees_a_block_solver_call_outside_the_allow_list(tmp_path):
+    (tmp_path / "modules.py").write_text(
+        "def solve_blocks(blocks, cols, targets):\n    return None\n\n\n"
+        "def _factor(h, m):\n    return solve_blocks({(0, 0): (m, None)}, [], [h])\n"
+    )
+    (tmp_path / "exact.py").write_text(
+        "from .modules import solve_blocks\n\n\n"
+        "def splits(g):\n    return solve_blocks({(0, 0): (g, None)}, [], [])\n"
+    )
+    (tmp_path / "enumeration.py").write_text(
+        "from . import modules\n\n\n"
+        "class Walk:\n    def lift(self, p, t):\n"
+        "        return modules.solve_blocks({(0, 0): (p, None)}, [], [t])\n"
+    )
+    assert solve_blocks_uses(tmp_path) == ["enumeration.Walk.lift", "exact.splits"]
 
 
 # L @ t for columns t, the only part of the left transform a Smith form

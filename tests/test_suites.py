@@ -14,12 +14,11 @@ import pathlib
 import re
 import sys
 import typing
-from types import SimpleNamespace
 
 import pytest
 
 import modcat
-from modcat.complexes import single_complex
+from modcat.complexes import ChainMap, double_dual_complex_iso, dual_complex, single_complex
 from modcat.modules import Morphism, RingSpec, cyclic
 from modcat.exact import Pullback, Pushout
 from modcat.purity import InternalInconsistency, conflation_tensor_failure, dual_mor, is_flat
@@ -458,9 +457,16 @@ def _inconsistent(*args):
 
 
 def _zero_double_dual(x):
-    return SimpleNamespace(
-        parts=tuple(Morphism.zero(x.component(n), x.component(n)) for n in x.degrees())
-    )
+    """The zero chain map x -> x++: a chain map whose parts are not isos."""
+    xx = dual_complex(dual_complex(x))
+    return ChainMap(x, xx, tuple(Morphism.zero(m, m) for m in x.components))
+
+
+# lambda without its (-1)^n signs: an iso in every degree, but a chain map
+# only when 2d = 0 for every differential d of x, as x++ carries -d++.
+_unsigned_double_dual = source_mutant(
+    double_dual_complex_iso, "double_dual_unit(m).scaled(_sign(n))", "double_dual_unit(m)"
+)
 
 
 # (id, suites, expected kinds, module attributes to patch)
@@ -536,6 +542,12 @@ REPLAY_SCENARIOS = [
         ("complexes",),
         {"lambda-degreewise"},
         {"modcat.suites.double_dual_complex_iso": _zero_double_dual},
+    ),
+    (
+        "unsigned-lambda",
+        ("complexes",),
+        {"lambda-degreewise"},
+        {"modcat.suites.double_dual_complex_iso": _unsigned_double_dual},
     ),
 ]
 
