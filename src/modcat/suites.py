@@ -31,6 +31,26 @@ as the function's annotations type them, and evaluates the same entry.
 An exception inside a suite becomes one ``crash`` record for that suite,
 whose replay reruns the suite; the remaining suites still run.
 
+The axioms checks are evaluated once per invariant-factor input and
+counted for every modulus that input covers (``run_axioms``,
+``SuiteResult.check_shared``).  That is sound because every route they
+call (identity, composition, kernel and cokernel completion, pullback,
+pushout, the square products) reads only invariant factors and residue
+rows: the ring enters only as the ``FiniteModule`` wrapper of each
+result and as ``_canonical_form``'s assertion that every Smith factor
+divides n, which holds over every n that the inputs' factors divide.  So
+a check over Z/8 on modules whose factors divide 4 repeats the same check
+over Z/4 operation for operation, and the walk evaluates it once, over
+the first configured modulus that the middle Y and the partner W share.
+A failing check is checked again over each modulus it covers, on its
+inputs rebuilt there, so its records and their replay are what a loop
+over the moduli writes.  A route that started to read n would break the
+argument; a tier-1 test evaluates every input over each modulus apart
+and compares the verdicts.  The other suites are not shared: the tensor
+oracle reads the divisors of n, flatness depends on n, and sample mode
+salts each modulus's draws with n (the axioms walk keeps those draws and
+evaluates their union once).
+
 ``run_suite(config, names)`` and ``replay_counterexample(record)`` take
 nothing else: ``SUITES`` names each runner, ``CHECKS`` each check, and the
 checks call the routes they test (``pullback``, ``pushout``,
@@ -48,6 +68,7 @@ import time
 import typing
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from math import prod
 
 from .complexes import (
     ChainMap,
@@ -200,18 +221,30 @@ class SuiteResult:
     def check(self, kind: str, modulus: int, *inputs) -> bool:
         """Evaluate one check of ``kind`` on ``inputs``, given in the order of
         its parameters, and record it when it fails; True when it passes."""
-        name, policy, types = CHECKS[kind]
-        verdicts = globals()[name](*inputs)
+        verdicts, passed = _evaluate(kind, inputs)
         self.checked += 1
-        values = verdicts.values()
-        if all(values) if policy == "hold" else len(set(values)) == 1:
+        if passed:
             return True
         self.failed += 1
+        _, policy, types = CHECKS[kind]
         data = {f: x.to_dict() if hasattr(x, "to_dict") else x for f, x in zip(types, inputs)}
         data["verdicts"] = verdicts
         reason = f"verdicts must {policy}: {verdicts}"
         self.counterexamples.append(dict(check=kind, modulus=modulus, reason=reason, data=data))
         return False
+
+    def check_shared(self, kind: str, moduli, *inputs) -> None:
+        """Evaluate one ring-free check of ``kind`` once, on ``inputs`` over
+        the first of ``moduli``, and count it for each of them.  Only when
+        it fails is it checked again over each modulus, on its inputs
+        rebuilt there by the validating constructors, so that every
+        modulus gets the record a run over it alone would write."""
+        if _evaluate(kind, inputs)[1]:
+            self.checked += len(moduli)
+            return
+        for n in moduli:
+            ring = RingSpec(n)
+            self.check(kind, n, *(_over(ring, x) for x in inputs))
 
     def to_dict(self) -> dict:
         return {
@@ -288,14 +321,32 @@ def _crash_record(suite: str, config: SuiteConfig, exc: Exception) -> dict:
     return dict(check="crash", modulus=None, reason=f"{type(exc).__name__}: {exc}", data=data)
 
 
+def _picks(count: int, config: SuiteConfig, salt: str):
+    """The indices of all ``count`` items, or of a reproducible seeded
+    subsample of them, ascending."""
+    if config.mode == "exhaustive" or count <= config.sample_count:
+        return range(count)
+    rng = random.Random(f"{config.seed}:{salt}")
+    return sorted(rng.sample(range(count), config.sample_count))
+
+
 def _select(items, config: SuiteConfig, salt: str) -> list:
     """The whole list, or a reproducible seeded subsample of it."""
     items = list(items)
-    if config.mode == "exhaustive" or len(items) <= config.sample_count:
-        return items
-    rng = random.Random(f"{config.seed}:{salt}")
-    picked = sorted(rng.sample(range(len(items)), config.sample_count))
-    return [items[i] for i in picked]
+    return [items[i] for i in _picks(len(items), config, salt)]
+
+
+def _select_shared(items, config: SuiteConfig, moduli, salt):
+    """Each item that some modulus of ``moduli`` picks, with the moduli that
+    pick it, in item order: modulus n draws what ``_select`` draws under
+    the salt ``salt(n)``.  Exhaustive mode streams every item, for every
+    modulus."""
+    if config.mode == "exhaustive":
+        return ((x, moduli) for x in items)
+    items = list(items)
+    picks = [(n, set(_picks(len(items), config, salt(n)))) for n in moduli]
+    shared = ((x, [n for n, picked in picks if i in picked]) for i, x in enumerate(items))
+    return [(x, by) for x, by in shared if by]
 
 
 @lru_cache(maxsize=1 << 17)
@@ -465,6 +516,15 @@ CHECKS = {
 }
 
 
+def _evaluate(kind: str, inputs) -> tuple[dict, bool]:
+    """The verdicts of one check of ``kind`` on ``inputs``, and whether they
+    pass its policy."""
+    name, policy, _ = CHECKS[kind]
+    verdicts = globals()[name](*inputs)
+    values = verdicts.values()
+    return verdicts, all(values) if policy == "hold" else len(set(values)) == 1
+
+
 def _decode(name: str, cls: type, value):
     if cls is not int:
         if not isinstance(value, dict):
@@ -485,26 +545,58 @@ def _decode(name: str, cls: type, value):
 # ---------------------------------------------------------------------------
 
 
+def _over(ring: RingSpec, x):
+    """The module or morphism x rebuilt over ``ring`` by the validating
+    constructors."""
+    if isinstance(x, Morphism):
+        return Morphism(_over(ring, x.domain), _over(ring, x.codomain), x.matrix)
+    return FiniteModule(ring, x.invariant_factors)
+
+
+def _modules_over(moduli, max_order: int) -> list[dict]:
+    """The modules of ``enumerate_modules(n, max_order)`` for every n in
+    ``moduli``, one {n: module over Z/n} per invariant-factor tuple, its
+    keys the moduli that all the factors divide, in config order; the
+    tuples sorted as ``enumerate_modules`` sorts, by (order, rank,
+    factors), so each modulus walks its own list in its own order."""
+    over = {}
+    for n in moduli:
+        for m in enumerate_modules(n, max_order):
+            over.setdefault(m.invariant_factors, {})[n] = m
+    return [over[d] for d in sorted(over, key=lambda d: (prod(d), len(d), d))]
+
+
 def run_axioms(config: SuiteConfig) -> SuiteResult:
+    """The closure checks over every modulus, each evaluated once per
+    invariant-factor input (see the module docstring): the pairs (Y, W)
+    over the first modulus the two share, counted for every modulus they
+    share.  The records are sorted stably by modulus, in config order, so
+    they come as a loop over the moduli would write them."""
     res = SuiteResult("axioms")
-    for n in config.moduli:
-        mid_cap = min(config.max_module_order, AXIOM_MIDDLE_CAP)
-        part_cap = min(config.max_module_order, AXIOM_PARTNER_CAP)
-        for m in enumerate_modules(n, config.max_module_order):
-            res.check("identity-inflation-deflation", n, m)
-        for y in enumerate_modules(n, mid_cap):
-            for e in subgroup_catalog(y):
-                f, g = e.inclusion, e.projection
-                for e2 in subgroup_catalog(e.quotient):
-                    res.check("deflation-composition", n, g, e2.projection)
-                for e2 in subgroup_catalog(e.sub):
-                    res.check("inflation-composition", n, e2.inclusion, f)
-                for w in enumerate_modules(n, part_cap):
-                    salt = f"{n}:{y.invariant_factors}:{e.key}:{w.invariant_factors}"
-                    for h in _select(enumerate_morphisms(w, e.quotient), config, f"ax-pb:{salt}"):
-                        res.check("pullback-stability", n, g, h)
-                    for h in _select(enumerate_morphisms(e.sub, w), config, f"ax-po:{salt}"):
-                        res.check("pushout-stability", n, f, h)
+    mid_cap = min(config.max_module_order, AXIOM_MIDDLE_CAP)
+    part_cap = min(config.max_module_order, AXIOM_PARTNER_CAP)
+    for ms in _modules_over(config.moduli, config.max_module_order):
+        res.check_shared("identity-inflation-deflation", ms, next(iter(ms.values())))
+    partners = _modules_over(config.moduli, part_cap)
+    for ys in _modules_over(config.moduli, mid_cap):
+        pairs = [(ws, shared) for ws in partners if (shared := [n for n in ys if n in ws])]
+        y = next(iter(ys.values()))
+        for i, e in enumerate(subgroup_catalog(y)):
+            for e2 in subgroup_catalog(e.quotient):
+                res.check_shared("deflation-composition", ys, e.projection, e2.projection)
+            for e2 in subgroup_catalog(e.sub):
+                res.check_shared("inflation-composition", ys, e2.inclusion, e.inclusion)
+            for ws, shared in pairs:
+                n = shared[0]
+                e_n, w = subgroup_catalog(ys[n])[i], ws[n]
+                salt = f"{y.invariant_factors}:{e.key}:{w.invariant_factors}"
+                pulled = enumerate_morphisms(w, e_n.quotient)
+                for h, by in _select_shared(pulled, config, shared, lambda m: f"ax-pb:{m}:{salt}"):
+                    res.check_shared("pullback-stability", by, e_n.projection, h)
+                pushed = enumerate_morphisms(e_n.sub, w)
+                for h, by in _select_shared(pushed, config, shared, lambda m: f"ax-po:{m}:{salt}"):
+                    res.check_shared("pushout-stability", by, e_n.inclusion, h)
+    res.counterexamples.sort(key=lambda ce: config.moduli.index(ce["modulus"]))
     return res
 
 

@@ -13,8 +13,10 @@ the walk over their solution cosets that completes middle differentials,
 the retraction of a split conflation (of modules or of complexes)
 factored from its section, the cyclic-subgroup walk over every element
 of the module, package functions recompiled with one source
-change, as mutants, a reset of the package's caches, and a recorder of
-what a suite run builds through the private ``_trusted`` constructors.
+change, as mutants, a reset of the package's caches, a recorder of
+what a suite run builds through the private ``_trusted`` constructors,
+and the axioms suite run once per modulus, without the sharing across
+moduli, as the oracle for the shared run.
 
 The package never calls these, so they live next to the tests.
 """
@@ -32,7 +34,12 @@ import pytest
 
 import modcat
 from modcat.complexes import ChainMap, Complex, ComplexConflation, _dual_parts, dual_complex
-from modcat.enumeration import _quotient_factors, enumerate_morphisms
+from modcat.enumeration import (
+    _quotient_factors,
+    enumerate_modules,
+    enumerate_morphisms,
+    subgroup_catalog,
+)
 from modcat.exact import Conflation, Pullback, Pushout
 from modcat.modules import (
     FiniteModule,
@@ -49,7 +56,14 @@ from modcat.modules import (
 )
 from modcat.monoidal import hom_module, tensor
 from modcat.snf import hermite_normal_form, smith_normal_form
-from modcat.suites import SuiteConfig, run_suite
+from modcat.suites import (
+    AXIOM_MIDDLE_CAP,
+    AXIOM_PARTNER_CAP,
+    SuiteConfig,
+    SuiteResult,
+    _select,
+    run_suite,
+)
 
 
 def sample_morphisms(dom: FiniteModule, cod: FiniteModule, count: int, seed: int):
@@ -418,3 +432,29 @@ def trusted_builds(config, names, classes):
             mp.setattr(cls, "_trusted", recording(cls._trusted.__func__))
         report = run_suite(SuiteConfig(**config), names=names)
     return report, built, callers
+
+
+def unshared_run_axioms(config: SuiteConfig) -> SuiteResult:
+    """The axioms suite as a loop over the moduli, each check evaluated
+    over every modulus apart: the oracle for ``run_axioms``, which
+    evaluates each invariant-factor input once."""
+    res = SuiteResult("axioms")
+    for n in config.moduli:
+        mid_cap = min(config.max_module_order, AXIOM_MIDDLE_CAP)
+        part_cap = min(config.max_module_order, AXIOM_PARTNER_CAP)
+        for m in enumerate_modules(n, config.max_module_order):
+            res.check("identity-inflation-deflation", n, m)
+        for y in enumerate_modules(n, mid_cap):
+            for e in subgroup_catalog(y):
+                f, g = e.inclusion, e.projection
+                for e2 in subgroup_catalog(e.quotient):
+                    res.check("deflation-composition", n, g, e2.projection)
+                for e2 in subgroup_catalog(e.sub):
+                    res.check("inflation-composition", n, e2.inclusion, f)
+                for w in enumerate_modules(n, part_cap):
+                    salt = f"{n}:{y.invariant_factors}:{e.key}:{w.invariant_factors}"
+                    for h in _select(enumerate_morphisms(w, e.quotient), config, f"ax-pb:{salt}"):
+                        res.check("pullback-stability", n, g, h)
+                    for h in _select(enumerate_morphisms(e.sub, w), config, f"ax-po:{salt}"):
+                        res.check("pushout-stability", n, f, h)
+    return res

@@ -20,7 +20,7 @@ import pytest
 import modcat
 from modcat.complexes import ChainMap, double_dual_complex_iso, dual_complex, single_complex
 from modcat.modules import Morphism, RingSpec, cyclic
-from modcat.exact import Pullback, Pushout
+from modcat.exact import Pullback, Pushout, is_deflation, is_inflation
 from modcat.purity import InternalInconsistency, conflation_tensor_failure, dual_mor, is_flat
 from modcat.suites import (
     CHECKS,
@@ -35,7 +35,7 @@ from modcat.suites import (
     run_suite,
 )
 
-from helpers import direct_sum_pullback, direct_sum_pushout, source_mutant
+from helpers import direct_sum_pullback, direct_sum_pushout, source_mutant, unshared_run_axioms
 
 
 TINY = SuiteConfig(
@@ -446,6 +446,145 @@ def test_each_square_is_evaluated_once_in_its_construction_and_once_in_its_check
     assert not {"_pullback_check", "_pushout_check"} & set(matmul_callers)
     for counts in per_check.values():
         assert counts and set(counts) == {3}
+
+
+# ---------------------------------------------------------------------------
+# the axioms suite evaluates each invariant-factor input once
+# ---------------------------------------------------------------------------
+
+# Over Z/8 every module of order <= 4 has factors dividing 4, so the shared
+# run evaluates each check over Z/8 once over Z/4 instead.
+SHARED = SuiteConfig(moduli=(4, 8, 12), max_module_order=4)
+# Per-modulus draws that differ, so that their union is walked.
+SHARED_SAMPLE = SuiteConfig(
+    moduli=(4, 8, 12), max_module_order=6, mode="sample", sample_count=2, seed=3
+)
+
+AXIOM_CHECKS = (
+    "_identity_check",
+    "_deflation_composition_check",
+    "_inflation_composition_check",
+    "_pullback_check",
+    "_pushout_check",
+)
+
+
+def _ring_free(value):
+    """An encoded record field without its moduli."""
+    if isinstance(value, dict):
+        return tuple(sorted((k, _ring_free(v)) for k, v in value.items() if k != "n"))
+    if isinstance(value, list):
+        return tuple(_ring_free(v) for v in value)
+    return value
+
+
+def _factors_in(value):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from v if k == "factors" else _factors_in(v)
+
+
+def unshared_verdicts(config):
+    """The oracle's result, and {(kind, ring-free inputs): {n: verdicts}}
+    of every check it evaluates."""
+    import modcat.suites as ms
+
+    seen = {}
+    real = ms._evaluate
+
+    def recording(kind, inputs):
+        verdicts, passed = real(kind, inputs)
+        first = inputs[0].domain if isinstance(inputs[0], Morphism) else inputs[0]
+        key = (kind, _ring_free([x.to_dict() for x in inputs]))
+        seen.setdefault(key, {})[first.ring.modulus] = verdicts
+        return verdicts, passed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ms, "_evaluate", recording)
+        oracle = unshared_run_axioms(config)
+    return oracle, seen
+
+
+def disagreements(seen) -> list:
+    return [key for key, by in seen.items() if len({json.dumps(v) for v in by.values()}) > 1]
+
+
+def test_every_axioms_input_has_one_verdict_over_every_modulus():
+    """What the shared run rests on: every axioms input, evaluated over
+    each of Z/4, Z/8 and Z/12 that its factors divide, gets the same
+    verdicts, and the shared run's report is the oracle's."""
+    oracle, seen = unshared_verdicts(SHARED)
+    assert sum(len(by) > 1 for by in seen.values()) > 200
+    assert disagreements(seen) == []
+    assert run_suite(SHARED, names=("axioms",)).suites[0].to_dict() == oracle.to_dict()
+
+
+def test_a_route_that_reads_the_modulus_fails_the_guard_but_not_the_shared_run(monkeypatch):
+    """No deflation over Z/8: the oracle fails over Z/8 and the verdicts
+    of its inputs disagree across moduli, but the shared run evaluates
+    every one of them over Z/4 and passes.  Only the guard above sees
+    such a route."""
+    import modcat.suites as ms
+
+    monkeypatch.setattr(ms, "is_deflation", lambda g: g.domain.ring.modulus != 8 and is_deflation(g))
+    oracle, seen = unshared_verdicts(SHARED)
+    assert oracle.failed > 0 and disagreements(seen)
+    assert run_suite(SHARED, names=("axioms",)).exit_code == 0
+
+
+@pytest.mark.parametrize("config", [SHARED, SHARED_SAMPLE], ids=["exhaustive", "sample"])
+def test_a_failing_shared_run_writes_the_oracles_records(monkeypatch, config):
+    """Under mutants that read only invariant factors, the shared run's
+    report is the oracle's byte for byte: one record per modulus that the
+    inputs' factors divide (and, in sample mode, whose draw picked them),
+    in modulus order, each replaying under the mutants and none without."""
+    import modcat.suites as ms
+
+    monkeypatch.setattr(
+        ms, "is_deflation", lambda g: g.codomain.invariant_factors != (2,) and is_deflation(g)
+    )
+    monkeypatch.setattr(
+        ms, "is_inflation", lambda f: f.domain.invariant_factors != (2, 2) and is_inflation(f)
+    )
+    suite = run_suite(config, names=("axioms",)).suites[0]
+    oracle = unshared_run_axioms(config)
+    assert json.dumps(suite.to_dict()) == json.dumps(oracle.to_dict())
+    ces = [json.loads(json.dumps(ce)) for ce in suite.counterexamples]
+    assert suite.failed == len(ces) > 10
+    positions = [config.moduli.index(ce["modulus"]) for ce in ces]
+    assert positions == sorted(positions)
+    by_input = {}
+    for ce in ces:
+        by_input.setdefault((ce["check"], _ring_free(ce["data"])), []).append(ce)
+    if config.mode == "exhaustive":
+        for records in by_input.values():
+            factors = set(_factors_in(records[0]["data"]))
+            covering = [n for n in config.moduli if all(n % d == 0 for d in factors)]
+            assert [ce["modulus"] for ce in records] == covering
+    assert any(len(records) > 1 for records in by_input.values())
+    for ce in ces:
+        assert replay_counterexample(ce)
+    monkeypatch.undo()
+    for ce in ces:
+        assert not replay_counterexample(ce)
+
+
+def test_the_shared_run_evaluates_each_invariant_factor_input_once(monkeypatch):
+    """The saving, as a count: 295 evaluations of the five axioms checks
+    for 779 checks counted, one per distinct ring-free input."""
+    import modcat.suites as ms
+
+    evaluations = []
+    for name in AXIOM_CHECKS:
+        check = getattr(ms, name)
+        monkeypatch.setattr(
+            ms, name, lambda *inputs, check=check: evaluations.append(1) or check(*inputs)
+        )
+    suite = run_suite(SHARED, names=("axioms",)).suites[0]
+    assert (suite.checked, suite.failed) == (779, 0)
+    assert len(evaluations) == 295 < suite.checked
+    monkeypatch.undo()
+    assert len(evaluations) == len(unshared_verdicts(SHARED)[1])
 
 
 def _raise(*args):
