@@ -458,3 +458,20 @@ def unshared_run_axioms(config: SuiteConfig) -> SuiteResult:
                     for h in _select(enumerate_morphisms(e.sub, w), config, f"ax-po:{salt}"):
                         res.check("pushout-stability", n, f, h)
     return res
+
+
+def unshared_run_prop1(config: SuiteConfig) -> SuiteResult:
+    """The prop1 suite as a loop over the moduli, each conflation checked
+    over every modulus apart: the oracle for ``run_prop1``, which decides
+    dual-splits purity once per invariant-factor input."""
+    res = SuiteResult("prop1")
+    for n in config.moduli:
+        for y in enumerate_modules(n, config.max_module_order):
+            entries = _select(
+                (e for e in subgroup_catalog(y) if e.sub_order <= config.max_kernel_order),
+                config,
+                f"prop1:{n}:{y.invariant_factors}",
+            )
+            for e in entries:
+                res.check("purity-agreement", n, e.conflation())
+    return res

@@ -14,6 +14,7 @@ import pathlib
 import re
 import sys
 import typing
+from functools import lru_cache
 
 import pytest
 
@@ -21,7 +22,14 @@ import modcat
 from modcat.complexes import ChainMap, double_dual_complex_iso, dual_complex, single_complex
 from modcat.modules import Morphism, RingSpec, cyclic
 from modcat.exact import Pullback, Pushout, is_deflation, is_inflation
-from modcat.purity import InternalInconsistency, conflation_tensor_failure, dual_mor, is_flat
+from modcat.purity import (
+    InternalInconsistency,
+    conflation_tensor_failure,
+    dual_mor,
+    is_flat,
+    is_pure,
+    is_pure_oracle,
+)
 from modcat.suites import (
     CHECKS,
     COMPLEX_FAMILY_CAP,
@@ -35,7 +43,13 @@ from modcat.suites import (
     run_suite,
 )
 
-from helpers import direct_sum_pullback, direct_sum_pushout, source_mutant, unshared_run_axioms
+from helpers import (
+    direct_sum_pullback,
+    direct_sum_pushout,
+    source_mutant,
+    unshared_run_axioms,
+    unshared_run_prop1,
+)
 
 
 TINY = SuiteConfig(
@@ -449,7 +463,8 @@ def test_each_square_is_evaluated_once_in_its_construction_and_once_in_its_check
 
 
 # ---------------------------------------------------------------------------
-# the axioms suite evaluates each invariant-factor input once
+# the axioms checks and prop1's dual-splits verdict are evaluated once per
+# invariant-factor input
 # ---------------------------------------------------------------------------
 
 # Over Z/8 every module of order <= 4 has factors dividing 4, so the shared
@@ -484,9 +499,15 @@ def _factors_in(value):
             yield from v if k == "factors" else _factors_in(v)
 
 
-def unshared_verdicts(config):
-    """The oracle's result, and {(kind, ring-free inputs): {n: verdicts}}
-    of every check it evaluates."""
+def _moduli_in(value):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from [v] if k == "n" else _moduli_in(v)
+
+
+def unshared_verdicts(config, oracle_run=unshared_run_axioms):
+    """The result of ``oracle_run``, and {(kind, ring-free inputs): {n:
+    verdicts}} of every check it evaluates."""
     import modcat.suites as ms
 
     seen = {}
@@ -494,15 +515,24 @@ def unshared_verdicts(config):
 
     def recording(kind, inputs):
         verdicts, passed = real(kind, inputs)
-        first = inputs[0].domain if isinstance(inputs[0], Morphism) else inputs[0]
-        key = (kind, _ring_free([x.to_dict() for x in inputs]))
-        seen.setdefault(key, {})[first.ring.modulus] = verdicts
+        encoded = [x.to_dict() for x in inputs]
+        key = (kind, _ring_free(encoded))
+        seen.setdefault(key, {})[next(_moduli_in(encoded[0]))] = verdicts
         return verdicts, passed
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ms, "_evaluate", recording)
-        oracle = unshared_run_axioms(config)
+        oracle = oracle_run(config)
     return oracle, seen
+
+
+def fresh_entry_pure(monkeypatch):
+    """Give the run an empty ``_entry_pure`` cache, so that every verdict
+    is decided by the ``is_pure`` in force, and the package's cache is
+    neither read nor filled."""
+    import modcat.suites as ms
+
+    monkeypatch.setattr(ms, "_entry_pure", lru_cache(maxsize=None)(ms._entry_pure.__wrapped__))
 
 
 def disagreements(seen) -> list:
@@ -547,7 +577,14 @@ def test_a_failing_shared_run_writes_the_oracles_records(monkeypatch, config):
         ms, "is_inflation", lambda f: f.domain.invariant_factors != (2, 2) and is_inflation(f)
     )
     suite = run_suite(config, names=("axioms",)).suites[0]
-    oracle = unshared_run_axioms(config)
+    assert_the_oracles_records(monkeypatch, config, suite, unshared_run_axioms(config))
+
+
+def assert_the_oracles_records(monkeypatch, config, suite, oracle):
+    """``suite`` is ``oracle`` byte for byte, with more than ten records in
+    modulus order, some input recorded over more than one modulus, and in
+    exhaustive mode each input over every modulus its factors divide;
+    each record replays under the patches and none without them."""
     assert json.dumps(suite.to_dict()) == json.dumps(oracle.to_dict())
     ces = [json.loads(json.dumps(ce)) for ce in suite.counterexamples]
     assert suite.failed == len(ces) > 10
@@ -585,6 +622,79 @@ def test_the_shared_run_evaluates_each_invariant_factor_input_once(monkeypatch):
     assert len(evaluations) == 295 < suite.checked
     monkeypatch.undo()
     assert len(evaluations) == len(unshared_verdicts(SHARED)[1])
+
+
+def test_every_prop1_input_has_one_purity_verdict_over_every_modulus(monkeypatch):
+    """What the shared prop1 run rests on: every conflation, checked over
+    each of Z/4, Z/8 and Z/12 that its factors divide, gets the same
+    dual-splits and tensor-oracle verdicts, and the shared run's report is
+    the oracle's."""
+    fresh_entry_pure(monkeypatch)
+    oracle, seen = unshared_verdicts(SHARED, unshared_run_prop1)
+    assert sum(len(by) > 1 for by in seen.values()) > 10
+    assert disagreements(seen) == []
+    assert run_suite(SHARED, names=("prop1",)).suites[0].to_dict() == oracle.to_dict()
+
+
+def test_a_purity_route_that_reads_the_modulus_fails_the_guard_but_not_the_shared_run(
+    monkeypatch,
+):
+    """No split conflation of Z/2 + Z/2 is pure over Z/8: the oracle fails
+    over Z/8 and the dual-splits verdicts of those inputs disagree across
+    moduli, but the shared run decides each of them over Z/4 and passes.
+    Only the guard above sees such a route."""
+    import modcat.suites as ms
+
+    fresh_entry_pure(monkeypatch)
+    monkeypatch.setattr(
+        ms,
+        "is_pure",
+        lambda c: (c.total.ring.modulus, c.total.invariant_factors) != (8, (2, 2)) and is_pure(c),
+    )
+    oracle, seen = unshared_verdicts(SHARED, unshared_run_prop1)
+    assert oracle.failed > 0 and disagreements(seen)
+    assert run_suite(SHARED, names=("prop1",)).exit_code == 0
+
+
+def _oracle_flipped_on_small_kernels(c) -> bool:
+    """The tensor oracle, negated on every conflation whose kernel has
+    order at most 2."""
+    return is_pure_oracle(c) != (c.sub.order <= 2)
+
+
+@pytest.mark.parametrize("config", [SHARED, SHARED_SAMPLE], ids=["exhaustive", "sample"])
+def test_a_failing_shared_prop1_run_writes_the_oracles_records(monkeypatch, config):
+    """Under a tensor oracle whose verdicts depend only on invariant
+    factors and that is wrong on some inputs, the shared prop1 run's
+    report is the oracle's byte for byte: one record per modulus that the
+    inputs' factors divide (and, in sample mode, whose draw picked them),
+    in modulus order, each replaying under the fake and none without it."""
+    monkeypatch.setattr("modcat.suites.is_pure_oracle", _oracle_flipped_on_small_kernels)
+    suite = run_suite(config, names=("prop1",)).suites[0]
+    assert_the_oracles_records(monkeypatch, config, suite, unshared_run_prop1(config))
+
+
+def test_the_shared_prop1_run_decides_each_invariant_factor_input_once(monkeypatch):
+    """The saving, as a count: 13 ``is_pure`` evaluations for 35 checks
+    counted, one per distinct walked subgroup as the oracle counts the
+    ring-free inputs, while the tensor oracle still runs once per checked
+    conflation, on the very conflations the oracle checks."""
+    import modcat.suites as ms
+
+    decided, tensored = [], []
+    monkeypatch.setattr(ms, "is_pure", lambda c: decided.append(c) or is_pure(c))
+    monkeypatch.setattr(
+        ms, "is_pure_oracle", lambda c: tensored.append(json.dumps(c.to_dict())) or is_pure_oracle(c)
+    )
+    fresh_entry_pure(monkeypatch)
+    suite = run_suite(SHARED, names=("prop1",)).suites[0]
+    shared_decided, shared_tensored = len(decided), sorted(tensored)
+    tensored.clear()
+    fresh_entry_pure(monkeypatch)
+    _, seen = unshared_verdicts(SHARED, unshared_run_prop1)
+    assert (suite.checked, suite.failed) == (35, 0)
+    assert shared_decided == len(seen) == 13 < suite.checked
+    assert shared_tensored == sorted(tensored) and len(tensored) == suite.checked
 
 
 def _raise(*args):
