@@ -85,6 +85,17 @@ def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
     image of a pair generator is killed by its order.  f (x) g is well
     defined on the pair sum, so the rows (one empty row per target factor
     when the source is zero) are built through ``Morphism._trusted``.
+
+    No suite can see the final ``% d`` go: the suites read these rows
+    only through composites, which reduce mod the target factors (and a
+    right factor off by a multiple of its own factors is killed by a
+    well-defined left one), and through Smith forms of the rows stacked
+    on diag(target factors) (``cokernel_order``, behind ``is_mono``,
+    ``is_epi`` and ``is_acyclic``), where adding a multiple of e_j to row
+    j is a column operation.  The reduction is kept because a
+    ``Morphism``'s equality, hash and ``to_dict`` read its rows, and
+    ``tensor_mor`` is public; the tests that compare its rows catch the
+    mutant.
     """
     src = tensor(f.domain, g.domain)
     dst = tensor(f.codomain, g.codomain)

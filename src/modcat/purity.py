@@ -11,9 +11,12 @@ keeps testing that closed form against the internal hom.
 Purity of a conflation is decided by whether its dual splits, that is,
 whether f+: Y+ -> X+, the dual of its inflation, has a section; nothing
 else of the dual conflation is built.  An independent oracle re-decides
-it by tensoring with Z/d for every divisor d of n (cyclic test objects
-suffice, since every finite module is a sum of cyclics and tensoring
-distributes over direct sums).  The tensored legs are built without a
+it by tensoring with Z/d for every divisor d > 1 of the middle's exponent
+e (cyclic test objects suffice, since every finite module is a sum of
+cyclics and tensoring distributes over direct sums).  The other divisors
+of n add nothing: e kills all three terms, so tensoring with Z/d is
+tensoring with Z/gcd(d, e), the same test step for step, or gives
+0 -> 0 -> 0 when the gcd is 1.  The tensored legs are built without a
 second validation, as f (x) Z/d is well defined by construction; what
 the oracle decides is whether they are still a conflation.
 
@@ -114,10 +117,20 @@ def conflation_tensor_failure(c: Conflation, w: FiniteModule) -> str | None:
 
 
 def is_pure_oracle(c: Conflation) -> bool:
-    """Decide purity by tensoring with Z/d for every divisor d | n, d > 1."""
+    """Decide purity by tensoring with Z/d for every divisor d > 1 of the
+    middle's exponent e.
+
+    e kills X, Y and Z, so M (x) Z/d = + Z/gcd(m_i, d) = + Z/gcd(m_i, g)
+    for g = gcd(d, e): for any other divisor d of n the test with Z/d is
+    the test with Z/g, step for step, or tensors c to 0 -> 0 -> 0 when
+    g = 1.  d = e is kept, although c (x) Z/e is c again, so that the
+    route still tests something when e is prime."""
     ring = c.sub.ring
+    e = max(c.total.invariant_factors, default=1)
     return all(
-        conflation_tensor_failure(c, cyclic(ring, d)) is None for d in ring.divisors() if d > 1
+        conflation_tensor_failure(c, cyclic(ring, d)) is None
+        for d in ring.divisors()
+        if d > 1 and e % d == 0
     )
 
 

@@ -7,7 +7,7 @@ runner and its CLI help, in run order:
                  inflations/deflations, pullback/pushout stability with
                  explicit commuting-square checks.
 - ``prop1``      purity decided by "the dual splits" against the
-                 independent tensor-with-every-divisor oracle.
+                 independent tensor-with-Z/d oracle.
 - ``flat-equiv`` flatness by tensor exactness, by injectivity of the
                  dual, by the structural factor test, and by purity of
                  every enumerated conflation ending in the module; plus
@@ -54,9 +54,11 @@ solves for a section over lcm(e) (``_factor``, ``solve_blocks``,
 ``_solve_mod``), reading only invariant factors and residue rows.  So the
 verdict is decided once per catalog entry, over the first modulus that
 picks it, and compared with the tensor oracle over each modulus that
-picks it.  The tensor oracle is not shared: it tensors with Z/d for every
-divisor d of n (``ring.divisors()``), so it reads n, and it runs once per
-checked conflation, on that modulus's own entry.  A disagreement is
+picks it.  The tensor oracle is not shared, although it no longer reads n
+(it tensors with Z/d for the divisors d > 1 of the middle's exponent
+only): it runs once per checked conflation, on that modulus's own entry,
+as ``is_pure_oracle`` in this module, which the mutation tests patch and
+the benchmark's tracer counts call by call.  A disagreement is
 checked again over its modulus, and a tier-1 test guards the argument as
 it does for the axioms.  The other suites are not shared: flatness
 depends on n.  Sample mode salts each modulus's draws with n; the shared

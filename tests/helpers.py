@@ -6,7 +6,8 @@ the dual of a chain map and of a conflation of complexes (the oracle for
 chain-level purity), the completion of a chain epi to a conflation of
 complexes (the oracle for the family middles), multiplication maps,
 element orders, the per-term tensor of two morphisms as an oracle for the
-products of ``tensor_mor``, the lattice
+products of ``tensor_mor``, the tensor oracle of purity over every
+divisor of n as the oracle for the one over the middle's exponent, the lattice
 route to subgroups and kernels, an oracle independent of the package's cokernel-and-dual-kernel
 route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
 the walk over their solution cosets that completes middle differentials,
@@ -48,6 +49,7 @@ from modcat.modules import (
     _augmented,
     canonicalize,
     cokernel,
+    cyclic,
     direct_sum,
     factor_through_epi,
     factor_through_mono,
@@ -55,6 +57,7 @@ from modcat.modules import (
     solution_set,
 )
 from modcat.monoidal import hom_module, tensor
+from modcat.purity import conflation_tensor_failure
 from modcat.snf import hermite_normal_form, smith_normal_form
 from modcat.suites import (
     AXIOM_MIDDLE_CAP,
@@ -318,6 +321,16 @@ def per_term_tensor_mor(f: Morphism, g: Morphism) -> Morphism:
             acc = dst.module.add(acc, dst.module.scale(c, dst.pure(fcols[i], gcols[j])))
         columns.append(acc)
     return Morphism.from_columns(src.module, dst.module, columns)
+
+
+def every_divisor_is_pure_oracle(c: Conflation) -> bool:
+    """Decide purity by tensoring with Z/d for every divisor d | n, d > 1:
+    the oracle for ``purity.is_pure_oracle``, which tensors only with the
+    divisors of the middle's exponent."""
+    ring = c.sub.ring
+    return all(
+        conflation_tensor_failure(c, cyclic(ring, d)) is None for d in ring.divisors() if d > 1
+    )
 
 
 def postcompose_map(g: Morphism, source: FiniteModule) -> Morphism:

@@ -54,6 +54,10 @@ def test_traced_prop1_run_reports_per_layer_metrics():
     # function before the tracer installed would read 0 here.
     assert values["suites.prop1.wall_s"] > 0
     assert values["purity.is_pure_oracle.calls"] > 0
+    # the tensor oracle tensors with Z/d only for the divisors d > 1 of the
+    # middle's exponent: two tensor_mor calls per divisor tried (134 when
+    # it tried every divisor of n)
+    assert values["monoidal.tensor_mor.calls"] == 84
     assert values["exact.splits.calls"] > 0
     # purity splits f+ alone and builds no dual conflation
     assert values["purity.dual_conflation.calls"] == 0

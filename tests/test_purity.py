@@ -6,9 +6,13 @@ Independent oracles:
     the closed form),
   * purity by tensoring against *every* small module (the in-package oracle
     only scans cyclic divisor modules; the scan here is strictly broader),
+  * the tensor oracle over every divisor of n (``helpers``), for the
+    in-package one over the divisors of the middle's exponent,
   * injectivity by brute extension search over a subgroup catalog (the
     in-package test is the Baer criterion on ideals).
 """
+
+from math import gcd
 
 import pytest
 
@@ -40,7 +44,7 @@ from modcat.enumeration import (
     subgroup_catalog,
 )
 
-from helpers import precompose_map, sample_morphisms
+from helpers import every_divisor_is_pure_oracle, precompose_map, sample_morphisms
 
 
 R4 = RingSpec(4)
@@ -170,7 +174,7 @@ def test_frozen_purity_verdicts():
     assert brute_pure(split_c, enumerate_modules(4, 16))
 
 
-@pytest.mark.parametrize("n", [4, 9])
+@pytest.mark.parametrize("n", [4, 8, 9, 12])
 def test_three_purity_routes_agree_on_full_catalog(n):
     pool = enumerate_modules(n, 16)
     for y in pool:
@@ -180,6 +184,24 @@ def test_three_purity_routes_agree_on_full_catalog(n):
             via_divisors = is_pure_oracle(c)
             via_everything = brute_pure(c, pool)
             assert via_dual == via_divisors == via_everything
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12, 16, 18, 27])
+def test_the_tensor_oracle_needs_only_the_divisors_of_the_middles_exponent(n):
+    """For every divisor d of n, tensoring with Z/d is tensoring with
+    Z/gcd(d, e), e the exponent of the middle, failure for failure, and
+    passes when that gcd is 1; so the oracle over the divisors of e
+    decides as the one over every divisor of n."""
+    ring = RingSpec(n)
+    for y in enumerate_modules(n, 16):
+        e = max(y.invariant_factors, default=1)
+        for entry in subgroup_catalog(y):
+            c = entry.conflation()
+            for d in ring.divisors():
+                g = gcd(d, e)
+                expected = conflation_tensor_failure(c, cyclic(ring, g)) if g > 1 else None
+                assert conflation_tensor_failure(c, cyclic(ring, d)) == expected
+            assert is_pure_oracle(c) == every_divisor_is_pure_oracle(c)
 
 
 def test_tensor_failure_names_the_broken_property():
