@@ -43,26 +43,25 @@ a check over Z/8 on modules whose factors divide 4 repeats the same check
 over Z/4 operation for operation, and the walk evaluates it once, over
 the first configured modulus that the middle Y and the partner W share.
 A failing check is checked again over each modulus it covers, on its
-inputs rebuilt there, so its records and their replay are what a loop
-over the moduli writes.  A route that started to read n would break the
-argument; a tier-1 test evaluates every input over each modulus apart
-and compares the verdicts.
+inputs rebuilt there, and ``run_suite`` sorts every suite's records stably
+by modulus, so the records and their replay are what a loop over the
+moduli writes.  A route that started to read n would break the argument;
+a tier-1 test evaluates every input over each modulus apart and compares
+the verdicts.
 
-``run_prop1`` shares its dual-splits route by the same argument: ``is_pure``
-transposes the inflation and rescales it by d_i/e_j (``dual_mor``), then
-solves for a section over lcm(e) (``_factor``, ``solve_blocks``,
-``_solve_mod``), reading only invariant factors and residue rows.  So the
-verdict is decided once per catalog entry, over the first modulus that
-picks it, and compared with the tensor oracle over each modulus that
-picks it.  The tensor oracle is not shared, although it no longer reads n
-(it tensors with Z/d for the divisors d > 1 of the middle's exponent
-only): it runs once per checked conflation, on that modulus's own entry,
-as ``is_pure_oracle`` in this module, which the mutation tests patch and
-the benchmark's tracer counts call by call.  A disagreement is
-checked again over its modulus, and a tier-1 test guards the argument as
-it does for the axioms.  The other suites are not shared: flatness
-depends on n.  Sample mode salts each modulus's draws with n; the shared
-walks keep those draws and evaluate their union once.
+``run_prop1`` shares its checks the same way: both routes read only
+invariant factors and residue rows, so the whole check is shared.
+``is_pure`` transposes the inflation and rescales it by d_i/e_j
+(``dual_mor``), then solves for a section over lcm(e) (``_factor``,
+``solve_blocks``, ``_solve_mod``); the tensor oracle tensors with Z/d only
+for the divisors d > 1 of the middle's exponent, which every modulus
+covering the middle has.  So each catalog entry is checked once, on its
+conflation over the first modulus that picks it, and the oracle is still
+called as ``is_pure_oracle`` in this module, which the mutation tests
+patch and the benchmark's tracer counts.  A tier-1 test guards the
+argument as it does for the axioms.  The other suites are not shared:
+flatness depends on n.  Sample mode salts each modulus's draws with n;
+the shared walks keep those draws and evaluate their union once.
 
 ``run_suite(config, names)`` and ``replay_counterexample(record)`` take
 nothing else: ``SUITES`` names each runner, ``CHECKS`` each check, and the
@@ -250,14 +249,13 @@ class SuiteResult:
         """Evaluate one ring-free check of ``kind`` once, on ``inputs`` over
         the first of ``moduli``, and count it for each of them.  Only when
         it fails is it checked again over each modulus, on its inputs
-        rebuilt there by the validating constructors, so that every
-        modulus gets the record a run over it alone would write."""
+        rebuilt there (``_over``), so that every modulus gets the record a
+        run over it alone would write."""
         if _evaluate(kind, inputs)[1]:
             self.checked += len(moduli)
             return
         for n in moduli:
-            ring = RingSpec(n)
-            self.check(kind, n, *(_over(ring, x) for x in inputs))
+            self.check(kind, n, *(_over(n, x) for x in inputs))
 
     def to_dict(self) -> dict:
         return {
@@ -363,8 +361,8 @@ def _select_shared(items, config: SuiteConfig, moduli, salt):
 
 
 # A cache, not a plain call: ``flat-equiv`` asks again for conflations
-# that ``prop1`` decided (over the first modulus of each invariant-factor
-# tuple, since ``run_prop1`` decides each one once), and perfbench's
+# that ``prop1`` decided (over the first modulus that picks each catalog
+# entry, since ``run_prop1`` checks each one once), and perfbench's
 # tracer reads its ``cache_info()``.
 @lru_cache(maxsize=1 << 17)
 def _entry_pure(conflation: Conflation) -> bool:
@@ -562,12 +560,15 @@ def _decode(name: str, cls: type, value):
 # ---------------------------------------------------------------------------
 
 
-def _over(ring: RingSpec, x):
-    """The module or morphism x rebuilt over ``ring`` by the validating
-    constructors."""
-    if isinstance(x, Morphism):
-        return Morphism(_over(ring, x.domain), _over(ring, x.codomain), x.matrix)
-    return FiniteModule(ring, x.invariant_factors)
+def _over(n: int, x):
+    """``x`` rebuilt over Z/n by the validating path replay decodes
+    through: ``from_dict`` of its encoding with every ``"n"`` set to n."""
+    def rebased(value):
+        if not isinstance(value, dict):
+            return value
+        return {k: n if k == "n" else rebased(v) for k, v in value.items()}
+
+    return type(x).from_dict(rebased(x.to_dict()))
 
 
 def _modules_over(moduli, max_order: int) -> list[dict]:
@@ -587,8 +588,7 @@ def run_axioms(config: SuiteConfig) -> SuiteResult:
     """The closure checks over every modulus, each evaluated once per
     invariant-factor input (see the module docstring): the pairs (Y, W)
     over the first modulus the two share, counted for every modulus they
-    share.  The records are sorted stably by modulus, in config order, so
-    they come as a loop over the moduli would write them."""
+    share."""
     res = SuiteResult("axioms")
     mid_cap = min(config.max_module_order, AXIOM_MIDDLE_CAP)
     part_cap = min(config.max_module_order, AXIOM_PARTNER_CAP)
@@ -613,34 +613,22 @@ def run_axioms(config: SuiteConfig) -> SuiteResult:
                 pushed = enumerate_morphisms(e_n.sub, w)
                 for h, by in _select_shared(pushed, config, shared, lambda m: f"ax-po:{m}:{salt}"):
                     res.check_shared("pushout-stability", by, e_n.inclusion, h)
-    res.counterexamples.sort(key=lambda ce: config.moduli.index(ce["modulus"]))
     return res
 
 
 def run_prop1(config: SuiteConfig) -> SuiteResult:
-    """Dual-splits purity against the tensor oracle over every modulus, the
-    dual-splits verdict decided once per invariant-factor input (see the
-    module docstring): on each catalog entry's conflation over the first
-    modulus that picks it, then compared with the tensor oracle on the
-    entry's conflation over each modulus that picks it.  A disagreement
-    is checked again over its modulus, and the records are sorted stably
-    by modulus, as ``run_axioms`` sorts them."""
+    """Dual-splits purity against the tensor oracle over every modulus, each
+    check evaluated once per invariant-factor input (see the module
+    docstring): on each catalog entry's conflation over the first modulus
+    that picks it, counted for every modulus that picks it."""
     res = SuiteResult("prop1")
     k = config.max_kernel_order
     for ys in _modules_over(config.moduli, config.max_module_order):
         y = next(iter(ys.values()))
-        catalogs = {n: subgroup_catalog(m) for n, m in ys.items()}
         kept = (i for i, e in enumerate(subgroup_catalog(y)) if e.sub_order <= k)
         salt = y.invariant_factors
         for i, by in _select_shared(kept, config, tuple(ys), lambda n: f"prop1:{n}:{salt}"):
-            pure = _entry_pure(catalogs[by[0]][i].conflation())
-            for n in by:
-                c = catalogs[n][i].conflation()
-                if is_pure_oracle(c) == pure:
-                    res.checked += 1
-                else:
-                    res.check("purity-agreement", n, c)
-    res.counterexamples.sort(key=lambda ce: config.moduli.index(ce["modulus"]))
+            res.check_shared("purity-agreement", by, subgroup_catalog(ys[by[0]])[i].conflation())
     return res
 
 
@@ -723,9 +711,15 @@ def run_suite(config: SuiteConfig, names=SUITE_ORDER) -> Report:
         if name not in names:
             continue
         try:
-            suites.append(globals()[runner](config))
+            res = globals()[runner](config)
         except Exception as exc:  # noqa: BLE001 - becomes a crash record; the other suites still run
-            suites.append(SuiteResult(name, 1, 1, [_crash_record(name, config, exc)]))
+            res = SuiteResult(name, 1, 1, [_crash_record(name, config, exc)])
+        else:
+            # The shared runners write a failing input's records modulus by
+            # modulus; sorted stably by modulus, they come as a loop over the
+            # moduli writes them.
+            res.counterexamples.sort(key=lambda ce: config.moduli.index(ce["modulus"]))
+        suites.append(res)
     elapsed = int((time.monotonic() - start) * 1000)
     return Report(config, suites, elapsed)
 

@@ -64,6 +64,7 @@ from helpers import (
     multiplication,
     sample_morphisms,
     source_mutant,
+    unshared_run_prop1,
 )
 
 
@@ -379,7 +380,7 @@ def test_subgroup_walks_are_shared_across_moduli():
     only: over every modulus they carry equal keys and quotient factors,
     the very same key objects and walked subgroups (whose rows and build
     they share), and each quotient is the Smith diagonal of its key.  A
-    prop1 run walks each tuple once."""
+    prop1 run over each modulus apart walks each tuple once."""
     moduli, bound = (4, 8, 12), 32
     clear_package_caches()
     groups = {}
@@ -407,7 +408,7 @@ def test_subgroup_walks_are_shared_across_moduli():
 
     clear_package_caches()
     config = SuiteConfig(moduli=moduli, max_module_order=bound, max_kernel_order=8)
-    assert run_suite(config, names=("prop1",)).exit_code == 0
+    assert unshared_run_prop1(config).failed == 0
     info = modcat.enumeration._subgroup_walk.cache_info()
     assert info.misses == len(groups)
     assert info.hits == sum(len(ys) for ys in groups.values()) - len(groups)

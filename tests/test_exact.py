@@ -431,9 +431,10 @@ def test_every_trusted_conflation_of_a_purity_run_validates():
     """Every conflation that a prop1 and flat-equiv run builds through
     ``Conflation._trusted`` (subgroup entries; purity builds no dual
     conflation) passes the validating constructor, equal and with the same
-    hash."""
+    hash.  Six moduli, since prop1 builds each invariant-factor input's
+    conflation over one of them only."""
     report, built, callers = trusted_builds(
-        dict(moduli=(4, 8, 9, 12), max_module_order=16, max_kernel_order=8),
+        dict(moduli=(4, 8, 9, 12, 16, 18), max_module_order=16, max_kernel_order=8),
         ("prop1", "flat-equiv"),
         (Conflation,),
     )

@@ -35,8 +35,10 @@ the change of coordinates ``Canonicalized.coordinates``, ``tensor_mor``
 and ``direct_sum_many``.  An eleventh keeps the layers in order: no relative
 import, at the top of a file or inside a function, names a layer at or
 above its own, in the order the ``modcat`` docstring lists them, with
-``cli`` last.  Last, every file parses under the grammar of the oldest
-Python that ``pyproject.toml`` admits.
+``cli`` last.  A twelfth keeps every write of ``.checked`` inside
+``SuiteResult.check`` and ``SuiteResult.check_shared``, so a check is
+counted only by the method that evaluates it.  Last, every file parses
+under the grammar of the oldest Python that ``pyproject.toml`` admits.
 """
 
 import ast
@@ -233,27 +235,29 @@ TRUSTED_CALLERS = {
 }
 
 
-def _scopes_naming(node, attr, names, scope=()):
+def _scopes_naming(node, attr, names, scope=(), ctx=ast.expr_context):
     """The enclosing class and function names of each ``.attr`` under
-    ``node``, and of each bare ``attr`` if ``names``."""
+    ``node``, and of each bare ``attr`` if ``names``, used in context
+    ``ctx`` (any, by default; ``ast.Store`` for writes only)."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
-            yield from _scopes_naming(child, attr, names, scope + (child.name,))
+            yield from _scopes_naming(child, attr, names, scope + (child.name,), ctx)
             continue
-        if (isinstance(child, ast.Attribute) and child.attr == attr) or (
-            names and isinstance(child, ast.Name) and child.id == attr
-        ):
+        if (
+            (isinstance(child, ast.Attribute) and child.attr == attr)
+            or (names and isinstance(child, ast.Name) and child.id == attr)
+        ) and isinstance(child.ctx, ctx):
             yield scope
-        yield from _scopes_naming(child, attr, names, scope)
+        yield from _scopes_naming(child, attr, names, scope, ctx)
 
 
-def uses_outside(src, attr, allowed, names=True):
+def uses_outside(src, attr, allowed, names=True, ctx=ast.expr_context):
     """``module.qualified.name`` of each function outside ``allowed`` that
-    names ``.attr``, or bare ``attr`` if ``names`` (``module`` alone for
-    module-level code)."""
+    names ``.attr``, or bare ``attr`` if ``names``, in context ``ctx``
+    (``module`` alone for module-level code)."""
     found = []
     for path in sorted(pathlib.Path(src).glob("*.py")):
-        for scope in _scopes_naming(ast.parse(path.read_text()), attr, names):
+        for scope in _scopes_naming(ast.parse(path.read_text()), attr, names, (), ctx):
             name = ".".join((path.stem,) + scope)
             if name not in allowed:
                 found.append(name)
@@ -490,6 +494,33 @@ def test_the_scan_sees_a_carried_read_outside_the_allow_list(tmp_path):
         "modules.Canonicalized.combine",
         "snf.left_of",
     ]
+
+
+# Every check is counted where a ``CHECKS`` entry evaluates it: only
+# ``SuiteResult.check`` and ``SuiteResult.check_shared`` write ``.checked``,
+# so no runner counts a check by hand.  Writes only: reports read it.
+CHECKED_WRITERS = {"suites.SuiteResult.check", "suites.SuiteResult.check_shared"}
+
+
+def checked_writes(src=SRC, allowed=CHECKED_WRITERS):
+    return uses_outside(src, "checked", allowed, names=False, ctx=ast.Store)
+
+
+def test_only_the_suite_results_check_methods_count_checks():
+    assert checked_writes() == []
+
+
+def test_the_scan_sees_a_check_counted_outside_the_suite_result(tmp_path):
+    (tmp_path / "suites.py").write_text(
+        "class SuiteResult:\n    checked: int = 0\n\n"
+        "    def check(self, kind):\n        self.checked += 1\n\n"
+        "    def check_shared(self, kind, moduli):\n        self.checked += len(moduli)\n\n"
+        "    def reset(self):\n        self.checked = 0\n\n\n"
+        "def to_text(s):\n    return f\"checked {s.checked}\"\n\n\n"
+        "def run_prop1(res, c):\n    if c:\n        res.checked += 1\n"
+    )
+    (tmp_path / "cli.py").write_text("def main(report):\n    report.suites[0].checked = 0\n")
+    assert checked_writes(tmp_path) == ["cli.main", "suites.SuiteResult.reset", "suites.run_prop1"]
 
 
 # Generator lifts are solved for only where a canonical form is read

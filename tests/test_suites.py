@@ -636,20 +636,22 @@ def test_every_prop1_input_has_one_purity_verdict_over_every_modulus(monkeypatch
     assert run_suite(SHARED, names=("prop1",)).suites[0].to_dict() == oracle.to_dict()
 
 
+@pytest.mark.parametrize("route", ["is_pure", "is_pure_oracle"])
 def test_a_purity_route_that_reads_the_modulus_fails_the_guard_but_not_the_shared_run(
-    monkeypatch,
+    monkeypatch, route
 ):
-    """No split conflation of Z/2 + Z/2 is pure over Z/8: the oracle fails
-    over Z/8 and the dual-splits verdicts of those inputs disagree across
-    moduli, but the shared run decides each of them over Z/4 and passes.
-    Only the guard above sees such a route."""
+    """No split conflation of Z/2 + Z/2 is pure over Z/8, by either route:
+    the oracle fails over Z/8 and that route's verdicts of those inputs
+    disagree across moduli, but the shared run checks each of them over
+    Z/4 and passes.  Only the guard above sees such a route."""
     import modcat.suites as ms
 
     fresh_entry_pure(monkeypatch)
+    real = getattr(ms, route)
     monkeypatch.setattr(
         ms,
-        "is_pure",
-        lambda c: (c.total.ring.modulus, c.total.invariant_factors) != (8, (2, 2)) and is_pure(c),
+        route,
+        lambda c: (c.total.ring.modulus, c.total.invariant_factors) != (8, (2, 2)) and real(c),
     )
     oracle, seen = unshared_verdicts(SHARED, unshared_run_prop1)
     assert oracle.failed > 0 and disagreements(seen)
@@ -675,34 +677,36 @@ def test_a_failing_shared_prop1_run_writes_the_oracles_records(monkeypatch, conf
 
 
 def test_the_shared_prop1_run_decides_each_invariant_factor_input_once(monkeypatch):
-    """The saving, as a count: 13 ``is_pure`` evaluations for 35 checks
-    counted, one per distinct walked subgroup as the oracle counts the
-    ring-free inputs, while the tensor oracle still runs once per checked
-    conflation, on the very conflations the oracle checks."""
+    """The saving, as a count: 13 ``is_pure`` and 13 ``is_pure_oracle``
+    evaluations for 35 checks counted, one per distinct ring-free input of
+    the oracle, each on that input's conflation over the first modulus
+    the oracle checks it over."""
     import modcat.suites as ms
 
     decided, tensored = [], []
     monkeypatch.setattr(ms, "is_pure", lambda c: decided.append(c) or is_pure(c))
-    monkeypatch.setattr(
-        ms, "is_pure_oracle", lambda c: tensored.append(json.dumps(c.to_dict())) or is_pure_oracle(c)
-    )
+    monkeypatch.setattr(ms, "is_pure_oracle", lambda c: tensored.append(c) or is_pure_oracle(c))
     fresh_entry_pure(monkeypatch)
     suite = run_suite(SHARED, names=("prop1",)).suites[0]
-    shared_decided, shared_tensored = len(decided), sorted(tensored)
-    tensored.clear()
+    routes = (list(decided), list(tensored))
     fresh_entry_pure(monkeypatch)
     _, seen = unshared_verdicts(SHARED, unshared_run_prop1)
     assert (suite.checked, suite.failed) == (35, 0)
-    assert shared_decided == len(seen) == 13 < suite.checked
-    assert shared_tensored == sorted(tensored) and len(tensored) == suite.checked
+    for conflations in routes:
+        assert len(conflations) == len(seen) == 13 < suite.checked
+        keys = [("purity-agreement", _ring_free([c.to_dict()])) for c in conflations]
+        assert set(keys) == set(seen)
+        for key, c in zip(keys, conflations):
+            assert c.total.ring.modulus == next(iter(seen[key]))
 
 
 def test_the_tensor_oracle_tries_each_divisor_of_the_middles_exponent_once(monkeypatch):
     """The tensor oracle's saving, as a count: each oracle call of a prop1
     run tensors with Z/d once for each divisor d > 1 of the middle's
     exponent, in increasing order, up to the first that fails, and with
-    no other divisor of n: 38 tensor tests for 35 checks, where the loop
-    over every divisor of n made 113."""
+    no other divisor of n: 14 tensor tests in 13 oracle calls for 35
+    checks, where one call per check made 38 and the loop over every
+    divisor of n 113."""
     import modcat.purity as mp
     import modcat.suites as ms
 
@@ -719,7 +723,7 @@ def test_the_tensor_oracle_tries_each_divisor_of_the_middles_exponent_once(monke
     )
     suite = run_suite(SHARED, names=("prop1",)).suites[0]
     monkeypatch.undo()
-    assert (suite.checked, suite.failed) == (35, 0) and len(calls) == suite.checked
+    assert (suite.checked, suite.failed) == (35, 0) and len(calls) == 13
     for c, ds in zip(calls, tried):
         e = max(c.total.invariant_factors, default=1)
         expected = []
@@ -729,7 +733,7 @@ def test_the_tensor_oracle_tries_each_divisor_of_the_middles_exponent_once(monke
                 if conflation_tensor_failure(c, cyclic(c.total.ring, d)) is not None:
                     break
         assert ds == expected
-    assert sum(map(len, tried)) == 38
+    assert sum(map(len, tried)) == 14
 
 
 def _raise(*args):
