@@ -16,7 +16,9 @@ complementary families: the full subgroup walk while the middle stays
 small, and single-generator (cyclic) subgroups — enumerable by walking
 elements — with no cap on the middle.  Together they are discriminating:
 a non-flat end always admits a non-pure conflation with cyclic prime
-kernel, middle = end order times p.  Pure-injectivity is decided here,
+kernel, middle = end order times p.  A walk skips every middle that
+its invariant factors rule out before building that middle's catalog
+(``conflations_ending_in``).  Pure-injectivity is decided here,
 over the conflations that start at a module (``is_pure_injective``).
 
 Both subgroup walks depend only on a module's invariant factors d, not
@@ -55,6 +57,7 @@ from .modules import (
     _diagonal_rows,
     _factor,
     _generator_map,
+    _prime_powers,
     cokernel,
     factor_through_mono,
     kernel,
@@ -305,6 +308,33 @@ def cyclic_subgroup_catalog(y: FiniteModule, order: int) -> tuple[SubgroupEntry,
     )
 
 
+def _local_types(m: FiniteModule) -> list[list[int]]:
+    """For each prime p of the modulus, increasing, the partition of the
+    p-exponents of m's invariant factors, largest first, zeros kept: the
+    p-primary part of m is the sum of the Z/p^e over those exponents e."""
+    types = []
+    for p, _ in _prime_powers(m.ring.modulus):
+        part = []
+        for d in reversed(m.invariant_factors):
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            part.append(e)
+        types.append(part)
+    return types
+
+
+def _contains(lam: list[int], nu: list[int]) -> bool:
+    """nu inside lam: nu_i <= lam_i for every i."""
+    return all(a >= b for a, b in itertools.zip_longest(lam, nu, fillvalue=0))
+
+
+def _horizontal_strip(lam: list[int], nu: list[int]) -> bool:
+    """lam / nu is a horizontal strip: lam_i >= nu_i >= lam_(i+1) for every i."""
+    return all(a >= b >= c for a, b, c in itertools.zip_longest(lam, nu, lam[1:], fillvalue=0))
+
+
 def conflations_ending_in(
     f: FiniteModule, kernel_bound: int, middle_bound: int
 ):
@@ -318,14 +348,30 @@ def conflations_ending_in(
     for flatness at every end module.  Each middle belongs to exactly one
     kernel order and each catalog's keys are distinct, so no conflation
     is handed out twice.
+
+    A middle whose catalog holds no entry with quotient f is skipped
+    before its catalog is built.  With lam and nu the partitions of
+    p-exponents of Y and f at a prime p (``_local_types``), some subgroup
+    of Y has quotient f iff nu lies inside lam at every p, and some
+    cyclic subgroup does iff lam / nu is a horizontal strip at every p.
+    These are the existence criteria of the Hall polynomials, which are
+    nonzero exactly where the Littlewood-Richardson coefficients are, and
+    Pieri's rule for a cyclic kernel (I. G. Macdonald, Symmetric Functions
+    and Hall Polynomials, 2nd ed., Ch. II Sec. 4 and Ch. I Sec. 5;
+    L. M. Butler, Subgroup lattices and symmetric functions, Mem. AMS
+    539, 1994).  So the skipped middles would have yielded nothing.
     """
     n = f.ring.modulus
+    nus = _local_types(f)
     for k_ord in range(1, kernel_bound + 1):
         middle_order = f.order * k_ord
         whole = middle_order <= middle_bound
         if not whole and n % k_ord:
             continue
+        fits = _contains if whole else _horizontal_strip
         for y in modules_of_order(n, middle_order):
+            if not all(map(fits, _local_types(y), nus)):
+                continue
             catalog = subgroup_catalog(y) if whole else cyclic_subgroup_catalog(y, k_ord)
             for entry in catalog:
                 if entry.sub_order == k_ord and entry.quotient == f:
@@ -333,10 +379,17 @@ def conflations_ending_in(
 
 
 def conflations_with_sub(m: FiniteModule, middle_bound: int):
-    """Conflations m -> Y -> C with |Y| <= middle_bound."""
+    """Conflations m -> Y -> C with |Y| <= middle_bound.
+
+    A middle Y has a subgroup isomorphic to m iff m's partition of
+    p-exponents lies inside Y's at every prime p (the containment
+    criterion of ``conflations_ending_in``), so every other middle is
+    skipped before its catalog is built.
+    """
     n = m.ring.modulus
+    mus = _local_types(m)
     for y in enumerate_modules(n, middle_bound):
-        if y.order % m.order:
+        if not all(map(_contains, _local_types(y), mus)):
             continue
         for entry in subgroup_catalog(y):
             if entry.sub_order == m.order and entry.sub == m:

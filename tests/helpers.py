@@ -13,7 +13,9 @@ route, and the hom-module coordinate maps h |-> g . h and h |-> h . f with
 the walk over their solution cosets that completes middle differentials,
 the retraction of a split conflation (of modules or of complexes)
 factored from its section, the cyclic-subgroup walk over every element
-of the module, package functions recompiled with one source
+of the module, the conflation walks that build the catalog of every
+middle as the oracles for the ones that skip the middles no conflation
+fits, package functions recompiled with one source
 change, as mutants, a reset of the package's caches, a recorder of
 what a suite run builds through the private ``_trusted`` constructors,
 and the axioms suite run once per modulus, without the sharing across
@@ -37,8 +39,10 @@ import modcat
 from modcat.complexes import ChainMap, Complex, ComplexConflation, _dual_parts, dual_complex
 from modcat.enumeration import (
     _quotient_factors,
+    cyclic_subgroup_catalog,
     enumerate_modules,
     enumerate_morphisms,
+    modules_of_order,
     subgroup_catalog,
 )
 from modcat.exact import Conflation, Pullback, Pushout
@@ -400,6 +404,36 @@ def full_cyclic_subgroup_walk(d: tuple[int, ...], order: int) -> tuple[tuple, ..
         key = tuple(tuple(r) for r in hermite_normal_form([list(x)] + relations, k))
         found.append((key, x, _quotient_factors(key)))
     return tuple(found)
+
+
+def unfiltered_conflations_ending_in(f: FiniteModule, kernel_bound: int, middle_bound: int):
+    """``conflations_ending_in`` building the catalog of every middle of
+    order |f| * k: the oracle for the walk that skips the middles whose
+    partitions of p-exponents rule out a conflation ending in f."""
+    n = f.ring.modulus
+    for k_ord in range(1, kernel_bound + 1):
+        middle_order = f.order * k_ord
+        whole = middle_order <= middle_bound
+        if not whole and n % k_ord:
+            continue
+        for y in modules_of_order(n, middle_order):
+            catalog = subgroup_catalog(y) if whole else cyclic_subgroup_catalog(y, k_ord)
+            for entry in catalog:
+                if entry.sub_order == k_ord and entry.quotient == f:
+                    yield entry
+
+
+def unfiltered_conflations_with_sub(m: FiniteModule, middle_bound: int):
+    """``conflations_with_sub`` building the catalog of every middle whose
+    order |m| divides: the oracle for the walk that skips the middles with
+    no subgroup isomorphic to m."""
+    n = m.ring.modulus
+    for y in enumerate_modules(n, middle_bound):
+        if y.order % m.order:
+            continue
+        for entry in subgroup_catalog(y):
+            if entry.sub_order == m.order and entry.sub == m:
+                yield entry.conflation()
 
 
 def source_mutant(fn, old, new):

@@ -40,8 +40,11 @@ from modcat.complexes import (
 from modcat.enumeration import (
     SubgroupEntry,
     _SharedSubgroup,
-    _quotient_factors,
     _complete_differentials,
+    _contains,
+    _horizontal_strip,
+    _local_types,
+    _quotient_factors,
     conflations_ending_in,
     conflations_with_sub,
     cyclic_subgroup_catalog,
@@ -64,6 +67,8 @@ from helpers import (
     multiplication,
     sample_morphisms,
     source_mutant,
+    unfiltered_conflations_ending_in,
+    unfiltered_conflations_with_sub,
     unshared_run_prop1,
 )
 
@@ -621,6 +626,128 @@ def test_conflations_with_sub():
     for c in cs:
         assert c.sub == m
         assert c.total.order <= 8
+
+
+def test_the_walks_that_skip_middles_yield_what_the_unfiltered_walks_yield():
+    """Skipping the middles that no wanted conflation fits changes no
+    entry of a walk, nor its place: for every end and every start, the
+    filtered walks hand out the oracles' (middle, key) sequence.  A
+    middle bound of |F| runs the cyclic branch for every kernel order
+    above 1, and one of 32 runs both branches."""
+    for n in (4, 8, 9, 12, 16, 18, 27, 30):
+        for f in enumerate_modules(n, 32):
+            for middle_bound in (f.order, 32):
+                got = conflations_ending_in(f, 8, middle_bound)
+                want = unfiltered_conflations_ending_in(f, 8, middle_bound)
+                assert [(e.ambient.invariant_factors, e.key) for e in got] == [
+                    (e.ambient.invariant_factors, e.key) for e in want
+                ], (f, middle_bound)
+            got = conflations_with_sub(f, 64)
+            want = unfiltered_conflations_with_sub(f, 64)
+            assert [(c.total.invariant_factors, c.f.matrix) for c in got] == [
+                (c.total.invariant_factors, c.f.matrix) for c in want
+            ], f
+
+
+def test_the_partition_criteria_match_the_subgroup_catalogs():
+    """For every middle Y of order <= 64 and every F whose order divides
+    |Y|, with lam and nu their partitions of p-exponents at each prime:
+    nu inside lam at every p iff some subgroup of Y has quotient F, and
+    iff some subgroup of Y is F; lam / nu a horizontal strip at every p
+    iff some cyclic subgroup of Y has quotient F."""
+    fits = Counter()
+    for n in (4, 8, 9, 12):
+        mods = enumerate_modules(n, 64)
+        for y in mods:
+            lams = _local_types(y)
+            catalog = subgroup_catalog(y)
+            quotients = {e.quotient for e in catalog}
+            subs = {e.sub for e in catalog}
+            for f in mods:
+                if y.order % f.order:
+                    continue
+                nus = _local_types(f)
+                cyclic = {e.quotient for e in cyclic_subgroup_catalog(y, y.order // f.order)}
+                inside = all(map(_contains, lams, nus))
+                strip = all(map(_horizontal_strip, lams, nus))
+                assert inside == (f in quotients) == (f in subs), (y, f)
+                assert strip == (f in cyclic), (y, f)
+                fits.update(pairs=1, inside=inside, strip=strip)
+    assert fits == Counter(pairs=785, inside=496, strip=260)
+
+
+def cold_run(config, names):
+    """The report of a run from cold caches, without its elapsed time, and
+    the cache misses of the subgroup walks and catalogs."""
+    clear_package_caches()
+    report = run_suite(config, names=names).to_dict()
+    del report["elapsed_ms"]
+    misses = {
+        name: getattr(modcat.enumeration, name).cache_info().misses
+        for name in ("_subgroup_walk", "_cyclic_subgroup_walk", "subgroup_catalog", "cyclic_subgroup_catalog")
+    }
+    return report, misses
+
+
+def patch_in_the_unfiltered_walks(monkeypatch):
+    monkeypatch.setattr(modcat.suites, "conflations_ending_in", unfiltered_conflations_ending_in)
+    monkeypatch.setattr(modcat.enumeration, "conflations_ending_in", unfiltered_conflations_ending_in)
+    monkeypatch.setattr(modcat.enumeration, "conflations_with_sub", unfiltered_conflations_with_sub)
+
+
+def catalogs_built_by_the_walks_from_each_start(walk):
+    """The subgroup catalogs ``walk(m, 16)`` builds from cold caches,
+    summed over every start m of order <= 16 at moduli 4 and 12."""
+    built = 0
+    for m in (m for n in (4, 12) for m in enumerate_modules(n, 16)):
+        clear_package_caches()
+        list(walk(m, 16))
+        built += subgroup_catalog.cache_info().misses
+    return built
+
+
+def test_flat_equiv_and_enough_pi_build_only_the_catalogs_a_conflation_fits(monkeypatch):
+    """At moduli 4 and 12, order <= 16, kernel <= 8, flat-equiv walks
+    cyclic kernels beyond the middle bound.  Its cyclic catalogs are
+    built only for middles a conflation ending in the end module fits:
+    15 walks and 18 catalogs, against 30 and 37 on the unfiltered walks,
+    for the same report.  Every whole catalog is built in both runs (the
+    zero module fits every middle), so the walk from each start is
+    counted apart: 93 catalogs against 125."""
+    assert catalogs_built_by_the_walks_from_each_start(conflations_with_sub) == 93
+    assert catalogs_built_by_the_walks_from_each_start(unfiltered_conflations_with_sub) == 125
+    config = SuiteConfig(moduli=(4, 12), max_module_order=16, max_kernel_order=8)
+    names = ("flat-equiv", "enough-pi")
+    report, misses = cold_run(config, names)
+    assert [(s["name"], s["checked"], s["failed"]) for s in report["suites"]] == [
+        ("flat-equiv", 199, 0),
+        ("enough-pi", 23, 0),
+    ]
+    assert misses == {
+        "_subgroup_walk": 14, "_cyclic_subgroup_walk": 15, "subgroup_catalog": 23, "cyclic_subgroup_catalog": 18
+    }
+    patch_in_the_unfiltered_walks(monkeypatch)
+    unfiltered, misses = cold_run(config, names)
+    assert unfiltered == report
+    assert misses == {
+        "_subgroup_walk": 14, "_cyclic_subgroup_walk": 30, "subgroup_catalog": 23, "cyclic_subgroup_catalog": 37
+    }
+
+
+def test_flat_equiv_and_enough_pi_at_three_primes_and_a_prime_cube(monkeypatch):
+    """The partition criteria work prime by prime, so n = 30 (three
+    primes) and n = 27 (3^3) test them where the default moduli do not.
+    At order <= 32, kernel <= 8 both suites pass, with the same report as
+    on the unfiltered walks."""
+    config = SuiteConfig(moduli=(27, 30), max_module_order=32, max_kernel_order=8)
+    names = ("flat-equiv", "enough-pi")
+    report, _ = cold_run(config, names)
+    assert [(s["name"], s["checked"], s["failed"]) for s in report["suites"]] == [
+        ("flat-equiv", 1115, 0),
+        ("enough-pi", 26, 0),
+    ]
+    patch_in_the_unfiltered_walks(monkeypatch)
+    assert cold_run(config, names)[0] == report
 
 
 # ---------------------------------------------------------------------------
